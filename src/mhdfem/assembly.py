@@ -83,7 +83,6 @@ FORM_TABLE = {
     "grad_grad": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 4),
     "vec_mass": (_VEC, _VEC, 4),
     "scalar_mass": (_P1 + ("dg0",), _P1 + ("dg0",), 2),
-    "scalar_stiffness": (_P1, _P1, 2),
     "curl_mass_pairing": (("rt_lowest",), ("nedelec1_lowest",), 3),
     "weak_curl_pairing": (("nedelec1_lowest",), ("rt_lowest",), 3),
     "div_scalar": (("rt_lowest",), ("dg0",), 3),
@@ -93,7 +92,6 @@ FORM_TABLE = {
     "lorentz_cross": (("nedelec1_lowest", "lagrange_p2_vector"), ("lagrange_p2_vector",), 6),
     "divdiv": (("rt_lowest",), ("rt_lowest",), 3),
     "curl_curl": (("nedelec1_lowest",), ("nedelec1_lowest",), 1),
-    "grad_scalar_pairing": (("nedelec1_lowest",), _P1, 3),
 }
 _NEEDS_COEFF = ("convection_skew", "ohm_cross", "lorentz_cross")
 
@@ -208,10 +206,6 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         s = _scalar_basis(trial, pts)
         k = np.einsum("q,qa,qb->ab", w, s, s)
         return np.broadcast_to(k, (mesh.num_cells,) + k.shape)
-    if form_id == "scalar_stiffness":
-        g = mesh.grad_lambda
-        k = np.einsum("cad,cbd->cab", g, g) / 6.0
-        return k
     if form_id in ("curl_mass_pairing", "weak_curl_pairing"):
         rt = derham.rt_values(mesh, pts)
         curls = derham.nedelec_curls(mesh)
@@ -241,10 +235,6 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
     if form_id == "curl_curl":
         curls = derham.nedelec_curls(mesh)
         return np.einsum("cad,cbd->cab", curls, curls) / 6.0
-    if form_id == "grad_scalar_pairing":
-        ned = derham.nedelec_values(mesh, pts)
-        g = mesh.grad_lambda  # P1 gradients, constant
-        return np.einsum("q,cad,cqbd->cab", w, g, ned)
     if form_id == "ohm_cross":
         cross = _velocity_cross_basis(coefficient, trial, rule)  # (nc, nq, 30, 3)
         ned = derham.nedelec_values(mesh, pts)
@@ -313,15 +303,6 @@ def _scatter(local, trial, test):
         (local.ravel(), (rows, cols)), shape=(test.ndof, trial.ndof)
     ).tocsr()
     return mat[test.free][:, trial.free].tocsr()
-
-
-def l2_norm_from_values(values: np.ndarray, wdet: np.ndarray) -> float:
-    """L2 norm from tabulated values (nc, nq[, 3]) and combined weights."""
-    if values.ndim == 3:
-        sq = np.einsum("cqd,cqd->cq", values, values)
-    else:
-        sq = values * values
-    return float(np.sqrt(np.einsum("cq,cq->", wdet, sq)))
 
 
 def quadrature_weights(mesh, rule: QuadratureRule) -> np.ndarray:

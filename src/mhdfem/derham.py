@@ -299,47 +299,6 @@ def rt_divergences(mesh: Mesh) -> np.ndarray:
     return 6.0 * np.einsum("ced,ced->ce", Ga, np.cross(Gb, Gc))
 
 
-def tabulate(space: FeSpace, cell: int, points: np.ndarray):
-    """Basis values and exterior-derivative values on one cell.
-
-    Returns ``(values, derivs)`` where derivs are gradients for Lagrange
-    kinds, curls for the edge space, divergences for the face space and
-    None for piecewise constants.  ``points`` are reference-tet
-    coordinates.
-    """
-    if not 0 <= cell < space.mesh.num_cells:
-        raise SpaceError(f"cell index {cell} out of range")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    lam = reference_barycentric(points)
-    if lam.min() < -1e-12 or lam.max() > 1.0 + 1e-12:
-        raise SpaceError("points fall outside the reference tetrahedron")
-    kind = space.kind
-    nq = len(points)
-    if kind in ("lagrange_p1", "lagrange_p1_pressure"):
-        vals = p1_values(points)
-        derivs = np.broadcast_to(space.mesh.grad_lambda[cell][None], (nq, 4, 3)).copy()
-        return vals, derivs
-    if kind == "dg0":
-        return np.ones((nq, 1)), None
-    if kind == "nedelec1_lowest":
-        vals = nedelec_values(space.mesh, points)[cell]
-        curls = nedelec_curls(space.mesh)[cell]
-        return vals, np.broadcast_to(curls[None], (nq, 6, 3)).copy()
-    if kind == "rt_lowest":
-        vals = rt_values(space.mesh, points)[cell]
-        divs = rt_divergences(space.mesh)[cell]
-        return vals, np.broadcast_to(divs[None], (nq, 4)).copy()
-    # lagrange_p2_vector
-    svals = p2_scalar_values(points)
-    sgrads = p2_scalar_gradients(space.mesh, points)[cell]
-    vals = np.zeros((nq, 30, 3))
-    derivs = np.zeros((nq, 30, 3, 3))
-    for comp in range(3):
-        vals[:, comp::3, comp] = svals
-        derivs[:, comp::3, comp, :] = sgrads
-    return vals, derivs
-
-
 # ----------------------------------------------------------------------
 # field evaluation
 
@@ -446,35 +405,3 @@ def physical_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
     ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
     X0 = mesh.cell_coords[:, 0, :]
     return X0[:, None, :] + np.einsum("qi,cid->cqd", ref_points, mesh.jacobians)
-
-
-def zero_mean_project(f: FieldFunction) -> FieldFunction:
-    """Subtract the volume-weighted mean from an L^2-type field."""
-    space = f.space
-    if space.kind == "dg0":
-        vols = space.mesh.volumes
-        mean = float(f.coeffs @ vols) / float(vols.sum())
-        return FieldFunction(space, f.coeffs - mean)
-    if space.kind in ("lagrange_p1", "lagrange_p1_pressure"):
-        w = vertex_volume_weights(space)
-        mean = float(f.coeffs @ w) / float(w.sum())
-        return FieldFunction(space, f.coeffs - mean)
-    raise SpaceError(f"zero-mean projection is not defined for {space.kind}")
-
-
-def vertex_volume_weights(space: FeSpace) -> np.ndarray:
-    """Integrals of the P1 basis functions: w_i = sum |T|/4 over cells at i."""
-    w = np.zeros(space.ndof)
-    np.add.at(w, space.mesh.cells.ravel(), np.repeat(space.mesh.volumes / 4.0, 4))
-    return w
-
-
-def field_mean(f: FieldFunction) -> float:
-    """Volume mean of a scalar field (dg0 or P1 kinds)."""
-    space = f.space
-    vol = float(space.mesh.volumes.sum())
-    if space.kind == "dg0":
-        return float(f.coeffs @ space.mesh.volumes) / vol
-    if space.kind in ("lagrange_p1", "lagrange_p1_pressure"):
-        return float(f.coeffs @ vertex_volume_weights(space)) / vol
-    raise SpaceError(f"mean is not defined for {space.kind}")

@@ -2,11 +2,13 @@
 
 CSR storage and the direct factorization are delegated to scipy
 (``scipy.sparse`` / SuperLU); this module owns the contracts around
-them: a hard relative-residual check after every solve (with one step
-of iterative refinement before giving up), singularity reporting with
-the pivot index, the block-system flattening with its fixed unknown
-order, bordered zero-mean constraint rows, and an inverse-power proxy
-for the smallest (norm-weighted) singular value.
+them.  `Factorization` is the one place a matrix is factored: it
+reports singularity with the pivot index, and every solve with the
+matrix or its transpose meets a hard relative-residual bound (after
+iterative refinement and, for small systems, a dense fallback).  Around
+it live the block-system flattening with its fixed unknown order,
+bordered zero-mean constraint rows, and an inverse-power proxy for the
+smallest (norm-weighted) singular value.
 """
 
 from __future__ import annotations
@@ -18,6 +20,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 DENSE_FALLBACK_SIZE = 2000
+# relative residual every solve must reach (the per-iterate bounds of
+# div B, r and curl E rest on it)
+RESIDUAL_TOL = 1e-10
+# inverse power iteration of smallest_singular_value
+POWER_MAXIT = 500
+POWER_TOL = 1e-8
+POWER_SEED = 0
 
 
 class LinAlgError(Exception):
@@ -34,25 +43,6 @@ class SingularMatrixError(LinAlgError):
         self.pivot = pivot
 
 
-def from_triplets(rows, cols, values, shape) -> sp.csr_matrix:
-    """CSR matrix from COO triplets; duplicate entries are summed."""
-    return sp.coo_matrix((values, (rows, cols)), shape=shape).tocsr()
-
-
-def _factorize(A: sp.csr_matrix):
-    try:
-        lu = spla.splu(A.tocsc())
-    except RuntimeError as exc:
-        pivot = _locate_pivot(A)
-        raise SingularMatrixError(f"sparse factorization failed: {exc}", pivot)
-    udiag = np.abs(lu.U.diagonal())
-    if udiag.size and udiag.min() <= 1e-14 * max(udiag.max(), 1.0):
-        raise SingularMatrixError(
-            "matrix is numerically singular", int(np.argmin(udiag))
-        )
-    return lu
-
-
 def _locate_pivot(A) -> int | None:
     """Identify the first vanishing pivot via dense LU (small systems)."""
     if A.shape[0] > DENSE_FALLBACK_SIZE:
@@ -65,48 +55,71 @@ def _locate_pivot(A) -> int | None:
     return int(bad[0]) if len(bad) else None
 
 
-def solve_direct(
-    A: sp.spmatrix, b: np.ndarray, *, residual_tol: float = 1e-10
-) -> np.ndarray:
-    """Direct sparse solve with a hard relative-residual contract.
+class Factorization:
+    """One sparse LU of a square matrix; every solve against it meets
+    the residual contract.
 
-    One step of iterative refinement is applied when needed; if the
-    residual still exceeds ``residual_tol * ||b||`` a LinAlgError is
-    raised.  Systems below 2000 unknowns fall back to a dense solve if
-    the sparse factorization cannot reach the contract.
+    Factoring reports singularity with the pivot index.  Every solve,
+    with A or with its transpose (from the same LU), refines iteratively
+    and must reach a relative residual of ``RESIDUAL_TOL``; systems of
+    at most ``DENSE_FALLBACK_SIZE`` unknowns fall back to a dense solve
+    before a LinAlgError is raised.
     """
-    A = A.tocsr()
-    b = np.asarray(b, dtype=float)
-    if A.shape[0] != A.shape[1] or A.shape[0] != len(b):
-        raise LinAlgError(f"shape mismatch: A is {A.shape}, b has {len(b)}")
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b)
-    lu = _factorize(A)
-    x = lu.solve(b)
-    # refine well past the contract: the extra triangular solves are
-    # cheap next to the factorization and identity checks downstream
-    # (curl-free, reduced-form residuals) benefit from the added digits
-    target = 1e-4 * residual_tol * bnorm
-    last = np.inf
-    for _ in range(3):
+
+    def __init__(self, A: sp.spmatrix):
+        self.A = A.tocsr()
+        if self.A.shape[0] != self.A.shape[1]:
+            raise LinAlgError(f"shape mismatch: A is {self.A.shape}, not square")
+        try:
+            self._lu = spla.splu(self.A.tocsc())
+        except RuntimeError as exc:
+            pivot = _locate_pivot(self.A)
+            raise SingularMatrixError(f"sparse factorization failed: {exc}", pivot)
+        udiag = np.abs(self._lu.U.diagonal())
+        if udiag.size and udiag.min() <= 1e-14 * max(udiag.max(), 1.0):
+            raise SingularMatrixError(
+                "matrix is numerically singular", int(np.argmin(udiag))
+            )
+
+    def solve(self, b: np.ndarray, *, trans: bool = False) -> np.ndarray:
+        """x with A x = b, or A^T x = b when ``trans`` is set."""
+        b = np.asarray(b, dtype=float)
+        if self.A.shape[0] != len(b):
+            raise LinAlgError(f"shape mismatch: A is {self.A.shape}, b has {len(b)}")
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0.0:
+            return np.zeros_like(b)
+        A = self.A.T if trans else self.A
+        mode = "T" if trans else "N"
+        x = self._lu.solve(b, trans=mode)
+        # refine well past the contract: the extra triangular solves are
+        # cheap next to the factorization and identity checks downstream
+        # (curl-free, reduced-form residuals) benefit from the added digits
+        target = 1e-4 * RESIDUAL_TOL * bnorm
+        last = np.inf
+        for _ in range(3):
+            r = b - A @ x
+            rnorm = np.linalg.norm(r)
+            if rnorm <= target or rnorm >= 0.5 * last:
+                break
+            last = rnorm
+            x = x + self._lu.solve(r, trans=mode)
         r = b - A @ x
-        rnorm = np.linalg.norm(r)
-        if rnorm <= target or rnorm >= 0.5 * last:
-            break
-        last = rnorm
-        x = x + lu.solve(r)
-    r = b - A @ x
-    if np.linalg.norm(r) <= residual_tol * bnorm:
-        return x
-    if A.shape[0] <= DENSE_FALLBACK_SIZE:
-        x = np.linalg.solve(A.toarray(), b)
-        r = b - A @ x
-        if np.linalg.norm(r) <= residual_tol * bnorm:
+        if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
             return x
-    raise LinAlgError(
-        f"solve residual {np.linalg.norm(r) / bnorm:.3e} exceeds {residual_tol:.1e}"
-    )
+        if A.shape[0] <= DENSE_FALLBACK_SIZE:
+            x = np.linalg.solve(A.toarray(), b)
+            r = b - A @ x
+            if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
+                return x
+        raise LinAlgError(
+            f"solve residual {np.linalg.norm(r) / bnorm:.3e} exceeds {RESIDUAL_TOL:.1e}"
+        )
+
+
+def solve_direct(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
+    """One-off direct sparse solve under the residual contract."""
+    return Factorization(A).solve(b)
 
 
 @dataclass
@@ -215,23 +228,17 @@ def smallest_singular_value(
     *,
     w_test: sp.spmatrix | None = None,
     w_trial: sp.spmatrix | None = None,
-    maxit: int = 500,
-    tol: float = 1e-8,
-    seed: int = 0,
 ) -> float:
     """Smallest singular value of A, optionally weighted by SPD norm
     matrices on the test/trial sides, by inverse power iteration.
 
     With weights this is the discrete inf-sup/Babuska constant
     inf_x sup_y <y, A x> / (|y|_wt |x|_wtr): the numerical proxy for
-    stability of the linearized saddle systems.
+    stability of the linearized saddle systems.  Raises LinAlgError if
+    the iteration has not converged after ``POWER_MAXIT`` steps.
     """
-    A = A.tocsr()
-    n = A.shape[0]
-    lu = _factorize(A)
-    lut = _factorize(A.T.tocsr())
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n)
+    lu = Factorization(A)
+    z = np.random.default_rng(POWER_SEED).standard_normal(lu.A.shape[0])
 
     def wt(v):
         return v if w_test is None else w_test @ v
@@ -240,22 +247,19 @@ def smallest_singular_value(
         return v if w_trial is None else w_trial @ v
 
     mu_old = np.inf
-    for _ in range(maxit):
+    for _ in range(POWER_MAXIT):
         wz = wtr(z)
-        z_next = lu.solve(wt(lut.solve(wz)))
+        z_next = lu.solve(wt(lu.solve(wz, trans=True)))
         mu = float(wz @ z_next) / float(wz @ z)
         norm = np.sqrt(float(wtr(z_next) @ z_next))
         z = z_next / norm
-        if abs(mu - mu_old) <= tol * abs(mu):
+        if abs(mu - mu_old) <= POWER_TOL * abs(mu):
             break
         mu_old = mu
+    else:
+        raise LinAlgError(
+            f"inverse power iteration did not converge in {POWER_MAXIT} steps"
+        )
     if mu <= 0:
         raise LinAlgError("inverse power iteration lost positivity")
     return 1.0 / np.sqrt(mu)
-
-
-def export_matrix_market(A: sp.spmatrix, path: str) -> None:
-    """Write a matrix in Matrix Market coordinate format."""
-    from scipy.io import mmwrite
-
-    mmwrite(path, A.tocoo())

@@ -206,7 +206,9 @@ class MhdDriver:
         )
 
         self.dcurl = operators.DiscreteCurl(self.E_space, self.B_space)
-        self.dual = operators.VelocityDualNorm(self.u_space, stiffness=self.K_u)
+        self.dual_f = operators.VelocityDualNorm(self.u_space, stiffness=self.K_u)(
+            self.load_f
+        )
 
     # ------------------------------------------------------------------
     # assembly of one Picard step
@@ -413,7 +415,7 @@ class MhdDriver:
         j_norm = float(np.sqrt(max(joule, 0.0) / p.s))
         hcurlB = self.dcurl.apply(state.B)
         hcurlB_norm = operators.lp_norm(hcurlB, 2, quad_degree=4)
-        dual_f = self.dual(self.load_f)
+        dual_f = self.dual_f
 
         energy2_lhs = 0.5 * dissipation + joule
         energy2_rhs = 0.5 * p.Re * dual_f**2

@@ -7,16 +7,14 @@ The weak curl maps the face (div-conforming) space into the edge
 
 The boundary-condition family is carried by the spaces themselves: with
 essential-zero spaces this is the operator of the homogeneous complex,
-with unconstrained spaces its natural-boundary variant.  The weak
-divergence and the L^2 projection onto the edge space follow the same
-pattern.  Alongside these live the Stokes projection, the divergence-free
+with unconstrained spaces its natural-boundary variant.  The L^2
+projection onto the edge space reuses the same mass factorization.
+Alongside these live the Stokes projection, the divergence-free
 constrained L^2 projection, and the norms in which the solver measures
 increments and errors.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,15 +49,7 @@ class DiscreteCurl:
         self.pairing = assembly.assemble_bilinear(
             "curl_mass_pairing", div_space, curl_space
         )
-        self._lu = linalg._factorize(self.mass)
-
-    def _mass_solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = self._lu.solve(rhs)
-        r = rhs - self.mass @ x
-        rnorm, bnorm = np.linalg.norm(r), np.linalg.norm(rhs)
-        if bnorm > 0 and rnorm > 1e-12 * bnorm:
-            x = x + self._lu.solve(r)
-        return x
+        self._lu = linalg.Factorization(self.mass)
 
     def apply(self, B: FieldFunction) -> FieldFunction:
         """curl_h B as a field in the edge space."""
@@ -67,7 +57,7 @@ class DiscreteCurl:
             raise OperatorError("field does not belong to the operator's face space")
         rhs = self.pairing @ B.coeffs[self.div_space.free]
         out = np.zeros(self.curl_space.ndof)
-        out[self.curl_space.free] = self._mass_solve(rhs)
+        out[self.curl_space.free] = self._lu.solve(rhs)
         return FieldFunction(self.curl_space, out)
 
     def project(self, values: np.ndarray, rule) -> FieldFunction:
@@ -80,46 +70,8 @@ class DiscreteCurl:
         rhs = np.zeros(self.curl_space.ndof)
         np.add.at(rhs, self.curl_space.dofmap.ravel(), cellvec.ravel())
         out = np.zeros(self.curl_space.ndof)
-        out[self.curl_space.free] = self._mass_solve(rhs[self.curl_space.free])
+        out[self.curl_space.free] = self._lu.solve(rhs[self.curl_space.free])
         return FieldFunction(self.curl_space, out)
-
-
-def l2_project_curl(
-    curl_space: FeSpace, func, *, quad_degree: int = 6, _dcurl: DiscreteCurl | None = None
-) -> FieldFunction:
-    """L^2 projection of an analytic vector field onto the edge space."""
-    mass = (
-        _dcurl.mass
-        if _dcurl is not None
-        else assembly.assemble_bilinear("vec_mass", curl_space, curl_space)
-    )
-    rhs = assembly.assemble_linear(curl_space, func, quad_degree=quad_degree)
-    out = np.zeros(curl_space.ndof)
-    out[curl_space.free] = linalg.solve_direct(mass, rhs)
-    return FieldFunction(curl_space, out)
-
-
-class DiscreteDiv:
-    """Weak divergence from the edge space into the vertex space:
-    (div_h w, v) = -(w, grad v) for all v in the vertex space."""
-
-    def __init__(self, grad_space: FeSpace, curl_space: FeSpace):
-        _check_pair(grad_space, "lagrange_p1", curl_space, "nedelec1_lowest")
-        self.grad_space = grad_space
-        self.curl_space = curl_space
-        self.mass = assembly.assemble_bilinear("scalar_mass", grad_space, grad_space)
-        self.pairing = assembly.assemble_bilinear(
-            "grad_scalar_pairing", curl_space, grad_space
-        )
-        self._lu = linalg._factorize(self.mass)
-
-    def apply(self, w: FieldFunction) -> FieldFunction:
-        if w.space is not self.curl_space:
-            raise OperatorError("field does not belong to the operator's edge space")
-        rhs = -(self.pairing @ w.coeffs[self.curl_space.free])
-        out = np.zeros(self.grad_space.ndof)
-        out[self.grad_space.free] = self._lu.solve(rhs)
-        return FieldFunction(self.grad_space, out)
 
 
 def stokes_project(
@@ -295,43 +247,6 @@ def norm_w(u: FieldFunction, B: FieldFunction, dcurl: DiscreteCurl) -> float:
     return float(np.sqrt(norm_h1_vec(u) ** 2 + norm_d(B, dcurl) ** 2))
 
 
-def norm_x(
-    v: FieldFunction,
-    F: FieldFunction,
-    C: FieldFunction,
-    B_minus: FieldFunction,
-    *,
-    quad_degree: int = 6,
-) -> float:
-    """Linearization norm on (velocity, electric, magnetic) triples:
-    |v|^2 + |grad v|^2 + |curl F|^2 + |F + v x B-|^2 + |C|^2 + |div C|^2."""
-    rule = assembly.quadrature_rule(quad_degree)
-    mesh = v.space.mesh
-    wdet = assembly.quadrature_weights(mesh, rule)
-    vv = derham.evaluate_on_cells(v, rule.points)
-    bb = derham.evaluate_on_cells(B_minus, rule.points)
-    ff = derham.evaluate_on_cells(F, rule.points)
-    ohm = ff + np.cross(vv, bb)
-    ohm_sq = float(np.einsum("cq,cqd,cqd->", wdet, ohm, ohm))
-    return float(
-        np.sqrt(
-            lp_norm(v, 2) ** 2
-            + seminorm_h1_vec(v) ** 2
-            + norm_curl_part(F) ** 2
-            + ohm_sq
-            + lp_norm(C, 2) ** 2
-            + norm_div_part(C) ** 2
-        )
-    )
-
-
-def norm_y(q: FieldFunction, r: FieldFunction | None) -> float:
-    """Multiplier-pair norm (|q|^2 + |r|^2)^(1/2); r may be absent."""
-    rq = lp_norm(q, 2, quad_degree=2) ** 2
-    rr = 0.0 if r is None else lp_norm(r, 2, quad_degree=2) ** 2
-    return float(np.sqrt(rq + rr))
-
-
 class VelocityDualNorm:
     """Discrete dual norm sup <f, v> / |grad v| over the velocity space,
     realized by one stiffness solve per application."""
@@ -343,7 +258,7 @@ class VelocityDualNorm:
             if stiffness is not None
             else assembly.assemble_bilinear("grad_grad", u_space, u_space)
         )
-        self._lu = linalg._factorize(self.stiffness)
+        self._lu = linalg.Factorization(self.stiffness)
 
     def __call__(self, load_free: np.ndarray) -> float:
         x = self._lu.solve(load_free)

@@ -12,14 +12,13 @@ from mhdfem.derham import (
     evaluate_div_on_cells,
     evaluate_grad_on_cells,
     evaluate_on_cells,
-    field_mean,
     make_space,
+    nedelec_values,
     physical_points,
-    tabulate,
-    vertex_volume_weights,
-    zero_mean_project,
+    rt_values,
 )
 from mhdfem.mesh import unit_cube_mesh
+from oracles import vertex_volume_weights
 
 RNG = np.random.default_rng(7)
 
@@ -201,6 +200,7 @@ def test_interior_trace_continuity(mesh2, topo2, kind):
         for face in topo2.cell_to_face[c]:
             if face in cells_of:
                 cells_of[face].append(c)
+    basis_values = nedelec_values if kind == "nedelec1_lowest" else rt_values
     checked = 0
     for face in interior[:: max(1, len(interior) // 10)]:
         c1, c2 = cells_of[face]
@@ -210,7 +210,7 @@ def test_interior_trace_continuity(mesh2, topo2, kind):
         n = n / np.linalg.norm(n)
         traces = []
         for c in (c1, c2):
-            vals, _ = tabulate(space, c, _ref_coords(mesh2, c, x))
+            vals = basis_values(mesh2, _ref_coords(mesh2, c, x))[c]
             v = np.einsum("qad,a->qd", vals, f.coeffs[space.dofmap[c]])
             if kind == "nedelec1_lowest":
                 traces.append(v - np.outer(v @ n, n))  # tangential part
@@ -296,27 +296,7 @@ def test_commuting_div(mesh2, topo2):
 
 
 # ----------------------------------------------------------------------
-# means and projections
-
-
-def test_zero_mean_project(mesh1, topo1):
-    dg = make_space("dg0", "none", mesh1, topo1)
-    f = FieldFunction(dg, np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0]))
-    g = zero_mean_project(f)
-    # six cells of equal volume: the mean is 1/6
-    assert g.coeffs == pytest.approx([5.0 / 6.0] + [-1.0 / 6.0] * 5, abs=1e-14)
-    assert field_mean(g) == pytest.approx(0.0, abs=1e-14)
-    assert zero_mean_project(g).coeffs == pytest.approx(g.coeffs, abs=1e-14)
-
-    p1 = make_space("lagrange_p1_pressure", "none", mesh1, topo1)
-    h = zero_mean_project(FieldFunction(p1, np.ones(p1.ndof)))
-    assert h.coeffs == pytest.approx(np.zeros(8), abs=1e-14)
-
-
-def test_field_mean_of_interpolant(mesh2):
-    dg = make_space("dg0", "none", mesh2)
-    f = canonical_interpolate(dg, lambda x: x[:, 0] + 2.0 * x[:, 1])
-    assert field_mean(f) == pytest.approx(1.5, rel=1e-12)
+# vertex weights (the oracle of the P1 mass row sums)
 
 
 def test_vertex_volume_weights_sum(mesh2):
@@ -324,14 +304,6 @@ def test_vertex_volume_weights_sum(mesh2):
     w = vertex_volume_weights(p1)
     assert w.sum() == pytest.approx(1.0, rel=1e-14)
     assert np.all(w > 0)
-
-
-def test_zero_mean_project_rejects_vector(mesh1):
-    ned = make_space("nedelec1_lowest", "none", mesh1)
-    with pytest.raises(SpaceError):
-        zero_mean_project(FieldFunction.zeros(ned))
-    with pytest.raises(SpaceError):
-        field_mean(FieldFunction.zeros(ned))
 
 
 # ----------------------------------------------------------------------
@@ -347,10 +319,6 @@ def test_evaluation_guards(mesh1):
         evaluate_curl_on_cells(FieldFunction.zeros(rt))
     with pytest.raises(SpaceError):
         evaluate_div_on_cells(FieldFunction.zeros(ned))
-    with pytest.raises(SpaceError):
-        tabulate(ned, 99, REF_POINTS)
-    with pytest.raises(SpaceError):
-        tabulate(ned, 0, np.array([[0.7, 0.7, 0.7]]))
 
 
 def test_physical_points_identity_on_reference(single_tet):

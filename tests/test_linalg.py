@@ -1,51 +1,26 @@
 """Sparse solves, block flattening, borders and the inf-sup proxy."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import mhdfem
+from mhdfem import linalg
 from mhdfem.linalg import (
     BlockSystem,
+    Factorization,
     LinAlgError,
     SingularMatrixError,
-    export_matrix_market,
     flatten,
-    from_triplets,
     smallest_singular_value,
     solve_direct,
     unflatten,
 )
 
 RNG = np.random.default_rng(23)
-
-
-# ----------------------------------------------------------------------
-# triplet construction
-
-
-def test_from_triplets_sums_duplicates():
-    A = from_triplets([0, 0], [0, 0], [1.0, 2.0], (1, 1))
-    assert A.toarray() == pytest.approx(np.array([[3.0]]))
-
-
-def test_from_triplets_empty():
-    A = from_triplets([], [], [], (3, 2))
-    assert A.nnz == 0
-    assert A.shape == (3, 2)
-
-
-def test_from_triplets_order_invariant():
-    rows = [2, 0, 1, 0, 2]
-    cols = [1, 0, 2, 0, 1]
-    vals = [4.0, 1.0, 2.0, 3.0, -1.0]
-    A = from_triplets(rows, cols, vals, (3, 3))
-    perm = [3, 1, 4, 0, 2]
-    B = from_triplets(
-        [rows[i] for i in perm], [cols[i] for i in perm], [vals[i] for i in perm], (3, 3)
-    )
-    assert np.array_equal(A.indptr, B.indptr)
-    assert np.array_equal(A.indices, B.indices)
-    assert np.array_equal(A.data, B.data)
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +64,28 @@ def test_solve_shape_mismatch():
     A = sp.identity(3, format="csr")
     with pytest.raises(LinAlgError, match="shape"):
         solve_direct(A, np.ones(4))
+
+
+def test_transposed_solve_matches_dense_oracle(monkeypatch):
+    # without the dense fallback the answer must come from the sparse LU
+    monkeypatch.setattr(linalg, "DENSE_FALLBACK_SIZE", 0)
+    M = RNG.standard_normal((40, 40)) + 5.0 * np.eye(40)
+    A = sp.csr_matrix(M)
+    b = RNG.standard_normal(40)
+    x = Factorization(A).solve(b, trans=True)
+    assert x == pytest.approx(np.linalg.solve(M.T, b), rel=1e-10, abs=1e-12)
+    assert np.linalg.norm(M.T @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def test_solve_raises_when_contract_is_missed(monkeypatch):
+    # no solve of a random system reaches a residual of 1e-30, and the
+    # dense fallback cannot either
+    monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-30)
+    M = RNG.standard_normal((20, 20)) + 5.0 * np.eye(20)
+    lu = Factorization(sp.csr_matrix(M))
+    for trans in (False, True):
+        with pytest.raises(LinAlgError, match="residual"):
+            lu.solve(RNG.standard_normal(20), trans=trans)
 
 
 # ----------------------------------------------------------------------
@@ -215,15 +212,67 @@ def test_smallest_singular_value_of_singular_matrix_raises():
         smallest_singular_value(A)
 
 
+def test_smallest_singular_value_factors_once(monkeypatch):
+    calls = []
+    splu = linalg.spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", counting_splu)
+    M = RNG.standard_normal((30, 30)) + 5.0 * np.eye(30)
+    smallest_singular_value(sp.csr_matrix(M))
+    assert len(calls) == 1
+
+
+def test_smallest_singular_value_unconverged_raises(monkeypatch):
+    # two steps leave the 40 x 40 estimate about 1% off; it must not be
+    # returned as the answer
+    monkeypatch.setattr(linalg, "POWER_MAXIT", 2)
+    M = RNG.standard_normal((40, 40)) + 5.0 * np.eye(40)
+    with pytest.raises(LinAlgError, match="did not converge"):
+        smallest_singular_value(sp.csr_matrix(M))
+
+
 # ----------------------------------------------------------------------
-# export
+# the factorization stays behind linalg
 
 
-def test_matrix_market_round_trip(tmp_path):
-    from scipy.io import mmread
+def _package_trees():
+    for path in sorted(Path(mhdfem.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
 
-    A = sp.random(12, 9, density=0.3, random_state=3, format="csr")
-    path = tmp_path / "block.mtx"
-    export_matrix_market(A, str(path))
-    B = mmread(str(path)).tocsr()
-    assert (A - B).nnz == 0 or np.abs((A - B).data).max() <= 1e-15
+
+def test_only_linalg_factors_matrices():
+    callers = set()
+    for name, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+                if called == "splu":
+                    callers.add(name)
+    assert callers == {"linalg.py"}
+
+
+def test_no_private_linalg_names_outside_linalg():
+    leaks = []
+    for name, tree in _package_trees():
+        if name == "linalg.py":
+            continue
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "linalg"
+                and node.attr.startswith("_")
+            ):
+                leaks.append(f"{name}:{node.lineno} linalg.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+                leaks += [
+                    f"{name}:{node.lineno} {a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert leaks == []

@@ -1,8 +1,9 @@
-"""Weak curl/div operators, projections and the solution norms."""
+"""Weak curl operator, projections and the solution norms."""
 
 import numpy as np
 import pytest
 
+from mhdfem import linalg
 from mhdfem.assembly import quadrature_rule, quadrature_weights
 from mhdfem.derham import (
     FieldFunction,
@@ -16,11 +17,9 @@ from mhdfem.derham import (
 from mhdfem.mesh import unit_cube_mesh, build_topology
 from mhdfem.operators import (
     DiscreteCurl,
-    DiscreteDiv,
     OperatorError,
     VelocityDualNorm,
     divfree_l2_project,
-    l2_project_curl,
     lp_norm,
     lp_norm_callable,
     norm_curl_part,
@@ -28,8 +27,6 @@ from mhdfem.operators import (
     norm_div_part,
     norm_h1_vec,
     norm_w,
-    norm_x,
-    norm_y,
     stokes_project,
 )
 from mhdfem.verify import builtin_case
@@ -95,6 +92,16 @@ def test_discrete_curl_matches_dense_oracle(mesh1, topo1):
     assert out.coeffs == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
 
+def test_discrete_curl_raises_when_contract_is_missed(mesh2, topo2, monkeypatch):
+    ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
+    rt = make_space("rt_lowest", "none", mesh2, topo2)
+    dcurl = DiscreteCurl(ned, rt)
+    B = FieldFunction(rt, RNG.standard_normal(rt.ndof))
+    monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-30)
+    with pytest.raises(linalg.LinAlgError, match="residual"):
+        dcurl.apply(B)
+
+
 def test_discrete_curl_space_guards(mesh1, mesh2, topo1, topo2):
     ned1 = make_space("nedelec1_lowest", "none", mesh1, topo1)
     rt1 = make_space("rt_lowest", "none", mesh1, topo1)
@@ -112,78 +119,37 @@ def test_discrete_curl_space_guards(mesh1, mesh2, topo1, topo2):
 
 
 # ----------------------------------------------------------------------
-# weak divergence
-
-
-def test_discrete_div_of_zero(mesh2, topo2):
-    p1 = make_space("lagrange_p1", "essential_zero", mesh2, topo2)
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    ddiv = DiscreteDiv(p1, ned)
-    out = ddiv.apply(FieldFunction.zeros(ned))
-    assert np.abs(out.coeffs).max() == 0.0
-
-
-def test_discrete_div_adjointness_and_oracle(mesh1, topo1):
-    p1 = make_space("lagrange_p1", "none", mesh1, topo1)
-    ned = make_space("nedelec1_lowest", "none", mesh1, topo1)
-    ddiv = DiscreteDiv(p1, ned)
-    w = FieldFunction(ned, RNG.standard_normal(ned.ndof))
-    out = ddiv.apply(w)
-    dense = np.linalg.solve(ddiv.mass.toarray(), -(ddiv.pairing.toarray() @ w.coeffs))
-    assert out.coeffs == pytest.approx(dense, rel=1e-10, abs=1e-12)
-    # adjointness: (div_h w, s) = -(w, grad s) for a random vertex field
-    s = RNG.standard_normal(p1.ndof)
-    lhs = out.coeffs @ (ddiv.mass @ s)
-    rhs = -(s @ (ddiv.pairing @ w.coeffs))
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-13)
-
-
-def test_discrete_div_of_gradient(mesh2, topo2):
-    # w = grad s0 has edge coefficients given by the incidence matrix; its
-    # weak divergence is the stiffness-weighted image of s0
-    p1 = make_space("lagrange_p1", "essential_zero", mesh2, topo2)
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    ddiv = DiscreteDiv(p1, ned)
-    s0 = np.zeros(p1.ndof)
-    s0[p1.free] = RNG.standard_normal(p1.num_free)
-    w = FieldFunction(ned, topo2.grad_incidence @ s0)
-    out = ddiv.apply(w)
-    from mhdfem.assembly import assemble_bilinear
-
-    K = assemble_bilinear("scalar_stiffness", p1, p1)
-    expected = np.zeros(p1.ndof)
-    expected[p1.free] = np.linalg.solve(ddiv.mass.toarray(), -(K @ s0[p1.free]))
-    assert out.coeffs == pytest.approx(expected, rel=1e-10, abs=1e-12)
-
-
-# ----------------------------------------------------------------------
 # L^2 projection onto the edge space
+
+
+def _sample(func, mesh, rule):
+    """Values of an analytic field at the rule's points, (nc, nq, 3)."""
+    x = physical_points(mesh, rule.points)
+    return func(x.reshape(-1, 3)).reshape(x.shape)
 
 
 def test_l2_project_reproduces_member(mesh2, topo2):
     ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
+    rt = make_space("rt_lowest", "none", mesh2, topo2)
     a, b = np.array([0.2, -0.5, 1.0]), np.array([0.3, 0.8, -0.1])
     func = lambda x: a + np.cross(b, x)
-    proj = l2_project_curl(ned, func)
+    rule = quadrature_rule(6)
+    proj = DiscreteCurl(ned, rt).project(_sample(func, mesh2, rule), rule)
     member = canonical_interpolate(ned, func)
     assert proj.coeffs == pytest.approx(member.coeffs, rel=1e-12, abs=1e-12)
 
 
 def test_l2_project_annihilates_deflated_field(mesh2, topo2):
     ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
+    rt = make_space("rt_lowest", "none", mesh2, topo2)
+    dcurl = DiscreteCurl(ned, rt)
     func = lambda x: np.stack(
         [np.sin(3 * x[:, 1]), np.cos(2 * x[:, 2]), x[:, 0] ** 3], axis=1
     )
-    p = l2_project_curl(ned, func)
     rule = quadrature_rule(6)
-    pvals = evaluate_on_cells(p, rule.points).reshape(-1, 3)
-    xref = physical_points(mesh2, rule.points).reshape(-1, 3)
-
-    def deflated(x):
-        assert x.shape == xref.shape
-        return func(x) - pvals
-
-    q = l2_project_curl(ned, deflated)
+    vals = _sample(func, mesh2, rule)
+    p = dcurl.project(vals, rule)
+    q = dcurl.project(vals - evaluate_on_cells(p, rule.points), rule)
     assert np.abs(q.coeffs).max() <= 1e-10
 
 
@@ -392,19 +358,6 @@ def test_norm_d_zero_and_consistency(mesh2, topo2):
     assert norm_d(B, dcurl) == pytest.approx(expected, rel=1e-13)
 
 
-def test_norm_x_collapses_without_velocity(mesh2, topo2):
-    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
-    F = FieldFunction.zeros(ned)
-    F.coeffs[ned.free] = RNG.standard_normal(ned.num_free)
-    Bm = FieldFunction.zeros(rt)
-    Bm.coeffs[rt.free] = RNG.standard_normal(rt.num_free)
-    val = norm_x(FieldFunction.zeros(u), F, FieldFunction.zeros(rt), Bm)
-    expected = np.sqrt(norm_curl_part(F) ** 2 + lp_norm(F, 2) ** 2)
-    assert val == pytest.approx(expected, rel=1e-12)
-
-
 def test_norm_w_recomposition(mesh2, topo2):
     u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
     ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
@@ -418,18 +371,6 @@ def test_norm_w_recomposition(mesh2, topo2):
     assert norm_w(uh, B, dcurl) == pytest.approx(expected, rel=1e-13)
 
 
-def test_norm_y_with_and_without_multiplier(mesh2, topo2):
-    q = make_space("lagrange_p1_pressure", "none", mesh2, topo2)
-    dg = make_space("dg0", "none", mesh2, topo2)
-    qh = FieldFunction(q, RNG.standard_normal(q.ndof))
-    rh = FieldFunction(dg, RNG.standard_normal(dg.ndof))
-    both = norm_y(qh, rh)
-    assert both == pytest.approx(
-        np.sqrt(lp_norm(qh, 2) ** 2 + lp_norm(rh, 2) ** 2), rel=1e-13
-    )
-    assert norm_y(qh, None) == pytest.approx(lp_norm(qh, 2), rel=1e-13)
-
-
 def test_velocity_dual_norm(mesh2, topo2):
     u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
     dual = VelocityDualNorm(u)
@@ -437,6 +378,14 @@ def test_velocity_dual_norm(mesh2, topo2):
     load = dual.stiffness @ x
     expected = np.sqrt(x @ load)
     assert dual(load) == pytest.approx(expected, rel=1e-10)
+
+
+def test_velocity_dual_norm_raises_when_contract_is_missed(mesh2, topo2, monkeypatch):
+    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
+    dual = VelocityDualNorm(u)
+    monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-30)
+    with pytest.raises(linalg.LinAlgError, match="residual"):
+        dual(RNG.standard_normal(u.num_free))
 
 
 # ----------------------------------------------------------------------
