@@ -8,14 +8,16 @@ to the centroid rule with weight 1/6).
 Bilinear forms are assembled cellwise with numpy tensor contractions and
 scattered into sparse matrices over the free (unconstrained) degrees of
 freedom; essential-zero boundary conditions are eliminated symmetrically
-by restriction.  Zero-mean constraints are not handled here: they enter
-as bordered rows/columns at the block-system level (see linalg).
+by restriction.  Zero-mean constraints are not handled here: each
+enters the saddle system as one more block row and column holding the
+domain integrals of the basis functions (see linalg.flatten).
 
-Default quadrature degrees make every bilinear integrand exact on affine
-cells: 4 for the fluid blocks, 5 for convection (P2 x grad P2 x P2),
-3 for curl/divergence pairings, and 6 for the magnetic cross blocks,
-whose double-cross velocity term (u x B) x B . v has degree 6.  Load
-vectors against analytic sources default to degree 6.
+The quadrature degree of each bilinear form makes its integrand exact
+on affine cells: 4 for the fluid blocks, 5 for convection
+(P2 x grad P2 x P2), 3 for curl/divergence pairings, and 6 for the
+magnetic cross blocks, whose double-cross velocity term
+(u x B) x B . v has degree 6.  Load vectors against analytic sources
+default to degree 6.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def quadrature_rule(degree: int) -> QuadratureRule:
     return rule
 
 
-# form_id -> (trial kinds, test kinds, default quadrature degree)
+# form_id -> (trial kinds, test kinds, quadrature degree)
 _VEC = ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
 _P1 = ("lagrange_p1", "lagrange_p1_pressure")
 FORM_TABLE = {
@@ -84,7 +86,6 @@ FORM_TABLE = {
     "vec_mass": (_VEC, _VEC, 4),
     "scalar_mass": (_P1 + ("dg0",), _P1 + ("dg0",), 2),
     "curl_mass_pairing": (("rt_lowest",), ("nedelec1_lowest",), 3),
-    "weak_curl_pairing": (("nedelec1_lowest",), ("rt_lowest",), 3),
     "div_scalar": (("rt_lowest",), ("dg0",), 3),
     "div_pressure": (("lagrange_p2_vector",), _P1, 4),
     "convection_skew": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 5),
@@ -117,7 +118,6 @@ def assemble_bilinear(
     test: FeSpace,
     *,
     coefficient: FieldFunction | None = None,
-    quad_degree: int | None = None,
 ) -> sp.csr_matrix:
     """Assemble a bilinear form into a CSR matrix over free dofs.
 
@@ -125,10 +125,7 @@ def assemble_bilinear(
     free dofs.  ``coefficient`` is the frozen field of the Picard
     linearization (advecting velocity or previous magnetic iterate).
     """
-    degree = _check_form(form_id, trial, test, coefficient)
-    if quad_degree is not None:
-        degree = quad_degree
-    rule = quadrature_rule(degree)
+    rule = quadrature_rule(_check_form(form_id, trial, test, coefficient))
     mesh = trial.mesh
     scale = np.abs(mesh.det_jacobians)  # reference weights sum to 1/6 = ref volume
     local = _local_matrices(form_id, trial, test, coefficient, rule, mesh)
@@ -176,12 +173,12 @@ def assemble_linear(
     return vec[space.free]
 
 
-def domain_integral_vector(space: FeSpace, *, quad_degree: int = 2) -> np.ndarray:
+def domain_integral_vector(space: FeSpace) -> np.ndarray:
     """Integrals of the basis functions over the domain (free dofs);
-    the bordered row that realizes a zero-mean constraint."""
+    the border row that realizes a zero-mean constraint."""
     if space.kind == "dg0":
         return space.mesh.volumes[space.free]
-    return assemble_linear(space, lambda x: np.ones(len(x)), quad_degree=quad_degree)
+    return assemble_linear(space, lambda x: np.ones(len(x)), quad_degree=2)
 
 
 # ----------------------------------------------------------------------
@@ -206,13 +203,10 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         s = _scalar_basis(trial, pts)
         k = np.einsum("q,qa,qb->ab", w, s, s)
         return np.broadcast_to(k, (mesh.num_cells,) + k.shape)
-    if form_id in ("curl_mass_pairing", "weak_curl_pairing"):
+    if form_id == "curl_mass_pairing":
         rt = derham.rt_values(mesh, pts)
         curls = derham.nedelec_curls(mesh)
-        k = np.einsum("q,cqfd,ced->cef", w, rt, curls)  # rows edge-test, cols face-trial
-        if form_id == "curl_mass_pairing":
-            return k
-        return np.ascontiguousarray(np.transpose(k, (0, 2, 1)))
+        return np.einsum("q,cqfd,ced->cef", w, rt, curls)  # rows edge-test, cols face-trial
     if form_id == "div_scalar":
         divs = derham.rt_divergences(mesh)  # constant per cell
         return (divs / 6.0)[:, None, :]  # (nc, 1, 4), weight sum 1/6

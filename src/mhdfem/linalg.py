@@ -5,15 +5,16 @@ CSR storage and the direct factorization are delegated to scipy
 them.  `Factorization` is the one place a matrix is factored: it
 reports singularity with the pivot index, and every solve with the
 matrix or its transpose meets a hard relative-residual bound (after
-iterative refinement and, for small systems, a dense fallback).  Around
-it live the block-system flattening with its fixed unknown order,
-bordered zero-mean constraint rows, and an inverse-power proxy for the
-smallest (norm-weighted) singular value.
+iterative refinement and, for small systems, a dense fallback that logs
+a warning when it runs).  Around it live the block flattening of a
+``sp.bmat`` grid, in which a zero-mean constraint is one more block row
+and column, and an inverse-power proxy for the smallest
+(norm-weighted) singular value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,6 +28,8 @@ RESIDUAL_TOL = 1e-10
 POWER_MAXIT = 500
 POWER_TOL = 1e-8
 POWER_SEED = 0
+
+_log = logging.getLogger(__name__)
 
 
 class LinAlgError(Exception):
@@ -108,6 +111,12 @@ class Factorization:
         if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
             return x
         if A.shape[0] <= DENSE_FALLBACK_SIZE:
+            _log.warning(
+                "sparse solve on %d unknowns missed the residual bound "
+                "(relative residual %.3e); solving densely",
+                A.shape[0],
+                np.linalg.norm(r) / bnorm,
+            )
             x = np.linalg.solve(A.toarray(), b)
             r = b - A @ x
             if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
@@ -122,105 +131,37 @@ def solve_direct(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
     return Factorization(A).solve(b)
 
 
-@dataclass
-class IndexMap:
-    """Field name -> slice into the flattened unknown vector."""
+def flatten(grid, rhs):
+    """One CSR matrix and right-hand side from a grid of blocks.
 
-    slices: dict
-    border_slice: slice
-    total: int
-
-
-@dataclass
-class BlockSystem:
-    """A block linear system over named fields with optional borders.
-
-    ``blocks`` maps (test_field, trial_field) to a sparse matrix over
-    the free dofs of the two fields; missing keys mean zero blocks.
-    ``borders`` lists (field, weight_vector) pairs: each adds a row
-    ``w . x_field = 0`` and the transposed column in the field's own
-    test rows (zero-mean constraint with its scalar multiplier).
-    ``transpose_pairs`` declares ((t1, f1), (t2, f2), factor) relations
-    block[t1, f1] == factor * block[t2, f2]^T checked by validate().
+    ``grid`` follows the ``sp.bmat`` convention: a list of block rows,
+    ``None`` for a zero block.  A zero-mean constraint ``w . x_f = 0``
+    on the unknowns of block column f is one more block row holding w as
+    a 1 x n_f sparse block in column f, with its transpose in block row
+    f and a zero corner.  ``rhs`` holds one vector per block row, ``None``
+    for zero.  Returns (A, b, offsets); ``np.split(x, offsets)`` splits
+    a solution into its blocks.
     """
-
-    field_order: tuple
-    sizes: dict
-    blocks: dict
-    rhs: dict
-    borders: list = field(default_factory=list)
-    transpose_pairs: list = field(default_factory=list)
-
-    def validate(self):
-        for key in self.blocks:
-            t, f = key
-            if t not in self.field_order or f not in self.field_order:
-                raise LinAlgError(f"block {key} names an unknown field")
-            m = self.blocks[key]
-            if m.shape != (self.sizes[t], self.sizes[f]):
-                raise LinAlgError(
-                    f"block {key} has shape {m.shape}, expected "
-                    f"({self.sizes[t]}, {self.sizes[f]})"
-                )
-        for name, w in self.borders:
-            if len(w) != self.sizes[name]:
-                raise LinAlgError(f"border for {name!r} has wrong length")
-        for key1, key2, factor in self.transpose_pairs:
-            d = self.blocks[key1] - factor * self.blocks[key2].T
-            if d.nnz and np.abs(d.data).max() > 0.0:
-                raise LinAlgError(
-                    f"declared transpose relation {key1} = {factor} * {key2}^T "
-                    f"violated by {np.abs(d.data).max():.3e}"
-                )
-
-
-def flatten(system: BlockSystem):
-    """Assemble the block system into one CSR matrix and RHS vector.
-
-    Unknown order is the declared field order followed by one multiplier
-    per border.  Returns (A, b, IndexMap).
-    """
-    system.validate()
-    order = system.field_order
-    sizes = [system.sizes[f] for f in order]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n = int(offsets[-1])
-    slices = {f: slice(int(offsets[i]), int(offsets[i + 1])) for i, f in enumerate(order)}
-
-    grid = [[system.blocks.get((t, f)) for f in order] for t in order]
-    for i, f in enumerate(order):
-        if all(grid[i][j] is None for j in range(len(order))) or all(
-            grid[j][i] is None for j in range(len(order))
-        ):
-            # bmat needs at least a diagonal placeholder to size empty rows
-            if grid[i][i] is None:
-                grid[i][i] = sp.csr_matrix((system.sizes[f], system.sizes[f]))
-    A = sp.bmat(grid, format="csr")
-
-    nb = len(system.borders)
-    if nb:
-        cols = sp.lil_matrix((n, nb))
-        for k, (name, w) in enumerate(system.borders):
-            cols[slices[name], k] = np.asarray(w, dtype=float)[:, None]
-        cols = cols.tocsr()
-        A = sp.bmat(
-            [[A, cols], [cols.T, None]],
-            format="csr",
-        )
-    b = np.zeros(n + nb)
-    for name, vec in system.rhs.items():
-        b[slices[name]] = vec
-    return A, b, IndexMap(slices=slices, border_slice=slice(n, n + nb), total=n + nb)
-
-
-def unflatten(x: np.ndarray, index_map: IndexMap) -> dict:
-    """Split a flattened solution vector back into per-field vectors.
-
-    Border multipliers are returned under the key ``"_borders"``.
-    """
-    out = {name: x[s].copy() for name, s in index_map.slices.items()}
-    out["_borders"] = x[index_map.border_slice].copy()
-    return out
+    if len(rhs) != len(grid):
+        raise LinAlgError(f"{len(rhs)} right-hand sides for {len(grid)} block rows")
+    sizes = []
+    for i, row in enumerate(grid):
+        shapes = [m.shape[0] for m in row if m is not None]
+        if not shapes:
+            raise LinAlgError(f"block row {i} is empty")
+        sizes.append(shapes[0])
+    try:
+        A = sp.bmat(grid, format="csr")
+    except ValueError as exc:
+        raise LinAlgError(f"blocks do not fit: {exc}") from exc
+    parts = [
+        np.zeros(n) if vec is None else np.asarray(vec, dtype=float)
+        for n, vec in zip(sizes, rhs)
+    ]
+    for n, part in zip(sizes, parts):
+        if part.shape != (n,):
+            raise LinAlgError(f"right-hand side of shape {part.shape} for a block row of {n}")
+    return A, np.concatenate(parts), np.cumsum(sizes)[:-1]
 
 
 def smallest_singular_value(

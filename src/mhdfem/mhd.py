@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, derham, linalg, operators
-from .derham import FeSpace, FieldFunction, make_space
+from .derham import FieldFunction, make_space
 from .mesh import Mesh, build_topology
 
 
@@ -179,20 +179,23 @@ class MhdDriver:
         self.R_EB = assembly.assemble_bilinear(
             "curl_mass_pairing", self.B_space, self.E_space
         )
-        self.R_BE = assembly.assemble_bilinear(
-            "weak_curl_pairing", self.E_space, self.B_space
-        )
         self.D_p = assembly.assemble_bilinear("div_pressure", self.u_space, self.p_space)
-        self.border_p = assembly.domain_integral_vector(self.p_space)
         if self.r_space is not None:
             self.D_r = assembly.assemble_bilinear("div_scalar", self.B_space, self.r_space)
-            self.border_r = (
-                assembly.domain_integral_vector(self.r_space)
-                if self.r_space.mean_constraint
-                else None
-            )
         else:
             self.G_dd = assembly.assemble_bilinear("divdiv", self.B_space, self.B_space)
+
+        # unknowns of every step: the fields in this order, then one
+        # multiplier per zero-mean constraint, named border -> (field,
+        # weights); the border is a block row and column of its own
+        self.fields = ("u", "E", "B", "p")
+        self.borders = {"p_mean": ("p", assembly.domain_integral_vector(self.p_space))}
+        if self.r_space is not None:
+            self.fields += ("r",)
+            if self.r_space.mean_constraint:
+                w_r = assembly.domain_integral_vector(self.r_space)
+                self.borders["r_mean"] = ("r", w_r)
+        self.unknowns = self.fields + tuple(self.borders)
 
         self.load_f = (
             assembly.assemble_linear(self.u_space, self.sources.f)
@@ -235,10 +238,16 @@ class MhdDriver:
         )
         return O, Luu
 
+    def _grid(self, blocks: dict) -> list:
+        """``sp.bmat`` grid over the step unknowns from a map (test,
+        trial) -> block; absent pairs are zero blocks."""
+        return [[blocks.get((t, f)) for f in self.unknowns] for t in self.unknowns]
+
     def assemble_picard_step(
         self, u_prev: FieldFunction, B_prev: FieldFunction, cross=None
-    ) -> linalg.BlockSystem:
-        """Linear system of one Picard step at the frozen state (u-, B-)."""
+    ) -> tuple:
+        """Matrix and right-hand side (A, b) of one Picard step at the
+        frozen state (u-, B-), over the unknowns in ``unknowns`` order."""
         if u_prev.space is not self.u_space or B_prev.space is not self.B_space:
             raise MhdError("previous iterate lives on foreign spaces")
         p = self.params
@@ -250,61 +259,40 @@ class MhdDriver:
                 "convection_skew", self.u_space, self.u_space, coefficient=u_prev
             )
         O, Luu = self.cross_blocks(B_prev) if cross is None else cross
+        if O is not None:
+            A_uu = A_uu + s * Luu
 
         blocks = {
+            ("u", "u"): A_uu,
             ("E", "E"): s * self.M_E,
             ("E", "B"): -alpha * self.R_EB,
-            ("B", "E"): alpha * self.R_BE,
-            ("u", "p"): -self.D_p.T.tocsr(),
             ("p", "u"): -self.D_p,
         }
-        pairs = [
-            (("B", "E"), ("E", "B"), -1.0),
-            (("u", "p"), ("p", "u"), 1.0),
-        ]
+        blocks["B", "E"] = -blocks["E", "B"].T
+        blocks["u", "p"] = blocks["p", "u"].T
         if O is not None:
-            blocks[("E", "u")] = s * O
-            blocks[("u", "E")] = blocks[("E", "u")].T.tocsr()
-            pairs.append((("u", "E"), ("E", "u"), 1.0))
-            A_uu = A_uu + s * Luu
-        blocks[("u", "u")] = A_uu.tocsr()
-
-        order = ("u", "E", "B", "p")
-        sizes = {
-            "u": self.u_space.num_free,
-            "E": self.E_space.num_free,
-            "B": self.B_space.num_free,
-            "p": self.p_space.num_free,
-        }
-        borders = [("p", self.border_p)]
+            blocks["E", "u"] = s * O
+            blocks["u", "E"] = blocks["E", "u"].T
         if self.r_space is not None:
-            order = order + ("r",)
-            sizes["r"] = self.r_space.num_free
-            blocks[("B", "r")] = self.D_r.T.tocsr()
-            blocks[("r", "B")] = self.D_r
-            pairs.append((("B", "r"), ("r", "B"), 1.0))
-            if self.border_r is not None:
-                borders.append(("r", self.border_r))
+            blocks["r", "B"] = self.D_r
+            blocks["B", "r"] = blocks["r", "B"].T
         else:
-            blocks[("B", "B")] = alpha * self.G_dd
+            blocks["B", "B"] = alpha * self.G_dd
+        for name, (target, w) in self.borders.items():
+            blocks[name, target] = sp.csr_matrix(w)
+            blocks[target, name] = blocks[name, target].T
 
-        return linalg.BlockSystem(
-            field_order=order,
-            sizes=sizes,
-            blocks=blocks,
-            rhs={"u": self.load_f, "E": self.load_g},
-            borders=borders,
-            transpose_pairs=pairs,
-        )
+        rhs = {"u": self.load_f, "E": self.load_g}
+        A, b, _ = linalg.flatten(self._grid(blocks), [rhs.get(t) for t in self.unknowns])
+        return A, b
 
-    def _state_from_parts(self, parts: dict) -> MhdState:
+    def _state_from_solution(self, x: np.ndarray) -> MhdState:
         state = self.zero_state()
-        state.u.coeffs[self.u_space.free] = parts["u"]
-        state.E.coeffs[self.E_space.free] = parts["E"]
-        state.B.coeffs[self.B_space.free] = parts["B"]
-        state.p.coeffs[self.p_space.free] = parts["p"]
-        if self.r_space is not None:
-            state.r.coeffs[self.r_space.free] = parts["r"]
+        sizes = [getattr(state, f).space.num_free for f in self.fields]
+        # the part past the fields holds the border multipliers
+        for name, part in zip(self.fields, np.split(x, np.cumsum(sizes))):
+            f = getattr(state, name)
+            f.coeffs[f.space.free] = part
         return state
 
     # ------------------------------------------------------------------
@@ -335,13 +323,11 @@ class MhdDriver:
 
         for _ in range(maxit):
             cross = self.cross_blocks(state.B)
-            system = self.assemble_picard_step(state.u, state.B, cross=cross)
-            A, b, imap = linalg.flatten(system)
+            A, b = self.assemble_picard_step(state.u, state.B, cross=cross)
             x = linalg.solve_direct(A, b)
             bnorm = np.linalg.norm(b)
             resid = np.linalg.norm(b - A @ x) / bnorm if bnorm > 0 else 0.0
-            parts = linalg.unflatten(x, imap)
-            new_state = self._state_from_parts(parts)
+            new_state = self._state_from_solution(x)
 
             du = FieldFunction(self.u_space, new_state.u.coeffs - state.u.coeffs)
             dB = FieldFunction(self.B_space, new_state.B.coeffs - state.B.coeffs)
@@ -494,14 +480,8 @@ class MhdDriver:
     # ------------------------------------------------------------------
     # stability proxy
 
-    def linearized_matrix(self, state: MhdState):
-        """Flattened Picard matrix at a state, with its index map."""
-        system = self.assemble_picard_step(state.u, state.B)
-        A, _, imap = linalg.flatten(system)
-        return A, imap
-
     def stability_weight_matrix(self, state: MhdState) -> sp.csr_matrix:
-        """SPD norm matrix of the linearization norms on the flattened
+        """SPD norm matrix of the linearization norms on the step
         unknowns: the (u, E, B) triple norm with the frozen-field Ohm
         term, L^2 for the scalar multipliers, identity on border rows."""
         O, Luu = self.cross_blocks(state.B)
@@ -509,32 +489,30 @@ class MhdDriver:
         if O is not None:
             W_uu = W_uu + Luu
         C_EE = assembly.assemble_bilinear("curl_curl", self.E_space, self.E_space)
-        W_EE = self.M_E + C_EE
         if self.params.variant == "multiplier":
             W_BB = self.M_B + assembly.assemble_bilinear(
                 "divdiv", self.B_space, self.B_space
             )
         else:
             W_BB = self.M_B + self.G_dd
-        M_p = assembly.assemble_bilinear("scalar_mass", self.p_space, self.p_space)
-        order = ["u", "E", "B", "p"]
-        diag = {"u": W_uu, "E": W_EE, "B": W_BB, "p": M_p}
-        off = {}
+        blocks = {
+            ("u", "u"): W_uu,
+            ("E", "E"): self.M_E + C_EE,
+            ("B", "B"): W_BB,
+            ("p", "p"): assembly.assemble_bilinear(
+                "scalar_mass", self.p_space, self.p_space
+            ),
+        }
         if O is not None:
-            off[("E", "u")] = O
-            off[("u", "E")] = O.T.tocsr()
+            blocks["E", "u"] = O
+            blocks["u", "E"] = O.T
         if self.r_space is not None:
-            order.append("r")
-            diag["r"] = assembly.assemble_bilinear(
+            blocks["r", "r"] = assembly.assemble_bilinear(
                 "scalar_mass", self.r_space, self.r_space
             )
-        grid = [
-            [off.get((t, f), diag[t] if t == f else None) for f in order]
-            for t in order
-        ]
-        W = sp.bmat(grid, format="csr")
-        nb = 1 + (1 if (self.r_space is not None and self.border_r is not None) else 0)
-        return sp.block_diag([W, sp.identity(nb, format="csr")], format="csr")
+        for name in self.borders:
+            blocks[name, name] = sp.identity(1)
+        return sp.bmat(self._grid(blocks), format="csr")
 
 
 def norm_sq_cellwise(values: np.ndarray, volumes: np.ndarray) -> float:

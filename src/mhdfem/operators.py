@@ -17,6 +17,7 @@ increments and errors.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly, derham, linalg
 from .derham import FeSpace, FieldFunction
@@ -89,26 +90,21 @@ def stokes_project(
     K = assembly.assemble_bilinear("grad_grad", u_space, u_space)
     D = assembly.assemble_bilinear("div_pressure", u_space, p_space)
     rhs_u = _grad_load(u_space, grad_u_func, quad_degree)
-    w = assembly.domain_integral_vector(p_space)
-    system = linalg.BlockSystem(
-        field_order=("u", "p"),
-        sizes={"u": u_space.num_free, "p": p_space.num_free},
-        blocks={("u", "u"): K, ("u", "p"): D.T.tocsr(), ("p", "u"): D},
-        rhs={"u": rhs_u},
-        borders=[("p", w)],
-    )
-    A, b, imap = linalg.flatten(system)
+    w = sp.csr_matrix(assembly.domain_integral_vector(p_space))
+    # unknowns (u, p, zero-mean multiplier of p)
+    grid = [[K, D.T, None], [D, None, w.T], [None, w, None]]
+    A, b, offsets = linalg.flatten(grid, [rhs_u, None, None])
     try:
         x = linalg.solve_direct(A, b)
     except linalg.SingularMatrixError as exc:
         raise OperatorError(
             f"Stokes system singular (velocity/pressure pair unstable): {exc}"
         ) from exc
-    parts = linalg.unflatten(x, imap)
+    xu, xp, _ = np.split(x, offsets)
     pu = np.zeros(u_space.ndof)
-    pu[u_space.free] = parts["u"]
+    pu[u_space.free] = xu
     pp = np.zeros(p_space.ndof)
-    pp[p_space.free] = parts["p"]
+    pp[p_space.free] = xp
     return FieldFunction(u_space, pu), FieldFunction(p_space, pp)
 
 
@@ -142,21 +138,16 @@ def divfree_l2_project(
     M = assembly.assemble_bilinear("vec_mass", div_space, div_space)
     D = assembly.assemble_bilinear("div_scalar", div_space, mult_space)
     rhs = assembly.assemble_linear(div_space, func, quad_degree=quad_degree)
-    borders = []
+    # unknowns (B, multiplier[, zero-mean multiplier of the multiplier])
     if mult_space.mean_constraint:
-        borders.append(("m", assembly.domain_integral_vector(mult_space)))
-    system = linalg.BlockSystem(
-        field_order=("B", "m"),
-        sizes={"B": div_space.num_free, "m": mult_space.num_free},
-        blocks={("B", "B"): M, ("B", "m"): D.T.tocsr(), ("m", "B"): D},
-        rhs={"B": rhs},
-        borders=borders,
-    )
-    A, b, imap = linalg.flatten(system)
+        w = sp.csr_matrix(assembly.domain_integral_vector(mult_space))
+        grid = [[M, D.T, None], [D, None, w.T], [None, w, None]]
+    else:
+        grid = [[M, D.T], [D, None]]
+    A, b, offsets = linalg.flatten(grid, [rhs] + [None] * (len(grid) - 1))
     x = linalg.solve_direct(A, b)
-    parts = linalg.unflatten(x, imap)
     out = np.zeros(div_space.ndof)
-    out[div_space.free] = parts["B"]
+    out[div_space.free] = np.split(x, offsets)[0]
     return FieldFunction(div_space, out)
 
 
@@ -204,15 +195,14 @@ def _lp_from_values(vals, wdet, p):
     return float(np.einsum("cq,cq->", wdet, mag**p) ** (1.0 / p))
 
 
-def norm_h1_vec(u: FieldFunction, *, quad_degree: int = 4) -> float:
+def norm_h1_vec(u: FieldFunction) -> float:
     """Full H^1 norm of a velocity field."""
-    return float(np.sqrt(lp_norm(u, 2, quad_degree=quad_degree) ** 2
-                         + seminorm_h1_vec(u, quad_degree=quad_degree) ** 2))
+    return float(np.sqrt(lp_norm(u, 2, quad_degree=4) ** 2 + seminorm_h1_vec(u) ** 2))
 
 
-def seminorm_h1_vec(u: FieldFunction, *, quad_degree: int = 4) -> float:
-    """L^2 norm of the velocity gradient tensor."""
-    rule = assembly.quadrature_rule(quad_degree)
+def seminorm_h1_vec(u: FieldFunction) -> float:
+    """L^2 norm of the velocity gradient tensor (degree-4 quadrature)."""
+    rule = assembly.quadrature_rule(4)
     G = derham.evaluate_grad_on_cells(u, rule.points)
     wdet = assembly.quadrature_weights(u.space.mesh, rule)
     return float(np.sqrt(np.einsum("cq,cqij,cqij->", wdet, G, G)))
@@ -224,20 +214,20 @@ def norm_div_part(B: FieldFunction) -> float:
     return float(np.sqrt((div * div) @ B.space.mesh.volumes))
 
 
-def norm_curl_part(F: FieldFunction, *, quad_degree: int = 4) -> float:
+def norm_curl_part(F: FieldFunction) -> float:
     """L^2 norm of the (cellwise constant) curl of an edge field."""
     curl = derham.evaluate_curl_on_cells(F)
     return float(np.sqrt(np.einsum("cd,cd,c->", curl, curl, F.space.mesh.volumes)))
 
 
-def norm_d(B: FieldFunction, dcurl: DiscreteCurl, *, quad_degree: int = 4) -> float:
+def norm_d(B: FieldFunction, dcurl: DiscreteCurl) -> float:
     """Magnetic graph norm: (|B|^2 + |div B|^2 + |curl_h B|^2)^(1/2)."""
     curl_h = dcurl.apply(B)
     return float(
         np.sqrt(
-            lp_norm(B, 2, quad_degree=quad_degree) ** 2
+            lp_norm(B, 2, quad_degree=4) ** 2
             + norm_div_part(B) ** 2
-            + lp_norm(curl_h, 2, quad_degree=quad_degree) ** 2
+            + lp_norm(curl_h, 2, quad_degree=4) ** 2
         )
     )
 

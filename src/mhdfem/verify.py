@@ -57,46 +57,23 @@ def _div(vec):
     return sum(vec[i].diff(_VARS[i]) for i in range(3))
 
 
-def _lambdify_scalar(expr):
-    fn = sympy.lambdify(_VARS, expr, "numpy")
-
-    def call(points):
-        points = np.asarray(points, dtype=float)
-        val = fn(points[:, 0], points[:, 1], points[:, 2])
-        return np.broadcast_to(np.asarray(val, dtype=float), (len(points),)).copy()
-
-    return call
-
-
-def _lambdify_vector(vec):
-    fns = [sympy.lambdify(_VARS, vec[i], "numpy") for i in range(3)]
+def _lambdify(expr):
+    """Vectorized callable mapping (N, 3) points to (N,) + shape values
+    of a sympy scalar (shape ()), column vector (3,) or matrix (3, 3)."""
+    if isinstance(expr, sympy.MatrixBase):
+        shape = (expr.rows,) if expr.cols == 1 else expr.shape
+    else:
+        shape, expr = (), [expr]
+    # one function per entry, so that constant entries broadcast
+    fns = [sympy.lambdify(_VARS, entry, "numpy") for entry in expr]
 
     def call(points):
         points = np.asarray(points, dtype=float)
         x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        out = np.empty((len(points), 3))
-        for i, fn in enumerate(fns):
-            out[:, i] = np.broadcast_to(np.asarray(fn(x, y, z), dtype=float), x.shape)
-        return out
-
-    return call
-
-
-def _lambdify_tensor(mat):
-    fns = [
-        [sympy.lambdify(_VARS, mat[i, j], "numpy") for j in range(3)] for i in range(3)
-    ]
-
-    def call(points):
-        points = np.asarray(points, dtype=float)
-        x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        out = np.empty((len(points), 3, 3))
-        for i in range(3):
-            for j in range(3):
-                out[:, i, j] = np.broadcast_to(
-                    np.asarray(fns[i][j](x, y, z), dtype=float), x.shape
-                )
-        return out
+        out = np.empty((len(points), len(fns)))
+        for k, fn in enumerate(fns):
+            out[:, k] = np.broadcast_to(np.asarray(fn(x, y, z), dtype=float), x.shape)
+        return out.reshape((len(points),) + shape)
 
     return call
 
@@ -178,14 +155,14 @@ def builtin_case(
         Re=float(Re),
         Rm=float(Rm),
         s=float(s),
-        u=_lambdify_vector(u),
-        grad_u=_lambdify_tensor(grad_u),
-        B=_lambdify_vector(B),
-        curl_B=_lambdify_vector(curl_B),
-        E=_lambdify_vector(E),
-        p=_lambdify_scalar(p),
-        f=_lambdify_vector(f),
-        g=_lambdify_vector(g),
+        u=_lambdify(u),
+        grad_u=_lambdify(grad_u),
+        B=_lambdify(B),
+        curl_B=_lambdify(curl_B),
+        E=_lambdify(E),
+        p=_lambdify(p),
+        f=_lambdify(f),
+        g=_lambdify(g),
         exprs={
             "u": u,
             "B": B,
@@ -354,7 +331,7 @@ def convergence_study(
             # visibly under-integrated relative to the tiny u error
             check = quadrature_self_check(driver, state, case, quad_degree=quad_degree)
         ns.append(n)
-        hs.append(mesh_metrics(mesh).h_max)
+        hs.append(mesh_metrics(mesh, driver.u_space.topology).h_max)
         reports.append(report)
 
     errors = {k: [row[k] for row in rows] for k in rows[0]}

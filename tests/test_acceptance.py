@@ -309,7 +309,7 @@ def test_solver_contract(builtin_grid, g_zero_grid, meshes):
             driver = MhdDriver(mesh, case.params("multiplier"), case.sources())
             state, report = driver.picard_solve(tol=1e-11, maxit=50)
             assert report.converged
-        A, _ = driver.linearized_matrix(state)
+        A, _ = driver.assemble_picard_step(state.u, state.B)
         W = driver.stability_weight_matrix(state)
         sigmas.append(linalg.smallest_singular_value(A, w_test=W, w_trial=W))
 

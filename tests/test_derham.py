@@ -17,7 +17,6 @@ from mhdfem.derham import (
     physical_points,
     rt_values,
 )
-from mhdfem.mesh import unit_cube_mesh
 from oracles import vertex_volume_weights
 
 RNG = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """Sparse solves, block flattening, borders and the inf-sup proxy."""
 
 import ast
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -10,14 +11,12 @@ import scipy.sparse as sp
 import mhdfem
 from mhdfem import linalg
 from mhdfem.linalg import (
-    BlockSystem,
     Factorization,
     LinAlgError,
     SingularMatrixError,
     flatten,
     smallest_singular_value,
     solve_direct,
-    unflatten,
 )
 
 RNG = np.random.default_rng(23)
@@ -88,96 +87,118 @@ def test_solve_raises_when_contract_is_missed(monkeypatch):
             lu.solve(RNG.standard_normal(20), trans=trans)
 
 
+class _ZeroSolve:
+    """An LU whose solves return zeros, so every sparse solve misses."""
+
+    def solve(self, b, trans="N"):
+        return np.zeros_like(b)
+
+
+def test_dense_fallback_logs_and_still_solves(caplog):
+    M = RNG.standard_normal((20, 20)) + 5.0 * np.eye(20)
+    b = RNG.standard_normal(20)
+    lu = Factorization(sp.csr_matrix(M))
+    lu._lu = _ZeroSolve()
+    with caplog.at_level(logging.WARNING, logger="mhdfem.linalg"):
+        x = lu.solve(b)
+    assert x == pytest.approx(np.linalg.solve(M, b), rel=1e-10, abs=1e-12)
+    warnings = [r for r in caplog.records if r.name == "mhdfem.linalg"]
+    assert len(warnings) == 1
+    assert warnings[0].levelno == logging.WARNING
+    assert "solving densely" in warnings[0].getMessage()
+
+
+def test_sparse_solve_logs_nothing(caplog):
+    M = RNG.standard_normal((20, 20)) + 5.0 * np.eye(20)
+    with caplog.at_level(logging.DEBUG, logger="mhdfem"):
+        Factorization(sp.csr_matrix(M)).solve(RNG.standard_normal(20))
+    assert caplog.records == []
+
+
 # ----------------------------------------------------------------------
-# block systems
+# block flattening
 
 
-def _two_field_system():
+def _two_field_grid():
     Auu = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
     Aee = sp.csr_matrix(np.array([[4.0]]))
     Aue = sp.csr_matrix(np.array([[0.5], [0.0]]))
-    return BlockSystem(
-        field_order=("u", "E"),
-        sizes={"u": 2, "E": 1},
-        blocks={("u", "u"): Auu, ("E", "E"): Aee, ("u", "E"): Aue, ("E", "u"): Aue.T},
-        rhs={"u": np.array([1.0, 0.0]), "E": np.array([2.0])},
-        transpose_pairs=[(("u", "E"), ("E", "u"), 1.0)],
-    )
+    return [[Auu, Aue], [Aue.T, Aee]]
 
 
 def test_flatten_single_block_is_identity_map():
     A0 = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    system = BlockSystem(
-        field_order=("u",), sizes={"u": 2}, blocks={("u", "u"): A0}, rhs={"u": np.ones(2)}
-    )
-    A, b, imap = flatten(system)
+    A, b, offsets = flatten([[A0]], [np.ones(2)])
+    assert A.format == "csr"
     assert A.toarray() == pytest.approx(A0.toarray())
     assert b == pytest.approx([1.0, 1.0])
-    assert imap.slices["u"] == slice(0, 2)
-    assert imap.total == 2
+    assert len(offsets) == 0
 
 
 def test_flatten_layout_and_round_trip():
-    A, b, imap = flatten(_two_field_system())
+    A, b, offsets = flatten(_two_field_grid(), [np.array([1.0, 0.0]), np.array([2.0])])
     assert A.shape == (3, 3)
-    assert imap.slices["u"] == slice(0, 2)
-    assert imap.slices["E"] == slice(2, 3)
+    assert list(offsets) == [2]
     expected = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.0], [0.5, 0.0, 4.0]])
     assert A.toarray() == pytest.approx(expected)
+    assert b == pytest.approx([1.0, 0.0, 2.0])
     x = solve_direct(A, b)
-    parts = unflatten(x, imap)
-    assert np.concatenate([parts["u"], parts["E"]]) == pytest.approx(x)
-    assert parts["_borders"].size == 0
+    xu, xe = np.split(x, offsets)
+    assert xu.shape == (2,) and xe.shape == (1,)
+    assert np.concatenate([xu, xe]) == pytest.approx(x)
 
 
 def test_flatten_border_goes_last():
     M = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
     w = np.array([0.25, 0.5, 0.25])
-    system = BlockSystem(
-        field_order=("p",),
-        sizes={"p": 3},
-        blocks={("p", "p"): M},
-        rhs={"p": np.array([1.0, 1.0, 1.0])},
-        borders=[("p", w)],
-    )
-    A, b, imap = flatten(system)
+    row = sp.csr_matrix(w)
+    A, b, offsets = flatten([[M, row.T], [row, None]], [np.ones(3), None])
     assert A.shape == (4, 4)
+    assert list(offsets) == [3]
     dense = A.toarray()
     assert dense[:3, 3] == pytest.approx(w)
     assert dense[3, :3] == pytest.approx(w)
     assert dense[3, 3] == 0.0
+    assert b[3] == 0.0
     x = solve_direct(A, b)
-    parts = unflatten(x, imap)
+    xp, mult = np.split(x, offsets)
     # the border enforces the weighted zero-mean constraint
-    assert abs(parts["p"] @ w) <= 1e-12
-    assert parts["_borders"].shape == (1,)
-    resid = M @ parts["p"] + parts["_borders"][0] * w - b[:3]
+    assert abs(xp @ w) <= 1e-12
+    assert mult.shape == (1,)
+    resid = M @ xp + mult[0] * w - b[:3]
     assert np.abs(resid).max() <= 1e-12
 
 
 def test_validate_rejects_bad_blocks():
-    system = _two_field_system()
-    system.blocks[("u", "q")] = sp.csr_matrix((2, 1))
-    with pytest.raises(LinAlgError, match="unknown field"):
-        system.validate()
-    del system.blocks[("u", "q")]
-    system.blocks[("u", "E")] = sp.csr_matrix((2, 2))
-    with pytest.raises(LinAlgError, match="shape"):
-        system.validate()
-
-
-def test_validate_rejects_broken_transpose_pair():
-    system = _two_field_system()
-    system.blocks[("E", "u")] = sp.csr_matrix(np.array([[0.5, 1e-3]]))
-    with pytest.raises(LinAlgError, match="transpose"):
-        system.validate()
+    grid = _two_field_grid()
+    rhs = [np.zeros(2), np.zeros(1)]
+    # a block of the wrong size
+    bad = [[grid[0][0], sp.csr_matrix((2, 2))], grid[1]]
+    with pytest.raises(LinAlgError, match="do not fit"):
+        flatten(bad, rhs)
+    # an empty block row, which bmat would size to zero
+    with pytest.raises(LinAlgError, match="empty"):
+        flatten([grid[0], [None, None]], rhs)
 
 
 def test_validate_rejects_bad_border_length():
-    system = _two_field_system()
-    system.borders = [("u", np.ones(3))]
-    with pytest.raises(LinAlgError, match="border"):
-        system.validate()
+    grid = _two_field_grid()
+    rhs = [np.zeros(2), np.zeros(1), None]
+    # a border row one entry longer than the field it constrains
+    border = sp.csr_matrix(np.ones((1, 3)))
+    bad = [grid[0] + [None], grid[1] + [None], [border, None, None]]
+    with pytest.raises(LinAlgError, match="do not fit"):
+        flatten(bad, rhs)
+
+
+def test_flatten_rejects_wrong_sizes():
+    grid = _two_field_grid()
+    rhs = [np.zeros(2), np.zeros(1)]
+    # right-hand sides that do not match the block rows
+    with pytest.raises(LinAlgError, match="right-hand side"):
+        flatten(grid, [np.zeros(3), None])
+    with pytest.raises(LinAlgError, match="right-hand sides"):
+        flatten(grid, rhs[:1])
 
 
 # ----------------------------------------------------------------------
@@ -276,3 +297,31 @@ def test_no_private_linalg_names_outside_linalg():
                     if a.name.startswith("_")
                 ]
     assert leaks == []
+
+
+# ----------------------------------------------------------------------
+# imports of the package and the tests
+
+
+def _imported_but_unused(tree) -> list:
+    """Names a module imports and never reads."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    roots = [Path(mhdfem.__file__).parent, Path(__file__).parent]
+    unused = {}
+    for path in sorted(p for root in roots for p in root.glob("*.py")):
+        names = _imported_but_unused(ast.parse(path.read_text(), filename=str(path)))
+        if names:
+            unused[f"{path.parent.name}/{path.name}"] = names
+    assert unused == {}

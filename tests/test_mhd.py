@@ -5,7 +5,6 @@ import pytest
 
 from mhdfem import assembly, operators
 from mhdfem.derham import FieldFunction, build_topology, evaluate_on_cells
-from mhdfem.mesh import unit_cube_mesh
 from mhdfem.mhd import (
     MhdDriver,
     MhdError,
@@ -23,6 +22,33 @@ VARIANTS = ("multiplier", "augmented")
 def _same_matrix(A, B):
     diff = (A - B).tocoo()
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+
+
+def _blocks(drv, A):
+    """Sub-blocks of a step matrix keyed by (test, trial) unknown names,
+    sized from the spaces, with one row per border."""
+    sizes = [getattr(drv, f"{f}_space").num_free for f in drv.fields]
+    cuts = np.cumsum([0] + sizes + [1] * len(drv.borders))
+    assert A.shape == (cuts[-1], cuts[-1])
+    spans = dict(zip(drv.unknowns, zip(cuts[:-1], cuts[1:])))
+    return {
+        (t, f): A[i0:i1, j0:j1]
+        for t, (i0, i1) in spans.items()
+        for f, (j0, j1) in spans.items()
+    }
+
+
+def _nonzero_blocks(blocks) -> set:
+    return {key for key, block in blocks.items() if block.count_nonzero()}
+
+
+def _random_prev(drv):
+    rng = np.random.default_rng(3)
+    u_prev = FieldFunction.zeros(drv.u_space)
+    u_prev.coeffs[drv.u_space.free] = rng.standard_normal(drv.u_space.num_free)
+    B_prev = FieldFunction.zeros(drv.B_space)
+    B_prev.coeffs[drv.B_space.free] = rng.standard_normal(drv.B_space.num_free)
+    return u_prev, B_prev
 
 
 @pytest.fixture(scope="module", params=FAMILIES)
@@ -99,31 +125,33 @@ def test_picard_argument_validation(mesh2):
 def test_zero_prev_block_layout(mesh2):
     case = builtin_case("normal_B")
     drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
-    system = drv.assemble_picard_step(drv.zero_state().u, drv.zero_state().B)
+    A, b = drv.assemble_picard_step(drv.zero_state().u, drv.zero_state().B)
 
-    assert system.field_order == ("u", "E", "B", "p", "r")
+    assert drv.unknowns == ("u", "E", "B", "p", "r", "p_mean", "r_mean")
     expected = {
         ("u", "u"), ("E", "E"), ("E", "B"), ("B", "E"),
         ("u", "p"), ("p", "u"), ("B", "r"), ("r", "B"),
+        ("p", "p_mean"), ("p_mean", "p"), ("r", "r_mean"), ("r_mean", "r"),
     }
-    assert set(system.blocks) == expected
-    assert [name for name, _ in system.borders] == ["p", "r"]
-    assert system.rhs["u"] is drv.load_f
-    assert system.rhs["E"] is drv.load_g
+    assert _nonzero_blocks(_blocks(drv, A)) == expected
+    nu, nE = drv.u_space.num_free, drv.E_space.num_free
+    assert np.array_equal(b[:nu], drv.load_f)
+    assert np.array_equal(b[nu:nu + nE], drv.load_g)
+    assert not np.any(b[nu + nE:])
 
 
 def test_zero_prev_blocks_match_operators(mesh2):
     p = MhdParams(Re=5.0, Rm=2.0, s=3.0, bc_family="normal_B", variant="multiplier")
     drv = MhdDriver(mesh2, p)
     zero = drv.zero_state()
-    system = drv.assemble_picard_step(zero.u, zero.B)
+    blocks = _blocks(drv, drv.assemble_picard_step(zero.u, zero.B)[0])
 
-    _same_matrix(system.blocks[("u", "u")], (1.0 / p.Re) * drv.K_u)
-    _same_matrix(system.blocks[("E", "E")], p.s * drv.M_E)
-    _same_matrix(system.blocks[("E", "B")], -p.alpha * drv.R_EB)
-    _same_matrix(system.blocks[("B", "E")], p.alpha * drv.R_BE)
-    _same_matrix(system.blocks[("B", "E")], -system.blocks[("E", "B")].T.tocsr())
-    _same_matrix(system.blocks[("u", "p")], system.blocks[("p", "u")].T.tocsr())
+    _same_matrix(blocks["u", "u"], (1.0 / p.Re) * drv.K_u)
+    _same_matrix(blocks["E", "E"], p.s * drv.M_E)
+    _same_matrix(blocks["E", "B"], -p.alpha * drv.R_EB)
+    _same_matrix(blocks["B", "E"], p.alpha * drv.R_EB.T)
+    _same_matrix(blocks["p", "u"], -drv.D_p)
+    _same_matrix(blocks["r", "B"], drv.D_r)
 
 
 def test_cross_blocks_vanish_for_zero_field(mesh2):
@@ -138,31 +166,56 @@ def test_cross_coupling_enters_the_step(mesh2):
     B_prev = FieldFunction.zeros(drv.B_space)
     B_prev.coeffs[drv.B_space.free] = rng.standard_normal(drv.B_space.num_free)
 
-    system = drv.assemble_picard_step(drv.zero_state().u, B_prev)
+    blocks = _blocks(drv, drv.assemble_picard_step(drv.zero_state().u, B_prev)[0])
     O, Luu = drv.cross_blocks(B_prev)
-    _same_matrix(system.blocks[("E", "u")], p.s * O)
-    _same_matrix(system.blocks[("u", "E")], system.blocks[("E", "u")].T.tocsr())
-    _same_matrix(system.blocks[("u", "u")], (1.0 / p.Re) * drv.K_u + p.s * Luu)
+    _same_matrix(blocks["E", "u"], p.s * O)
+    _same_matrix(blocks["u", "E"], blocks["E", "u"].T)
+    _same_matrix(blocks["u", "u"], (1.0 / p.Re) * drv.K_u + p.s * Luu)
 
 
 def test_augmented_layout_replaces_multiplier(mesh2):
     p = MhdParams(Re=1.0, Rm=4.0, s=2.0, bc_family="normal_B", variant="augmented")
     drv = MhdDriver(mesh2, p)
     zero = drv.zero_state()
-    system = drv.assemble_picard_step(zero.u, zero.B)
+    blocks = _blocks(drv, drv.assemble_picard_step(zero.u, zero.B)[0])
 
-    assert system.field_order == ("u", "E", "B", "p")
-    assert ("B", "r") not in system.blocks
-    _same_matrix(system.blocks[("B", "B")], p.alpha * drv.G_dd)
-    assert [name for name, _ in system.borders] == ["p"]
+    assert drv.unknowns == ("u", "E", "B", "p", "p_mean")
+    _same_matrix(blocks["B", "B"], p.alpha * drv.G_dd)
 
 
 def test_tangential_multiplier_has_no_r_border(mesh2):
     drv = MhdDriver(mesh2, builtin_case("tangential_B").params("multiplier"))
     zero = drv.zero_state()
-    system = drv.assemble_picard_step(zero.u, zero.B)
-    assert system.field_order == ("u", "E", "B", "p", "r")
-    assert [name for name, _ in system.borders] == ["p"]
+    _blocks(drv, drv.assemble_picard_step(zero.u, zero.B)[0])
+    assert drv.unknowns == ("u", "E", "B", "p", "r", "p_mean")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("bc_family", FAMILIES)
+def test_step_transposes_and_borders_are_exact(mesh2, bc_family, variant):
+    case = builtin_case(bc_family)
+    drv = MhdDriver(mesh2, case.params(variant), case.sources())
+    blocks = _blocks(drv, drv.assemble_picard_step(*_random_prev(drv))[0])
+
+    pairs = [(("u", "E"), ("E", "u"), 1.0), (("u", "p"), ("p", "u"), 1.0),
+             (("B", "E"), ("E", "B"), -1.0)]
+    if drv.r_space is not None:
+        pairs.append((("B", "r"), ("r", "B"), 1.0))
+    for key, partner, sign in pairs:
+        assert blocks[key].count_nonzero()
+        _same_matrix(blocks[key], sign * blocks[partner].T)
+
+    expected = {"p": assembly.domain_integral_vector(drv.p_space)}
+    if bc_family == "normal_B" and variant == "multiplier":
+        expected["r"] = assembly.domain_integral_vector(drv.r_space)
+    assert {f for f, _ in drv.borders.values()} == set(expected)
+    for name, (field, _) in drv.borders.items():
+        assert np.array_equal(blocks[name, field].toarray().ravel(), expected[field])
+        assert np.array_equal(blocks[field, name].toarray().ravel(), expected[field])
+        for other in drv.unknowns:
+            if other != field:
+                assert blocks[name, other].count_nonzero() == 0
+                assert blocks[other, name].count_nonzero() == 0
 
 
 def test_foreign_state_rejected(mesh2):
@@ -351,19 +404,25 @@ def test_variants_agree_trivially_without_forcing(mesh2):
 
 
 def test_weight_matrix_is_spd_on_the_step_unknowns(mesh2):
-    case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
-    state, _ = drv.picard_solve(tol=1e-11, maxit=50)
-    W = drv.stability_weight_matrix(state)
-    A, _ = drv.linearized_matrix(state)
+    for bc_family in FAMILIES:
+        case = builtin_case(bc_family)
+        for variant in VARIANTS:
+            drv = MhdDriver(mesh2, case.params(variant), case.sources())
+            u_prev, B_prev = _random_prev(drv)
+            state = drv.zero_state()
+            state.u, state.B = u_prev, B_prev
+            W = drv.stability_weight_matrix(state)
+            A, _ = drv.assemble_picard_step(u_prev, B_prev)
 
-    assert W.shape == A.shape
-    asym = np.abs((W - W.T).data)
-    scale = np.abs(W.data).max()
-    assert asym.size == 0 or asym.max() <= 1e-12 * scale
-    np.linalg.cholesky(W.toarray())
+            assert W.shape == A.shape
+            asym = np.abs((W - W.T).data)
+            scale = np.abs(W.data).max()
+            assert asym.size == 0 or asym.max() <= 1e-12 * scale
+            np.linalg.cholesky(W.toarray())
 
-    # border rows are plain identity
-    dense_tail = W[-2:, :].toarray()
-    assert np.array_equal(dense_tail[:, :-2], np.zeros_like(dense_tail[:, :-2]))
-    assert np.array_equal(dense_tail[:, -2:], np.eye(2))
+            # border rows are plain identity
+            nb = 2 if (bc_family, variant) == ("normal_B", "multiplier") else 1
+            assert len(drv.borders) == nb
+            tail = W[-nb:, :].toarray()
+            assert np.array_equal(tail[:, :-nb], np.zeros_like(tail[:, :-nb]))
+            assert np.array_equal(tail[:, -nb:], np.eye(nb))
