@@ -21,6 +21,7 @@ import sys
 import numpy as np
 
 from . import verify
+from .assembly import MAX_QUAD_DEGREE
 from .linalg import LinAlgError
 from .mesh import Mesh, MeshError, mesh_metrics, read_gmsh_msh2, unit_cube_mesh
 from .mhd import MhdDriver, MhdError, MhdParams, SourceData
@@ -147,9 +148,11 @@ def load_config(path: str) -> dict:
         raise ConfigError("samples must be a positive integer")
     cfg["samples"] = samples
 
+    # the quadrature self-check measures two degrees above quad_degree
+    max_quad = MAX_QUAD_DEGREE - 2
     quad = raw.get("quad_degree", 6)
-    if not isinstance(quad, int) or not 6 <= quad <= 12:
-        raise ConfigError("quad_degree must be an integer in [6, 12]")
+    if not isinstance(quad, int) or not 6 <= quad <= max_quad:
+        raise ConfigError(f"quad_degree must be an integer in [6, {max_quad}]")
     cfg["quad_degree"] = quad
 
     seed = raw.get("seed", 42)

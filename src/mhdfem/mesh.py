@@ -180,16 +180,25 @@ def read_gmsh_msh2(path: str) -> Mesh:
 
     Keeps 4-node tetrahedra (element type 4) and their first physical tag;
     all other element types are ignored.  Node ids must be contiguous
-    1..N; violations raise ParseError with the offending line number.
+    1..N; violations, non-numeric fields and a file that ends early
+    raise ParseError with the offending line number.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
 
-    def tokens(idx):
-        return lines[idx].split()
-
     pos = 0
     nlines = len(lines)
+
+    def line(idx):
+        if idx >= nlines:
+            raise ParseError("unexpected end of file", idx + 1)
+        return lines[idx]
+
+    def number(kind, text, what):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ParseError(f"{what} {text!r} is not a number", pos + 1) from None
 
     def expect(tag):
         nonlocal pos
@@ -200,58 +209,51 @@ def read_gmsh_msh2(path: str) -> Mesh:
         pos += 1
 
     expect("$MeshFormat")
-    fmt = tokens(pos)
+    fmt = line(pos).split()
     if len(fmt) != 3 or not fmt[0].startswith("2.2"):
         raise ParseError(f"unsupported mesh format {lines[pos]!r}", pos + 1)
     pos += 1
     expect("$EndMeshFormat")
 
     expect("$Nodes")
-    try:
-        nnodes = int(lines[pos])
-    except ValueError:
-        raise ParseError("node count is not an integer", pos + 1)
+    nnodes = number(int, line(pos), "node count")
     pos += 1
-    vertices = np.empty((nnodes, 3))
+    vertices = []
     for i in range(nnodes):
-        t = tokens(pos)
+        t = line(pos).split()
         if len(t) != 4:
             raise ParseError("node line needs 'id x y z'", pos + 1)
-        if int(t[0]) != i + 1:
+        if number(int, t[0], "node id") != i + 1:
             raise ParseError(f"non-contiguous node id {t[0]} (expected {i + 1})", pos + 1)
-        vertices[i] = [float(t[1]), float(t[2]), float(t[3])]
+        vertices.append([number(float, x, "coordinate") for x in t[1:]])
         pos += 1
     expect("$EndNodes")
 
     expect("$Elements")
-    try:
-        nelem = int(lines[pos])
-    except ValueError:
-        raise ParseError("element count is not an integer", pos + 1)
+    nelem = number(int, line(pos), "element count")
     pos += 1
     cells = []
     tags = []
     for _ in range(nelem):
-        t = tokens(pos)
+        t = line(pos).split()
         if len(t) < 3:
             raise ParseError("element line too short", pos + 1)
-        etype = int(t[1])
-        ntags = int(t[2])
+        etype, ntags = (number(int, x, "element field") for x in t[1:3])
         nodes = t[3 + ntags:]
         if etype == 4:
             if len(nodes) != 4:
                 raise ParseError("tetrahedron needs exactly 4 nodes", pos + 1)
-            conn = [int(s) - 1 for s in nodes]
+            conn = [number(int, s, "node reference") - 1 for s in nodes]
             if any(v < 0 or v >= nnodes for v in conn):
                 raise ParseError(f"unknown node reference in {lines[pos]!r}", pos + 1)
             cells.append(conn)
-            tags.append(int(t[3]) if ntags > 0 else 0)
+            tags.append(number(int, t[3], "physical tag") if ntags > 0 else 0)
         pos += 1
     expect("$EndElements")
 
     if not cells:
         raise ParseError("file contains no tetrahedra", pos)
-    return Mesh(vertices, np.array(cells, dtype=np.int64), np.array(tags, dtype=np.int64))
+    return Mesh(np.array(vertices), np.array(cells, dtype=np.int64), np.array(tags, dtype=np.int64))
 
 
 @dataclass
@@ -387,15 +389,11 @@ class MeshMetrics:
     shape_ratio: float
     volume: float
     num_vertices: int
-    num_edges: int
-    num_faces: int
     num_cells: int
 
 
-def mesh_metrics(mesh: Mesh, topology: MeshTopology | None = None) -> MeshMetrics:
-    """Diameters, shape regularity (diameter / inradius) and entity counts."""
-    if topology is None:
-        topology = build_topology(mesh)
+def mesh_metrics(mesh: Mesh) -> MeshMetrics:
+    """Diameters, shape regularity (diameter / inradius), vertex and cell counts."""
     X = mesh.cell_coords
     vol = mesh.volumes
     areas = np.zeros(mesh.num_cells)
@@ -410,7 +408,5 @@ def mesh_metrics(mesh: Mesh, topology: MeshTopology | None = None) -> MeshMetric
         shape_ratio=float((diameters / inradius).max()),
         volume=float(vol.sum()),
         num_vertices=mesh.num_vertices,
-        num_edges=topology.num_edges,
-        num_faces=topology.num_faces,
         num_cells=mesh.num_cells,
     )

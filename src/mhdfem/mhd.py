@@ -17,6 +17,8 @@ whose divergence map is onto.  Restricting the natural family's
 multiplier to zero mean leaves a one-dimensional kernel (the face field
 with uniform divergence) and a singular linear system, so the full space
 is the well-posed choice; the computed multiplier is zero either way.
+The augmented driver has no r unknown but keeps the space and D_r for
+the divergence-free projection of the error analysis.
 
 Every Picard iterate satisfies cellwise div B = 0, r = 0, curl E = 0 and
 the energy identity
@@ -149,7 +151,8 @@ def _nonzero(f: FieldFunction | None) -> bool:
 
 
 class MhdDriver:
-    """Owns the spaces, constant matrices and Picard loop for one case."""
+    """Owns the spaces, the constant matrices (each assembled once, also
+    for the discrete curl and the error projections) and the Picard loop."""
 
     def __init__(self, mesh: Mesh, params: MhdParams, sources: SourceData | None = None):
         self.mesh = mesh
@@ -164,25 +167,18 @@ class MhdDriver:
         self.p_space = make_space(
             "lagrange_p1_pressure", "none", mesh, topo, mean_constraint=True
         )
-        if params.variant == "multiplier":
-            zero_mean = params.bc_family == "normal_B"
-            self.r_space = make_space(
-                "dg0", "none", mesh, topo, mean_constraint=zero_mean
-            )
-        else:
-            self.r_space = None
+        self.r_space = make_space(
+            "dg0", "none", mesh, topo, mean_constraint=params.bc_family == "normal_B"
+        )
 
+        self.dcurl = operators.DiscreteCurl(self.E_space, self.B_space)
         self.K_u = assembly.assemble_bilinear("grad_grad", self.u_space, self.u_space)
         self.M_u = assembly.assemble_bilinear("vec_mass", self.u_space, self.u_space)
-        self.M_E = assembly.assemble_bilinear("vec_mass", self.E_space, self.E_space)
+        self.M_E, self.R_EB = self.dcurl.mass, self.dcurl.pairing
         self.M_B = assembly.assemble_bilinear("vec_mass", self.B_space, self.B_space)
-        self.R_EB = assembly.assemble_bilinear(
-            "curl_mass_pairing", self.B_space, self.E_space
-        )
         self.D_p = assembly.assemble_bilinear("div_pressure", self.u_space, self.p_space)
-        if self.r_space is not None:
-            self.D_r = assembly.assemble_bilinear("div_scalar", self.B_space, self.r_space)
-        else:
+        self.D_r = assembly.assemble_bilinear("div_scalar", self.B_space, self.r_space)
+        if params.variant == "augmented":
             self.G_dd = assembly.assemble_bilinear("divdiv", self.B_space, self.B_space)
 
         # unknowns of every step: the fields in this order, then one
@@ -190,7 +186,7 @@ class MhdDriver:
         # weights); the border is a block row and column of its own
         self.fields = ("u", "E", "B", "p")
         self.borders = {"p_mean": ("p", assembly.domain_integral_vector(self.p_space))}
-        if self.r_space is not None:
+        if params.variant == "multiplier":
             self.fields += ("r",)
             if self.r_space.mean_constraint:
                 w_r = assembly.domain_integral_vector(self.r_space)
@@ -208,10 +204,7 @@ class MhdDriver:
             else np.zeros(self.E_space.num_free)
         )
 
-        self.dcurl = operators.DiscreteCurl(self.E_space, self.B_space)
-        self.dual_f = operators.VelocityDualNorm(self.u_space, stiffness=self.K_u)(
-            self.load_f
-        )
+        self.dual_f = operators.VelocityDualNorm(self.K_u)(self.load_f)
 
     # ------------------------------------------------------------------
     # assembly of one Picard step
@@ -222,7 +215,7 @@ class MhdDriver:
             E=FieldFunction.zeros(self.E_space),
             B=FieldFunction.zeros(self.B_space),
             p=FieldFunction.zeros(self.p_space),
-            r=FieldFunction.zeros(self.r_space) if self.r_space is not None else None,
+            r=FieldFunction.zeros(self.r_space) if "r" in self.fields else None,
         )
 
     def cross_blocks(self, B_prev: FieldFunction):
@@ -273,7 +266,7 @@ class MhdDriver:
         if O is not None:
             blocks["E", "u"] = s * O
             blocks["u", "E"] = blocks["E", "u"].T
-        if self.r_space is not None:
+        if "r" in self.fields:
             blocks["r", "B"] = self.D_r
             blocks["B", "r"] = blocks["r", "B"].T
         else:
@@ -340,13 +333,12 @@ class MhdDriver:
             report.diagnostics_history.append(diag)
             if keep_states:
                 report.states.append(new_state)
-            scale = max(1.0, operators.norm_w(new_state.u, new_state.B, self.dcurl))
+            report.state_norm = operators.norm_w(new_state.u, new_state.B, self.dcurl)
             state = new_state
-            if increment <= tol * scale:
+            if increment <= tol * max(1.0, report.state_norm):
                 report.converged = True
                 break
 
-        report.state_norm = operators.norm_w(state.u, state.B, self.dcurl)
         return state, report
 
     # ------------------------------------------------------------------
@@ -489,7 +481,7 @@ class MhdDriver:
         if O is not None:
             W_uu = W_uu + Luu
         C_EE = assembly.assemble_bilinear("curl_curl", self.E_space, self.E_space)
-        if self.params.variant == "multiplier":
+        if "r" in self.fields:
             W_BB = self.M_B + assembly.assemble_bilinear(
                 "divdiv", self.B_space, self.B_space
             )
@@ -506,7 +498,7 @@ class MhdDriver:
         if O is not None:
             blocks["E", "u"] = O
             blocks["u", "E"] = O.T
-        if self.r_space is not None:
+        if "r" in self.fields:
             blocks["r", "r"] = assembly.assemble_bilinear(
                 "scalar_mass", self.r_space, self.r_space
             )

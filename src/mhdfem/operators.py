@@ -76,19 +76,18 @@ class DiscreteCurl:
 
 
 def stokes_project(
-    u_space: FeSpace, p_space: FeSpace, grad_u_func, *, quad_degree: int = 6
+    u_space: FeSpace, p_space: FeSpace, K, D, grad_u_func, *, quad_degree: int = 6
 ):
     """Stokes projection of a velocity field given its gradient tensor.
 
     Solves (grad Pu, grad v) + (q_aux, div v) = (grad u, grad v),
-    (div Pu, q) = 0 with zero-mean auxiliary pressure.  ``grad_u_func``
+    (div Pu, q) = 0 with zero-mean auxiliary pressure, where K is the
+    assembled ``grad_grad`` and D the ``div_pressure`` form.  ``grad_u_func``
     maps (N, 3) points to (N, 3, 3) tensors G_ij = d_j u_i.  Returns
     (projected velocity, auxiliary pressure).
     """
     if u_space.kind != "lagrange_p2_vector" or u_space.bc != "essential_zero":
         raise OperatorError("Stokes projection needs the constrained velocity space")
-    K = assembly.assemble_bilinear("grad_grad", u_space, u_space)
-    D = assembly.assemble_bilinear("div_pressure", u_space, p_space)
     rhs_u = _grad_load(u_space, grad_u_func, quad_degree)
     w = sp.csr_matrix(assembly.domain_integral_vector(p_space))
     # unknowns (u, p, zero-mean multiplier of p)
@@ -125,18 +124,17 @@ def _grad_load(space: FeSpace, grad_func, quad_degree: int) -> np.ndarray:
 
 
 def divfree_l2_project(
-    div_space: FeSpace, mult_space: FeSpace, func, *, quad_degree: int = 6
+    div_space: FeSpace, mult_space: FeSpace, M, D, func, *, quad_degree: int = 6
 ) -> FieldFunction:
     """Constrained L^2 projection onto the discretely divergence-free
     subspace of the face space (saddle-point solve).
 
-    The multiplier space decides the constraint test space: with a
+    M is the assembled ``vec_mass`` and D the ``div_scalar`` form.  The
+    multiplier space decides the constraint test space: with a
     zero-mean multiplier a bordered row is added (homogeneous-flux
     family); otherwise the full piecewise-constant space is used.
     """
     _check_div_mult(div_space, mult_space)
-    M = assembly.assemble_bilinear("vec_mass", div_space, div_space)
-    D = assembly.assemble_bilinear("div_scalar", div_space, mult_space)
     rhs = assembly.assemble_linear(div_space, func, quad_degree=quad_degree)
     # unknowns (B, multiplier[, zero-mean multiplier of the multiplier])
     if mult_space.mean_constraint:
@@ -241,14 +239,8 @@ class VelocityDualNorm:
     """Discrete dual norm sup <f, v> / |grad v| over the velocity space,
     realized by one stiffness solve per application."""
 
-    def __init__(self, u_space: FeSpace, stiffness=None):
-        self.space = u_space
-        self.stiffness = (
-            stiffness
-            if stiffness is not None
-            else assembly.assemble_bilinear("grad_grad", u_space, u_space)
-        )
-        self._lu = linalg.Factorization(self.stiffness)
+    def __init__(self, stiffness):
+        self._lu = linalg.Factorization(stiffness)
 
     def __call__(self, load_free: np.ndarray) -> float:
         x = self._lu.solve(load_free)

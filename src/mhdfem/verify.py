@@ -191,21 +191,13 @@ ERROR_COLUMNS = (
 )
 
 
-def _multiplier_space(driver: MhdDriver):
-    if driver.r_space is not None:
-        return driver.r_space
-    zero_mean = driver.params.bc_family == "normal_B"
-    return make_space(
-        "dg0", "none", driver.mesh, driver.B_space.topology, mean_constraint=zero_mean
-    )
-
-
 def error_norms(driver: MhdDriver, state, case: ManufacturedCase, *, quad_degree: int = 6) -> dict:
     """One row of exact-vs-discrete error norms.
 
     The magnetic graph-norm quantities compare against the constrained
     projection of the exact field (the quantity the error analysis
-    controls); plain L2 errors compare against the exact fields.
+    controls); plain L2 errors compare against the exact fields.  Both
+    projections solve with the driver's forms and multiplier space.
     """
     rule = assembly.quadrature_rule(quad_degree)
     mesh = driver.mesh
@@ -228,11 +220,12 @@ def error_norms(driver: MhdDriver, state, case: ManufacturedCase, *, quad_degree
     p_h = derham.evaluate_on_cells(state.p, rule.points)
     p_ex = case.p(xq).reshape(nc, nq)
 
-    mult = _multiplier_space(driver)
-    PB = operators.divfree_l2_project(driver.B_space, mult, case.B, quad_degree=quad_degree)
+    PB = operators.divfree_l2_project(
+        driver.B_space, driver.r_space, driver.M_B, driver.D_r, case.B, quad_degree=quad_degree
+    )
     dPi = FieldFunction(driver.B_space, PB.coeffs - state.B.coeffs)
     Pu, _ = operators.stokes_project(
-        driver.u_space, driver.p_space, case.grad_u, quad_degree=quad_degree
+        driver.u_space, driver.p_space, driver.K_u, driver.D_p, case.grad_u, quad_degree=quad_degree
     )
     dPu = FieldFunction(driver.u_space, Pu.coeffs - state.u.coeffs)
 
@@ -248,11 +241,11 @@ def error_norms(driver: MhdDriver, state, case: ManufacturedCase, *, quad_degree
     }
 
 
-def quadrature_self_check(driver, state, case, *, quad_degree: int = 6) -> dict:
+def quadrature_self_check(driver, state, case, base: dict, *, quad_degree: int = 6) -> dict:
     """Relative change of every error norm when the measuring quadrature
     is raised to the next distinct rule (two degrees up, since the
-    conical rules advance in steps of two); entries should stay below 1e-3."""
-    base = error_norms(driver, state, case, quad_degree=quad_degree)
+    conical rules advance in steps of two), against the ``base`` row that
+    ``error_norms`` gave at quad_degree; entries should stay below 1e-3."""
     finer = error_norms(driver, state, case, quad_degree=quad_degree + 2)
     out = {}
     for key, val in base.items():
@@ -306,7 +299,6 @@ def convergence_study(
     tol: float = 1e-11,
     maxit: int = 100,
     quad_degree: int = 6,
-    self_check: bool = True,
 ) -> ErrorTable:
     """Solve the case on a sequence of uniform refinements and tabulate
     error norms with observed rates log(e_coarse/e_fine)/log(h_c/h_f)."""
@@ -325,13 +317,13 @@ def convergence_study(
         if not report.converged:
             raise StudyError(f"Picard did not converge at level n={n}", report)
         rows.append(error_norms(driver, state, case, quad_degree=quad_degree))
-        if self_check and idx == 1:
+        if idx == 1:
             # once per study, on the middle level: cheap, yet past the
             # coarsest mesh where the degree-12 exact fields are still
             # visibly under-integrated relative to the tiny u error
-            check = quadrature_self_check(driver, state, case, quad_degree=quad_degree)
+            check = quadrature_self_check(driver, state, case, rows[-1], quad_degree=quad_degree)
         ns.append(n)
-        hs.append(mesh_metrics(mesh, driver.u_space.topology).h_max)
+        hs.append(mesh_metrics(mesh).h_max)
         reports.append(report)
 
     errors = {k: [row[k] for row in rows] for k in rows[0]}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mhdfem.assembly import (
+    MAX_QUAD_DEGREE,
     FormError,
     assemble_bilinear,
     assemble_linear,
@@ -44,7 +45,7 @@ def test_rule_integrates_xy():
     assert val == pytest.approx(1.0 / 120.0, rel=1e-13)
 
 
-@pytest.mark.parametrize("degree", range(1, 13))
+@pytest.mark.parametrize("degree", range(1, MAX_QUAD_DEGREE + 1))
 def test_rule_weights(degree):
     rule = quadrature_rule(degree)
     assert np.all(rule.weights > 0)
@@ -69,7 +70,7 @@ def test_rule_monomial_exactness(degree):
                 assert quad == pytest.approx(exact, rel=1e-12), (a, b, c)
 
 
-@pytest.mark.parametrize("degree", [0, 13, 2.5, "4"])
+@pytest.mark.parametrize("degree", [0, MAX_QUAD_DEGREE + 1, 2.5, "4"])
 def test_rule_rejects_bad_degree(degree):
     with pytest.raises(FormError):
         quadrature_rule(degree)
@@ -207,6 +208,50 @@ def test_convection_is_skew(mesh2, topo2):
     for _ in range(5):
         x = RNG.standard_normal(u.num_free)
         assert abs(x @ (C @ x)) <= 1e-12 * scale * (x @ x)
+
+
+# ----------------------------------------------------------------------
+# the magnetic cross forms at a constant field
+
+
+B_CONST = np.array([0.3, -1.2, 0.7])
+
+
+def _constant_B(mesh, topo):
+    rt = make_space("rt_lowest", "none", mesh, topo)
+    return canonical_interpolate(rt, lambda x: np.tile(B_CONST, (len(x), 1)))
+
+
+def test_lorentz_cross_is_the_projected_mass(mesh2, topo2):
+    # (u x B, v x B) = u^T (|B|^2 I - B B^T) v pointwise, so at constant B
+    # the form is the velocity mass acting on each nodal vector times C
+    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
+    Luu = assemble_bilinear("lorentz_cross", u, u, coefficient=_constant_B(mesh2, topo2))
+    M_u = assemble_bilinear("vec_mass", u, u)
+    C = (B_CONST @ B_CONST) * np.eye(3) - np.outer(B_CONST, B_CONST)
+    x = RNG.standard_normal(u.num_free)
+    expected = M_u @ (x.reshape(-1, 3) @ C).ravel()
+    assert np.abs(Luu @ x - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_ohm_cross_is_the_load_of_u_cross_B(mesh2, topo2):
+    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
+    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
+    O = assemble_bilinear("ohm_cross", u, ned, coefficient=_constant_B(mesh2, topo2))
+    uh = FieldFunction.zeros(u)
+    uh.coeffs[u.free] = RNG.standard_normal(u.num_free)
+    # u x B tabulated at the degree-6 points in the load's cell-major order
+    uvals = evaluate_on_cells(uh, quadrature_rule(6).points).reshape(-1, 3)
+    expected = assemble_linear(ned, lambda x: np.cross(uvals, B_CONST), quad_degree=6)
+    got = O @ uh.coeffs[u.free]
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_lorentz_cross_takes_only_velocity_trials(mesh1, topo1):
+    u = make_space("lagrange_p2_vector", "none", mesh1, topo1)
+    ned = make_space("nedelec1_lowest", "none", mesh1, topo1)
+    with pytest.raises(FormError, match="trial space"):
+        assemble_bilinear("lorentz_cross", ned, u, coefficient=_constant_B(mesh1, topo1))
 
 
 # ----------------------------------------------------------------------

@@ -76,6 +76,7 @@ def read_report(tmp_path, name):
         {"outputs": {"pickle": "x"}},
         {"bc_family": "periodic"},
         {"nonsense": 1},
+        {"quad_degree": 13},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, overrides):
@@ -101,6 +102,15 @@ def test_missing_msh_file_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, mesh={"msh2": str(tmp_path / "ghost.msh")})
     assert cli.main(["complex-check", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "cannot load mesh" in capsys.readouterr().err
+
+
+def test_truncated_msh_file_exits_2(tmp_path, capsys):
+    msh = tmp_path / "cut.msh"
+    msh.write_text(MSH_SAMPLE[: MSH_SAMPLE.index("4 0 0 1")], encoding="utf-8")
+    path = write_config(tmp_path, mesh={"msh2": str(msh)}, case={"zero_source": True})
+    assert cli.main(["complex-check", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot load mesh" in err and "line 9: unexpected end of file" in err
 
 
 def test_solve_rejects_the_degenerate_coarse_mesh(tmp_path, capsys):
@@ -250,6 +260,40 @@ def test_l3_study_needs_two_levels(tmp_path, capsys):
     path = write_config(tmp_path, levels=[2], case={"zero_source": True})
     assert cli.main(["l3-study", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "at least 2 levels" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# work done once per run
+
+
+def _count_topologies(monkeypatch) -> list:
+    """Count build_topology calls through every module binding of it."""
+    from mhdfem import mesh
+
+    calls = []
+    original = mesh.build_topology
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mhdfem":
+            for key, val in list(vars(module).items()):
+                if val is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, overrides",
+    [("solve", {}), ("complex-check", {"case": {"zero_source": True}})],
+)
+def test_one_topology_per_run(tmp_path, monkeypatch, command, overrides):
+    calls = _count_topologies(monkeypatch)
+    path = write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_PASS
+    assert len(calls) == 1
 
 
 # ----------------------------------------------------------------------

@@ -121,7 +121,9 @@ def test_metrics_single_tet(single_tet):
     assert m.volume == pytest.approx(1.0 / 6.0, rel=1e-14)
     # diameter / inradius for the reference tet: sqrt(2) * (3 + sqrt(3))
     assert m.shape_ratio == pytest.approx(np.sqrt(2.0) * (3.0 + np.sqrt(3.0)), rel=1e-12)
-    assert (m.num_vertices, m.num_edges, m.num_faces, m.num_cells) == (4, 6, 4, 1)
+    assert (m.num_vertices, m.num_cells) == (4, 1)
+    topo = build_topology(single_tet)
+    assert (topo.num_edges, topo.num_faces) == (6, 4)
 
 
 def test_metrics_halve_with_refinement():
@@ -182,6 +184,9 @@ def test_msh2_reader_repairs_negative_tet(tmp_path):
         (lambda s: s.replace("$Nodes\n5", "$Nodes\nfive"), 5),
         (lambda s: s.replace("2 1 0 0", "7 1 0 0"), 7),
         (lambda s: s.replace("1 0 0 0", "1 0 0"), 6),
+        (lambda s: s[: s.index("4 0 0 1")], 9),
+        (lambda s: s.replace("3 0 1 0", "3 0 one 0"), 8),
+        (lambda s: s.replace("2 4 2 10 1 1 2 3 4", "2 4 2 10 1 1 2 three 4"), 15),
     ],
 )
 def test_msh2_reader_errors(tmp_path, mangle, line):

@@ -199,7 +199,7 @@ def test_step_transposes_and_borders_are_exact(mesh2, bc_family, variant):
 
     pairs = [(("u", "E"), ("E", "u"), 1.0), (("u", "p"), ("p", "u"), 1.0),
              (("B", "E"), ("E", "B"), -1.0)]
-    if drv.r_space is not None:
+    if "r" in drv.fields:
         pairs.append((("B", "r"), ("r", "B"), 1.0))
     for key, partner, sign in pairs:
         assert blocks[key].count_nonzero()

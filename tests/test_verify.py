@@ -17,7 +17,6 @@ from mhdfem.verify import (
     error_norms,
     l3_study,
     quadrature_self_check,
-    _multiplier_space,
 )
 
 RNG = np.random.default_rng(7)
@@ -146,10 +145,10 @@ def test_injected_projections_zero_their_norms(mesh2):
     case = builtin_case("normal_B")
     driver = MhdDriver(mesh2, case.params("multiplier"), case.sources())
     PB = operators.divfree_l2_project(
-        driver.B_space, _multiplier_space(driver), case.B, quad_degree=6
+        driver.B_space, driver.r_space, driver.M_B, driver.D_r, case.B, quad_degree=6
     )
     Pu, _ = operators.stokes_project(
-        driver.u_space, driver.p_space, case.grad_u, quad_degree=6
+        driver.u_space, driver.p_space, driver.K_u, driver.D_p, case.grad_u, quad_degree=6
     )
     state = driver.zero_state()
     state.B.coeffs[:] = PB.coeffs
@@ -241,9 +240,45 @@ def test_small_study_table_and_csv():
 
 def test_self_check_compares_two_rules(solved_case_n4):
     case, driver, state, _ = solved_case_n4
-    chk = quadrature_self_check(driver, state, case)
+    chk = quadrature_self_check(driver, state, case, error_norms(driver, state, case))
     assert set(ERROR_COLUMNS) <= set(chk)
     assert max(chk.values()) < 1e-3
+
+
+def test_self_check_at_the_highest_config_degree(mesh2):
+    # the config accepts quad_degree up to MAX_QUAD_DEGREE - 2, and the
+    # self-check measures two degrees above it
+    degree = assembly.MAX_QUAD_DEGREE - 2
+    case = builtin_case("normal_B")
+    driver, state = _solved(case, mesh2)
+    base = error_norms(driver, state, case, quad_degree=degree)
+    chk = quadrature_self_check(driver, state, case, base, quad_degree=degree)
+    assert set(chk) == set(base)
+    assert max(chk.values()) < 1e-3
+
+
+@pytest.mark.parametrize("variant", ("multiplier", "augmented"))
+@pytest.mark.parametrize("bc_family", FAMILIES)
+def test_each_constant_form_is_assembled_once(mesh2, monkeypatch, bc_family, variant):
+    # driver, Picard solve and error row share one set of constant
+    # matrices: no coefficient-free (form, trial, test) is assembled twice
+    counts = {}
+    original = assembly.assemble_bilinear
+
+    def counting(form_id, trial, test, **kwargs):
+        if kwargs.get("coefficient") is None:
+            key = (form_id, id(trial), id(test))
+            counts[key] = counts.get(key, 0) + 1
+        return original(form_id, trial, test, **kwargs)
+
+    monkeypatch.setattr(assembly, "assemble_bilinear", counting)
+    case = builtin_case(bc_family)
+    driver = MhdDriver(mesh2, case.params(variant), case.sources())
+    state, report = driver.picard_solve(tol=1e-10, maxit=50)
+    assert report.converged
+    error_norms(driver, state, case)
+    assert counts and set(counts.values()) == {1}
+    assert len(counts) == (8 if variant == "augmented" else 7)
 
 
 # ----------------------------------------------------------------------
