@@ -10,7 +10,7 @@ scattered into sparse matrices over the free (unconstrained) degrees of
 freedom; essential-zero boundary conditions are eliminated symmetrically
 by restriction.  Zero-mean constraints are not handled here: each
 enters the saddle system as one more block row and column holding the
-domain integrals of the basis functions (see linalg.flatten).
+domain integrals of the basis functions (see MhdDriver.block_system).
 
 The quadrature degree of each bilinear form makes its integrand exact
 on affine cells: 4 for the fluid blocks, 5 for convection
@@ -170,6 +170,22 @@ def assemble_linear(
         raise FormError(f"cannot assemble a load on space kind {space.kind!r}")
     vec = np.zeros(space.ndof)
     np.add.at(vec, space.dofmap.ravel(), cellvec.ravel())
+    return vec[space.free]
+
+
+def _grad_load(space: FeSpace, grad_func, quad_degree: int) -> np.ndarray:
+    """Load vector int G : grad v for the velocity space."""
+    rule = quadrature_rule(quad_degree)
+    mesh = space.mesh
+    xq = derham.physical_points(mesh, rule.points)
+    G = np.asarray(grad_func(xq.reshape(-1, 3)), dtype=float).reshape(
+        xq.shape[0], xq.shape[1], 3, 3
+    )
+    sg = derham.p2_scalar_gradients(mesh, rule.points)
+    wdet = quadrature_weights(mesh, rule)
+    comp = np.einsum("cq,cqij,cqaj->cai", wdet, G, sg)
+    vec = np.zeros(space.ndof)
+    np.add.at(vec, space.dofmap.ravel(), comp.reshape(mesh.num_cells, 30).ravel())
     return vec[space.free]
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -61,6 +62,16 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(extra)} in {where}")
 
 
+def _is_int(val) -> bool:
+    """A JSON integer; ``true`` and ``false`` are not."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    """A finite JSON number; booleans, ``Infinity`` and ``NaN`` are not."""
+    return _is_int(val) or (isinstance(val, float) and math.isfinite(val))
+
+
 def load_config(path: str) -> dict:
     """Read and validate a RunConfig JSON file into a plain dict."""
     try:
@@ -81,7 +92,7 @@ def load_config(path: str) -> dict:
         raise ConfigError('mesh must be exactly one of {"builtin": n} or {"msh2": path}')
     if "builtin" in mesh:
         n = mesh["builtin"]
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise ConfigError("mesh.builtin must be a positive integer")
         cfg["mesh"] = ("builtin", n)
     else:
@@ -95,7 +106,7 @@ def load_config(path: str) -> dict:
     _require_keys(params, {"Re", "Rm", "s"}, "params")
     for key in ("Re", "Rm", "s"):
         val = params.get(key, 1.0)
-        if not isinstance(val, (int, float)) or not val > 0:
+        if not _is_number(val) or not val > 0:
             raise ConfigError(f"params.{key} must be a positive number")
         cfg[key] = float(val)
 
@@ -107,10 +118,10 @@ def load_config(path: str) -> dict:
         raise ConfigError("picard must be an object")
     _require_keys(picard, {"tol", "maxit"}, "picard")
     tol = picard.get("tol", 1e-8)
-    if not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
+    if not _is_number(tol) or not 0.0 < tol < 1.0:
         raise ConfigError("picard.tol must lie in (0, 1)")
     maxit = picard.get("maxit", 100)
-    if not isinstance(maxit, int) or maxit < 1:
+    if not _is_int(maxit) or maxit < 1:
         raise ConfigError("picard.maxit must be a positive integer")
     cfg["tol"], cfg["maxit"] = float(tol), maxit
 
@@ -125,7 +136,7 @@ def load_config(path: str) -> dict:
         )
     if "builtin" in case:
         lam = case["builtin"]
-        if not isinstance(lam, (int, float)) or lam < 0:
+        if not _is_number(lam) or lam < 0:
             raise ConfigError("case.builtin must be a nonnegative amplitude")
         cfg["case"] = ("builtin", float(lam))
     else:
@@ -137,26 +148,26 @@ def load_config(path: str) -> dict:
     if (
         not isinstance(levels, list)
         or not levels
-        or not all(isinstance(n, int) and n >= 1 for n in levels)
+        or not all(_is_int(n) and n >= 1 for n in levels)
         or any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1))
     ):
         raise ConfigError("levels must be a strictly increasing list of positive integers")
     cfg["levels"] = levels
 
     samples = raw.get("samples", 50)
-    if not isinstance(samples, int) or samples < 1:
+    if not _is_int(samples) or samples < 1:
         raise ConfigError("samples must be a positive integer")
     cfg["samples"] = samples
 
     # the quadrature self-check measures two degrees above quad_degree
     max_quad = MAX_QUAD_DEGREE - 2
     quad = raw.get("quad_degree", 6)
-    if not isinstance(quad, int) or not 6 <= quad <= max_quad:
+    if not _is_int(quad) or not 6 <= quad <= max_quad:
         raise ConfigError(f"quad_degree must be an integer in [6, {max_quad}]")
     cfg["quad_degree"] = quad
 
     seed = raw.get("seed", 42)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     cfg["seed"] = seed
 
@@ -314,6 +325,8 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
         raise ConfigError("a convergence study needs the builtin case (an exact solution)")
     if len(cfg["levels"]) < 3:
         raise ConfigError("a convergence study needs at least 3 levels")
+    if cfg["levels"][0] < 2:
+        raise ConfigError("a convergence study needs levels n >= 2")
     case, _ = _case_and_sources(cfg)
     json_path = _out_path(cfg, out_dir, "json", "convergence_report.json")
 

@@ -114,6 +114,13 @@ class FieldFunction:
     def zeros(cls, space: FeSpace) -> "FieldFunction":
         return cls(space, np.zeros(space.ndof))
 
+    @classmethod
+    def from_free(cls, space: FeSpace, values: np.ndarray) -> "FieldFunction":
+        """The field with the given free-dof values, zero on constrained dofs."""
+        coeffs = np.zeros(space.ndof)
+        coeffs[space.free] = values
+        return cls(space, coeffs)
+
 
 def make_space(
     kind: str,

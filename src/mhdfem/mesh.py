@@ -196,9 +196,12 @@ def read_gmsh_msh2(path: str) -> Mesh:
 
     def number(kind, text, what):
         try:
-            return kind(text)
+            value = kind(text)
         except ValueError:
             raise ParseError(f"{what} {text!r} is not a number", pos + 1) from None
+        if kind is float and not np.isfinite(value):
+            raise ParseError(f"{what} {text!r} is not finite", pos + 1)
+        return value
 
     def expect(tag):
         nonlocal pos

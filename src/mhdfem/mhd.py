@@ -20,6 +20,11 @@ is the well-posed choice; the computed multiplier is zero either way.
 The augmented driver has no r unknown but keeps the space and D_r for
 the divergence-free projection of the error analysis.
 
+The Picard step and the Stokes and divergence-free projections of the
+error analysis are maps (test, trial) -> block over the driver's spaces;
+``block_system`` borders every zero-mean field and flattens the map, and
+``split`` scatters a solution back into fields.
+
 Every Picard iterate satisfies cellwise div B = 0, r = 0, curl E = 0 and
 the energy identity
 
@@ -152,28 +157,33 @@ def _nonzero(f: FieldFunction | None) -> bool:
 
 class MhdDriver:
     """Owns the spaces, the constant matrices (each assembled once, also
-    for the discrete curl and the error projections) and the Picard loop."""
+    for the discrete curl), the saddle systems and the Picard loop."""
 
     def __init__(self, mesh: Mesh, params: MhdParams, sources: SourceData | None = None):
         self.mesh = mesh
         self.params = params
         self.sources = sources if sources is not None else SourceData()
         topo = build_topology(mesh)
-        ess = "essential_zero" if params.bc_family == "normal_B" else "none"
+        normal = params.bc_family == "normal_B"
+        ess = "essential_zero" if normal else "none"
 
-        self.u_space = make_space("lagrange_p2_vector", "essential_zero", mesh, topo)
-        self.E_space = make_space("nedelec1_lowest", ess, mesh, topo)
-        self.B_space = make_space("rt_lowest", ess, mesh, topo)
-        self.p_space = make_space(
-            "lagrange_p1_pressure", "none", mesh, topo, mean_constraint=True
-        )
-        self.r_space = make_space(
-            "dg0", "none", mesh, topo, mean_constraint=params.bc_family == "normal_B"
-        )
+        self.spaces = {
+            "u": make_space("lagrange_p2_vector", "essential_zero", mesh, topo),
+            "E": make_space("nedelec1_lowest", ess, mesh, topo),
+            "B": make_space("rt_lowest", ess, mesh, topo),
+            "p": make_space("lagrange_p1_pressure", "none", mesh, topo, mean_constraint=True),
+            "r": make_space("dg0", "none", mesh, topo, mean_constraint=normal),
+        }
+        self.u_space, self.E_space, self.B_space, self.p_space, self.r_space = self.spaces.values()
+        # border row of each zero-mean constraint: the basis integrals
+        self.mean_rows = {
+            f: sp.csr_matrix(assembly.domain_integral_vector(space))
+            for f, space in self.spaces.items()
+            if space.mean_constraint
+        }
 
         self.dcurl = operators.DiscreteCurl(self.E_space, self.B_space)
         self.K_u = assembly.assemble_bilinear("grad_grad", self.u_space, self.u_space)
-        self.M_u = assembly.assemble_bilinear("vec_mass", self.u_space, self.u_space)
         self.M_E, self.R_EB = self.dcurl.mass, self.dcurl.pairing
         self.M_B = assembly.assemble_bilinear("vec_mass", self.B_space, self.B_space)
         self.D_p = assembly.assemble_bilinear("div_pressure", self.u_space, self.p_space)
@@ -181,17 +191,11 @@ class MhdDriver:
         if params.variant == "augmented":
             self.G_dd = assembly.assemble_bilinear("divdiv", self.B_space, self.B_space)
 
-        # unknowns of every step: the fields in this order, then one
-        # multiplier per zero-mean constraint, named border -> (field,
-        # weights); the border is a block row and column of its own
+        # fields of every Picard step; unknowns adds their border names
         self.fields = ("u", "E", "B", "p")
-        self.borders = {"p_mean": ("p", assembly.domain_integral_vector(self.p_space))}
         if params.variant == "multiplier":
             self.fields += ("r",)
-            if self.r_space.mean_constraint:
-                w_r = assembly.domain_integral_vector(self.r_space)
-                self.borders["r_mean"] = ("r", w_r)
-        self.unknowns = self.fields + tuple(self.borders)
+        self.unknowns = self._bordered(self.fields)
 
         self.load_f = (
             assembly.assemble_linear(self.u_space, self.sources.f)
@@ -204,19 +208,44 @@ class MhdDriver:
             else np.zeros(self.E_space.num_free)
         )
 
-        self.dual_f = operators.VelocityDualNorm(self.K_u)(self.load_f)
+        # discrete dual norm sup <f, v> / |grad v| over the velocity space
+        x_f = linalg.solve_direct(self.K_u, self.load_f)
+        self.dual_f = float(np.sqrt(max(float(self.load_f @ x_f), 0.0)))
+
+    # ------------------------------------------------------------------
+    # the saddle systems: layout, border and scatter
+
+    def _bordered(self, fields) -> tuple:
+        """The fields in order, then the border of each zero-mean one."""
+        return tuple(fields) + tuple(f + "_mean" for f in fields if f in self.mean_rows)
+
+    def block_system(self, fields, blocks: dict, rhs: dict) -> tuple:
+        """Matrix and right-hand side (A, b) of a saddle system over the
+        named fields, from a map (test, trial) -> block and a map field ->
+        load vector; absent blocks and loads are zero.  Each zero-mean
+        field f gets its border row and column ``f + "_mean"`` after the
+        fields, so the unknowns are in ``_bordered(fields)`` order."""
+        blocks = dict(blocks)
+        for f in fields:
+            if f in self.mean_rows:
+                blocks[f + "_mean", f] = self.mean_rows[f]
+                blocks[f, f + "_mean"] = self.mean_rows[f].T
+        names = self._bordered(fields)
+        grid = [[blocks.get((t, f)) for f in names] for t in names]
+        A, b, _ = linalg.flatten(grid, [rhs.get(t) for t in names])
+        return A, b
+
+    def split(self, fields, x: np.ndarray) -> dict:
+        """Map field name -> FieldFunction of a solution of
+        ``block_system(fields, ...)``; the border multipliers are dropped."""
+        parts = np.split(x, np.cumsum([self.spaces[f].num_free for f in fields]))
+        return {f: FieldFunction.from_free(self.spaces[f], x_f) for f, x_f in zip(fields, parts)}
 
     # ------------------------------------------------------------------
     # assembly of one Picard step
 
     def zero_state(self) -> MhdState:
-        return MhdState(
-            u=FieldFunction.zeros(self.u_space),
-            E=FieldFunction.zeros(self.E_space),
-            B=FieldFunction.zeros(self.B_space),
-            p=FieldFunction.zeros(self.p_space),
-            r=FieldFunction.zeros(self.r_space) if "r" in self.fields else None,
-        )
+        return MhdState(**{f: FieldFunction.zeros(self.spaces[f]) for f in self.fields})
 
     def cross_blocks(self, B_prev: FieldFunction):
         """Ohm coupling (F, u x B-) and velocity Lorentz Gram matrix for a
@@ -230,11 +259,6 @@ class MhdDriver:
             "lorentz_cross", self.u_space, self.u_space, coefficient=B_prev
         )
         return O, Luu
-
-    def _grid(self, blocks: dict) -> list:
-        """``sp.bmat`` grid over the step unknowns from a map (test,
-        trial) -> block; absent pairs are zero blocks."""
-        return [[blocks.get((t, f)) for f in self.unknowns] for t in self.unknowns]
 
     def assemble_picard_step(
         self, u_prev: FieldFunction, B_prev: FieldFunction, cross=None
@@ -271,22 +295,39 @@ class MhdDriver:
             blocks["B", "r"] = blocks["r", "B"].T
         else:
             blocks["B", "B"] = alpha * self.G_dd
-        for name, (target, w) in self.borders.items():
-            blocks[name, target] = sp.csr_matrix(w)
-            blocks[target, name] = blocks[name, target].T
+        return self.block_system(self.fields, blocks, {"u": self.load_f, "E": self.load_g})
 
-        rhs = {"u": self.load_f, "E": self.load_g}
-        A, b, _ = linalg.flatten(self._grid(blocks), [rhs.get(t) for t in self.unknowns])
-        return A, b
+    # ------------------------------------------------------------------
+    # projections of the error analysis
 
-    def _state_from_solution(self, x: np.ndarray) -> MhdState:
-        state = self.zero_state()
-        sizes = [getattr(state, f).space.num_free for f in self.fields]
-        # the part past the fields holds the border multipliers
-        for name, part in zip(self.fields, np.split(x, np.cumsum(sizes))):
-            f = getattr(state, name)
-            f.coeffs[f.space.free] = part
-        return state
+    def stokes_project(self, grad_u_func, *, quad_degree: int = 6):
+        """Stokes projection of a velocity field given its gradient tensor.
+
+        Solves (grad Pu, grad v) + (q_aux, div v) = (grad u, grad v),
+        (div Pu, q) = 0 with zero-mean auxiliary pressure, over the
+        driver's velocity and pressure spaces.  ``grad_u_func`` maps
+        (N, 3) points to (N, 3, 3) tensors G_ij = d_j u_i.  Returns
+        (projected velocity, auxiliary pressure).
+        """
+        blocks = {("u", "u"): self.K_u, ("u", "p"): self.D_p.T, ("p", "u"): self.D_p}
+        rhs = {"u": assembly._grad_load(self.u_space, grad_u_func, quad_degree)}
+        try:
+            x = linalg.solve_direct(*self.block_system(("u", "p"), blocks, rhs))
+        except linalg.SingularMatrixError as exc:
+            raise MhdError(
+                f"Stokes system singular (velocity/pressure pair unstable): {exc}"
+            ) from exc
+        out = self.split(("u", "p"), x)
+        return out["u"], out["p"]
+
+    def divfree_project(self, func, *, quad_degree: int = 6) -> FieldFunction:
+        """Constrained L^2 projection onto the discretely divergence-free
+        subspace of the face space, with the driver's multiplier space
+        (zero-mean, and so bordered, iff the family is normal_B)."""
+        blocks = {("B", "B"): self.M_B, ("B", "r"): self.D_r.T, ("r", "B"): self.D_r}
+        rhs = {"B": assembly.assemble_linear(self.B_space, func, quad_degree=quad_degree)}
+        x = linalg.solve_direct(*self.block_system(("B", "r"), blocks, rhs))
+        return self.split(("B", "r"), x)["B"]
 
     # ------------------------------------------------------------------
     # Picard loop
@@ -320,7 +361,7 @@ class MhdDriver:
             x = linalg.solve_direct(A, b)
             bnorm = np.linalg.norm(b)
             resid = np.linalg.norm(b - A @ x) / bnorm if bnorm > 0 else 0.0
-            new_state = self._state_from_solution(x)
+            new_state = MhdState(**self.split(self.fields, x))
 
             du = FieldFunction(self.u_space, new_state.u.coeffs - state.u.coeffs)
             dB = FieldFunction(self.B_space, new_state.B.coeffs - state.B.coeffs)
@@ -477,7 +518,7 @@ class MhdDriver:
         unknowns: the (u, E, B) triple norm with the frozen-field Ohm
         term, L^2 for the scalar multipliers, identity on border rows."""
         O, Luu = self.cross_blocks(state.B)
-        W_uu = self.M_u + self.K_u
+        W_uu = assembly.assemble_bilinear("vec_mass", self.u_space, self.u_space) + self.K_u
         if O is not None:
             W_uu = W_uu + Luu
         C_EE = assembly.assemble_bilinear("curl_curl", self.E_space, self.E_space)
@@ -502,9 +543,10 @@ class MhdDriver:
             blocks["r", "r"] = assembly.assemble_bilinear(
                 "scalar_mass", self.r_space, self.r_space
             )
-        for name in self.borders:
+        for name in self.unknowns[len(self.fields):]:
             blocks[name, name] = sp.identity(1)
-        return sp.bmat(self._grid(blocks), format="csr")
+        names = self.unknowns
+        return sp.bmat([[blocks.get((t, f)) for f in names] for t in names], format="csr")
 
 
 def norm_sq_cellwise(values: np.ndarray, volumes: np.ndarray) -> float:

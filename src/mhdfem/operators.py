@@ -1,4 +1,4 @@
-"""Discrete differential operators, projections and solution norms.
+"""The discrete curl and the solution norms.
 
 The weak curl maps the face (div-conforming) space into the edge
 (curl-conforming) space through a pre-factorized mass solve:
@@ -9,15 +9,16 @@ The boundary-condition family is carried by the spaces themselves: with
 essential-zero spaces this is the operator of the homogeneous complex,
 with unconstrained spaces its natural-boundary variant.  The L^2
 projection onto the edge space reuses the same mass factorization.
-Alongside these live the Stokes projection, the divergence-free
-constrained L^2 projection, and the norms in which the solver measures
-increments and errors.
+Alongside it live the norms in which the solver measures increments and
+errors.  The Stokes and divergence-free projections of the error
+analysis are saddle systems over the scheme's own forms, so the Picard
+driver solves them (``MhdDriver.stokes_project``,
+``MhdDriver.divfree_project``).
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import assembly, derham, linalg
 from .derham import FeSpace, FieldFunction
@@ -57,9 +58,7 @@ class DiscreteCurl:
         if B.space is not self.div_space:
             raise OperatorError("field does not belong to the operator's face space")
         rhs = self.pairing @ B.coeffs[self.div_space.free]
-        out = np.zeros(self.curl_space.ndof)
-        out[self.curl_space.free] = self._lu.solve(rhs)
-        return FieldFunction(self.curl_space, out)
+        return FieldFunction.from_free(self.curl_space, self._lu.solve(rhs))
 
     def project(self, values: np.ndarray, rule) -> FieldFunction:
         """L^2 projection onto the edge space of a field tabulated at the
@@ -70,94 +69,8 @@ class DiscreteCurl:
         cellvec = np.einsum("cq,cqd,cqad->ca", wdet, values, basis)
         rhs = np.zeros(self.curl_space.ndof)
         np.add.at(rhs, self.curl_space.dofmap.ravel(), cellvec.ravel())
-        out = np.zeros(self.curl_space.ndof)
-        out[self.curl_space.free] = self._lu.solve(rhs[self.curl_space.free])
-        return FieldFunction(self.curl_space, out)
-
-
-def stokes_project(
-    u_space: FeSpace, p_space: FeSpace, K, D, grad_u_func, *, quad_degree: int = 6
-):
-    """Stokes projection of a velocity field given its gradient tensor.
-
-    Solves (grad Pu, grad v) + (q_aux, div v) = (grad u, grad v),
-    (div Pu, q) = 0 with zero-mean auxiliary pressure, where K is the
-    assembled ``grad_grad`` and D the ``div_pressure`` form.  ``grad_u_func``
-    maps (N, 3) points to (N, 3, 3) tensors G_ij = d_j u_i.  Returns
-    (projected velocity, auxiliary pressure).
-    """
-    if u_space.kind != "lagrange_p2_vector" or u_space.bc != "essential_zero":
-        raise OperatorError("Stokes projection needs the constrained velocity space")
-    rhs_u = _grad_load(u_space, grad_u_func, quad_degree)
-    w = sp.csr_matrix(assembly.domain_integral_vector(p_space))
-    # unknowns (u, p, zero-mean multiplier of p)
-    grid = [[K, D.T, None], [D, None, w.T], [None, w, None]]
-    A, b, offsets = linalg.flatten(grid, [rhs_u, None, None])
-    try:
-        x = linalg.solve_direct(A, b)
-    except linalg.SingularMatrixError as exc:
-        raise OperatorError(
-            f"Stokes system singular (velocity/pressure pair unstable): {exc}"
-        ) from exc
-    xu, xp, _ = np.split(x, offsets)
-    pu = np.zeros(u_space.ndof)
-    pu[u_space.free] = xu
-    pp = np.zeros(p_space.ndof)
-    pp[p_space.free] = xp
-    return FieldFunction(u_space, pu), FieldFunction(p_space, pp)
-
-
-def _grad_load(space: FeSpace, grad_func, quad_degree: int) -> np.ndarray:
-    """Load vector int G : grad v for the velocity space."""
-    rule = assembly.quadrature_rule(quad_degree)
-    mesh = space.mesh
-    xq = derham.physical_points(mesh, rule.points)
-    G = np.asarray(grad_func(xq.reshape(-1, 3)), dtype=float).reshape(
-        xq.shape[0], xq.shape[1], 3, 3
-    )
-    sg = derham.p2_scalar_gradients(mesh, rule.points)
-    wdet = assembly.quadrature_weights(mesh, rule)
-    comp = np.einsum("cq,cqij,cqaj->cai", wdet, G, sg)
-    vec = np.zeros(space.ndof)
-    np.add.at(vec, space.dofmap.ravel(), comp.reshape(mesh.num_cells, 30).ravel())
-    return vec[space.free]
-
-
-def divfree_l2_project(
-    div_space: FeSpace, mult_space: FeSpace, M, D, func, *, quad_degree: int = 6
-) -> FieldFunction:
-    """Constrained L^2 projection onto the discretely divergence-free
-    subspace of the face space (saddle-point solve).
-
-    M is the assembled ``vec_mass`` and D the ``div_scalar`` form.  The
-    multiplier space decides the constraint test space: with a
-    zero-mean multiplier a bordered row is added (homogeneous-flux
-    family); otherwise the full piecewise-constant space is used.
-    """
-    _check_div_mult(div_space, mult_space)
-    rhs = assembly.assemble_linear(div_space, func, quad_degree=quad_degree)
-    # unknowns (B, multiplier[, zero-mean multiplier of the multiplier])
-    if mult_space.mean_constraint:
-        w = sp.csr_matrix(assembly.domain_integral_vector(mult_space))
-        grid = [[M, D.T, None], [D, None, w.T], [None, w, None]]
-    else:
-        grid = [[M, D.T], [D, None]]
-    A, b, offsets = linalg.flatten(grid, [rhs] + [None] * (len(grid) - 1))
-    x = linalg.solve_direct(A, b)
-    out = np.zeros(div_space.ndof)
-    out[div_space.free] = np.split(x, offsets)[0]
-    return FieldFunction(div_space, out)
-
-
-def _check_div_mult(div_space, mult_space):
-    if div_space.kind != "rt_lowest" or mult_space.kind != "dg0":
-        raise OperatorError("projection needs (rt_lowest, dg0) spaces")
-    if div_space.mesh is not mult_space.mesh:
-        raise OperatorError("spaces live on different meshes")
-    if (div_space.bc == "essential_zero") != mult_space.mean_constraint:
-        raise OperatorError(
-            "constrained-flux face space pairs with the zero-mean multiplier "
-            "and the unconstrained face space with the full multiplier"
+        return FieldFunction.from_free(
+            self.curl_space, self._lu.solve(rhs[self.curl_space.free])
         )
 
 
@@ -172,20 +85,6 @@ def lp_norm(f: FieldFunction, p: int = 2, *, quad_degree: int = 6) -> float:
     rule = assembly.quadrature_rule(quad_degree)
     vals = derham.evaluate_on_cells(f, rule.points)
     wdet = assembly.quadrature_weights(f.space.mesh, rule)
-    return _lp_from_values(vals, wdet, p)
-
-
-def lp_norm_callable(mesh, func, p: int = 2, *, quad_degree: int = 6) -> float:
-    """L^p norm of an analytic field by quadrature."""
-    rule = assembly.quadrature_rule(quad_degree)
-    xq = derham.physical_points(mesh, rule.points)
-    vals = np.asarray(func(xq.reshape(-1, 3)), dtype=float)
-    vals = vals.reshape(xq.shape[:2] + vals.shape[1:])
-    wdet = assembly.quadrature_weights(mesh, rule)
-    return _lp_from_values(vals, wdet, p)
-
-
-def _lp_from_values(vals, wdet, p):
     if vals.ndim == 3:
         mag = np.sqrt(np.einsum("cqd,cqd->cq", vals, vals))
     else:
@@ -233,16 +132,3 @@ def norm_d(B: FieldFunction, dcurl: DiscreteCurl) -> float:
 def norm_w(u: FieldFunction, B: FieldFunction, dcurl: DiscreteCurl) -> float:
     """Combined solution norm |(u, B)|_W = (|u|_1^2 + |B|_d^2)^(1/2)."""
     return float(np.sqrt(norm_h1_vec(u) ** 2 + norm_d(B, dcurl) ** 2))
-
-
-class VelocityDualNorm:
-    """Discrete dual norm sup <f, v> / |grad v| over the velocity space,
-    realized by one stiffness solve per application."""
-
-    def __init__(self, stiffness):
-        self._lu = linalg.Factorization(stiffness)
-
-    def __call__(self, load_free: np.ndarray) -> float:
-        x = self._lu.solve(load_free)
-        val = float(load_free @ x)
-        return float(np.sqrt(max(val, 0.0)))

@@ -196,8 +196,8 @@ def error_norms(driver: MhdDriver, state, case: ManufacturedCase, *, quad_degree
 
     The magnetic graph-norm quantities compare against the constrained
     projection of the exact field (the quantity the error analysis
-    controls); plain L2 errors compare against the exact fields.  Both
-    projections solve with the driver's forms and multiplier space.
+    controls); plain L2 errors compare against the exact fields.  The
+    driver solves both projections.
     """
     rule = assembly.quadrature_rule(quad_degree)
     mesh = driver.mesh
@@ -220,13 +220,9 @@ def error_norms(driver: MhdDriver, state, case: ManufacturedCase, *, quad_degree
     p_h = derham.evaluate_on_cells(state.p, rule.points)
     p_ex = case.p(xq).reshape(nc, nq)
 
-    PB = operators.divfree_l2_project(
-        driver.B_space, driver.r_space, driver.M_B, driver.D_r, case.B, quad_degree=quad_degree
-    )
+    PB = driver.divfree_project(case.B, quad_degree=quad_degree)
     dPi = FieldFunction(driver.B_space, PB.coeffs - state.B.coeffs)
-    Pu, _ = operators.stokes_project(
-        driver.u_space, driver.p_space, driver.K_u, driver.D_p, case.grad_u, quad_degree=quad_degree
-    )
+    Pu, _ = driver.stokes_project(case.grad_u, quad_degree=quad_degree)
     dPu = FieldFunction(driver.u_space, Pu.coeffs - state.u.coeffs)
 
     return {

@@ -77,6 +77,17 @@ def read_report(tmp_path, name):
         {"bc_family": "periodic"},
         {"nonsense": 1},
         {"quad_degree": 13},
+        # JSON reads true and false as numbers, and Infinity and NaN too
+        {"picard": {"maxit": True}},
+        {"params": {"Rm": float("inf")}},
+        {"params": {"s": float("inf")}},
+        {"params": {"Re": float("nan")}},
+        {"case": {"builtin": float("inf")}},
+        {"case": {"builtin": True}},
+        {"mesh": {"builtin": True}},
+        {"levels": [True, 2, 3]},
+        {"samples": True},
+        {"seed": True},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, overrides):
@@ -113,10 +124,28 @@ def test_truncated_msh_file_exits_2(tmp_path, capsys):
     assert "cannot load mesh" in err and "line 9: unexpected end of file" in err
 
 
+def test_nan_coordinate_in_msh_file_exits_2(tmp_path, capsys):
+    msh = tmp_path / "nan.msh"
+    msh.write_text(MSH_SAMPLE.replace("3 0 1 0", "3 0 nan 0"), encoding="utf-8")
+    path = write_config(tmp_path, mesh={"msh2": str(msh)}, case={"zero_source": True})
+    for command in ("complex-check", "solve"):
+        assert cli.main([command, "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "cannot load mesh" in err and "line 8" in err
+    assert not list(tmp_path.glob("*_report.json"))
+
+
 def test_solve_rejects_the_degenerate_coarse_mesh(tmp_path, capsys):
     path = write_config(tmp_path, mesh={"builtin": 1})
     assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "needs n >= 2" in capsys.readouterr().err
+
+
+def test_convergence_rejects_the_degenerate_coarse_mesh(tmp_path, capsys):
+    path = write_config(tmp_path, levels=[1, 2, 3])
+    assert cli.main(["convergence", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "levels n >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "convergence_report.json").exists()
 
 
 def test_missing_subcommand_is_a_usage_error():

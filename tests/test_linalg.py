@@ -265,16 +265,37 @@ def _package_trees():
         yield path.name, ast.parse(path.read_text(), filename=str(path))
 
 
-def test_only_linalg_factors_matrices():
-    callers = set()
-    for name, tree in _package_trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                fn = node.func
+def _call_sites(callee: str) -> list:
+    """(module, enclosing function) of every call to ``callee`` in the
+    package, by plain or attribute name."""
+    sites = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
                 called = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
-                if called == "splu":
-                    callers.add(name)
-    assert callers == {"linalg.py"}
+                if called == callee:
+                    sites.append((module, where))
+            visit(child, module, where)
+
+    for name, tree in _package_trees():
+        visit(tree, name, None)
+    return sites
+
+
+def test_only_linalg_factors_matrices():
+    assert {module for module, _ in _call_sites("splu")} == {"linalg.py"}
+
+
+def test_one_saddle_system_path():
+    # the driver's block_system is the one place a block grid is
+    # flattened, and the driver the one place that builds a border row
+    assert _call_sites("flatten") == [("mhd.py", "block_system")]
+    assert {module for module, _ in _call_sites("domain_integral_vector")} == {"mhd.py"}
 
 
 def test_no_private_linalg_names_outside_linalg():

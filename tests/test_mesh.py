@@ -187,6 +187,8 @@ def test_msh2_reader_repairs_negative_tet(tmp_path):
         (lambda s: s[: s.index("4 0 0 1")], 9),
         (lambda s: s.replace("3 0 1 0", "3 0 one 0"), 8),
         (lambda s: s.replace("2 4 2 10 1 1 2 3 4", "2 4 2 10 1 1 2 three 4"), 15),
+        pytest.param(lambda s: s.replace("3 0 1 0", "3 0 nan 0"), 8, id="nan-8"),
+        pytest.param(lambda s: s.replace("3 0 1 0", "3 0 1 -inf"), 8, id="inf-8"),
     ],
 )
 def test_msh2_reader_errors(tmp_path, mangle, line):

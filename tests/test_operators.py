@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhdfem import linalg
-from mhdfem.assembly import assemble_bilinear, quadrature_rule, quadrature_weights
+from mhdfem.assembly import quadrature_rule, quadrature_weights
 from mhdfem.derham import (
     FieldFunction,
     canonical_interpolate,
@@ -15,19 +15,16 @@ from mhdfem.derham import (
     physical_points,
 )
 from mhdfem.mesh import unit_cube_mesh, build_topology
+from mhdfem.mhd import MhdDriver, MhdError, MhdParams
 from mhdfem.operators import (
     DiscreteCurl,
     OperatorError,
-    VelocityDualNorm,
-    divfree_l2_project,
     lp_norm,
-    lp_norm_callable,
     norm_curl_part,
     norm_d,
     norm_div_part,
     norm_h1_vec,
     norm_w,
-    stokes_project,
 )
 from mhdfem.verify import builtin_case
 
@@ -49,20 +46,6 @@ def _field_as_callable(field, quad_degree=6):
         return vals
 
     return func
-
-
-def _stokes(u, q, grad_func, **kwargs):
-    """Stokes projection with the forms assembled as the driver does."""
-    K = assemble_bilinear("grad_grad", u, u)
-    D = assemble_bilinear("div_pressure", u, q)
-    return stokes_project(u, q, K, D, grad_func, **kwargs)
-
-
-def _divfree(rt, dg, func):
-    """Divergence-free projection with the forms assembled as the driver does."""
-    M = assemble_bilinear("vec_mass", rt, rt)
-    D = assemble_bilinear("div_scalar", rt, dg)
-    return divfree_l2_project(rt, dg, M, D, func)
 
 
 # ----------------------------------------------------------------------
@@ -195,32 +178,26 @@ def test_l2_project_pythagoras_split(mesh2, topo2):
 # Stokes projection
 
 
-def test_stokes_project_zero():
-    mesh = unit_cube_mesh(2)
-    topo = build_topology(mesh)
-    u = make_space("lagrange_p2_vector", "essential_zero", mesh, topo)
-    q = make_space("lagrange_p1_pressure", "none", mesh, topo)
-    pu, pp = _stokes(u, q, lambda x: np.zeros((len(x), 3, 3)))
+def test_stokes_project_zero(mesh2):
+    drv = MhdDriver(mesh2, MhdParams())
+    pu, pp = drv.stokes_project(lambda x: np.zeros((len(x), 3, 3)))
     assert np.abs(pu.coeffs).max() <= 1e-12
     assert np.abs(pp.coeffs).max() <= 1e-12
 
 
-def test_stokes_project_output_is_discretely_divfree(mesh2, topo2):
+def test_stokes_project_output_is_discretely_divfree(mesh2):
     case = builtin_case("normal_B")
-    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    q = make_space("lagrange_p1_pressure", "none", mesh2, topo2)
-    pu, _ = _stokes(u, q, case.grad_u)
-    D = assemble_bilinear("div_pressure", u, q)
-    weak_div = D @ pu.coeffs[u.free]
+    drv = MhdDriver(mesh2, case.params())
+    pu, _ = drv.stokes_project(case.grad_u)
+    weak_div = drv.D_p @ pu.coeffs[drv.u_space.free]
     scale = max(np.abs(pu.coeffs).max(), 1e-30)
     assert np.abs(weak_div).max() <= 1e-12 * scale
 
 
-def test_stokes_project_reproduces_member(mesh2, topo2):
+def test_stokes_project_reproduces_member(mesh2):
     case = builtin_case("normal_B")
-    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    q = make_space("lagrange_p1_pressure", "none", mesh2, topo2)
-    pu1, _ = _stokes(u, q, case.grad_u)
+    drv = MhdDriver(mesh2, case.params())
+    pu1, _ = drv.stokes_project(case.grad_u)
     rule = quadrature_rule(6)
     G = evaluate_grad_on_cells(pu1, rule.points).reshape(-1, 3, 3)
 
@@ -228,7 +205,7 @@ def test_stokes_project_reproduces_member(mesh2, topo2):
         assert len(x) == len(G)
         return G
 
-    pu2, _ = _stokes(u, q, grad_func)
+    pu2, _ = drv.stokes_project(grad_func)
     scale = max(np.abs(pu1.coeffs).max(), 1e-30)
     assert np.abs(pu2.coeffs - pu1.coeffs).max() <= 1e-10 * scale
 
@@ -240,10 +217,7 @@ def test_stokes_project_convergence_rate():
     errs = []
     for n in (4, 8, 10):
         mesh = unit_cube_mesh(n)
-        topo = build_topology(mesh)
-        u = make_space("lagrange_p2_vector", "essential_zero", mesh, topo)
-        q = make_space("lagrange_p1_pressure", "none", mesh, topo)
-        pu, _ = _stokes(u, q, case.grad_u, quad_degree=8)
+        pu, _ = MhdDriver(mesh, case.params()).stokes_project(case.grad_u, quad_degree=8)
         rule = quadrature_rule(8)
         wdet = quadrature_weights(mesh, rule)
         x = physical_points(mesh, rule.points).reshape(-1, 3)
@@ -264,49 +238,54 @@ def test_stokes_project_convergence_rate():
     assert rate >= 1.9
 
 
-def test_stokes_project_needs_constrained_space(mesh2, topo2):
-    u = make_space("lagrange_p2_vector", "none", mesh2, topo2)
-    q = make_space("lagrange_p1_pressure", "none", mesh2, topo2)
-    with pytest.raises(OperatorError, match="constrained velocity"):
-        stokes_project(u, q, None, None, lambda x: np.zeros((len(x), 3, 3)))
+def test_stokes_project_singular_system_is_a_driver_error(mesh1):
+    # on the one-cube mesh the velocity/pressure pair is unstable; the
+    # CLI reports a driver error as a failed run, not a traceback
+    drv = MhdDriver(mesh1, MhdParams())
+    with pytest.raises(MhdError, match="Stokes system singular"):
+        drv.stokes_project(lambda x: np.zeros((len(x), 3, 3)))
 
 
 # ----------------------------------------------------------------------
 # divergence-free L^2 projection
 
 
-@pytest.mark.parametrize(
-    "bc, mean", [("essential_zero", True), ("none", False)], ids=["flux_zero", "free"]
-)
-def test_divfree_project_divergence_vanishes(mesh2, topo2, bc, mean):
-    case = builtin_case("normal_B" if bc == "essential_zero" else "tangential_B")
-    rt = make_space("rt_lowest", bc, mesh2, topo2)
-    dg = make_space("dg0", "none", mesh2, topo2, mean_constraint=mean)
-    out = _divfree(rt, dg, case.B)
-    scale = max(np.abs(out.coeffs).max(), 1e-30)
-    assert np.abs(evaluate_div_on_cells(out)).max() <= 1e-12 * scale
+@pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"], ids=["flux_zero", "free"])
+def test_divfree_project_divergence_vanishes(mesh2, monkeypatch, bc_family):
+    # both variants project with the driver's multiplier space, bordered
+    # by a zero-mean row iff the face space carries the flux constraint
+    sizes = []
+    solve = linalg.solve_direct
+    monkeypatch.setattr(linalg, "solve_direct", lambda A, b: sizes.append(len(b)) or solve(A, b))
+    case = builtin_case(bc_family)
+    for variant in ("multiplier", "augmented"):
+        drv = MhdDriver(mesh2, case.params(variant))
+        sizes.clear()
+        out = drv.divfree_project(case.B)
+        border = 1 if bc_family == "normal_B" else 0
+        assert sizes == [drv.B_space.num_free + drv.r_space.num_free + border]
+        scale = max(np.abs(out.coeffs).max(), 1e-30)
+        assert np.abs(evaluate_div_on_cells(out)).max() <= 1e-12 * scale
 
 
 def test_divfree_project_reproduces_member(mesh2, topo2):
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
-    dg = make_space("dg0", "none", mesh2, topo2, mean_constraint=True)
+    drv = MhdDriver(mesh2, MhdParams())
+    ned = drv.E_space
     F0 = np.zeros(ned.ndof)
     F0[ned.free] = RNG.standard_normal(ned.num_free)
-    member = FieldFunction(rt, topo2.curl_incidence @ F0)
-    out = _divfree(rt, dg, _field_as_callable(member))
+    member = FieldFunction(drv.B_space, topo2.curl_incidence @ F0)
+    out = drv.divfree_project(_field_as_callable(member))
     scale = max(np.abs(member.coeffs).max(), 1e-30)
     assert np.abs(out.coeffs - member.coeffs).max() <= 1e-10 * scale
 
 
-def test_divfree_project_optimality(mesh2, topo2):
+def test_divfree_project_optimality(mesh2):
     # the constrained projection beats canonical interpolation of the
     # divergence-free exact field in the L^2 distance
     case = builtin_case("normal_B")
-    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
-    dg = make_space("dg0", "none", mesh2, topo2, mean_constraint=True)
-    proj = _divfree(rt, dg, case.B)
-    interp = canonical_interpolate(rt, case.B)
+    drv = MhdDriver(mesh2, case.params())
+    proj = drv.divfree_project(case.B)
+    interp = canonical_interpolate(drv.B_space, case.B)
     rule = quadrature_rule(8)
     wdet = quadrature_weights(mesh2, rule)
     x = physical_points(mesh2, rule.points).reshape(-1, 3)
@@ -319,36 +298,18 @@ def test_divfree_project_optimality(mesh2, topo2):
     assert err(proj) <= err(interp) + 1e-10
 
 
-def test_divfree_project_pairing_guards(mesh2, topo2):
-    rt_e = make_space("rt_lowest", "essential_zero", mesh2, topo2)
-    rt_n = make_space("rt_lowest", "none", mesh2, topo2)
-    dg_full = make_space("dg0", "none", mesh2, topo2)
-    dg_zm = make_space("dg0", "none", mesh2, topo2, mean_constraint=True)
-    ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
-    f = lambda x: np.zeros((len(x), 3))
-    with pytest.raises(OperatorError, match="rt_lowest"):
-        divfree_l2_project(ned, dg_full, None, None, f)
-    with pytest.raises(OperatorError, match="multiplier"):
-        divfree_l2_project(rt_e, dg_full, None, None, f)
-    with pytest.raises(OperatorError, match="multiplier"):
-        divfree_l2_project(rt_n, dg_zm, None, None, f)
-
-
 # ----------------------------------------------------------------------
 # norms
 
 
 def test_lp_norm_oracles(mesh2, topo2):
-    assert lp_norm_callable(
-        mesh2, lambda x: np.tile([1.0, 0.0, 0.0], (len(x), 1)), 3
-    ) == pytest.approx(1.0, rel=1e-12)
-    xfield = lambda x: np.stack([x[:, 0], 0 * x[:, 0], 0 * x[:, 0]], axis=1)
-    assert lp_norm_callable(mesh2, xfield, 2) == pytest.approx(
-        np.sqrt(1.0 / 3.0), rel=1e-12
+    # (x, 0, 0) lies in the P2 space, and x >= 0 makes |x|^3 a polynomial
+    u = make_space("lagrange_p2_vector", "none", mesh2, topo2)
+    xfield = canonical_interpolate(
+        u, lambda x: np.stack([x[:, 0], 0 * x[:, 0], 0 * x[:, 0]], axis=1)
     )
-    assert lp_norm_callable(mesh2, xfield, 3) == pytest.approx(
-        0.25 ** (1.0 / 3.0), rel=1e-12
-    )
+    assert lp_norm(xfield, 2) == pytest.approx(np.sqrt(1.0 / 3.0), rel=1e-12)
+    assert lp_norm(xfield, 3) == pytest.approx(0.25 ** (1.0 / 3.0), rel=1e-12)
     ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
     const = canonical_interpolate(ned, lambda x: np.tile([1.0, 0.0, 0.0], (len(x), 1)))
     assert lp_norm(const, 3) == pytest.approx(1.0, rel=1e-12)
@@ -383,22 +344,21 @@ def test_norm_w_recomposition(mesh2, topo2):
     assert norm_w(uh, B, dcurl) == pytest.approx(expected, rel=1e-13)
 
 
-def test_velocity_dual_norm(mesh2, topo2):
-    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    K = assemble_bilinear("grad_grad", u, u)
-    dual = VelocityDualNorm(K)
-    x = RNG.standard_normal(u.num_free)
-    load = K @ x
-    expected = np.sqrt(x @ load)
-    assert dual(load) == pytest.approx(expected, rel=1e-10)
+def test_velocity_dual_norm(mesh2):
+    # the driver's sup <f, v> / |grad v| is (f . K^-1 f)^(1/2)
+    case = builtin_case("normal_B")
+    drv = MhdDriver(mesh2, case.params(), case.sources())
+    f = drv.load_f
+    expected = np.sqrt(f @ np.linalg.solve(drv.K_u.toarray(), f))
+    assert expected > 0
+    assert drv.dual_f == pytest.approx(expected, rel=1e-10)
 
 
-def test_velocity_dual_norm_raises_when_contract_is_missed(mesh2, topo2, monkeypatch):
-    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    dual = VelocityDualNorm(assemble_bilinear("grad_grad", u, u))
+def test_velocity_dual_norm_raises_when_contract_is_missed(mesh2, monkeypatch):
+    case = builtin_case("normal_B")
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(linalg.LinAlgError, match="residual"):
-        dual(RNG.standard_normal(u.num_free))
+        MhdDriver(mesh2, case.params(), case.sources())
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mhdfem import assembly, derham, operators
+from mhdfem import assembly, derham
 from mhdfem.derham import canonical_interpolate
 from mhdfem.mesh import unit_cube_mesh
 from mhdfem.mhd import MhdDriver
@@ -144,12 +144,8 @@ def test_zero_state_errors_equal_field_norms(mesh2):
 def test_injected_projections_zero_their_norms(mesh2):
     case = builtin_case("normal_B")
     driver = MhdDriver(mesh2, case.params("multiplier"), case.sources())
-    PB = operators.divfree_l2_project(
-        driver.B_space, driver.r_space, driver.M_B, driver.D_r, case.B, quad_degree=6
-    )
-    Pu, _ = operators.stokes_project(
-        driver.u_space, driver.p_space, driver.K_u, driver.D_p, case.grad_u, quad_degree=6
-    )
+    PB = driver.divfree_project(case.B)
+    Pu, _ = driver.stokes_project(case.grad_u)
     state = driver.zero_state()
     state.B.coeffs[:] = PB.coeffs
     state.u.coeffs[:] = Pu.coeffs
@@ -278,7 +274,7 @@ def test_each_constant_form_is_assembled_once(mesh2, monkeypatch, bc_family, var
     assert report.converged
     error_norms(driver, state, case)
     assert counts and set(counts.values()) == {1}
-    assert len(counts) == (8 if variant == "augmented" else 7)
+    assert len(counts) == (7 if variant == "augmented" else 6)
 
 
 # ----------------------------------------------------------------------
