@@ -15,9 +15,11 @@ domain integrals of the basis functions (see MhdDriver.block_system).
 The quadrature degree of each bilinear form makes its integrand exact
 on affine cells: 4 for the fluid blocks, 5 for convection
 (P2 x grad P2 x P2), 3 for curl/divergence pairings, and 6 for the
-magnetic cross blocks, whose double-cross velocity term
-(u x B) x B . v has degree 6.  Load vectors against analytic sources
-default to degree 6.
+magnetic cross blocks.  These use (phi e_i x B) . F = phi (B x F)_i and
+(phi_a e_i x B) . (phi_b e_j x B) = phi_a phi_b (|B|^2 delta_ij - B_i B_j),
+so each is one contraction of the scalar P2 table with a per-point
+tensor of B; B in RT is linear, so |B|^2 phi_a phi_b has degree 6.
+Load vectors against analytic sources default to degree 6.
 """
 
 from __future__ import annotations
@@ -246,13 +248,20 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         curls = derham.nedelec_curls(mesh)
         return np.einsum("cad,cbd->cab", curls, curls) / 6.0
     if form_id == "ohm_cross":
-        cross = _velocity_cross_basis(coefficient, trial, rule)  # (nc, nq, 30, 3)
-        ned = derham.nedelec_values(mesh, pts)
-        return np.einsum("q,cqad,cqbd->cab", w, ned, cross)  # rows edge-test, cols u-trial
+        # (phi_a e_i x B) . N_e = phi_a (B x N_e)_i
+        s = derham.p2_scalar_values(pts)
+        bvals = derham.evaluate_on_cells(coefficient, pts)  # (nc, nq, 3)
+        bxn = np.cross(bvals[:, :, None, :], derham.nedelec_values(mesh, pts))
+        k = np.einsum("q,qa,cqei->ceai", w, s, bxn, optimize=True)
+        return k.reshape(mesh.num_cells, 6, 30)  # rows edge-test, cols u-trial
     if form_id == "lorentz_cross":
-        # trial and test are velocity spaces on one mesh: one basis tensor
-        cross = _velocity_cross_basis(coefficient, test, rule)
-        return np.einsum("q,cqad,cqbd->cab", w, cross, cross)
+        # (phi_a e_i x B) . (phi_b e_j x B) = phi_a phi_b (|B|^2 delta_ij - B_i B_j)
+        s = derham.p2_scalar_values(pts)
+        bvals = derham.evaluate_on_cells(coefficient, pts)
+        c = np.einsum("cqk,cqk->cq", bvals, bvals)[..., None, None] * np.eye(3)
+        c -= bvals[..., :, None] * bvals[..., None, :]  # (nc, nq, 3, 3)
+        k = np.einsum("q,qa,qb,cqij->caibj", w, s, s, c, optimize=True)
+        return k.reshape(mesh.num_cells, 30, 30)
     raise FormError(f"unknown form {form_id!r}")
 
 
@@ -280,25 +289,6 @@ def _expand_vector_block(k):
     for comp in range(3):
         out[:, comp::3, comp::3] = k
     return out
-
-
-def _velocity_cross_basis(b_field, space, rule):
-    """Tabulate (phi_a e_c) x B at quadrature points for the velocity
-    basis: shape (nc, nq, 30, 3), local dof = 3a + c."""
-    if space.kind != "lagrange_p2_vector":
-        raise FormError("cross blocks need the velocity space")
-    pts = rule.points
-    bvals = derham.evaluate_on_cells(b_field, pts)  # (nc, nq, 3)
-    s = derham.p2_scalar_values(pts)  # (nq, 10)
-    eye = np.eye(3)
-    # e_k x B for the three unit vectors: (nc, nq, 3 components, 3)
-    ecb = np.stack(
-        [np.cross(np.broadcast_to(eye[k], bvals.shape), bvals) for k in range(3)],
-        axis=2,
-    )
-    cross = np.einsum("qa,cqke->cqake", s, ecb)  # (nc, nq, 10, 3, 3)
-    nc, nq = bvals.shape[:2]
-    return cross.reshape(nc, nq, 30, 3)
 
 
 def _scatter(local, trial, test):

@@ -175,8 +175,8 @@ def load_config(path: str) -> dict:
     if not isinstance(outputs, dict):
         raise ConfigError("outputs must be an object")
     _require_keys(outputs, {"csv", "json"}, "outputs")
-    for key in ("csv", "json"):
-        if key in outputs and not isinstance(outputs[key], str):
+    for key, name in outputs.items():
+        if not isinstance(name, str) or os.path.basename(name) in ("", ".", ".."):
             raise ConfigError(f"outputs.{key} must be a file name")
     cfg["outputs"] = outputs
 

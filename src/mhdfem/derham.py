@@ -34,8 +34,7 @@ class SpaceError(Exception):
 
 
 SCALAR_KINDS = ("lagrange_p1", "lagrange_p1_pressure", "dg0")
-VECTOR_KINDS = ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
-ALL_KINDS = SCALAR_KINDS + VECTOR_KINDS
+ALL_KINDS = SCALAR_KINDS + ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
 BC_KINDS = ("essential_zero", "none")
 
 # degree-5-exact Gauss rule on [0, 1] for edge circulations
@@ -86,10 +85,6 @@ class FeSpace:
     @property
     def nloc(self) -> int:
         return self.dofmap.shape[1]
-
-    @property
-    def is_vector(self) -> bool:
-        return self.kind in VECTOR_KINDS
 
 
 @dataclass

@@ -209,8 +209,10 @@ class MhdDriver:
         )
 
         # discrete dual norm sup <f, v> / |grad v| over the velocity space
-        x_f = linalg.solve_direct(self.K_u, self.load_f)
-        self.dual_f = float(np.sqrt(max(float(self.load_f @ x_f), 0.0)))
+        self.dual_f = 0.0
+        if np.any(self.load_f):
+            x_f = linalg.solve_direct(self.K_u, self.load_f)
+            self.dual_f = float(np.sqrt(max(float(self.load_f @ x_f), 0.0)))
 
     # ------------------------------------------------------------------
     # the saddle systems: layout, border and scatter

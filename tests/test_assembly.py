@@ -24,7 +24,7 @@ from mhdfem.derham import (
     physical_points,
 )
 from mhdfem.verify import builtin_case
-from oracles import vertex_volume_weights
+from oracles import cross_forms, vertex_volume_weights
 
 RNG = np.random.default_rng(11)
 
@@ -211,7 +211,7 @@ def test_convection_is_skew(mesh2, topo2):
 
 
 # ----------------------------------------------------------------------
-# the magnetic cross forms at a constant field
+# the magnetic cross forms
 
 
 B_CONST = np.array([0.3, -1.2, 0.7])
@@ -245,6 +245,29 @@ def test_ohm_cross_is_the_load_of_u_cross_B(mesh2, topo2):
     expected = assemble_linear(ned, lambda x: np.cross(uvals, B_CONST), quad_degree=6)
     got = O @ uh.coeffs[u.free]
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("ess", ["essential_zero", "none"])
+def test_cross_forms_match_the_tabulated_cross_at_a_varying_field(mesh2, topo2, ess):
+    # a random RT field varies from point to point, so a per-point
+    # indexing slip in the contraction shows here but not at constant B
+    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
+    ned = make_space("nedelec1_lowest", ess, mesh2, topo2)
+    rt = make_space("rt_lowest", ess, mesh2, topo2)
+    rng = np.random.default_rng(5)
+    B = FieldFunction.from_free(rt, rng.standard_normal(rt.num_free))
+    O = assemble_bilinear("ohm_cross", u, ned, coefficient=B).toarray()
+    Luu = assemble_bilinear("lorentz_cross", u, u, coefficient=B).toarray()
+    rule = quadrature_rule(6)
+    O_ref, Luu_ref = cross_forms(u, ned, B, rule)
+    assert np.abs(O - O_ref).max() <= 1e-13 * np.abs(O_ref).max()
+    assert np.abs(Luu - Luu_ref).max() <= 1e-13 * np.abs(Luu_ref).max()
+
+    uh = FieldFunction.from_free(u, rng.standard_normal(u.num_free))
+    x = uh.coeffs[u.free]
+    uxb = np.cross(evaluate_on_cells(uh, rule.points), evaluate_on_cells(B, rule.points))
+    expected = np.sum(quadrature_weights(mesh2, rule) * np.sum(uxb**2, axis=-1))
+    assert abs(x @ Luu @ x - expected) <= 1e-13 * expected
 
 
 def test_lorentz_cross_takes_only_velocity_trials(mesh1, topo1):

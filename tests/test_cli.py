@@ -88,6 +88,11 @@ def read_report(tmp_path, name):
         {"levels": [True, 2, 3]},
         {"samples": True},
         {"seed": True},
+        # an output name with no file part would be a directory
+        {"outputs": {"json": ""}},
+        {"outputs": {"csv": "sub/"}},
+        {"outputs": {"json": "."}},
+        {"outputs": {"csv": "sub/.."}},
     ],
 )
 def test_invalid_configs_exit_2(tmp_path, capsys, overrides):

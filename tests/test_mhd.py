@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mhdfem import assembly, operators
+from mhdfem import assembly, linalg, operators
 from mhdfem.derham import FieldFunction, build_topology, evaluate_on_cells
 from mhdfem.mhd import (
     MhdDriver,
@@ -240,6 +240,21 @@ def test_zero_sources_converge_immediately(mesh2):
     assert report.converged and report.iterations == 1
     for field in (state.u, state.E, state.B, state.p, state.r):
         assert not np.any(field.coeffs)
+
+
+@pytest.mark.parametrize("with_sources, factorizations", [(False, 1), (True, 2)])
+def test_velocity_dual_norm_factors_only_a_nonzero_load(
+    mesh2, monkeypatch, with_sources, factorizations
+):
+    """The Nedelec mass of the discrete curl is always factored; the
+    velocity stiffness only when the load f has a nonzero entry."""
+    calls = []
+    splu = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda A: calls.append(A) or splu(A))
+    sources = builtin_case("normal_B").sources() if with_sources else None
+    drv = MhdDriver(mesh2, MhdParams(), sources)
+    assert len(calls) == factorizations
+    assert (drv.dual_f > 0.0) == with_sources
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
