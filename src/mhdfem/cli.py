@@ -37,6 +37,14 @@ EXIT_CONFIG = 2
 RATE_COLUMNS = ("err_u_h1", "err_B_l2", "err_B_hcurl_h", "err_B_l3")
 RATE_THRESHOLD = 0.9
 
+# report kind -> default file name, per command
+OUTPUTS = {
+    "solve": {"json": "solve_report.json"},
+    "convergence": {"json": "convergence_report.json", "csv": "convergence_table.csv"},
+    "complex-check": {"json": "complex_report.json"},
+    "l3-study": {"json": "l3_report.json", "csv": "l3_table.csv"},
+}
+
 _TOP_KEYS = {
     "mesh",
     "params",
@@ -223,8 +231,18 @@ def _write_text(text: str, path: str) -> None:
         fh.write(text)
 
 
-def _out_path(cfg: dict, out_dir: str, kind: str, default: str) -> str:
-    return os.path.join(out_dir, cfg["outputs"].get(kind, default))
+def _output_paths(cfg: dict, out_dir: str, command: str) -> dict:
+    """Report kind -> file path of a command's reports under out_dir;
+    a path that names an existing directory is a config error, raised
+    before any work is done."""
+    paths = {
+        kind: os.path.join(out_dir, cfg["outputs"].get(kind, default))
+        for kind, default in OUTPUTS[command].items()
+    }
+    for kind, path in paths.items():
+        if os.path.isdir(path):
+            raise ConfigError(f"outputs.{kind} names the directory {path}, not a file")
+    return paths
 
 
 def _params_section(cfg: dict) -> dict:
@@ -277,7 +295,7 @@ def _case_and_sources(cfg: dict):
 # subcommands
 
 
-def cmd_solve(cfg: dict, out_dir: str) -> int:
+def cmd_solve(cfg: dict, paths: dict) -> int:
     mesh, mesh_meta = _build_mesh(cfg, min_n=2)
     case, sources = _case_and_sources(cfg)
     driver = MhdDriver(mesh, cfg["params"], sources=sources)
@@ -316,11 +334,11 @@ def cmd_solve(cfg: dict, out_dir: str) -> int:
         "checks": checks,
         "pass": all(checks.values()),
     }
-    _write_json(report, _out_path(cfg, out_dir, "json", "solve_report.json"))
+    _write_json(report, paths["json"])
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
-def cmd_convergence(cfg: dict, out_dir: str) -> int:
+def cmd_convergence(cfg: dict, paths: dict) -> int:
     if cfg["case"][0] != "builtin":
         raise ConfigError("a convergence study needs the builtin case (an exact solution)")
     if len(cfg["levels"]) < 3:
@@ -328,7 +346,6 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
     if cfg["levels"][0] < 2:
         raise ConfigError("a convergence study needs levels n >= 2")
     case, _ = _case_and_sources(cfg)
-    json_path = _out_path(cfg, out_dir, "json", "convergence_report.json")
 
     try:
         table = verify.convergence_study(
@@ -350,7 +367,7 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
             "rates": {},
             "pass": False,
         }
-        _write_json(report, json_path)
+        _write_json(report, paths["json"])
         print(f"convergence study failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
@@ -370,12 +387,12 @@ def cmd_convergence(cfg: dict, out_dir: str) -> int:
         "rates": table.rates,
         "pass": passed,
     }
-    _write_text(table.to_csv(), _out_path(cfg, out_dir, "csv", "convergence_table.csv"))
-    _write_json(report, json_path)
+    _write_text(table.to_csv(), paths["csv"])
+    _write_json(report, paths["json"])
     return EXIT_PASS if passed else EXIT_FAIL
 
 
-def cmd_complex_check(cfg: dict, out_dir: str) -> int:
+def cmd_complex_check(cfg: dict, paths: dict) -> int:
     mesh, mesh_meta = _build_mesh(cfg)
     result = verify.complex_check(mesh, seed=cfg["seed"])
     report = {
@@ -388,11 +405,11 @@ def cmd_complex_check(cfg: dict, out_dir: str) -> int:
         "rates": {},
         "pass": bool(result["pass"]),
     }
-    _write_json(report, _out_path(cfg, out_dir, "json", "complex_report.json"))
+    _write_json(report, paths["json"])
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
-def cmd_l3_study(cfg: dict, out_dir: str) -> int:
+def cmd_l3_study(cfg: dict, paths: dict) -> int:
     if len(cfg["levels"]) < 2:
         raise ConfigError("an L3 study needs at least 2 levels to compare growth")
     result = verify.l3_study(
@@ -418,8 +435,8 @@ def cmd_l3_study(cfg: dict, out_dir: str) -> int:
         "rates": {},
         "pass": bool(result["growth_ok"]),
     }
-    _write_text("\n".join(lines) + "\n", _out_path(cfg, out_dir, "csv", "l3_table.csv"))
-    _write_json(report, _out_path(cfg, out_dir, "json", "l3_report.json"))
+    _write_text("\n".join(lines) + "\n", paths["csv"])
+    _write_json(report, paths["json"])
     return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
@@ -453,7 +470,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        return COMMANDS[args.command](cfg, args.out_dir)
+        paths = _output_paths(cfg, args.out_dir, args.command)
+        return COMMANDS[args.command](cfg, paths)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -2,7 +2,8 @@
 
 Provides the structured Kuhn subdivision of the unit cube, a reader for
 Gmsh MSH 2.2 ASCII files, entity topology (edges, faces, incidence with
-orientation signs) and mesh quality metrics.
+orientation signs), the Betti numbers of the meshed domain and mesh
+quality metrics.
 
 Conventions used throughout the package:
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 
 class MeshError(Exception):
@@ -346,6 +348,21 @@ def build_topology(mesh: Mesh) -> MeshTopology:
         curl_incidence=curl_inc,
         div_incidence=div_inc,
     )
+
+
+def betti_numbers(mesh: Mesh, topo: MeshTopology) -> tuple[int, int, int]:
+    """(b0, b1, b2) of the meshed domain: b0 counts the components of the
+    cells joined by shared faces, b2 the boundary components (boundary
+    faces joined by shared edges) beyond one per component, and b1
+    follows from the Euler characteristic V - E + F - C."""
+    cell_face = abs(topo.div_incidence)
+    b0 = csgraph.connected_components(cell_face @ cell_face.T, directed=False)[0]
+    face_edge = abs(topo.curl_incidence[topo.boundary_faces])
+    shells = csgraph.connected_components(face_edge @ face_edge.T, directed=False)[0]
+    b2 = shells - b0
+    num_vertices = len(np.unique(mesh.cells))
+    chi = num_vertices - topo.num_edges + topo.num_faces - mesh.num_cells
+    return int(b0), int(b0 + b2 - chi), int(b2)
 
 
 def _grad_incidence(edges, nv):

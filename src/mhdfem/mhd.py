@@ -17,35 +17,50 @@ whose divergence map is onto.  Restricting the natural family's
 multiplier to zero mean leaves a one-dimensional kernel (the face field
 with uniform divergence) and a singular linear system, so the full space
 is the well-posed choice; the computed multiplier is zero either way.
-The augmented driver has no r unknown but keeps the space and D_r for
-the divergence-free projection of the error analysis.
+The augmented driver has no r unknown.
 
-The Picard step and the Stokes and divergence-free projections of the
-error analysis are maps (test, trial) -> block over the driver's spaces;
-``block_system`` borders every zero-mean field and flattens the map, and
-``split`` scatters a solution back into fields.
+The Picard step and the Stokes projection of the error analysis are
+maps (test, trial) -> block over the driver's spaces; ``block_system``
+borders every zero-mean field and flattens the map, and ``split``
+scatters a solution back into fields.
 
-Every Picard iterate satisfies cellwise div B = 0, r = 0, curl E = 0 and
-the energy identity
+A step is defined by its monolithic matrix, but it is solved in
+potentials of the exact sequence.  On a connected domain without holes
+or cavities (Betti numbers b1 = b2 = 0, checked when the driver is
+built) every curl-free E is G phi and every divergence-free B is C a,
+with G and C the integer gradient and curl incidences on the free
+dofs.  Ohm's law tested with gradients loses B, because R_EB = C^T M_B
+and C G = 0, so (u, phi, p) solve the Galerkin system P^T A P y = P^T b
+with the constant prolongation P.  B = C a then follows from the Ohm
+rows, with a gauged by a spanning tree (the tree-cotree construction of
+Gross & Kotiuga, Electromagnetic Theory and Computation, 2004) and the
+constant cotree matrix C^T M_B C factored once per driver.  Every Picard
+iterate therefore has cellwise div B = 0, r = 0 and curl E = 0 by the
+integer identities div curl = 0 and curl grad = 0, and satisfies the
+energy identity
 
     Re^-1 |grad u|^2 + s |j|^2 = <f, u> + <g, E>
 
-exactly (to solver tolerance).  The source work term pairs g with the
-electric field because E is the admissible Ohm test function; when g = 0
-this is the scheme's plain energy law, and j coincides with E + u x B at
-a converged state.
+to solver tolerance; the relative residual of the monolithic system
+must meet ``linalg.RESIDUAL_TOL``.  The source work term pairs g with
+the electric field because E is the admissible Ohm test function; when
+g = 0 this is the scheme's plain energy law, and j coincides with
+E + u x B at a converged state.  A domain with b1 > 0 or b2 > 0 carries
+discrete harmonic fields that the potentials miss, and is rejected.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import assembly, derham, linalg, operators
 from .derham import FieldFunction, make_space
-from .mesh import Mesh, build_topology
+from .mesh import Mesh, betti_numbers, build_topology
 
 
 class MhdError(Exception):
@@ -54,6 +69,8 @@ class MhdError(Exception):
 
 BC_FAMILIES = ("normal_B", "tangential_B")
 VARIANTS = ("multiplier", "augmented")
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -157,13 +174,21 @@ def _nonzero(f: FieldFunction | None) -> bool:
 
 class MhdDriver:
     """Owns the spaces, the constant matrices (each assembled once, also
-    for the discrete curl), the saddle systems and the Picard loop."""
+    for the discrete curl), the potential operators, the saddle systems
+    and the Picard loop."""
 
     def __init__(self, mesh: Mesh, params: MhdParams, sources: SourceData | None = None):
         self.mesh = mesh
         self.params = params
         self.sources = sources if sources is not None else SourceData()
         topo = build_topology(mesh)
+        betti = betti_numbers(mesh, topo)
+        if betti != (1, 0, 0):
+            raise MhdError(
+                "the step is solved in exact-sequence potentials, which need a "
+                "connected domain without holes or cavities: b0, b1, b2 = %d, %d, %d"
+                % betti
+            )
         normal = params.bc_family == "normal_B"
         ess = "essential_zero" if normal else "none"
 
@@ -172,30 +197,31 @@ class MhdDriver:
             "E": make_space("nedelec1_lowest", ess, mesh, topo),
             "B": make_space("rt_lowest", ess, mesh, topo),
             "p": make_space("lagrange_p1_pressure", "none", mesh, topo, mean_constraint=True),
-            "r": make_space("dg0", "none", mesh, topo, mean_constraint=normal),
         }
-        self.u_space, self.E_space, self.B_space, self.p_space, self.r_space = self.spaces.values()
-        # border row of each zero-mean constraint: the basis integrals
-        self.mean_rows = {
-            f: sp.csr_matrix(assembly.domain_integral_vector(space))
-            for f, space in self.spaces.items()
-            if space.mean_constraint
-        }
+        self.u_space, self.E_space, self.B_space, self.p_space = self.spaces.values()
 
         self.dcurl = operators.DiscreteCurl(self.E_space, self.B_space)
         self.K_u = assembly.assemble_bilinear("grad_grad", self.u_space, self.u_space)
         self.M_E, self.R_EB = self.dcurl.mass, self.dcurl.pairing
         self.M_B = assembly.assemble_bilinear("vec_mass", self.B_space, self.B_space)
         self.D_p = assembly.assemble_bilinear("div_pressure", self.u_space, self.p_space)
-        self.D_r = assembly.assemble_bilinear("div_scalar", self.B_space, self.r_space)
-        if params.variant == "augmented":
+        if params.variant == "multiplier":
+            self.spaces["r"] = make_space("dg0", "none", mesh, topo, mean_constraint=normal)
+            self.D_r = assembly.assemble_bilinear("div_scalar", self.B_space, self.spaces["r"])
+        else:
             self.G_dd = assembly.assemble_bilinear("divdiv", self.B_space, self.B_space)
+        self.r_space = self.spaces.get("r")
 
         # fields of every Picard step; unknowns adds their border names
-        self.fields = ("u", "E", "B", "p")
-        if params.variant == "multiplier":
-            self.fields += ("r",)
+        self.fields = tuple(self.spaces)
+        # border row of each zero-mean constraint: the basis integrals
+        self.mean_rows = {
+            f: sp.csr_matrix(assembly.domain_integral_vector(space))
+            for f, space in self.spaces.items()
+            if space.mean_constraint
+        }
         self.unknowns = self._bordered(self.fields)
+        self._build_potentials(topo)
 
         self.load_f = (
             assembly.assemble_linear(self.u_space, self.sources.f)
@@ -213,6 +239,53 @@ class MhdDriver:
         if np.any(self.load_f):
             x_f = linalg.solve_direct(self.K_u, self.load_f)
             self.dual_f = float(np.sqrt(max(float(self.load_f @ x_f), 0.0)))
+
+    def _build_potentials(self, topo) -> None:
+        """The constant operators of the potential solve.
+
+        ``P`` maps the reduced unknowns (u, phi, p, p_mean) to the step's
+        ``unknowns`` as (u, G0 phi, B = 0, p, r = 0, p_mean, r_mean = 0),
+        where G0 is the gradient incidence on the free edges and the
+        potential's vertices: the interior ones (normal_B), or all but
+        vertex 0, where phi is pinned (tangential_B).  A spanning tree
+        of the vertex graph, in which the other vertices are merged into
+        one ground node, gauges the vector potential: B = C_ct a, with C
+        the curl incidence on the free faces and edges and ``ct`` the free
+        edges off the tree, and ``_cotree`` factors K = C_ct^T M_B C_ct.
+        """
+        E_free, B_free = self.E_space.free, self.B_space.free
+        nv = self.mesh.num_vertices
+        if self.params.bc_family == "normal_B":
+            phi_vertices = np.flatnonzero(~topo.boundary_vertices)
+        else:
+            phi_vertices = np.arange(1, nv)
+        G0 = topo.grad_incidence[E_free][:, phi_vertices].astype(float)
+
+        m = len(phi_vertices)
+        node = np.full(nv, m)  # the ground node is m
+        node[phi_vertices] = np.arange(m)
+        ct = _cotree_edges(node[topo.edges[E_free]], m)
+
+        self.C_ct = topo.curl_incidence[B_free][:, E_free[ct]].astype(float).tocsr()
+        self._ct = ct
+        self._cotree = linalg.Factorization(self.C_ct.T @ self.M_B @ self.C_ct)
+
+        width = {"u": self.u_space.num_free, "phi": m, "p": self.p_space.num_free, "p_mean": 1}
+        blocks = {
+            ("u", "u"): sp.identity(width["u"]),
+            ("E", "phi"): G0,
+            ("p", "p"): sp.identity(width["p"]),
+            ("p_mean", "p_mean"): sp.identity(1),
+        }
+        grid = [[blocks.get((t, f)) for f in width] for t in self.unknowns]
+        for row, t in zip(grid, self.unknowns):
+            if all(block is None for block in row):
+                rows = self.spaces[t].num_free if t in self.spaces else 1
+                row[0] = sp.csr_matrix((rows, width["u"]))
+        self.P = sp.bmat(grid, format="csr")
+        nu, nE = self.u_space.num_free, self.E_space.num_free
+        self._E_rows = slice(nu, nu + nE)
+        self._B_rows = slice(nu + nE, nu + nE + self.B_space.num_free)
 
     # ------------------------------------------------------------------
     # the saddle systems: layout, border and scatter
@@ -323,16 +396,39 @@ class MhdDriver:
         return out["u"], out["p"]
 
     def divfree_project(self, func, *, quad_degree: int = 6) -> FieldFunction:
-        """Constrained L^2 projection onto the discretely divergence-free
-        subspace of the face space, with the driver's multiplier space
-        (zero-mean, and so bordered, iff the family is normal_B)."""
-        blocks = {("B", "B"): self.M_B, ("B", "r"): self.D_r.T, ("r", "B"): self.D_r}
-        rhs = {"B": assembly.assemble_linear(self.B_space, func, quad_degree=quad_degree)}
-        x = linalg.solve_direct(*self.block_system(("B", "r"), blocks, rhs))
-        return self.split(("B", "r"), x)["B"]
+        """L^2 projection onto the divergence-free subspace of the face
+        space.  That subspace is curl of the edge space (b1 = b2 = 0), so
+        the projection is B = C_ct K^-1 C_ct^T load on the cotree
+        factorization, and div B = 0 holds by the integer identity
+        div curl = 0."""
+        load = assembly.assemble_linear(self.B_space, func, quad_degree=quad_degree)
+        a = self._cotree.solve(self.C_ct.T @ load)
+        return FieldFunction.from_free(self.B_space, self.C_ct @ a)
 
     # ------------------------------------------------------------------
     # Picard loop
+
+    def _solve_step(self, A: sp.csr_matrix, b: np.ndarray) -> tuple:
+        """Solution x of A x = b in ``unknowns`` order, its relative
+        residual and the reduced matrix P^T A P.
+
+        (u, phi, p) come from the Galerkin system P^T A P y = P^T b, in
+        which B drops out because Ohm's law is tested with gradients
+        (G0^T R_EB = G0^T C^T M_B = 0).  B = C_ct a then follows from the
+        Ohm rows on the cotree, K a = -(b - A P y)_ct / alpha; the other
+        Ohm rows hold with them, because both sides are orthogonal to the
+        gradients and the tree rows of G0 are invertible."""
+        reduced = (self.P.T @ A @ self.P).tocsr()
+        x = self.P @ linalg.solve_direct(reduced, self.P.T @ b)
+        ohm = (b - A @ x)[self._E_rows]
+        x[self._B_rows] = self.C_ct @ self._cotree.solve(-ohm[self._ct] / self.params.alpha)
+        bnorm = np.linalg.norm(b)
+        resid = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm > 0 else 0.0
+        if resid > linalg.RESIDUAL_TOL:
+            raise linalg.LinAlgError(
+                f"Picard step residual {resid:.3e} exceeds {linalg.RESIDUAL_TOL:.1e}"
+            )
+        return x, resid, reduced
 
     def picard_solve(
         self,
@@ -360,9 +456,7 @@ class MhdDriver:
         for _ in range(maxit):
             cross = self.cross_blocks(state.B)
             A, b = self.assemble_picard_step(state.u, state.B, cross=cross)
-            x = linalg.solve_direct(A, b)
-            bnorm = np.linalg.norm(b)
-            resid = np.linalg.norm(b - A @ x) / bnorm if bnorm > 0 else 0.0
+            x, resid, reduced = self._solve_step(A, b)
             new_state = MhdState(**self.split(self.fields, x))
 
             du = FieldFunction(self.u_space, new_state.u.coeffs - state.u.coeffs)
@@ -372,10 +466,20 @@ class MhdDriver:
 
             report.iterations += 1
             report.increments.append(increment)
-            report.residuals.append(float(resid))
+            report.residuals.append(resid)
             report.diagnostics_history.append(diag)
             if keep_states:
                 report.states.append(new_state)
+            prev = report.increments[-2] if report.iterations > 1 else 0.0
+            _log.debug(
+                "Picard step %d: %d reduced unknowns, %d nonzeros, residual %.3e, "
+                "contraction ratio %s",
+                report.iterations,
+                reduced.shape[0],
+                reduced.nnz,
+                resid,
+                f"{increment / prev:.3e}" if prev > 0 else "n/a",
+            )
             report.state_norm = operators.norm_w(new_state.u, new_state.B, self.dcurl)
             state = new_state
             if increment <= tol * max(1.0, report.state_norm):
@@ -549,6 +653,26 @@ class MhdDriver:
             blocks[name, name] = sp.identity(1)
         names = self.unknowns
         return sp.bmat([[blocks.get((t, f)) for f in names] for t in names], format="csr")
+
+
+def _cotree_edges(ends: np.ndarray, root: int) -> np.ndarray:
+    """Indices of the edges, given as (n, 2) node pairs over the nodes
+    0..root, that are off a breadth-first spanning tree grown from root;
+    loops are always off it.  Every node must be reachable."""
+    ends = np.sort(ends, axis=1)
+    link = ends[:, 0] != ends[:, 1]
+    graph = sp.csr_matrix(
+        (np.ones(link.sum()), (ends[link, 0], ends[link, 1])), shape=(root + 1, root + 1)
+    )
+    _, pred = csgraph.breadth_first_order(graph, root, directed=False)
+    # the tree edge of node k joins it to pred[k]; pick one of any parallels
+    keys = ends[:, 0] * (root + 1) + ends[:, 1]
+    order = np.argsort(keys, kind="stable")
+    k = np.arange(root)
+    tree_keys = np.minimum(k, pred[:root]) * (root + 1) + np.maximum(k, pred[:root])
+    on_tree = np.zeros(len(ends), dtype=bool)
+    on_tree[order[np.searchsorted(keys[order], tree_keys)]] = True
+    return np.flatnonzero(~on_tree)
 
 
 def norm_sq_cellwise(values: np.ndarray, volumes: np.ndarray) -> float:

@@ -26,6 +26,28 @@ def topo2(mesh2):
     return build_topology(mesh2)
 
 
+def cube_minus(n, subcubes):
+    """``unit_cube_mesh(n)`` without the six cells of each listed subcube
+    (i, j, k); every vertex stays in use."""
+    mesh = unit_cube_mesh(n)
+    sub = np.arange(mesh.num_cells) // 6
+    ijk = np.stack([sub // (n * n), (sub // n) % n, sub % n], axis=1)
+    drop = (ijk[:, None, :] == np.asarray(subcubes)[None]).all(axis=2).any(axis=1)
+    return Mesh(mesh.vertices, mesh.cells[~drop])
+
+
+@pytest.fixture(scope="session")
+def holed_mesh():
+    """The 3 x 3 x 3 cube minus its central column: a through-hole, b1 = 1."""
+    return cube_minus(3, [(1, 1, k) for k in range(3)])
+
+
+@pytest.fixture(scope="session")
+def cavity_mesh():
+    """The 3 x 3 x 3 cube minus its central subcube: a cavity, b2 = 1."""
+    return cube_minus(3, [(1, 1, 1)])
+
+
 @pytest.fixture(scope="session")
 def single_tet():
     vertices = np.array(

@@ -1,8 +1,10 @@
 """Reference computations that tests compare the package against."""
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from mhdfem import derham
+from mhdfem import assembly, derham
 
 
 def vertex_volume_weights(space) -> np.ndarray:
@@ -34,3 +36,25 @@ def _dense(local, trial, test):
     A = np.zeros((test.ndof, trial.ndof))
     np.add.at(A, (test.dofmap[:, :, None], trial.dofmap[:, None, :]), local)
     return A[np.ix_(test.free, trial.free)]
+
+
+def divfree_saddle(B_space, func):
+    """Free coefficients of the L^2 projection of ``func`` onto the
+    divergence-free face fields, by the bordered saddle system
+    [[M_B, D^T], [D, 0]] with a piecewise-constant multiplier, zero-mean
+    (one border row) when the face space constrains the flux."""
+    normal = B_space.bc == "essential_zero"
+    r_space = derham.make_space(
+        "dg0", "none", B_space.mesh, B_space.topology, mean_constraint=normal
+    )
+    M = assembly.assemble_bilinear("vec_mass", B_space, B_space)
+    D = assembly.assemble_bilinear("div_scalar", B_space, r_space)
+    grid = [[M, D.T], [D, None]]
+    if normal:
+        w = sp.csr_matrix(assembly.domain_integral_vector(r_space))
+        grid = [row + [None] for row in grid] + [[None, w, None]]
+        grid[1][2] = w.T
+    A = sp.bmat(grid, format="csc")
+    b = np.zeros(A.shape[0])
+    b[: B_space.num_free] = assembly.assemble_linear(B_space, func)
+    return spla.spsolve(A, b)[: B_space.num_free]

@@ -159,6 +159,15 @@ def test_missing_subcommand_is_a_usage_error():
     assert info.value.code == 2
 
 
+def test_output_naming_an_existing_directory_exits_2(tmp_path, capsys, monkeypatch):
+    # checked before the run starts: no solve happens
+    monkeypatch.setitem(cli.COMMANDS, "solve", lambda cfg, paths: pytest.fail("solve ran"))
+    (tmp_path / "sub").mkdir()
+    path = write_config(tmp_path, outputs={"json": "sub"})
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error: outputs.json names the directory" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # solve
 
@@ -263,6 +272,33 @@ def test_complex_check_builtin(tmp_path):
     assert report["pass"] is True
     assert report["diagnostics"]["dims_full"]["rank_grad"] == 7
     assert report["diagnostics"]["commuting_residual"] <= 1e-10
+
+
+def _write_msh2(mesh, path):
+    nodes = [f"{i + 1} {x} {y} {z}" for i, (x, y, z) in enumerate(mesh.vertices.tolist())]
+    tets = [f"{k + 1} 4 0 " + " ".join(str(v + 1) for v in c) for k, c in enumerate(mesh.cells)]
+    path.write_text(
+        "\n".join(["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(nodes)),
+                   *nodes, "$EndNodes", "$Elements", str(len(tets)), *tets, "$EndElements"])
+        + "\n",
+        encoding="utf-8",
+    )
+
+
+@pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"])
+@pytest.mark.parametrize(
+    "mesh_name, betti", [("holed_mesh", "1, 1, 0"), ("cavity_mesh", "1, 0, 1")]
+)
+def test_solve_on_a_domain_with_holes_fails_early(
+    request, tmp_path, capsys, mesh_name, betti, bc_family
+):
+    msh = tmp_path / "domain.msh"
+    _write_msh2(request.getfixturevalue(mesh_name), msh)
+    path = write_config(tmp_path, mesh={"msh2": str(msh)}, bc_family=bc_family)
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_FAIL
+    assert "run failed: " in (err := capsys.readouterr().err)
+    assert f"b0, b1, b2 = {betti}" in err
+    assert not (tmp_path / "solve_report.json").exists()
 
 
 def test_complex_check_reads_msh2(tmp_path):

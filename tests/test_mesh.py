@@ -7,6 +7,7 @@ from mhdfem.mesh import (
     Mesh,
     MeshError,
     ParseError,
+    betti_numbers,
     build_topology,
     mesh_metrics,
     read_gmsh_msh2,
@@ -207,3 +208,20 @@ def test_msh2_reader_requires_tets(tmp_path):
     path.write_text(no_tets)
     with pytest.raises(ParseError, match="no tetrahedra"):
         read_gmsh_msh2(str(path))
+
+
+@pytest.mark.parametrize(
+    "name, betti",
+    [("cube", (1, 0, 0)), ("holed_mesh", (1, 1, 0)), ("cavity_mesh", (1, 0, 1))],
+)
+def test_betti_numbers(request, name, betti):
+    mesh = unit_cube_mesh(3) if name == "cube" else request.getfixturevalue(name)
+    assert betti_numbers(mesh, build_topology(mesh)) == betti
+
+
+def test_betti_numbers_count_components():
+    # two disjoint cubes: two components, each with one boundary shell
+    cube = unit_cube_mesh(1)
+    shifted = cube.vertices + np.array([2.0, 0.0, 0.0])
+    mesh = Mesh(np.vstack([cube.vertices, shifted]), np.vstack([cube.cells, cube.cells + 8]))
+    assert betti_numbers(mesh, build_topology(mesh)) == (2, 0, 0)

@@ -1,10 +1,13 @@
 """Picard driver: step assembly, invariants, diagnostics, variants."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from mhdfem import assembly, linalg, operators
 from mhdfem.derham import FieldFunction, build_topology, evaluate_on_cells
+from mhdfem.mesh import unit_cube_mesh
 from mhdfem.mhd import (
     MhdDriver,
     MhdError,
@@ -205,12 +208,11 @@ def test_step_transposes_and_borders_are_exact(mesh2, bc_family, variant):
         assert blocks[key].count_nonzero()
         _same_matrix(blocks[key], sign * blocks[partner].T)
 
-    # the zero-mean row of r exists in both variants (the divergence-free
-    # projection borders with it); only the multiplier step carries it
-    assert set(drv.mean_rows) == ({"p", "r"} if bc_family == "normal_B" else {"p"})
+    # only the multiplier step has r, and only normal_B borders it
     expected = {"p": assembly.domain_integral_vector(drv.p_space)}
     if bc_family == "normal_B" and variant == "multiplier":
         expected["r"] = assembly.domain_integral_vector(drv.r_space)
+    assert set(drv.mean_rows) == set(expected)
     assert drv.unknowns[len(drv.fields):] == tuple(f + "_mean" for f in expected)
     for field in expected:
         name = field + "_mean"
@@ -242,12 +244,13 @@ def test_zero_sources_converge_immediately(mesh2):
         assert not np.any(field.coeffs)
 
 
-@pytest.mark.parametrize("with_sources, factorizations", [(False, 1), (True, 2)])
+@pytest.mark.parametrize("with_sources, factorizations", [(False, 2), (True, 3)])
 def test_velocity_dual_norm_factors_only_a_nonzero_load(
     mesh2, monkeypatch, with_sources, factorizations
 ):
-    """The Nedelec mass of the discrete curl is always factored; the
-    velocity stiffness only when the load f has a nonzero entry."""
+    """The Nedelec mass of the discrete curl and the cotree matrix are
+    always factored; the velocity stiffness only when the load f has a
+    nonzero entry."""
     calls = []
     splu = linalg.spla.splu
     monkeypatch.setattr(linalg.spla, "splu", lambda A: calls.append(A) or splu(A))
@@ -255,6 +258,65 @@ def test_velocity_dual_norm_factors_only_a_nonzero_load(
     drv = MhdDriver(mesh2, MhdParams(), sources)
     assert len(calls) == factorizations
     assert (drv.dual_f > 0.0) == with_sources
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("bc_family", FAMILIES)
+def test_potential_step_matches_the_monolithic_solve(bc_family, variant):
+    case = builtin_case(bc_family)
+    drv = MhdDriver(unit_cube_mesh(3), case.params(variant), case.sources())
+    init = drv.zero_state()
+    init.u, init.B = _random_prev(drv)
+    _, report = drv.picard_solve(maxit=1, init=init, keep_states=True)
+
+    A, b = drv.assemble_picard_step(init.u, init.B)
+    ref = drv.split(drv.fields, linalg.solve_direct(A, b))
+    got = np.concatenate([getattr(report.states[1], f).coeffs for f in drv.fields])
+    want = np.concatenate([ref[f].coeffs for f in drv.fields])
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert report.residuals[0] <= 1e-12
+
+
+def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
+    case = builtin_case("normal_B")
+    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    zero = drv.zero_state()
+    monolithic = drv.assemble_picard_step(zero.u, zero.B)[0].shape[0]
+    rows = []
+    splu = linalg.spla.splu
+    monkeypatch.setattr(linalg.spla, "splu", lambda A: rows.append(A.shape[0]) or splu(A))
+    _, report = drv.picard_solve(tol=1e-10, maxit=50)
+    assert report.converged and len(rows) == report.iterations
+    assert monolithic not in rows
+
+
+def test_each_step_logs_its_solve(mesh2, caplog):
+    case = builtin_case("normal_B")
+    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    drv.picard_solve(tol=1e-10, maxit=50)
+    assert not caplog.records  # silent by default
+
+    with caplog.at_level(logging.DEBUG, logger="mhdfem.mhd"):
+        _, report = drv.picard_solve(tol=1e-10, maxit=50)
+    records = [r for r in caplog.records if r.name == "mhdfem.mhd"]
+    assert len(records) == report.iterations >= 3
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert f"{drv.P.shape[1]} reduced unknowns" in records[0].getMessage()
+    assert records[0].getMessage().endswith("contraction ratio n/a")
+    ratio = report.increments[2] / report.increments[1]
+    assert records[2].getMessage().endswith(f"contraction ratio {ratio:.3e}")
+    assert f"residual {report.residuals[2]:.3e}" in records[2].getMessage()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("bc_family", FAMILIES)
+@pytest.mark.parametrize(
+    "mesh_name, betti", [("holed_mesh", "1, 1, 0"), ("cavity_mesh", "1, 0, 1")]
+)
+def test_driver_rejects_holes_and_cavities(request, mesh_name, betti, bc_family, variant):
+    mesh = request.getfixturevalue(mesh_name)
+    with pytest.raises(MhdError, match=f"b0, b1, b2 = {betti}"):
+        MhdDriver(mesh, builtin_case(bc_family).params(variant))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -27,6 +27,7 @@ from mhdfem.operators import (
     norm_w,
 )
 from mhdfem.verify import builtin_case
+from oracles import divfree_saddle
 
 RNG = np.random.default_rng(31)
 
@@ -252,20 +253,30 @@ def test_stokes_project_singular_system_is_a_driver_error(mesh1):
 
 @pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"], ids=["flux_zero", "free"])
 def test_divfree_project_divergence_vanishes(mesh2, monkeypatch, bc_family):
-    # both variants project with the driver's multiplier space, bordered
-    # by a zero-mean row iff the face space carries the flux constraint
+    # both variants project as curls of cotree potentials: no saddle
+    # system is solved, and both return the same field, exactly
     sizes = []
     solve = linalg.solve_direct
     monkeypatch.setattr(linalg, "solve_direct", lambda A, b: sizes.append(len(b)) or solve(A, b))
     case = builtin_case(bc_family)
+    outs = []
     for variant in ("multiplier", "augmented"):
         drv = MhdDriver(mesh2, case.params(variant))
         sizes.clear()
-        out = drv.divfree_project(case.B)
-        border = 1 if bc_family == "normal_B" else 0
-        assert sizes == [drv.B_space.num_free + drv.r_space.num_free + border]
-        scale = max(np.abs(out.coeffs).max(), 1e-30)
-        assert np.abs(evaluate_div_on_cells(out)).max() <= 1e-12 * scale
+        outs.append(drv.divfree_project(case.B))
+        assert sizes == []
+        scale = max(np.abs(outs[-1].coeffs).max(), 1e-30)
+        assert np.abs(evaluate_div_on_cells(outs[-1])).max() <= 1e-12 * scale
+    assert np.array_equal(outs[0].coeffs, outs[1].coeffs)
+
+
+@pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"])
+def test_divfree_project_matches_the_bordered_saddle(mesh2, bc_family):
+    case = builtin_case(bc_family)
+    drv = MhdDriver(mesh2, case.params())
+    out = drv.divfree_project(case.B)
+    ref = divfree_saddle(drv.B_space, case.B)
+    assert np.abs(out.coeffs[drv.B_space.free] - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_divfree_project_reproduces_member(mesh2, topo2):

@@ -274,7 +274,8 @@ def test_each_constant_form_is_assembled_once(mesh2, monkeypatch, bc_family, var
     assert report.converged
     error_norms(driver, state, case)
     assert counts and set(counts.values()) == {1}
-    assert len(counts) == (7 if variant == "augmented" else 6)
+    # divdiv in the augmented variant, div_scalar only in the multiplier one
+    assert len(counts) == 6
 
 
 # ----------------------------------------------------------------------
