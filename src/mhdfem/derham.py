@@ -15,6 +15,16 @@ per-cell sign tables.  Basis functions are barycentric (Whitney) forms
 evaluated directly on physical cells; on affine tetrahedra this equals
 the covariant/contravariant Piola-mapped reference basis.
 
+The Whitney edge and face bases and the gradients of the scalar P2
+basis are linear in the barycentric coordinates, phi_a = sum_k lambda_k
+T[c, a, k], so each is defined once, by its per-cell coefficient table T
+(``edge_table``, ``face_table``, ``p2_gradient_table``), built once per
+mesh and cached on it.  Evaluation goes through these tables: a field's
+coefficients are contracted with T first, to (nc, 4, 3) per field, and
+then evaluated by one matmul with lambda at the points, so no
+(nc, nq, nloc, 3) basis table is built to evaluate a field.  Curls and
+divergences follow from the same tables.
+
 ``bc="essential_zero"`` constrains the boundary trace to zero (vertex
 values, edge circulations, face fluxes, or full velocity trace);
 ``bc="none"`` leaves all degrees of freedom free.
@@ -217,6 +227,55 @@ def cell_orientations(mesh: Mesh):
     return mesh._cache["orientations"]
 
 
+def edge_table(mesh: Mesh) -> np.ndarray:
+    """Barycentric coefficients of the Whitney edge basis, (nc, 6, 4, 3):
+    lambda_a grad lambda_b - lambda_b grad lambda_a = sum_k lambda_k T[c, e, k]."""
+    if "edge_table" not in mesh._cache:
+        ep, _ = cell_orientations(mesh)
+        G = mesh.grad_lambda
+        c = np.arange(mesh.num_cells)[:, None]
+        e = np.arange(6)[None, :]
+        a, b = ep[..., 0], ep[..., 1]
+        T = np.zeros((mesh.num_cells, 6, 4, 3))
+        T[c, e, a] = G[c, b]
+        T[c, e, b] = -G[c, a]
+        mesh._cache["edge_table"] = T
+    return mesh._cache["edge_table"]
+
+
+def face_table(mesh: Mesh) -> np.ndarray:
+    """Barycentric coefficients of the Whitney face basis, (nc, 4, 4, 3):
+    2 (lambda_a grad lambda_b x grad lambda_c + cyclic) = sum_k lambda_k T[c, f, k]."""
+    if "face_table" not in mesh._cache:
+        _, ft = cell_orientations(mesh)
+        G = mesh.grad_lambda
+        c = np.arange(mesh.num_cells)[:, None]
+        f = np.arange(4)[None, :]
+        T = np.zeros((mesh.num_cells, 4, 4, 3))
+        for r in range(3):
+            a, b, d = (ft[..., (r + s) % 3] for s in range(3))
+            T[c, f, a] = 2.0 * np.cross(G[c, b], G[c, d])
+        mesh._cache["face_table"] = T
+    return mesh._cache["face_table"]
+
+
+def p2_gradient_table(mesh: Mesh) -> np.ndarray:
+    """Barycentric coefficients of the scalar P2 basis gradients,
+    (nc, 10, 4, 3): (4 lambda_a - 1) grad lambda_a for a vertex and
+    4 (lambda_a grad lambda_b + lambda_b grad lambda_a) for an edge (a, b),
+    with 1 = sum_k lambda_k."""
+    if "p2_gradient_table" not in mesh._cache:
+        G = mesh.grad_lambda
+        T = np.zeros((mesh.num_cells, 10, 4, 3))
+        T[:, :4] = -G[:, :, None, :]
+        T[:, range(4), range(4)] += 4.0 * G
+        for e, (a, b) in enumerate(LOCAL_EDGES):
+            T[:, 4 + e, a] = 4.0 * G[:, b]
+            T[:, 4 + e, b] = 4.0 * G[:, a]
+        mesh._cache["p2_gradient_table"] = T
+    return mesh._cache["p2_gradient_table"]
+
+
 def reference_barycentric(points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates (nq, 4) of reference-tet points (nq, 3)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -237,72 +296,57 @@ def p2_scalar_values(points: np.ndarray) -> np.ndarray:
     return np.concatenate([vert, edge], axis=1)
 
 
+def _at_points(table: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """A barycentric coefficient table (nc, nloc, 4, 3) evaluated at
+    reference points, (nc, nq, nloc, 3).  The result is a view of
+    (nc, nloc, nq, 3) memory, which the assembly contractions over
+    points read fastest."""
+    return (reference_barycentric(points) @ table).transpose(0, 2, 1, 3)
+
+
 def p2_scalar_gradients(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     """Scalar P2 basis gradients on every cell, (nc, nq, 10, 3)."""
-    lam = reference_barycentric(points)
-    G = mesh.grad_lambda
-    nc, nq = mesh.num_cells, len(lam)
-    out = np.empty((nc, nq, 10, 3))
-    out[:, :, :4, :] = (4.0 * lam - 1.0)[None, :, :, None] * G[:, None, :, :]
-    for k, (a, b) in enumerate(LOCAL_EDGES):
-        out[:, :, 4 + k, :] = 4.0 * (
-            lam[None, :, a, None] * G[:, None, b, :]
-            + lam[None, :, b, None] * G[:, None, a, :]
-        )
-    return out
+    return _at_points(p2_gradient_table(mesh), points)
 
 
 def nedelec_values(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     """Whitney edge basis values on every cell, (nc, nq, 6, 3)."""
-    lam = reference_barycentric(points)
-    ep, _ = cell_orientations(mesh)
-    G = mesh.grad_lambda
-    Ga = np.take_along_axis(G, ep[:, :, 0:1], axis=1)
-    Gb = np.take_along_axis(G, ep[:, :, 1:2], axis=1)
-    la = lam.T[ep[:, :, 0]].transpose(0, 2, 1)
-    lb = lam.T[ep[:, :, 1]].transpose(0, 2, 1)
-    return la[..., None] * Gb[:, None, :, :] - lb[..., None] * Ga[:, None, :, :]
+    return _at_points(edge_table(mesh), points)
 
 
 def nedelec_curls(mesh: Mesh) -> np.ndarray:
-    """Curls of the Whitney edge basis (constant per cell), (nc, 6, 3)."""
-    ep, _ = cell_orientations(mesh)
-    G = mesh.grad_lambda
-    Ga = np.take_along_axis(G, ep[:, :, 0:1], axis=1)
-    Gb = np.take_along_axis(G, ep[:, :, 1:2], axis=1)
-    return 2.0 * np.cross(Ga, Gb)
+    """Curls of the Whitney edge basis (constant per cell), (nc, 6, 3):
+    curl(lambda_k T_k) = grad lambda_k x T_k."""
+    G = mesh.grad_lambda[:, None, :, :]
+    return np.cross(G, edge_table(mesh)).sum(axis=2)
 
 
 def rt_values(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     """Whitney face (Raviart-Thomas) basis values, (nc, nq, 4, 3)."""
-    lam = reference_barycentric(points)
-    _, ft = cell_orientations(mesh)
-    G = mesh.grad_lambda
-    Ga = np.take_along_axis(G, ft[:, :, 0:1], axis=1)
-    Gb = np.take_along_axis(G, ft[:, :, 1:2], axis=1)
-    Gc = np.take_along_axis(G, ft[:, :, 2:3], axis=1)
-    la = lam.T[ft[:, :, 0]].transpose(0, 2, 1)
-    lb = lam.T[ft[:, :, 1]].transpose(0, 2, 1)
-    lc = lam.T[ft[:, :, 2]].transpose(0, 2, 1)
-    return 2.0 * (
-        la[..., None] * np.cross(Gb, Gc)[:, None]
-        + lb[..., None] * np.cross(Gc, Ga)[:, None]
-        + lc[..., None] * np.cross(Ga, Gb)[:, None]
-    )
+    return _at_points(face_table(mesh), points)
 
 
 def rt_divergences(mesh: Mesh) -> np.ndarray:
-    """Divergences of the face basis (constant per cell), (nc, 4)."""
-    _, ft = cell_orientations(mesh)
-    G = mesh.grad_lambda
-    Ga = np.take_along_axis(G, ft[:, :, 0:1], axis=1)
-    Gb = np.take_along_axis(G, ft[:, :, 1:2], axis=1)
-    Gc = np.take_along_axis(G, ft[:, :, 2:3], axis=1)
-    return 6.0 * np.einsum("ced,ced->ce", Ga, np.cross(Gb, Gc))
+    """Divergences of the face basis (constant per cell), (nc, 4):
+    div(lambda_k T_k) = grad lambda_k . T_k."""
+    return np.einsum("ckd,cfkd->cf", mesh.grad_lambda, face_table(mesh))
 
 
 # ----------------------------------------------------------------------
 # field evaluation
+
+
+def _contract_at_points(local: np.ndarray, table: np.ndarray, points) -> np.ndarray:
+    """sum_a local[c, a, ...] phi_a at reference points, (nc, nq, ...),
+    for a basis with barycentric coefficient table (nc, nloc, 4, 3): the
+    coefficients are contracted with the table first, to (nc, 4, ...),
+    and then evaluated by one matmul with the barycentric coordinates."""
+    nc, nloc = table.shape[:2]
+    extra = local.shape[2:]
+    by_field = local.reshape(nc, nloc, -1).transpose(0, 2, 1) @ table.reshape(nc, nloc, 12)
+    X = by_field.reshape(nc, -1, 4, 3).transpose(0, 2, 1, 3).reshape(nc, 4, -1)
+    vals = reference_barycentric(points) @ X
+    return vals.reshape((nc, -1) + extra + (3,))
 
 
 def evaluate_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
@@ -317,12 +361,12 @@ def evaluate_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
         nq = len(np.atleast_2d(points))
         return np.repeat(local, nq, axis=1)
     if kind == "nedelec1_lowest":
-        return np.einsum("cqad,ca->cqd", nedelec_values(space.mesh, points), local)
+        return _contract_at_points(local, edge_table(space.mesh), points)
     if kind == "rt_lowest":
-        return np.einsum("cqad,ca->cqd", rt_values(space.mesh, points), local)
+        return _contract_at_points(local, face_table(space.mesh), points)
     # lagrange_p2_vector: component-interleaved coefficients
     comps = local.reshape(space.mesh.num_cells, 10, 3)
-    return np.einsum("qa,cad->cqd", p2_scalar_values(points), comps)
+    return p2_scalar_values(points) @ comps
 
 
 def evaluate_grad_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
@@ -331,8 +375,7 @@ def evaluate_grad_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
     if space.kind != "lagrange_p2_vector":
         raise SpaceError("gradient evaluation is for the velocity space")
     comps = f.coeffs[space.dofmap].reshape(space.mesh.num_cells, 10, 3)
-    sgrads = p2_scalar_gradients(space.mesh, points)
-    return np.einsum("cqaj,cai->cqij", sgrads, comps)
+    return _contract_at_points(comps, p2_gradient_table(space.mesh), points)
 
 
 def evaluate_curl_on_cells(f: FieldFunction) -> np.ndarray:

@@ -7,6 +7,7 @@ quality metrics.
 
 Conventions used throughout the package:
 
+* every vertex belongs to a cell;
 * cell vertex orderings are repaired so every tetrahedron has positive
   volume (ascending vertex indices, last two swapped when needed);
 * local edges of a cell are the vertex pairs
@@ -63,6 +64,12 @@ class Mesh:
             raise MeshError("cells must be an (nc, 4) array")
         if cells.size and (cells.min() < 0 or cells.max() >= len(self.vertices)):
             raise MeshError("cell refers to a vertex that does not exist")
+        unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(self.vertices)) == 0)
+        if len(unused):
+            # an unused vertex would carry a free P1/P2 dof with an empty row
+            raise MeshError(
+                f"{len(unused)} vertices belong to no cell (first unused: vertex {unused[0]})"
+            )
         self.cells = _repair_orientation(self.vertices, cells)
         if cell_tags is None:
             cell_tags = np.zeros(len(self.cells), dtype=np.int64)
@@ -183,7 +190,9 @@ def read_gmsh_msh2(path: str) -> Mesh:
     Keeps 4-node tetrahedra (element type 4) and their first physical tag;
     all other element types are ignored.  Node ids must be contiguous
     1..N; violations, non-numeric fields and a file that ends early
-    raise ParseError with the offending line number.
+    raise ParseError with the offending line number.  Nodes that no
+    tetrahedron references (geometry points, nodes of surface elements
+    only) are dropped, and the rest keep their order.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -258,7 +267,11 @@ def read_gmsh_msh2(path: str) -> Mesh:
 
     if not cells:
         raise ParseError("file contains no tetrahedra", pos)
-    return Mesh(np.array(vertices), np.array(cells, dtype=np.int64), np.array(tags, dtype=np.int64))
+    cells = np.array(cells, dtype=np.int64)
+    used, renumbered = np.unique(cells.ravel(), return_inverse=True)
+    return Mesh(
+        np.array(vertices)[used], renumbered.reshape(cells.shape), np.array(tags, dtype=np.int64)
+    )
 
 
 @dataclass
@@ -360,8 +373,7 @@ def betti_numbers(mesh: Mesh, topo: MeshTopology) -> tuple[int, int, int]:
     face_edge = abs(topo.curl_incidence[topo.boundary_faces])
     shells = csgraph.connected_components(face_edge @ face_edge.T, directed=False)[0]
     b2 = shells - b0
-    num_vertices = len(np.unique(mesh.cells))
-    chi = num_vertices - topo.num_edges + topo.num_faces - mesh.num_cells
+    chi = mesh.num_vertices - topo.num_edges + topo.num_faces - mesh.num_cells
     return int(b0), int(b0 + b2 - chi), int(b2)
 
 

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from mhdfem import assembly, derham
+from mhdfem.mesh import LOCAL_EDGES, LOCAL_FACES
 
 
 def vertex_volume_weights(space) -> np.ndarray:
@@ -58,3 +59,66 @@ def divfree_saddle(B_space, func):
     b = np.zeros(A.shape[0])
     b[: B_space.num_free] = assembly.assemble_linear(B_space, func)
     return spla.spsolve(A, b)[: B_space.num_free]
+
+
+# ----------------------------------------------------------------------
+# brute-force basis tabulations: the Whitney forms and the P2 gradients
+# written out term by term at every point, with no coefficient table
+
+
+def p2_scalar_gradients(mesh, points):
+    """Scalar P2 basis gradients on every cell, (nc, nq, 10, 3):
+    (4 lambda_a - 1) grad lambda_a and 4 (lambda_a grad lambda_b + lambda_b grad lambda_a)."""
+    lam = derham.reference_barycentric(points)
+    G = mesh.grad_lambda
+    nc, nq = mesh.num_cells, len(lam)
+    out = np.empty((nc, nq, 10, 3))
+    out[:, :, :4, :] = (4.0 * lam - 1.0)[None, :, :, None] * G[:, None, :, :]
+    for k, (a, b) in enumerate(LOCAL_EDGES):
+        out[:, :, 4 + k, :] = 4.0 * (
+            lam[None, :, a, None] * G[:, None, b, :]
+            + lam[None, :, b, None] * G[:, None, a, :]
+        )
+    return out
+
+
+def _oriented(mesh, local):
+    """Per-cell local vertex tuples in ascending global order, and the
+    barycentric gradients gathered along them, one (nc, m, 3) array per slot."""
+    order = np.argsort(mesh.cells[:, local], axis=2)
+    idx = np.take_along_axis(np.broadcast_to(local, order.shape).copy(), order, axis=2)
+    G = mesh.grad_lambda
+    return idx, [np.take_along_axis(G, idx[:, :, s : s + 1], axis=1) for s in range(idx.shape[2])]
+
+
+def nedelec_values(mesh, points):
+    """Whitney edge basis lambda_a grad lambda_b - lambda_b grad lambda_a, (nc, nq, 6, 3)."""
+    lam = derham.reference_barycentric(points)
+    ep, (Ga, Gb) = _oriented(mesh, np.array(LOCAL_EDGES))
+    la = lam.T[ep[:, :, 0]].transpose(0, 2, 1)
+    lb = lam.T[ep[:, :, 1]].transpose(0, 2, 1)
+    return la[..., None] * Gb[:, None, :, :] - lb[..., None] * Ga[:, None, :, :]
+
+
+def rt_values(mesh, points):
+    """Whitney face basis 2 (lambda_a grad lambda_b x grad lambda_c + cyclic), (nc, nq, 4, 3)."""
+    lam = derham.reference_barycentric(points)
+    ft, (Ga, Gb, Gc) = _oriented(mesh, np.array(LOCAL_FACES))
+    la, lb, lc = (lam.T[ft[:, :, s]].transpose(0, 2, 1) for s in range(3))
+    return 2.0 * (
+        la[..., None] * np.cross(Gb, Gc)[:, None]
+        + lb[..., None] * np.cross(Gc, Ga)[:, None]
+        + lc[..., None] * np.cross(Ga, Gb)[:, None]
+    )
+
+
+def nedelec_curls(mesh):
+    """Curls 2 grad lambda_a x grad lambda_b of the edge basis, (nc, 6, 3)."""
+    _, (Ga, Gb) = _oriented(mesh, np.array(LOCAL_EDGES))
+    return 2.0 * np.cross(Ga, Gb)
+
+
+def rt_divergences(mesh):
+    """Divergences 6 grad lambda_a . (grad lambda_b x grad lambda_c) of the face basis, (nc, 4)."""
+    _, (Ga, Gb, Gc) = _oriented(mesh, np.array(LOCAL_FACES))
+    return 6.0 * np.einsum("ced,ced->ce", Ga, np.cross(Gb, Gc))

@@ -4,6 +4,9 @@ the commuting-diagram property of the canonical interpolants."""
 import numpy as np
 import pytest
 
+import oracles
+from mhdfem import derham
+from mhdfem.assembly import quadrature_rule
 from mhdfem.derham import (
     FieldFunction,
     SpaceError,
@@ -17,6 +20,7 @@ from mhdfem.derham import (
     physical_points,
     rt_values,
 )
+from mhdfem.mesh import Mesh, unit_cube_mesh
 from oracles import vertex_volume_weights
 
 RNG = np.random.default_rng(7)
@@ -218,6 +222,53 @@ def test_interior_trace_continuity(mesh2, topo2, kind):
         assert traces[0] == pytest.approx(traces[1], abs=1e-12)
         checked += 1
     assert checked >= 5
+
+
+# ----------------------------------------------------------------------
+# barycentric coefficient tables against the term-by-term tabulation
+
+
+@pytest.fixture(scope="module")
+def jittered_mesh():
+    """unit_cube_mesh(2) with every vertex moved, so no two cells are alike."""
+    mesh = unit_cube_mesh(2)
+    jitter = np.random.default_rng(5).uniform(-0.08, 0.08, mesh.vertices.shape)
+    return Mesh(mesh.vertices + jitter, mesh.cells)
+
+
+def _close(got, want):
+    return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["nedelec_values", "rt_values", "p2_scalar_gradients"])
+def test_basis_tables_match_the_brute_force_tabulation(jittered_mesh, name):
+    points = quadrature_rule(6).points
+    got = getattr(derham, name)(jittered_mesh, points)
+    assert _close(got, getattr(oracles, name)(jittered_mesh, points))
+
+
+@pytest.mark.parametrize("name", ["nedelec_curls", "rt_divergences"])
+def test_basis_derivatives_match_the_brute_force_tabulation(jittered_mesh, name):
+    got = getattr(derham, name)(jittered_mesh)
+    assert _close(got, getattr(oracles, name)(jittered_mesh))
+
+
+@pytest.mark.parametrize("kind", ["nedelec1_lowest", "rt_lowest", "lagrange_p2_vector"])
+def test_field_evaluation_matches_the_brute_force_tabulation(jittered_mesh, kind):
+    space = make_space(kind, "none", jittered_mesh)
+    f = FieldFunction(space, RNG.standard_normal(space.ndof))
+    points = quadrature_rule(6).points
+    local = f.coeffs[space.dofmap]
+    if kind == "lagrange_p2_vector":
+        comps = local.reshape(-1, 10, 3)
+        want = np.einsum(
+            "cqaj,cai->cqij", oracles.p2_scalar_gradients(jittered_mesh, points), comps
+        )
+        assert _close(evaluate_grad_on_cells(f, points), want)
+        return
+    basis = oracles.nedelec_values if kind == "nedelec1_lowest" else oracles.rt_values
+    want = np.einsum("cqad,ca->cqd", basis(jittered_mesh, points), local)
+    assert _close(evaluate_on_cells(f, points), want)
 
 
 # ----------------------------------------------------------------------

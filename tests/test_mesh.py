@@ -74,6 +74,16 @@ def test_constructor_validation(single_tet):
         Mesh(single_tet.vertices, [[0, 1, 2, 2]])
 
 
+def test_constructor_rejects_unused_vertices():
+    cube = unit_cube_mesh(2)
+    one = np.vstack([cube.vertices, [[2.0, 2.0, 2.0]]])
+    with pytest.raises(MeshError, match=r"^1 vertices .* no cell \(first unused: vertex 27\)"):
+        Mesh(one, cube.cells)
+    two = np.vstack([[[5.0, 5.0, 5.0], [6.0, 6.0, 6.0]], cube.vertices])
+    with pytest.raises(MeshError, match=r"^2 vertices .* no cell \(first unused: vertex 0\)"):
+        Mesh(two, cube.cells + 2)
+
+
 def test_grad_lambda_reproduces_barycentric(single_tet):
     # on the reference tet: lambda_0 = 1 - x - y - z, lambda_{1,2,3} = x, y, z
     g = single_tet.grad_lambda[0]
@@ -166,6 +176,26 @@ def test_msh2_reader(tmp_path):
     topo = build_topology(mesh)
     assert topo.num_faces == 7  # 4 + 4 - 1 shared
     assert int(topo.boundary_faces.sum()) == 6
+
+
+def test_msh2_reader_drops_nodes_outside_the_tetrahedra(tmp_path):
+    # node 1 is a geometry point (element type 15), node 7 is unreferenced
+    sample = MSH_SAMPLE.replace(
+        "$Nodes\n5\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n5 1 1 1\n",
+        "$Nodes\n7\n1 9 9 9\n2 0 0 0\n3 1 0 0\n4 0 1 0\n5 0 0 1\n6 1 1 1\n7 8 8 8\n",
+    ).replace(
+        "$Elements\n3\n1 2 2 1 1 1 2 3\n2 4 2 10 1 1 2 3 4\n3 4 2 20 2 2 3 5 4\n",
+        "$Elements\n4\n1 15 2 1 1 1\n2 2 2 1 1 2 3 4\n3 4 2 10 1 2 3 4 5\n"
+        "4 4 2 20 2 3 4 6 5\n",
+    )
+    path = tmp_path / "with_points.msh"
+    path.write_text(sample)
+    mesh = read_gmsh_msh2(str(path))
+    expected = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+    assert np.array_equal(mesh.vertices, expected)
+    assert list(mesh.cell_tags) == [10, 20]
+    assert mesh.volumes.sum() == pytest.approx(0.5, rel=1e-14)
+    assert build_topology(mesh).num_faces == 7
 
 
 def test_msh2_reader_repairs_negative_tet(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mhdfem import linalg
+from mhdfem import derham, linalg
 from mhdfem.assembly import quadrature_rule, quadrature_weights
 from mhdfem.derham import (
     FieldFunction,
@@ -25,6 +25,7 @@ from mhdfem.operators import (
     norm_div_part,
     norm_h1_vec,
     norm_w,
+    seminorm_h1_vec,
 )
 from mhdfem.verify import builtin_case
 from oracles import divfree_saddle
@@ -353,6 +354,29 @@ def test_norm_w_recomposition(mesh2, topo2):
     B.coeffs[rt.free] = RNG.standard_normal(rt.num_free)
     expected = np.sqrt(norm_h1_vec(uh) ** 2 + norm_d(B, dcurl) ** 2)
     assert norm_w(uh, B, dcurl) == pytest.approx(expected, rel=1e-13)
+
+
+def test_norms_never_tabulate_a_basis(mesh2, topo2, monkeypatch):
+    # fields are evaluated through the per-mesh coefficient tables, never
+    # through an (nc, nq, nloc, 3) basis table built on every call
+    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
+    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
+    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
+    dcurl = DiscreteCurl(ned, rt)
+    uh, E, B = (FieldFunction(s, RNG.standard_normal(s.ndof)) for s in (u, ned, rt))
+    calls = []
+    for name in ("nedelec_values", "rt_values", "p2_scalar_gradients"):
+
+        def spy(*args, _name=name, _real=getattr(derham, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(derham, name, spy)
+    lp_norm(E, 3)
+    lp_norm(B, 3)
+    seminorm_h1_vec(uh)
+    norm_w(uh, B, dcurl)
+    assert calls == []
 
 
 def test_velocity_dual_norm(mesh2):
