@@ -82,14 +82,13 @@ def quadrature_rule(degree: int) -> QuadratureRule:
 
 # form_id -> (trial kinds, test kinds, quadrature degree)
 _VEC = ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
-_P1 = ("lagrange_p1", "lagrange_p1_pressure")
 FORM_TABLE = {
     "grad_grad": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 4),
     "vec_mass": (_VEC, _VEC, 4),
-    "scalar_mass": (_P1 + ("dg0",), _P1 + ("dg0",), 2),
+    "scalar_mass": (("lagrange_p1", "dg0"), ("lagrange_p1", "dg0"), 2),
     "curl_mass_pairing": (("rt_lowest",), ("nedelec1_lowest",), 3),
     "div_scalar": (("rt_lowest",), ("dg0",), 3),
-    "div_pressure": (("lagrange_p2_vector",), _P1, 4),
+    "div_pressure": (("lagrange_p2_vector",), ("lagrange_p1",), 4),
     "convection_skew": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 5),
     "ohm_cross": (("lagrange_p2_vector",), ("nedelec1_lowest",), 6),
     "lorentz_cross": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 6),
@@ -149,7 +148,7 @@ def assemble_linear(
     fvals = np.asarray(func(xq.reshape(-1, 3)), dtype=float)
     nc, nq = xq.shape[:2]
     wdet = rule.weights[None, :] * np.abs(mesh.det_jacobians)[:, None]
-    if space.kind in ("lagrange_p1", "lagrange_p1_pressure"):
+    if space.kind == "lagrange_p1":
         fvals = fvals.reshape(nc, nq)
         cellvec = np.einsum("cq,cq,qa->ca", wdet, fvals, derham.p1_values(rule.points))
     elif space.kind == "dg0":
@@ -274,7 +273,7 @@ def _vector_basis(space, pts):
 
 
 def _scalar_basis(space, pts):
-    if space.kind in ("lagrange_p1", "lagrange_p1_pressure"):
+    if space.kind == "lagrange_p1":
         return derham.p1_values(pts)
     if space.kind == "dg0":
         return np.ones((len(np.atleast_2d(pts)), 1))

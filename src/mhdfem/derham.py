@@ -1,13 +1,13 @@
 """Lowest-order discrete de Rham spaces on tetrahedral meshes.
 
-Six space kinds are provided:
+Five space kinds are provided:
 
-* ``lagrange_p1``            scalar vertex elements (H(grad) slot)
+* ``lagrange_p1``            scalar vertex elements (H(grad) slot; also
+                             the zero-mean pressure)
 * ``nedelec1_lowest``        first-kind edge elements (H(curl) slot)
 * ``rt_lowest``              lowest Raviart-Thomas face elements (H(div) slot)
 * ``dg0``                    piecewise constants (L^2 slot)
 * ``lagrange_p2_vector``     vector quadratic Lagrange (velocity)
-* ``lagrange_p1_pressure``   scalar P1 pressure (zero mean, no BC)
 
 Edge and face degrees of freedom are oriented by ascending global vertex
 index, which makes tangential/normal traces match across cells without
@@ -27,7 +27,9 @@ divergences follow from the same tables.
 
 ``bc="essential_zero"`` constrains the boundary trace to zero (vertex
 values, edge circulations, face fluxes, or full velocity trace);
-``bc="none"`` leaves all degrees of freedom free.
+``bc="none"`` leaves all degrees of freedom free.  A zero-mean
+constraint (``mean_constraint=True``) is for ``lagrange_p1`` and ``dg0``
+without essential conditions.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ class SpaceError(Exception):
     """Raised for invalid space kind / boundary condition combinations."""
 
 
-SCALAR_KINDS = ("lagrange_p1", "lagrange_p1_pressure", "dg0")
+SCALAR_KINDS = ("lagrange_p1", "dg0")
 ALL_KINDS = SCALAR_KINDS + ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
 BC_KINDS = ("essential_zero", "none")
 
@@ -80,13 +82,9 @@ class FeSpace:
     dofmap: np.ndarray          # (nc, nloc) local-to-global
     constrained: np.ndarray     # (ndof,) bool, essential dofs
     free: np.ndarray = field(init=False)
-    global_to_free: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.free = np.flatnonzero(~self.constrained)
-        g2f = np.full(self.ndof, -1, dtype=np.int64)
-        g2f[self.free] = np.arange(len(self.free))
-        self.global_to_free = g2f
 
     @property
     def num_free(self) -> int:
@@ -142,16 +140,18 @@ def make_space(
         raise SpaceError(f"unknown boundary condition {bc!r}")
     if topology is None:
         topology = build_topology(mesh)
-    if kind in ("dg0", "lagrange_p1_pressure") and bc != "none":
+    if kind == "dg0" and bc != "none":
         raise SpaceError(f"{kind} does not admit essential boundary conditions")
-    if mean_constraint and kind not in ("dg0", "lagrange_p1_pressure"):
-        raise SpaceError(f"mean constraint is only meaningful for L^2-type spaces, not {kind}")
+    if mean_constraint and kind not in SCALAR_KINDS:
+        raise SpaceError(f"mean constraint is only meaningful for scalar spaces, not {kind}")
+    if mean_constraint and bc != "none":
+        raise SpaceError("a mean constraint does not combine with essential boundary conditions")
 
     nv = mesh.num_vertices
     ne = topology.num_edges
     nc = mesh.num_cells
 
-    if kind in ("lagrange_p1", "lagrange_p1_pressure"):
+    if kind == "lagrange_p1":
         ndof = nv
         dofmap = mesh.cells.copy()
         constrained = (
@@ -355,7 +355,7 @@ def evaluate_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
     space = f.space
     local = f.coeffs[space.dofmap]  # (nc, nloc)
     kind = space.kind
-    if kind in ("lagrange_p1", "lagrange_p1_pressure"):
+    if kind == "lagrange_p1":
         return np.einsum("qa,ca->cq", p1_values(points), local)
     if kind == "dg0":
         nq = len(np.atleast_2d(points))
@@ -410,7 +410,7 @@ def canonical_interpolate(space: FeSpace, func) -> FieldFunction:
     """
     mesh, topo = space.mesh, space.topology
     kind = space.kind
-    if kind in ("lagrange_p1", "lagrange_p1_pressure"):
+    if kind == "lagrange_p1":
         return FieldFunction(space, np.asarray(func(mesh.vertices), dtype=float))
     if kind == "dg0":
         from .assembly import quadrature_rule

@@ -4,23 +4,22 @@ CSR storage and the direct factorization are delegated to scipy
 (``scipy.sparse`` / SuperLU); this module owns the contracts around
 them.  `Factorization` is the one place a matrix is factored: it
 reports singularity with the pivot index, and every solve with the
-matrix or its transpose meets a hard relative-residual bound (after
-iterative refinement and, for small systems, a dense fallback that logs
-a warning when it runs).  Around it live the block flattening of a
-``sp.bmat`` grid, in which a zero-mean constraint is one more block row
-and column, and an inverse-power proxy for the smallest
-(norm-weighted) singular value.
+matrix or its transpose either meets a hard relative-residual bound on
+the sparse LU, after iterative refinement, or raises.  Around it live
+the block flattening of a ``sp.bmat`` grid, in which a zero-mean
+constraint is one more block row and column, and an inverse-power proxy
+for the smallest (norm-weighted) singular value.
 """
 
 from __future__ import annotations
-
-import logging
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-DENSE_FALLBACK_SIZE = 2000
+# largest matrix whose failed factorization is densified to locate the
+# vanishing pivot
+PIVOT_SEARCH_SIZE = 2000
 # relative residual every solve must reach (the per-iterate bounds of
 # div B, r and curl E rest on it)
 RESIDUAL_TOL = 1e-10
@@ -28,8 +27,6 @@ RESIDUAL_TOL = 1e-10
 POWER_MAXIT = 500
 POWER_TOL = 1e-8
 POWER_SEED = 0
-
-_log = logging.getLogger(__name__)
 
 
 class LinAlgError(Exception):
@@ -48,7 +45,7 @@ class SingularMatrixError(LinAlgError):
 
 def _locate_pivot(A) -> int | None:
     """Identify the first vanishing pivot via dense LU (small systems)."""
-    if A.shape[0] > DENSE_FALLBACK_SIZE:
+    if A.shape[0] > PIVOT_SEARCH_SIZE:
         return None
     import scipy.linalg as la
 
@@ -64,9 +61,8 @@ class Factorization:
 
     Factoring reports singularity with the pivot index.  Every solve,
     with A or with its transpose (from the same LU), refines iteratively
-    and must reach a relative residual of ``RESIDUAL_TOL``; systems of
-    at most ``DENSE_FALLBACK_SIZE`` unknowns fall back to a dense solve
-    before a LinAlgError is raised.
+    and must reach a relative residual of ``RESIDUAL_TOL``; otherwise it
+    raises a LinAlgError that names the residual.
     """
 
     def __init__(self, A: sp.spmatrix):
@@ -107,23 +103,12 @@ class Factorization:
                 break
             last = rnorm
             x = x + self._lu.solve(r, trans=mode)
-        r = b - A @ x
-        if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
-            return x
-        if A.shape[0] <= DENSE_FALLBACK_SIZE:
-            _log.warning(
-                "sparse solve on %d unknowns missed the residual bound "
-                "(relative residual %.3e); solving densely",
-                A.shape[0],
-                np.linalg.norm(r) / bnorm,
+        resid = np.linalg.norm(b - A @ x) / bnorm
+        if resid > RESIDUAL_TOL:
+            raise LinAlgError(
+                f"sparse solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
-            x = np.linalg.solve(A.toarray(), b)
-            r = b - A @ x
-            if np.linalg.norm(r) <= RESIDUAL_TOL * bnorm:
-                return x
-        raise LinAlgError(
-            f"solve residual {np.linalg.norm(r) / bnorm:.3e} exceeds {RESIDUAL_TOL:.1e}"
-        )
+        return x
 
 
 def solve_direct(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:

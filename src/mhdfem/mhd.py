@@ -196,7 +196,7 @@ class MhdDriver:
             "u": make_space("lagrange_p2_vector", "essential_zero", mesh, topo),
             "E": make_space("nedelec1_lowest", ess, mesh, topo),
             "B": make_space("rt_lowest", ess, mesh, topo),
-            "p": make_space("lagrange_p1_pressure", "none", mesh, topo, mean_constraint=True),
+            "p": make_space("lagrange_p1", "none", mesh, topo, mean_constraint=True),
         }
         self.u_space, self.E_space, self.B_space, self.p_space = self.spaces.values()
 
@@ -270,22 +270,19 @@ class MhdDriver:
         self._ct = ct
         self._cotree = linalg.Factorization(self.C_ct.T @ self.M_B @ self.C_ct)
 
-        width = {"u": self.u_space.num_free, "phi": m, "p": self.p_space.num_free, "p_mean": 1}
-        blocks = {
-            ("u", "u"): sp.identity(width["u"]),
-            ("E", "phi"): G0,
-            ("p", "p"): sp.identity(width["p"]),
-            ("p_mean", "p_mean"): sp.identity(1),
+        sizes = {t: self.spaces[t].num_free if t in self.spaces else 1 for t in self.unknowns}
+        lift = {
+            "u": sp.identity(sizes["u"]),
+            "E": G0,
+            "p": sp.identity(sizes["p"]),
+            "p_mean": sp.identity(1),
         }
-        grid = [[blocks.get((t, f)) for f in width] for t in self.unknowns]
-        for row, t in zip(grid, self.unknowns):
-            if all(block is None for block in row):
-                rows = self.spaces[t].num_free if t in self.spaces else 1
-                row[0] = sp.csr_matrix((rows, width["u"]))
-        self.P = sp.bmat(grid, format="csr")
-        nu, nE = self.u_space.num_free, self.E_space.num_free
-        self._E_rows = slice(nu, nu + nE)
-        self._B_rows = slice(nu + nE, nu + nE + self.B_space.num_free)
+        self.P = sp.block_diag(
+            [lift.get(t, sp.csr_matrix((sizes[t], 0))) for t in self.unknowns], format="csr"
+        )
+        start = dict(zip(self.unknowns, np.cumsum([0, *sizes.values()])))
+        self._E_rows = slice(start["E"], start["E"] + sizes["E"])
+        self._B_rows = slice(start["B"], start["B"] + sizes["B"])
 
     # ------------------------------------------------------------------
     # the saddle systems: layout, border and scatter

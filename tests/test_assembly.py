@@ -146,7 +146,7 @@ def test_div_scalar_gives_cell_integrals_of_div(mesh2, topo2):
 
 def test_div_pressure_value(mesh2, topo2):
     u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    q = make_space("lagrange_p1_pressure", "none", mesh2, topo2)
+    q = make_space("lagrange_p1", "none", mesh2, topo2)
     D = assemble_bilinear("div_pressure", u, q)
     uf = RNG.standard_normal(u.num_free)
     qf = RNG.standard_normal(q.num_free)
@@ -342,7 +342,7 @@ def test_magnetic_source_load_closes_ohm_identity(mesh2, topo2):
 def test_domain_integral_vector(mesh2, topo2):
     dg = make_space("dg0", "none", mesh2, topo2)
     assert domain_integral_vector(dg) == pytest.approx(mesh2.volumes, abs=1e-16)
-    p1 = make_space("lagrange_p1_pressure", "none", mesh2, topo2)
+    p1 = make_space("lagrange_p1", "none", mesh2, topo2)
     vec = domain_integral_vector(p1)
     assert vec == pytest.approx(vertex_volume_weights(p1), rel=1e-13)
 

@@ -65,9 +65,7 @@ def test_solve_shape_mismatch():
         solve_direct(A, np.ones(4))
 
 
-def test_transposed_solve_matches_dense_oracle(monkeypatch):
-    # without the dense fallback the answer must come from the sparse LU
-    monkeypatch.setattr(linalg, "DENSE_FALLBACK_SIZE", 0)
+def test_transposed_solve_matches_dense_oracle():
     M = RNG.standard_normal((40, 40)) + 5.0 * np.eye(40)
     A = sp.csr_matrix(M)
     b = RNG.standard_normal(40)
@@ -77,8 +75,7 @@ def test_transposed_solve_matches_dense_oracle(monkeypatch):
 
 
 def test_solve_raises_when_contract_is_missed(monkeypatch):
-    # no solve of a random system reaches a residual of 1e-30, and the
-    # dense fallback cannot either
+    # no solve of a random system reaches a residual of 1e-30
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-30)
     M = RNG.standard_normal((20, 20)) + 5.0 * np.eye(20)
     lu = Factorization(sp.csr_matrix(M))
@@ -94,18 +91,15 @@ class _ZeroSolve:
         return np.zeros_like(b)
 
 
-def test_dense_fallback_logs_and_still_solves(caplog):
+def test_missed_contract_raises_without_a_second_solver(caplog):
     M = RNG.standard_normal((20, 20)) + 5.0 * np.eye(20)
-    b = RNG.standard_normal(20)
     lu = Factorization(sp.csr_matrix(M))
     lu._lu = _ZeroSolve()
-    with caplog.at_level(logging.WARNING, logger="mhdfem.linalg"):
-        x = lu.solve(b)
-    assert x == pytest.approx(np.linalg.solve(M, b), rel=1e-10, abs=1e-12)
-    warnings = [r for r in caplog.records if r.name == "mhdfem.linalg"]
-    assert len(warnings) == 1
-    assert warnings[0].levelno == logging.WARNING
-    assert "solving densely" in warnings[0].getMessage()
+    with caplog.at_level(logging.DEBUG, logger="mhdfem"):
+        for trans in (False, True):
+            with pytest.raises(LinAlgError, match="residual 1.000e\\+00"):
+                lu.solve(RNG.standard_normal(20), trans=trans)
+    assert caplog.records == []
 
 
 def test_sparse_solve_logs_nothing(caplog):
@@ -289,6 +283,22 @@ def _call_sites(callee: str) -> list:
 
 def test_only_linalg_factors_matrices():
     assert {module for module, _ in _call_sites("splu")} == {"linalg.py"}
+
+
+def test_block_grids_are_built_in_two_places():
+    # the saddle systems go through flatten; the potential map P is one
+    # block diagonal, and only the stability weight is a grid of its own
+    assert sorted(_call_sites("bmat")) == [
+        ("linalg.py", "flatten"),
+        ("mhd.py", "stability_weight_matrix"),
+    ]
+
+
+def test_no_solve_densifies_a_matrix():
+    # only the pivot search of a failed factorization goes dense
+    assert [site for site in _call_sites("toarray") if site[0] == "linalg.py"] == [
+        ("linalg.py", "_locate_pivot")
+    ]
 
 
 def test_one_saddle_system_path():
