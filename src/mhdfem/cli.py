@@ -95,7 +95,7 @@ def load_config(path: str) -> dict:
 
     cfg: dict = {}
 
-    mesh = raw.get("mesh")
+    mesh = raw.get("mesh", {"builtin": 4})
     if not isinstance(mesh, dict) or len(mesh) != 1 or not set(mesh) <= {"builtin", "msh2"}:
         raise ConfigError('mesh must be exactly one of {"builtin": n} or {"msh2": path}')
     if "builtin" in mesh:
@@ -133,7 +133,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("picard.maxit must be a positive integer")
     cfg["tol"], cfg["maxit"] = float(tol), maxit
 
-    case = raw.get("case")
+    case = raw.get("case", {"builtin": 0.1})
     if (
         not isinstance(case, dict)
         or len(case) != 1

@@ -19,10 +19,9 @@ with uniform divergence) and a singular linear system, so the full space
 is the well-posed choice; the computed multiplier is zero either way.
 The augmented driver has no r unknown.
 
-The Picard step and the Stokes projection of the error analysis are
-maps (test, trial) -> block over the driver's spaces; ``block_system``
-borders every zero-mean field and flattens the map, and ``split``
-scatters a solution back into fields.
+The Picard step is a map (test, trial) -> block over the driver's
+spaces; ``block_system`` borders every zero-mean field and flattens the
+map, and ``split`` scatters a solution back into fields.
 
 A step is defined by its monolithic matrix, but it is solved in
 potentials of the exact sequence.  On a connected domain without holes
@@ -47,6 +46,17 @@ the electric field because E is the admissible Ohm test function; when
 g = 0 this is the scheme's plain energy law, and j coincides with
 E + u x B at a converged state.  A domain with b1 > 0 or b2 > 0 carries
 discrete harmonic fields that the potentials miss, and is rejected.
+
+The reduced step matrix differs from its value at u- = 0, B- = 0, the
+Stokes-Poisson operator S = P^T A(0, 0) P (the bordered Stokes block
+with K_u / Re next to s G0^T M_E G0), only by the frozen convection,
+Lorentz and Ohm terms, which the smallness condition of the Picard
+theory keeps small.  So S is factored once per driver, on first use,
+and each step is solved by GMRES preconditioned with that LU (Elman,
+Silvester & Wathen, Finite Elements and Fast Iterative Solvers, 2014);
+a step that GMRES cannot bring under the residual contract within its
+budget is factored on its own.  The Stokes projection of the error
+analysis is the Stokes part of S, so it reuses the same LU.
 """
 
 from __future__ import annotations
@@ -180,6 +190,7 @@ class MhdDriver:
     def __init__(self, mesh: Mesh, params: MhdParams, sources: SourceData | None = None):
         self.mesh = mesh
         self.params = params
+        self._S = None  # the Stokes-Poisson LU, built on first use
         self.sources = sources if sources is not None else SourceData()
         topo = build_topology(mesh)
         betti = betti_numbers(mesh, topo)
@@ -220,7 +231,7 @@ class MhdDriver:
             for f, space in self.spaces.items()
             if space.mean_constraint
         }
-        self.unknowns = self._bordered(self.fields)
+        self.unknowns = self.fields + tuple(f + "_mean" for f in self.mean_rows)
         self._build_potentials(topo)
 
         self.load_f = (
@@ -234,11 +245,17 @@ class MhdDriver:
             else np.zeros(self.E_space.num_free)
         )
 
-        # discrete dual norm sup <f, v> / |grad v| over the velocity space
+        # discrete dual norm sup <f, v> / |grad v| over the velocity space;
+        # the coefficients are component-interleaved (dof 3 node + c) and
+        # K_u is the scalar stiffness k on each component, so f K_u^-1 f
+        # sums f_c k^-1 f_c over the components on one LU of k
         self.dual_f = 0.0
         if np.any(self.load_f):
-            x_f = linalg.solve_direct(self.K_u, self.load_f)
-            self.dual_f = float(np.sqrt(max(float(self.load_f @ x_f), 0.0)))
+            comp = self.u_space.free % 3
+            k = linalg.Factorization(self.K_u[comp == 0][:, comp == 0])
+            loads = [self.load_f[comp == c] for c in range(3)]
+            work = sum(float(f_c @ k.solve(f_c)) for f_c in loads)
+            self.dual_f = float(np.sqrt(max(work, 0.0)))
 
     def _build_potentials(self, topo) -> None:
         """The constant operators of the potential solve.
@@ -280,38 +297,33 @@ class MhdDriver:
         self.P = sp.block_diag(
             [lift.get(t, sp.csr_matrix((sizes[t], 0))) for t in self.unknowns], format="csr"
         )
-        start = dict(zip(self.unknowns, np.cumsum([0, *sizes.values()])))
-        self._E_rows = slice(start["E"], start["E"] + sizes["E"])
-        self._B_rows = slice(start["B"], start["B"] + sizes["B"])
+        start = np.cumsum([0, *sizes.values()])
+        self._rows = {t: slice(i, j) for t, i, j in zip(self.unknowns, start, start[1:])}
 
     # ------------------------------------------------------------------
     # the saddle systems: layout, border and scatter
 
-    def _bordered(self, fields) -> tuple:
-        """The fields in order, then the border of each zero-mean one."""
-        return tuple(fields) + tuple(f + "_mean" for f in fields if f in self.mean_rows)
-
-    def block_system(self, fields, blocks: dict, rhs: dict) -> tuple:
+    def block_system(self, blocks: dict, rhs: dict) -> tuple:
         """Matrix and right-hand side (A, b) of a saddle system over the
-        named fields, from a map (test, trial) -> block and a map field ->
-        load vector; absent blocks and loads are zero.  Each zero-mean
+        driver's fields, from a map (test, trial) -> block and a map field
+        -> load vector; absent blocks and loads are zero.  Each zero-mean
         field f gets its border row and column ``f + "_mean"`` after the
-        fields, so the unknowns are in ``_bordered(fields)`` order."""
+        fields, so the unknowns are in ``unknowns`` order."""
         blocks = dict(blocks)
-        for f in fields:
-            if f in self.mean_rows:
-                blocks[f + "_mean", f] = self.mean_rows[f]
-                blocks[f, f + "_mean"] = self.mean_rows[f].T
-        names = self._bordered(fields)
+        for f, row in self.mean_rows.items():
+            blocks[f + "_mean", f] = row
+            blocks[f, f + "_mean"] = row.T
+        names = self.unknowns
         grid = [[blocks.get((t, f)) for f in names] for t in names]
         A, b, _ = linalg.flatten(grid, [rhs.get(t) for t in names])
         return A, b
 
-    def split(self, fields, x: np.ndarray) -> dict:
-        """Map field name -> FieldFunction of a solution of
-        ``block_system(fields, ...)``; the border multipliers are dropped."""
-        parts = np.split(x, np.cumsum([self.spaces[f].num_free for f in fields]))
-        return {f: FieldFunction.from_free(self.spaces[f], x_f) for f, x_f in zip(fields, parts)}
+    def split(self, x: np.ndarray) -> dict:
+        """Map field name -> FieldFunction of a vector in ``unknowns``
+        order; the border multipliers are dropped."""
+        return {
+            f: FieldFunction.from_free(self.spaces[f], x[self._rows[f]]) for f in self.fields
+        }
 
     # ------------------------------------------------------------------
     # assembly of one Picard step
@@ -367,7 +379,7 @@ class MhdDriver:
             blocks["B", "r"] = blocks["r", "B"].T
         else:
             blocks["B", "B"] = alpha * self.G_dd
-        return self.block_system(self.fields, blocks, {"u": self.load_f, "E": self.load_g})
+        return self.block_system(blocks, {"u": self.load_f, "E": self.load_g})
 
     # ------------------------------------------------------------------
     # projections of the error analysis
@@ -377,20 +389,25 @@ class MhdDriver:
 
         Solves (grad Pu, grad v) + (q_aux, div v) = (grad u, grad v),
         (div Pu, q) = 0 with zero-mean auxiliary pressure, over the
-        driver's velocity and pressure spaces.  ``grad_u_func`` maps
-        (N, 3) points to (N, 3, 3) tensors G_ij = d_j u_i.  Returns
-        (projected velocity, auxiliary pressure).
+        driver's velocity and pressure spaces, with the Stokes-Poisson
+        LU of the Picard steps.  ``grad_u_func`` maps (N, 3) points to
+        (N, 3, 3) tensors G_ij = d_j u_i.  Returns (projected velocity,
+        auxiliary pressure).
         """
-        blocks = {("u", "u"): self.K_u, ("u", "p"): self.D_p.T, ("p", "u"): self.D_p}
-        rhs = {"u": assembly._grad_load(self.u_space, grad_u_func, quad_degree)}
         try:
-            x = linalg.solve_direct(*self.block_system(("u", "p"), blocks, rhs))
+            S = self._stokes_poisson()
         except linalg.SingularMatrixError as exc:
             raise MhdError(
                 f"Stokes system singular (velocity/pressure pair unstable): {exc}"
             ) from exc
-        out = self.split(("u", "p"), x)
-        return out["u"], out["p"]
+        # the system divided by Re is the Stokes part of S, whose u rows
+        # carry K_u / Re and whose pressure is -q / Re; phi solves
+        # s G0^T M_E G0 phi = 0
+        b = np.zeros(self.P.shape[0])
+        b[self._rows["u"]] = assembly._grad_load(self.u_space, grad_u_func, quad_degree)
+        b /= self.params.Re
+        out = self.split(self.P @ S.solve(self.P.T @ b))
+        return out["u"], FieldFunction(self.p_space, -self.params.Re * out["p"].coeffs)
 
     def divfree_project(self, func, *, quad_degree: int = 6) -> FieldFunction:
         """L^2 projection onto the divergence-free subspace of the face
@@ -405,27 +422,47 @@ class MhdDriver:
     # ------------------------------------------------------------------
     # Picard loop
 
+    def _stokes_poisson(self) -> linalg.Factorization:
+        """LU of the Stokes-Poisson operator S = P^T A(0, 0) P, the reduced
+        step matrix at u- = 0, B- = 0; factored on first use, then kept."""
+        if self._S is None:
+            zero = self.zero_state()
+            A0, _ = self.assemble_picard_step(zero.u, zero.B)
+            self._S = linalg.Factorization((self.P.T @ A0 @ self.P).tocsr())
+        return self._S
+
     def _solve_step(self, A: sp.csr_matrix, b: np.ndarray) -> tuple:
         """Solution x of A x = b in ``unknowns`` order, its relative
-        residual and the reduced matrix P^T A P.
+        residual, the reduced matrix P^T A P and how that was solved.
 
         (u, phi, p) come from the Galerkin system P^T A P y = P^T b, in
         which B drops out because Ohm's law is tested with gradients
-        (G0^T R_EB = G0^T C^T M_B = 0).  B = C_ct a then follows from the
-        Ohm rows on the cotree, K a = -(b - A P y)_ct / alpha; the other
-        Ohm rows hold with them, because both sides are orthogonal to the
-        gradients and the tree rows of G0 are invertible."""
+        (G0^T R_EB = G0^T C^T M_B = 0).  It is solved by GMRES
+        preconditioned with the Stokes-Poisson LU, or factored when GMRES
+        misses its budget or the residual contract.  B = C_ct a then
+        follows from the Ohm rows on the cotree, K a = -(b - A P y)_ct /
+        alpha; the other Ohm rows hold with them, because both sides are
+        orthogonal to the gradients and the tree rows of G0 are
+        invertible."""
         reduced = (self.P.T @ A @ self.P).tocsr()
-        x = self.P @ linalg.solve_direct(reduced, self.P.T @ b)
-        ohm = (b - A @ x)[self._E_rows]
-        x[self._B_rows] = self.C_ct @ self._cotree.solve(-ohm[self._ct] / self.params.alpha)
+        rb = self.P.T @ b
+        S = self._stokes_poisson()
+        try:
+            y = S.solve(rb, A=reduced)
+            how = f"GMRES on S: {S.iterations} iterations, {S.sweeps} refinement sweeps"
+        except linalg.LinAlgError:
+            y = linalg.solve_direct(reduced, rb)
+            how = "factored"
+        x = self.P @ y
+        ohm = (b - A @ x)[self._rows["E"]]
+        x[self._rows["B"]] = self.C_ct @ self._cotree.solve(-ohm[self._ct] / self.params.alpha)
         bnorm = np.linalg.norm(b)
         resid = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm > 0 else 0.0
         if resid > linalg.RESIDUAL_TOL:
             raise linalg.LinAlgError(
                 f"Picard step residual {resid:.3e} exceeds {linalg.RESIDUAL_TOL:.1e}"
             )
-        return x, resid, reduced
+        return x, resid, reduced, how
 
     def picard_solve(
         self,
@@ -453,8 +490,8 @@ class MhdDriver:
         for _ in range(maxit):
             cross = self.cross_blocks(state.B)
             A, b = self.assemble_picard_step(state.u, state.B, cross=cross)
-            x, resid, reduced = self._solve_step(A, b)
-            new_state = MhdState(**self.split(self.fields, x))
+            x, resid, reduced, how = self._solve_step(A, b)
+            new_state = MhdState(**self.split(x))
 
             du = FieldFunction(self.u_space, new_state.u.coeffs - state.u.coeffs)
             dB = FieldFunction(self.B_space, new_state.B.coeffs - state.B.coeffs)
@@ -469,11 +506,12 @@ class MhdDriver:
                 report.states.append(new_state)
             prev = report.increments[-2] if report.iterations > 1 else 0.0
             _log.debug(
-                "Picard step %d: %d reduced unknowns, %d nonzeros, residual %.3e, "
+                "Picard step %d: %d reduced unknowns, %d nonzeros, %s, residual %.3e, "
                 "contraction ratio %s",
                 report.iterations,
                 reduced.shape[0],
                 reduced.nnz,
+                how,
                 resid,
                 f"{increment / prev:.3e}" if prev > 0 else "n/a",
             )

@@ -274,6 +274,17 @@ def test_complex_check_builtin(tmp_path):
     assert report["diagnostics"]["commuting_residual"] <= 1e-10
 
 
+def test_complex_check_needs_no_case(tmp_path):
+    # an omitted case or mesh takes the default the README shows
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"mesh": {"builtin": 1}}), encoding="utf-8")
+    assert cli.main(["complex-check", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+    cfg = cli.load_config(str(path))
+    assert cfg["case"] == ("builtin", 0.1)
+    path.write_text("{}", encoding="utf-8")
+    assert cli.load_config(str(path))["mesh"] == ("builtin", 4)
+
+
 def _write_msh2(mesh, path):
     nodes = [f"{i + 1} {x} {y} {z}" for i, (x, y, z) in enumerate(mesh.vertices.tolist())]
     tets = [f"{k + 1} 4 0 " + " ".join(str(v + 1) for v in c) for k, c in enumerate(mesh.cells)]

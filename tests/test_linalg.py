@@ -109,6 +109,32 @@ def test_sparse_solve_logs_nothing(caplog):
     assert caplog.records == []
 
 
+def test_gmres_solve_with_a_nearby_matrix_meets_the_contract():
+    M = sp.csr_matrix(RNG.standard_normal((60, 60)) + 10.0 * np.eye(60))
+    near = M + sp.random(60, 60, density=0.1, random_state=5) * 0.5
+    b = RNG.standard_normal(60)
+    lu = Factorization(M)
+    x = lu.solve(b, A=near)
+    assert np.linalg.norm(near @ x - b) <= 1e-10 * np.linalg.norm(b)
+    assert x == pytest.approx(np.linalg.solve(near.toarray(), b), rel=1e-10, abs=1e-12)
+    assert 0 < lu.iterations <= linalg.GMRES_MAXIT
+    lu.solve(b)
+    assert lu.iterations == 0
+
+
+def test_gmres_solve_with_a_far_matrix_raises():
+    # eigenvalues of both signs over six decades: GMRES with the LU of
+    # the identity needs far more than its budget
+    n = 4 * linalg.GMRES_MAXIT
+    signs = np.where(RNG.random(n) < 0.5, -1.0, 1.0)
+    far = sp.diags(signs * np.geomspace(1e-3, 1e3, n), format="csr")
+    lu = Factorization(sp.identity(n, format="csr"))
+    with pytest.raises(LinAlgError, match="GMRES residual"):
+        lu.solve(RNG.standard_normal(n), A=far)
+    with pytest.raises(LinAlgError, match="shape"):
+        lu.solve(np.ones(n), A=far[:-1, :-1])
+
+
 # ----------------------------------------------------------------------
 # block flattening
 
@@ -283,6 +309,10 @@ def _call_sites(callee: str) -> list:
 
 def test_only_linalg_factors_matrices():
     assert {module for module, _ in _call_sites("splu")} == {"linalg.py"}
+
+
+def test_only_linalg_runs_krylov_solves():
+    assert _call_sites("gmres") == [("linalg.py", "_gmres")]
 
 
 def test_block_grids_are_built_in_two_places():

@@ -270,7 +270,7 @@ def test_potential_step_matches_the_monolithic_solve(bc_family, variant):
     _, report = drv.picard_solve(maxit=1, init=init, keep_states=True)
 
     A, b = drv.assemble_picard_step(init.u, init.B)
-    ref = drv.split(drv.fields, linalg.solve_direct(A, b))
+    ref = drv.split(linalg.solve_direct(A, b))
     got = np.concatenate([getattr(report.states[1], f).coeffs for f in drv.fields])
     want = np.concatenate([ref[f].coeffs for f in drv.fields])
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -278,16 +278,38 @@ def test_potential_step_matches_the_monolithic_solve(bc_family, variant):
 
 
 def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
+    # one reduced LU, of S = P^T A(0, 0) P, serves every Picard step and
+    # every Stokes projection of the driver
     case = builtin_case("normal_B")
     drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
-    zero = drv.zero_state()
-    monolithic = drv.assemble_picard_step(zero.u, zero.B)[0].shape[0]
     rows = []
     splu = linalg.spla.splu
     monkeypatch.setattr(linalg.spla, "splu", lambda A: rows.append(A.shape[0]) or splu(A))
     _, report = drv.picard_solve(tol=1e-10, maxit=50)
-    assert report.converged and len(rows) == report.iterations
-    assert monolithic not in rows
+    drv.stokes_project(case.grad_u)
+    drv.stokes_project(case.grad_u, quad_degree=8)
+    assert report.converged and report.iterations >= 3
+    assert rows == [drv.P.shape[1]]
+
+
+def test_steps_gmres_cannot_solve_are_factored(caplog):
+    # far outside the smallness condition the frozen terms swamp S, GMRES
+    # misses the contract and each step is factored on its own
+    case = builtin_case("normal_B", 100.0, Re=1000.0, Rm=1000.0)
+    drv = MhdDriver(unit_cube_mesh(3), case.params("multiplier"), case.sources())
+    with caplog.at_level(logging.DEBUG, logger="mhdfem.mhd"):
+        _, report = drv.picard_solve(maxit=3)
+    messages = [r.getMessage() for r in caplog.records if r.name == "mhdfem.mhd"]
+    assert report.iterations == len(messages) == 3
+    assert all("nonzeros, factored, residual" in m for m in messages[1:])
+    assert max(report.residuals) <= 1e-10
+
+
+def test_velocity_dual_norm_matches_the_vector_solve(mesh2):
+    # the scalar-block solve on each component equals the solve with K_u
+    drv = MhdDriver(mesh2, MhdParams(), builtin_case("normal_B").sources())
+    x = linalg.solve_direct(drv.K_u, drv.load_f)
+    assert drv.dual_f == pytest.approx(np.sqrt(drv.load_f @ x), rel=1e-12)
 
 
 def test_each_step_logs_its_solve(mesh2, caplog):
@@ -302,6 +324,7 @@ def test_each_step_logs_its_solve(mesh2, caplog):
     assert len(records) == report.iterations >= 3
     assert all(r.levelno == logging.DEBUG for r in records)
     assert f"{drv.P.shape[1]} reduced unknowns" in records[0].getMessage()
+    assert all("GMRES on S: " in r.getMessage() for r in records)
     assert records[0].getMessage().endswith("contraction ratio n/a")
     ratio = report.increments[2] / report.increments[1]
     assert records[2].getMessage().endswith(f"contraction ratio {ratio:.3e}")
