@@ -9,8 +9,9 @@ Bilinear forms are assembled cellwise with numpy tensor contractions and
 scattered into sparse matrices over the free (unconstrained) degrees of
 freedom; essential-zero boundary conditions are eliminated symmetrically
 by restriction.  Zero-mean constraints are not handled here: each
-enters the saddle system as one more block row and column holding the
-domain integrals of the basis functions (see MhdDriver.block_system).
+enters the Picard step's block map as one more block row and column
+holding the domain integrals of the basis functions (see the step map
+of MhdDriver, which ``block_system`` flattens).
 
 The quadrature degree of each bilinear form makes its integrand exact
 on affine cells: 4 for the fluid blocks, 5 for convection

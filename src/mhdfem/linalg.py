@@ -22,7 +22,8 @@ import scipy.sparse.linalg as spla
 # vanishing pivot
 PIVOT_SEARCH_SIZE = 2000
 # relative residual every solve must reach (the per-iterate bounds of
-# div B, r and curl E rest on it)
+# div B, r and curl E rest on it); every check reads
+# ``not resid <= RESIDUAL_TOL``, so that a NaN residual fails it
 RESIDUAL_TOL = 1e-10
 # refinement stops once the componentwise (Oettli-Prager) backward
 # error reaches this many units of roundoff, or stops halving
@@ -142,7 +143,7 @@ class Factorization:
             x = x + inner(r)
             self.sweeps += 1
         resid = np.linalg.norm(b - A @ x) / bnorm
-        if resid > RESIDUAL_TOL:
+        if not resid <= RESIDUAL_TOL:
             raise LinAlgError(
                 f"sparse solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}"
             )
@@ -166,7 +167,7 @@ class Factorization:
         self.iterations += len(steps)
         # GMRES_RTOL is the aim; only a miss of the contract is a failure
         resid = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-        if resid > RESIDUAL_TOL:
+        if not resid <= RESIDUAL_TOL:
             raise LinAlgError(
                 f"GMRES residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} "
                 f"after {len(steps)} iterations"
@@ -249,6 +250,6 @@ def smallest_singular_value(
         raise LinAlgError(
             f"inverse power iteration did not converge in {POWER_MAXIT} steps"
         )
-    if mu <= 0:
+    if not mu > 0:
         raise LinAlgError("inverse power iteration lost positivity")
     return 1.0 / np.sqrt(mu)

@@ -19,21 +19,23 @@ with uniform divergence) and a singular linear system, so the full space
 is the well-posed choice; the computed multiplier is zero either way.
 The augmented driver has no r unknown.
 
-The Picard step is a map (test, trial) -> block over the driver's
-spaces; ``block_system`` borders every zero-mean field and flattens the
-map, and ``split`` scatters a solution back into fields.
-
-A step is defined by its monolithic matrix, but it is solved in
-potentials of the exact sequence.  On a connected domain without holes
-or cavities (Betti numbers b1 = b2 = 0, checked when the driver is
-built) every curl-free E is G phi and every divergence-free B is C a,
-with G and C the integer gradient and curl incidences on the free
-dofs.  Ohm's law tested with gradients loses B, because R_EB = C^T M_B
-and C G = 0, so (u, phi, p) solve the Galerkin system P^T A P y = P^T b
-with the constant prolongation P.  B = C a then follows from the Ohm
-rows, with a gauged by a spanning tree (the tree-cotree construction of
-Gross & Kotiuga, Electromagnetic Theory and Computation, 2004) and the
-constant cotree matrix C^T M_B C factored once per driver.  Every Picard
+A Picard step is one map (test, trial) -> block over the driver's
+unknowns, border rows of the zero-mean fields included; ``block_system``
+flattens such a map over a list of unknowns.  Flattened over
+``unknowns`` it is the monolithic matrix that defines the step, but a
+step is solved in potentials of the exact sequence.  On a connected
+domain without holes or cavities (Betti numbers b1 = b2 = 0, checked
+when the driver is built) every curl-free E is G phi and every
+divergence-free B is C a, with G and C the integer gradient and curl
+incidences on the free dofs.  Ohm's law tested with gradients loses B,
+because R_EB = C^T M_B and C G = 0, so the map is lifted to the
+potentials (u, phi, p, p_mean), with E = G0 phi and B, r and r_mean
+dropped, and only that Galerkin system is flattened and solved.
+B = C a then follows from the Ohm rows, with a gauged by a spanning
+tree (the tree-cotree construction of Gross & Kotiuga, Electromagnetic
+Theory and Computation, 2004) and the constant cotree matrix C^T M_B C
+factored once per driver, and the monolithic residual is taken block
+by block.  Every Picard
 iterate therefore has cellwise div B = 0, r = 0 and curl E = 0 by the
 integer identities div curl = 0 and curl grad = 0, and satisfies the
 energy identity
@@ -47,9 +49,9 @@ g = 0 this is the scheme's plain energy law, and j coincides with
 E + u x B at a converged state.  A domain with b1 > 0 or b2 > 0 carries
 discrete harmonic fields that the potentials miss, and is rejected.
 
-The reduced step matrix differs from its value at u- = 0, B- = 0, the
-Stokes-Poisson operator S = P^T A(0, 0) P (the bordered Stokes block
-with K_u / Re next to s G0^T M_E G0), only by the frozen convection,
+The potential step matrix differs from its value at u- = 0, B- = 0,
+the Stokes-Poisson operator S (the bordered Stokes block with K_u / Re
+next to s G0^T M_E G0), only by the frozen convection,
 Lorentz and Ohm terms, which the smallness condition of the Picard
 theory keeps small.  So S is factored once per driver, on first use,
 and each step is solved by GMRES preconditioned with that LU (Elman,
@@ -99,8 +101,8 @@ class MhdParams:
 
     def __post_init__(self):
         for name in ("Re", "Rm", "s"):
-            if not getattr(self, name) > 0:
-                raise MhdError(f"parameter {name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise MhdError(f"parameter {name} must be positive and finite")
         if self.bc_family not in BC_FAMILIES:
             raise MhdError(f"unknown bc_family {self.bc_family!r}")
         if self.variant not in VARIANTS:
@@ -260,15 +262,14 @@ class MhdDriver:
     def _build_potentials(self, topo) -> None:
         """The constant operators of the potential solve.
 
-        ``P`` maps the reduced unknowns (u, phi, p, p_mean) to the step's
-        ``unknowns`` as (u, G0 phi, B = 0, p, r = 0, p_mean, r_mean = 0),
-        where G0 is the gradient incidence on the free edges and the
+        ``G0`` is the gradient incidence on the free edges and the
         potential's vertices: the interior ones (normal_B), or all but
-        vertex 0, where phi is pinned (tangential_B).  A spanning tree
-        of the vertex graph, in which the other vertices are merged into
-        one ground node, gauges the vector potential: B = C_ct a, with C
-        the curl incidence on the free faces and edges and ``ct`` the free
-        edges off the tree, and ``_cotree`` factors K = C_ct^T M_B C_ct.
+        vertex 0, where phi is pinned (tangential_B); E = G0 phi.  A
+        spanning tree of the vertex graph, in which the other vertices
+        are merged into one ground node, gauges the vector potential:
+        B = C_ct a, with C the curl incidence on the free faces and edges
+        and ``ct`` the free edges off the tree, and ``_cotree`` factors
+        K = C_ct^T M_B C_ct.
         """
         E_free, B_free = self.E_space.free, self.B_space.free
         nv = self.mesh.num_vertices
@@ -276,7 +277,7 @@ class MhdDriver:
             phi_vertices = np.flatnonzero(~topo.boundary_vertices)
         else:
             phi_vertices = np.arange(1, nv)
-        G0 = topo.grad_incidence[E_free][:, phi_vertices].astype(float)
+        self.G0 = topo.grad_incidence[E_free][:, phi_vertices].astype(float).tocsr()
 
         m = len(phi_vertices)
         node = np.full(nv, m)  # the ground node is m
@@ -287,46 +288,16 @@ class MhdDriver:
         self._ct = ct
         self._cotree = linalg.Factorization(self.C_ct.T @ self.M_B @ self.C_ct)
 
-        sizes = {t: self.spaces[t].num_free if t in self.spaces else 1 for t in self.unknowns}
-        lift = {
-            "u": sp.identity(sizes["u"]),
-            "E": G0,
-            "p": sp.identity(sizes["p"]),
-            "p_mean": sp.identity(1),
-        }
-        self.P = sp.block_diag(
-            [lift.get(t, sp.csr_matrix((sizes[t], 0))) for t in self.unknowns], format="csr"
-        )
-        start = np.cumsum([0, *sizes.values()])
-        self._rows = {t: slice(i, j) for t, i, j in zip(self.unknowns, start, start[1:])}
-
     # ------------------------------------------------------------------
-    # the saddle systems: layout, border and scatter
+    # the Picard step: one block map, and the two systems flattened from it
 
-    def block_system(self, blocks: dict, rhs: dict) -> tuple:
-        """Matrix and right-hand side (A, b) of a saddle system over the
-        driver's fields, from a map (test, trial) -> block and a map field
-        -> load vector; absent blocks and loads are zero.  Each zero-mean
-        field f gets its border row and column ``f + "_mean"`` after the
-        fields, so the unknowns are in ``unknowns`` order."""
-        blocks = dict(blocks)
-        for f, row in self.mean_rows.items():
-            blocks[f + "_mean", f] = row
-            blocks[f, f + "_mean"] = row.T
-        names = self.unknowns
+    def block_system(self, names: tuple, blocks: dict, rhs: dict) -> tuple:
+        """Matrix, right-hand side and block offsets (A, b, offsets) of a
+        saddle system over the unknowns ``names``, from a map (test, trial)
+        -> block and a map unknown -> load vector; absent blocks and loads
+        are zero, and ``np.split(x, offsets)`` splits a solution."""
         grid = [[blocks.get((t, f)) for f in names] for t in names]
-        A, b, _ = linalg.flatten(grid, [rhs.get(t) for t in names])
-        return A, b
-
-    def split(self, x: np.ndarray) -> dict:
-        """Map field name -> FieldFunction of a vector in ``unknowns``
-        order; the border multipliers are dropped."""
-        return {
-            f: FieldFunction.from_free(self.spaces[f], x[self._rows[f]]) for f in self.fields
-        }
-
-    # ------------------------------------------------------------------
-    # assembly of one Picard step
+        return linalg.flatten(grid, [rhs.get(t) for t in names])
 
     def zero_state(self) -> MhdState:
         return MhdState(**{f: FieldFunction.zeros(self.spaces[f]) for f in self.fields})
@@ -344,11 +315,10 @@ class MhdDriver:
         )
         return O, Luu
 
-    def assemble_picard_step(
-        self, u_prev: FieldFunction, B_prev: FieldFunction, cross=None
-    ) -> tuple:
-        """Matrix and right-hand side (A, b) of one Picard step at the
-        frozen state (u-, B-), over the unknowns in ``unknowns`` order."""
+    def _step_map(self, u_prev: FieldFunction, B_prev: FieldFunction, cross=None) -> tuple:
+        """Block map (test, trial) -> block over ``unknowns``, with the
+        border row and column ``f + "_mean"`` of each zero-mean field f,
+        and load map of one Picard step at the frozen state (u-, B-)."""
         if u_prev.space is not self.u_space or B_prev.space is not self.B_space:
             raise MhdError("previous iterate lives on foreign spaces")
         p = self.params
@@ -379,7 +349,43 @@ class MhdDriver:
             blocks["B", "r"] = blocks["r", "B"].T
         else:
             blocks["B", "B"] = alpha * self.G_dd
-        return self.block_system(blocks, {"u": self.load_f, "E": self.load_g})
+        for f, row in self.mean_rows.items():
+            blocks[f + "_mean", f] = row
+            blocks[f, f + "_mean"] = row.T
+        return blocks, {"u": self.load_f, "E": self.load_g}
+
+    def assemble_picard_step(self, u_prev: FieldFunction, B_prev: FieldFunction) -> tuple:
+        """Matrix and right-hand side (A, b) of one Picard step at the
+        frozen state (u-, B-), over the unknowns in ``unknowns`` order:
+        the monolithic system that defines the step."""
+        A, b, _ = self.block_system(self.unknowns, *self._step_map(u_prev, B_prev))
+        return A, b
+
+    def _potential_system(self, blocks: dict, rhs: dict) -> tuple:
+        """(A, b, offsets) of a step map's Galerkin system on the
+        potentials (u, phi, p, p_mean): E = G0 phi, the E rows are tested
+        with gradients, and B, r and r_mean drop out."""
+        lift = {"u": "u", "phi": "E", "p": "p", "p_mean": "p_mean"}
+        G0 = self.G0
+        reduced = {}
+        for t, t_step in lift.items():
+            for f, f_step in lift.items():
+                block = blocks.get((t_step, f_step))
+                if block is None:
+                    continue
+                if t == "phi":
+                    block = G0.T @ block
+                if f == "phi":
+                    block = block @ G0
+                reduced[t, f] = block
+        A, b, offsets = self.block_system(
+            tuple(lift), reduced, {"u": rhs["u"], "phi": G0.T @ rhs["E"]}
+        )
+        # K_u stores the zero couplings between velocity components (two
+        # thirds of its entries); kept, they would slow the ordering and
+        # the LU of S and every product with the step matrix
+        A.eliminate_zeros()
+        return A, b, offsets
 
     # ------------------------------------------------------------------
     # projections of the error analysis
@@ -395,7 +401,7 @@ class MhdDriver:
         auxiliary pressure).
         """
         try:
-            S = self._stokes_poisson()
+            S, offsets = self._stokes_poisson()
         except linalg.SingularMatrixError as exc:
             raise MhdError(
                 f"Stokes system singular (velocity/pressure pair unstable): {exc}"
@@ -403,11 +409,14 @@ class MhdDriver:
         # the system divided by Re is the Stokes part of S, whose u rows
         # carry K_u / Re and whose pressure is -q / Re; phi solves
         # s G0^T M_E G0 phi = 0
-        b = np.zeros(self.P.shape[0])
-        b[self._rows["u"]] = assembly._grad_load(self.u_space, grad_u_func, quad_degree)
+        b = np.zeros(S.A.shape[0])
+        b[: offsets[0]] = assembly._grad_load(self.u_space, grad_u_func, quad_degree)
         b /= self.params.Re
-        out = self.split(self.P @ S.solve(self.P.T @ b))
-        return out["u"], FieldFunction(self.p_space, -self.params.Re * out["p"].coeffs)
+        u, _, p, _ = np.split(S.solve(b), offsets)
+        return (
+            FieldFunction.from_free(self.u_space, u),
+            FieldFunction.from_free(self.p_space, -self.params.Re * p),
+        )
 
     def divfree_project(self, func, *, quad_degree: int = 6) -> FieldFunction:
         """L^2 projection onto the divergence-free subspace of the face
@@ -422,47 +431,58 @@ class MhdDriver:
     # ------------------------------------------------------------------
     # Picard loop
 
-    def _stokes_poisson(self) -> linalg.Factorization:
-        """LU of the Stokes-Poisson operator S = P^T A(0, 0) P, the reduced
-        step matrix at u- = 0, B- = 0; factored on first use, then kept."""
+    def _stokes_poisson(self) -> tuple:
+        """LU of the Stokes-Poisson operator S, the potential step matrix
+        at u- = 0, B- = 0, and its block offsets; factored on first use,
+        then kept."""
         if self._S is None:
             zero = self.zero_state()
-            A0, _ = self.assemble_picard_step(zero.u, zero.B)
-            self._S = linalg.Factorization((self.P.T @ A0 @ self.P).tocsr())
+            S, _, offsets = self._potential_system(*self._step_map(zero.u, zero.B))
+            self._S = linalg.Factorization(S), offsets
         return self._S
 
-    def _solve_step(self, A: sp.csr_matrix, b: np.ndarray) -> tuple:
-        """Solution x of A x = b in ``unknowns`` order, its relative
-        residual, the reduced matrix P^T A P and how that was solved.
+    def _solve_step(self, blocks: dict, rhs: dict) -> tuple:
+        """Solution of one step map as a state, the relative residual of
+        its monolithic system, the potential matrix and how that was
+        solved.
 
-        (u, phi, p) come from the Galerkin system P^T A P y = P^T b, in
+        (u, phi, p) come from the Galerkin system on the potentials, in
         which B drops out because Ohm's law is tested with gradients
         (G0^T R_EB = G0^T C^T M_B = 0).  It is solved by GMRES
         preconditioned with the Stokes-Poisson LU, or factored when GMRES
         misses its budget or the residual contract.  B = C_ct a then
-        follows from the Ohm rows on the cotree, K a = -(b - A P y)_ct /
-        alpha; the other Ohm rows hold with them, because both sides are
-        orthogonal to the gradients and the tree rows of G0 are
-        invertible."""
-        reduced = (self.P.T @ A @ self.P).tocsr()
-        rb = self.P.T @ b
-        S = self._stokes_poisson()
+        follows from the Ohm rows on the cotree, K a = -(ohm residual)_ct
+        / alpha; the other Ohm rows hold with them, because both sides
+        are orthogonal to the gradients and the tree rows of G0 are
+        invertible.  r and r_mean are zero.  The monolithic residual is
+        taken row block by row block of the map, over every row of the
+        step, the B, r and border rows included."""
+        A, b, offsets = self._potential_system(blocks, rhs)
+        S, _ = self._stokes_poisson()
         try:
-            y = S.solve(rb, A=reduced)
+            y = S.solve(b, A=A)
             how = f"GMRES on S: {S.iterations} iterations, {S.sweeps} refinement sweeps"
         except linalg.LinAlgError:
-            y = linalg.solve_direct(reduced, rb)
+            y = linalg.solve_direct(A, b)
             how = "factored"
-        x = self.P @ y
-        ohm = (b - A @ x)[self._rows["E"]]
-        x[self._rows["B"]] = self.C_ct @ self._cotree.solve(-ohm[self._ct] / self.params.alpha)
-        bnorm = np.linalg.norm(b)
-        resid = float(np.linalg.norm(b - A @ x) / bnorm) if bnorm > 0 else 0.0
-        if resid > linalg.RESIDUAL_TOL:
+        u, phi, p, p_mean = np.split(y, offsets)
+        x = {"u": u, "E": self.G0 @ phi, "p": p, "p_mean": p_mean}
+        ohm = rhs["E"] - _row(blocks, "E", x)
+        x["B"] = self.C_ct @ self._cotree.solve(-ohm[self._ct] / self.params.alpha)
+
+        res_sq = sum(
+            np.sum(np.square(rhs.get(t, 0.0) - _row(blocks, t, x))) for t in self.unknowns
+        )
+        b_sq = sum(float(v @ v) for v in rhs.values())
+        resid = float(np.sqrt(res_sq / b_sq)) if b_sq > 0 else 0.0
+        if not resid <= linalg.RESIDUAL_TOL:
             raise linalg.LinAlgError(
                 f"Picard step residual {resid:.3e} exceeds {linalg.RESIDUAL_TOL:.1e}"
             )
-        return x, resid, reduced, how
+        state = self.zero_state()
+        for f in ("u", "E", "B", "p"):
+            getattr(state, f).coeffs[self.spaces[f].free] = x[f]
+        return state, resid, A, how
 
     def picard_solve(
         self,
@@ -489,9 +509,9 @@ class MhdDriver:
 
         for _ in range(maxit):
             cross = self.cross_blocks(state.B)
-            A, b = self.assemble_picard_step(state.u, state.B, cross=cross)
-            x, resid, reduced, how = self._solve_step(A, b)
-            new_state = MhdState(**self.split(x))
+            new_state, resid, reduced, how = self._solve_step(
+                *self._step_map(state.u, state.B, cross)
+            )
 
             du = FieldFunction(self.u_space, new_state.u.coeffs - state.u.coeffs)
             dB = FieldFunction(self.B_space, new_state.B.coeffs - state.B.coeffs)
@@ -710,6 +730,12 @@ def _cotree_edges(ends: np.ndarray, root: int) -> np.ndarray:
     return np.flatnonzero(~on_tree)
 
 
+def _row(blocks: dict, t: str, x: dict):
+    """Block row t of a step map applied to the unknowns in x; the
+    unknowns absent from x are zero."""
+    return sum(blocks[t, f] @ v for f, v in x.items() if (t, f) in blocks)
+
+
 def norm_sq_cellwise(values: np.ndarray, volumes: np.ndarray) -> float:
     """Integral of a cellwise-constant scalar squared."""
     return float((values * values) @ volumes)
@@ -717,42 +743,3 @@ def norm_sq_cellwise(values: np.ndarray, volumes: np.ndarray) -> float:
 
 def _weighted_sq(vals: np.ndarray, wdet: np.ndarray) -> float:
     return float(np.einsum("cq,cqd,cqd->", wdet, vals, vals))
-
-
-def variant_equivalence(
-    mesh: Mesh, params: MhdParams, sources: SourceData, *, tol: float = 1e-10, maxit: int = 100
-) -> dict:
-    """Solve with the multiplier and the augmented variant and compare.
-
-    Returns the relative W-norm discrepancy of (u, B) plus per-field L^2
-    differences and both reports.
-    """
-    results = {}
-    for variant in VARIANTS:
-        pv = MhdParams(
-            Re=params.Re,
-            Rm=params.Rm,
-            s=params.s,
-            bc_family=params.bc_family,
-            variant=variant,
-        )
-        driver = MhdDriver(mesh, pv, sources)
-        state, report = driver.picard_solve(tol=tol, maxit=maxit)
-        results[variant] = (driver, state, report)
-
-    drv_m, st_m, rep_m = results["multiplier"]
-    _, st_a, rep_a = results["augmented"]
-    du = FieldFunction(drv_m.u_space, st_m.u.coeffs - st_a.u.coeffs)
-    dB = FieldFunction(drv_m.B_space, st_m.B.coeffs - st_a.B.coeffs)
-    dE = FieldFunction(drv_m.E_space, st_m.E.coeffs - st_a.E.coeffs)
-    dp = FieldFunction(drv_m.p_space, st_m.p.coeffs - st_a.p.coeffs)
-    diff_w = operators.norm_w(du, dB, drv_m.dcurl)
-    scale = max(operators.norm_w(st_m.u, st_m.B, drv_m.dcurl), 1e-300)
-    return {
-        "rel_w": diff_w / scale,
-        "diff_E": operators.lp_norm(dE, 2, quad_degree=4),
-        "diff_p": operators.lp_norm(dp, 2, quad_degree=2),
-        "converged": rep_m.converged and rep_a.converged,
-        "reports": (rep_m, rep_a),
-        "states": (st_m, st_a),
-    }

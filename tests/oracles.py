@@ -1,11 +1,15 @@
 """Reference computations that tests compare the package against."""
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from mhdfem import assembly, derham
+from mhdfem import assembly, derham, linalg, operators
+from mhdfem.derham import FieldFunction
 from mhdfem.mesh import LOCAL_EDGES, LOCAL_FACES
+from mhdfem.mhd import MhdDriver
 
 
 def vertex_volume_weights(space) -> np.ndarray:
@@ -59,6 +63,46 @@ def divfree_saddle(B_space, func):
     b = np.zeros(A.shape[0])
     b[: B_space.num_free] = assembly.assemble_linear(B_space, func)
     return spla.spsolve(A, b)[: B_space.num_free]
+
+
+def monolithic_step(driver, u_prev, B_prev) -> dict:
+    """Field name -> FieldFunction of one Picard step of ``driver`` at the
+    frozen (u-, B-), solved on its monolithic matrix with ``solve_direct``
+    instead of in potentials.  The frozen fields may come from another
+    driver on the same mesh."""
+    A, b = driver.assemble_picard_step(
+        FieldFunction(driver.u_space, u_prev.coeffs), FieldFunction(driver.B_space, B_prev.coeffs)
+    )
+    x = linalg.solve_direct(A, b)
+    # the fields come first in ``unknowns``, the border multipliers last
+    sizes = [driver.spaces[f].num_free for f in driver.fields]
+    parts = np.split(x, np.cumsum(sizes))
+    return {f: FieldFunction.from_free(driver.spaces[f], v) for f, v in zip(driver.fields, parts)}
+
+
+def variant_gaps(driver, report) -> dict:
+    """Largest gaps between the iterates of a ``keep_states`` Picard run of
+    ``driver`` and the other variant's monolithic step from the same
+    frozen (u-, B-): "w" the W-norm gap of (u, B) relative to the
+    oracle's W-norm, "E" and "p" the L^2 gaps."""
+    other_variant = "augmented" if driver.params.variant == "multiplier" else "multiplier"
+    other = MhdDriver(
+        driver.mesh, dataclasses.replace(driver.params, variant=other_variant), driver.sources
+    )
+    gaps = {"w": 0.0, "E": 0.0, "p": 0.0}
+    for prev, cur in zip(report.states, report.states[1:]):
+        ref = monolithic_step(other, prev.u, prev.B)
+        diff = {
+            f: FieldFunction(ref[f].space, getattr(cur, f).coeffs - ref[f].coeffs)
+            for f in ("u", "E", "B", "p")
+        }
+        w = operators.norm_w(diff["u"], diff["B"], other.dcurl)
+        if w > 0:
+            w /= operators.norm_w(ref["u"], ref["B"], other.dcurl)
+        gaps["w"] = max(gaps["w"], w)
+        gaps["E"] = max(gaps["E"], operators.lp_norm(diff["E"], 2, quad_degree=4))
+        gaps["p"] = max(gaps["p"], operators.lp_norm(diff["p"], 2, quad_degree=2))
+    return gaps
 
 
 # ----------------------------------------------------------------------

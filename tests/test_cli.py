@@ -2,12 +2,15 @@
 
 import filecmp
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mhdfem
 from mhdfem import cli
 
 MSH_SAMPLE = """$MeshFormat
@@ -398,11 +401,15 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
 
 def test_module_entry_point(tmp_path):
     path = write_config(tmp_path, mesh={"builtin": 1}, case={"zero_source": True})
+    # the child imports the package under test, installed or not
+    paths = [str(Path(mhdfem.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-m", "mhdfem.cli", "complex-check",
          "--config", path, "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert (tmp_path / "complex_report.json").exists()

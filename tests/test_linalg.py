@@ -102,6 +102,26 @@ def test_missed_contract_raises_without_a_second_solver(caplog):
     assert caplog.records == []
 
 
+class _NanSolve:
+    """An LU whose solves return NaN, whose residual compares False with
+    any bound."""
+
+    def solve(self, b, trans="N"):
+        return np.full_like(b, np.nan)
+
+
+def test_nan_solve_misses_the_contract():
+    M = RNG.standard_normal((20, 20)) + 5.0 * np.eye(20)
+    lu = Factorization(sp.csr_matrix(M))
+    lu._lu = _NanSolve()
+    for trans in (False, True):
+        with pytest.raises(LinAlgError, match="sparse solve residual nan"):
+            lu.solve(RNG.standard_normal(20), trans=trans)
+    near = sp.csr_matrix(M + 0.1 * np.eye(20))
+    with pytest.raises(LinAlgError, match="GMRES residual nan"):
+        lu.solve(RNG.standard_normal(20), A=near)
+
+
 def test_sparse_solve_logs_nothing(caplog):
     M = RNG.standard_normal((20, 20)) + 5.0 * np.eye(20)
     with caplog.at_level(logging.DEBUG, logger="mhdfem"):

@@ -8,15 +8,9 @@ import pytest
 from mhdfem import assembly, linalg, operators
 from mhdfem.derham import FieldFunction, build_topology, evaluate_on_cells
 from mhdfem.mesh import unit_cube_mesh
-from mhdfem.mhd import (
-    MhdDriver,
-    MhdError,
-    MhdParams,
-    MhdState,
-    SourceData,
-    variant_equivalence,
-)
+from mhdfem.mhd import MhdDriver, MhdError, MhdParams, MhdState, SourceData
 from mhdfem.verify import builtin_case
+from oracles import monolithic_step, variant_gaps
 
 FAMILIES = ("normal_B", "tangential_B")
 VARIANTS = ("multiplier", "augmented")
@@ -85,6 +79,12 @@ def g_zero_run(request, mesh2):
         ({"s": 0.0}, "must be positive"),
         ({"bc_family": "periodic"}, "unknown bc_family"),
         ({"variant": "penalty"}, "unknown variant"),
+        ({"Re": np.inf}, "must be positive"),
+        ({"Rm": np.inf}, "must be positive"),
+        ({"s": np.inf}, "must be positive"),
+        ({"Re": np.nan}, "must be positive"),
+        ({"Rm": np.nan}, "must be positive"),
+        ({"s": np.nan}, "must be positive"),
     ],
 )
 def test_params_validation(kwargs, match):
@@ -269,8 +269,7 @@ def test_potential_step_matches_the_monolithic_solve(bc_family, variant):
     init.u, init.B = _random_prev(drv)
     _, report = drv.picard_solve(maxit=1, init=init, keep_states=True)
 
-    A, b = drv.assemble_picard_step(init.u, init.B)
-    ref = drv.split(linalg.solve_direct(A, b))
+    ref = monolithic_step(drv, init.u, init.B)
     got = np.concatenate([getattr(report.states[1], f).coeffs for f in drv.fields])
     want = np.concatenate([ref[f].coeffs for f in drv.fields])
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
@@ -278,8 +277,8 @@ def test_potential_step_matches_the_monolithic_solve(bc_family, variant):
 
 
 def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
-    # one reduced LU, of S = P^T A(0, 0) P, serves every Picard step and
-    # every Stokes projection of the driver
+    # one LU, of the Stokes-Poisson operator S on the potentials, serves
+    # every Picard step and every Stokes projection of the driver
     case = builtin_case("normal_B")
     drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
     rows = []
@@ -289,7 +288,30 @@ def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
     drv.stokes_project(case.grad_u)
     drv.stokes_project(case.grad_u, quad_degree=8)
     assert report.converged and report.iterations >= 3
-    assert rows == [drv.P.shape[1]]
+    S, _ = drv._stokes_poisson()
+    assert rows == [S.A.shape[0]]
+
+
+def test_picard_flattens_only_the_potential_system(mesh2, monkeypatch):
+    # each step flattens its map on (u, phi, p, p_mean) alone, and S is
+    # flattened once; the monolithic matrix is never built
+    case = builtin_case("normal_B")
+    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    rows = []
+    flatten = linalg.flatten
+
+    def spy(*args):
+        out = flatten(*args)
+        rows.append(out[0].shape[0])
+        return out
+
+    monkeypatch.setattr(linalg, "flatten", spy)
+    _, report = drv.picard_solve(tol=1e-10, maxit=50)
+    S, _ = drv._stokes_poisson()
+    assert report.iterations >= 3
+    assert rows == [S.A.shape[0]] * (report.iterations + 1)
+    full = drv.assemble_picard_step(drv.zero_state().u, drv.zero_state().B)[0]
+    assert S.A.shape[0] < full.shape[0]
 
 
 def test_steps_gmres_cannot_solve_are_factored(caplog):
@@ -323,7 +345,8 @@ def test_each_step_logs_its_solve(mesh2, caplog):
     records = [r for r in caplog.records if r.name == "mhdfem.mhd"]
     assert len(records) == report.iterations >= 3
     assert all(r.levelno == logging.DEBUG for r in records)
-    assert f"{drv.P.shape[1]} reduced unknowns" in records[0].getMessage()
+    S, _ = drv._stokes_poisson()
+    assert f"{S.A.shape[0]} reduced unknowns" in records[0].getMessage()
     assert all("GMRES on S: " in r.getMessage() for r in records)
     assert records[0].getMessage().endswith("contraction ratio n/a")
     ratio = report.increments[2] / report.increments[1]
@@ -480,27 +503,29 @@ def test_reduced_check_detects_perturbation(mesh2):
 
 
 # ----------------------------------------------------------------------
-# variant equivalence
+# variant equivalence: each iterate against the other variant's
+# monolithic step
 
 
 @pytest.mark.parametrize("bc_family", FAMILIES)
 def test_variants_agree(mesh2, bc_family):
     case = builtin_case(bc_family)
-    result = variant_equivalence(mesh2, case.params("multiplier"), case.sources(), tol=1e-11)
-    assert result["converged"]
-    assert result["rel_w"] <= 1e-8
-    assert result["diff_E"] <= 1e-8
-    assert result["diff_p"] <= 1e-8
-    for rep in result["reports"]:
-        diag = rep.diagnostics_history[-1]
+    for variant in VARIANTS:
+        drv = MhdDriver(mesh2, case.params(variant), case.sources())
+        _, report = drv.picard_solve(tol=1e-11, keep_states=True)
+        assert report.converged
+        gaps = variant_gaps(drv, report)
+        assert gaps["w"] <= 1e-8
+        assert gaps["E"] <= 1e-8
+        assert gaps["p"] <= 1e-8
+        diag = report.diagnostics_history[-1]
         assert diag.divB_max <= 1e-10 * diag.divB_scale
 
 
 def test_variants_agree_trivially_without_forcing(mesh2):
-    params = builtin_case("normal_B").params("multiplier")
-    result = variant_equivalence(mesh2, params, SourceData(), tol=1e-11)
-    assert result["rel_w"] == 0.0
-    assert result["diff_E"] == 0.0
+    drv = MhdDriver(mesh2, builtin_case("normal_B").params("multiplier"))
+    _, report = drv.picard_solve(tol=1e-11, keep_states=True)
+    assert variant_gaps(drv, report) == {"w": 0.0, "E": 0.0, "p": 0.0}
 
 
 # ----------------------------------------------------------------------
