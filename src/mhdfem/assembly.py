@@ -97,6 +97,9 @@ FORM_TABLE = {
     "curl_curl": (("nedelec1_lowest",), ("nedelec1_lowest",), 1),
 }
 _NEEDS_COEFF = ("convection_skew", "ohm_cross", "lorentz_cross")
+# forms that act on the velocity space as one scalar P2 block on each
+# component; the couplings between components are zero and not stored
+_PER_COMPONENT = ("grad_grad", "vec_mass", "convection_skew")
 
 
 def _check_form(form_id, trial, test, coefficient):
@@ -132,7 +135,8 @@ def assemble_bilinear(
     scale = np.abs(mesh.det_jacobians)  # reference weights sum to 1/6 = ref volume
     local = _local_matrices(form_id, trial, test, coefficient, rule, mesh)
     local = local * scale[:, None, None]
-    return _scatter(local, trial, test)
+    per_component = form_id in _PER_COMPONENT and trial.kind == "lagrange_p2_vector"
+    return _scatter(local, trial, test, per_component=per_component)
 
 
 def assemble_linear(
@@ -291,14 +295,25 @@ def _expand_vector_block(k):
     return out
 
 
-def _scatter(local, trial, test):
+def _scatter(local, trial, test, *, per_component=False):
     """Scatter local matrices (nc, n_test, n_trial) into a CSR matrix
-    over free dofs, eliminating essential constraints symmetrically."""
+    over free dofs, eliminating essential constraints symmetrically.
+
+    ``per_component`` keeps only the entries between dofs of the same
+    velocity component (dof 3 node + c).  The zero couplings are dropped
+    after the sum, not before it: scipy sums the duplicates of a row in
+    an order set by the whole row, so scattering the three blocks alone
+    would move the per-component sums by an ulp, and with them the
+    pivots and the fill of the LU of every matrix built from them."""
     rows = np.repeat(test.dofmap[:, :, None], trial.nloc, axis=2).ravel()
     cols = np.repeat(trial.dofmap[:, None, :], test.nloc, axis=1).ravel()
     mat = sp.coo_matrix(
         (local.ravel(), (rows, cols)), shape=(test.ndof, trial.ndof)
     ).tocsr()
+    if per_component:
+        keep = mat.indices % 3 == np.repeat(np.arange(test.ndof) % 3, np.diff(mat.indptr))
+        indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
+        mat = sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
     return mat[test.free][:, trial.free].tocsr()
 
 

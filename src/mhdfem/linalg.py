@@ -7,9 +7,8 @@ matrix is factored: it reports singularity with the pivot index, and
 every solve, with the matrix, with its transpose, or with a nearby
 matrix by GMRES preconditioned with the LU, either meets a hard
 relative-residual bound after iterative refinement, or raises.  Around
-it live the block flattening of a ``sp.bmat`` grid, in which a
-zero-mean constraint is one more block row and column, and an
-inverse-power proxy for the smallest (norm-weighted) singular value.
+it lives the block flattening of a ``sp.bmat`` grid, in which a
+zero-mean constraint is one more block row and column.
 """
 
 from __future__ import annotations
@@ -32,10 +31,6 @@ BACKWARD_ULPS = 4
 # aims at, and its iteration budget (one cycle, no restart)
 GMRES_RTOL = 1e-12
 GMRES_MAXIT = 50
-# inverse power iteration of smallest_singular_value
-POWER_MAXIT = 500
-POWER_TOL = 1e-8
-POWER_SEED = 0
 
 
 class LinAlgError(Exception):
@@ -212,44 +207,3 @@ def flatten(grid, rhs):
             raise LinAlgError(f"right-hand side of shape {part.shape} for a block row of {n}")
     return A, np.concatenate(parts), np.cumsum(sizes)[:-1]
 
-
-def smallest_singular_value(
-    A: sp.spmatrix,
-    *,
-    w_test: sp.spmatrix | None = None,
-    w_trial: sp.spmatrix | None = None,
-) -> float:
-    """Smallest singular value of A, optionally weighted by SPD norm
-    matrices on the test/trial sides, by inverse power iteration.
-
-    With weights this is the discrete inf-sup/Babuska constant
-    inf_x sup_y <y, A x> / (|y|_wt |x|_wtr): the numerical proxy for
-    stability of the linearized saddle systems.  Raises LinAlgError if
-    the iteration has not converged after ``POWER_MAXIT`` steps.
-    """
-    lu = Factorization(A)
-    z = np.random.default_rng(POWER_SEED).standard_normal(lu.A.shape[0])
-
-    def wt(v):
-        return v if w_test is None else w_test @ v
-
-    def wtr(v):
-        return v if w_trial is None else w_trial @ v
-
-    mu_old = np.inf
-    for _ in range(POWER_MAXIT):
-        wz = wtr(z)
-        z_next = lu.solve(wt(lu.solve(wz, trans=True)))
-        mu = float(wz @ z_next) / float(wz @ z)
-        norm = np.sqrt(float(wtr(z_next) @ z_next))
-        z = z_next / norm
-        if abs(mu - mu_old) <= POWER_TOL * abs(mu):
-            break
-        mu_old = mu
-    else:
-        raise LinAlgError(
-            f"inverse power iteration did not converge in {POWER_MAXIT} steps"
-        )
-    if not mu > 0:
-        raise LinAlgError("inverse power iteration lost positivity")
-    return 1.0 / np.sqrt(mu)

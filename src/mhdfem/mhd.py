@@ -381,9 +381,9 @@ class MhdDriver:
         A, b, offsets = self.block_system(
             tuple(lift), reduced, {"u": rhs["u"], "phi": G0.T @ rhs["E"]}
         )
-        # K_u stores the zero couplings between velocity components (two
-        # thirds of its entries); kept, they would slow the ordering and
-        # the LU of S and every product with the step matrix
+        # K_u and D_p store the entries whose sums cancel exactly (1,344
+        # and 252 at n = 4); kept, they would enter the ordering and the
+        # LU of S and every product with the step matrix
         A.eliminate_zeros()
         return A, b, offsets
 
@@ -629,86 +629,6 @@ class MhdDriver:
             energy5_ratio=energy5_ratio,
         )
 
-    # ------------------------------------------------------------------
-    # reduced-system equivalence
-
-    def reduced_equivalence_check(
-        self, state: MhdState, *, B_cross: FieldFunction | None = None
-    ) -> float:
-        """Residual of the eliminated-E form with g = 0.
-
-        Returns the max of |E + P(u x B) - Rm^-1 curl_h B| and the
-        penalty split defect | |j|^2 - |E + P(u x B)|^2 - |(I - P)(u x B)|^2 |
-        divided by |j|, so both components carry length units with a
-        rounding floor of eps times the field scale (a square root of the
-        defect would floor at sqrt(eps) relative, masking nothing but
-        failing any eps-level tolerance).
-
-        At a converged state the cross product uses state.B itself; for a
-        single Picard iterate pass the previous iterate's field as B_cross
-        (the frozen field of the linear step), keeping the identity exact.
-        """
-        rule = assembly.quadrature_rule(6)
-        wdet = assembly.quadrature_weights(self.mesh, rule)
-        uv = derham.evaluate_on_cells(state.u, rule.points)
-        Bv = derham.evaluate_on_cells(B_cross if B_cross is not None else state.B, rule.points)
-        cross = np.cross(uv, Bv)
-        Pj = self.dcurl.project(cross, rule)
-        hcurlB = self.dcurl.apply(state.B)
-
-        ident = FieldFunction(
-            self.E_space,
-            state.E.coeffs + Pj.coeffs - hcurlB.coeffs / self.params.Rm,
-        )
-        ident_norm = operators.lp_norm(ident, 2, quad_degree=4)
-
-        Ev = derham.evaluate_on_cells(state.E, rule.points)
-        Pjv = derham.evaluate_on_cells(Pj, rule.points)
-        j_sq = _weighted_sq(Ev + cross, wdet)
-        a_sq = _weighted_sq(Ev + Pjv, wdet)
-        b_sq = _weighted_sq(cross - Pjv, wdet)
-        defect = abs(j_sq - a_sq - b_sq)
-        split = float(defect / np.sqrt(j_sq)) if j_sq > 0 else 0.0
-        return max(ident_norm, split)
-
-    # ------------------------------------------------------------------
-    # stability proxy
-
-    def stability_weight_matrix(self, state: MhdState) -> sp.csr_matrix:
-        """SPD norm matrix of the linearization norms on the step
-        unknowns: the (u, E, B) triple norm with the frozen-field Ohm
-        term, L^2 for the scalar multipliers, identity on border rows."""
-        O, Luu = self.cross_blocks(state.B)
-        W_uu = assembly.assemble_bilinear("vec_mass", self.u_space, self.u_space) + self.K_u
-        if O is not None:
-            W_uu = W_uu + Luu
-        C_EE = assembly.assemble_bilinear("curl_curl", self.E_space, self.E_space)
-        if "r" in self.fields:
-            W_BB = self.M_B + assembly.assemble_bilinear(
-                "divdiv", self.B_space, self.B_space
-            )
-        else:
-            W_BB = self.M_B + self.G_dd
-        blocks = {
-            ("u", "u"): W_uu,
-            ("E", "E"): self.M_E + C_EE,
-            ("B", "B"): W_BB,
-            ("p", "p"): assembly.assemble_bilinear(
-                "scalar_mass", self.p_space, self.p_space
-            ),
-        }
-        if O is not None:
-            blocks["E", "u"] = O
-            blocks["u", "E"] = O.T
-        if "r" in self.fields:
-            blocks["r", "r"] = assembly.assemble_bilinear(
-                "scalar_mass", self.r_space, self.r_space
-            )
-        for name in self.unknowns[len(self.fields):]:
-            blocks[name, name] = sp.identity(1)
-        names = self.unknowns
-        return sp.bmat([[blocks.get((t, f)) for f in names] for t in names], format="csr")
-
 
 def _cotree_edges(ends: np.ndarray, root: int) -> np.ndarray:
     """Indices of the edges, given as (n, 2) node pairs over the nodes
@@ -740,6 +660,3 @@ def norm_sq_cellwise(values: np.ndarray, volumes: np.ndarray) -> float:
     """Integral of a cellwise-constant scalar squared."""
     return float((values * values) @ volumes)
 
-
-def _weighted_sq(vals: np.ndarray, wdet: np.ndarray) -> float:
-    return float(np.einsum("cq,cqd,cqd->", wdet, vals, vals))

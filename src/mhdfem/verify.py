@@ -365,11 +365,23 @@ def _affine_fields(rng):
 
 def _sequence_dims(G, K, D) -> dict:
     """Ranks, kernel dimensions and exactness flags of the sequence
-    grad -> curl -> div given by sparse incidence matrices (dense ranks,
-    one matrix at a time; small meshes)."""
-    rank_G, rank_K, rank_D = (
-        int(np.linalg.matrix_rank(M.toarray())) if min(M.shape) else 0 for M in (G, K, D)
-    )
+    grad -> curl -> div given by sparse integer incidence matrices.
+
+    Each rank is measured from its matrix M as the rank of the Gram
+    matrix M^T M or M M^T, whichever is smaller: for real M both have
+    the rank of M, since M^T M x = 0 gives |M x|^2 = 0.  The Gram is a
+    sparse product of the int64 incidences, so its entries are exact
+    integers; only then is it made dense, and its rank is read from the
+    eigenvalues of a symmetric matrix, which costs far less than the SVD
+    of the rectangular M.  Dense, one matrix at a time: small meshes."""
+
+    def rank(M):
+        if min(M.shape) == 0:
+            return 0
+        gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
+        return int(np.linalg.matrix_rank(gram.toarray().astype(float), hermitian=True))
+
+    rank_G, rank_K, rank_D = (rank(M) for M in (G, K, D))
     ne, nf = K.shape[1], D.shape[1]
     return {
         "rank_grad": rank_G,

@@ -11,6 +11,11 @@ from mhdfem.derham import FieldFunction
 from mhdfem.mesh import LOCAL_EDGES, LOCAL_FACES
 from mhdfem.mhd import MhdDriver
 
+# inverse power iteration of smallest_singular_value
+POWER_MAXIT = 500
+POWER_TOL = 1e-8
+POWER_SEED = 0
+
 
 def vertex_volume_weights(space) -> np.ndarray:
     """Integrals of the P1 basis functions: w_i = sum |T|/4 over cells at i."""
@@ -103,6 +108,141 @@ def variant_gaps(driver, report) -> dict:
         gaps["E"] = max(gaps["E"], operators.lp_norm(diff["E"], 2, quad_degree=4))
         gaps["p"] = max(gaps["p"], operators.lp_norm(diff["p"], 2, quad_degree=2))
     return gaps
+
+
+def dense_rank(M) -> int:
+    """Rank of a sparse matrix by the SVD of its dense copy."""
+    return int(np.linalg.matrix_rank(M.toarray())) if min(M.shape) else 0
+
+
+def interleaved_scatter(form_id, space, coefficient=None):
+    """A per-component velocity form scattered with every entry of its
+    expanded local matrices, the zero couplings between components
+    included, over free dofs."""
+    rule = assembly.quadrature_rule(assembly.FORM_TABLE[form_id][2])
+    mesh = space.mesh
+    local = assembly._local_matrices(form_id, space, space, coefficient, rule, mesh)
+    local = local * np.abs(mesh.det_jacobians)[:, None, None]
+    rows = np.repeat(space.dofmap[:, :, None], 30, axis=2).ravel()
+    cols = np.repeat(space.dofmap[:, None, :], 30, axis=1).ravel()
+    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndof,) * 2).tocsr()
+    return mat[space.free][:, space.free].tocsr()
+
+
+# ----------------------------------------------------------------------
+# the eliminated-E identity and the inf-sup proxy of the step
+
+
+def reduced_equivalence_check(driver, state, *, B_cross=None) -> float:
+    """Residual of the eliminated-E form with g = 0.
+
+    Returns the max of |E + P(u x B) - Rm^-1 curl_h B| and the
+    penalty split defect | |j|^2 - |E + P(u x B)|^2 - |(I - P)(u x B)|^2 |
+    divided by |j|, so both components carry length units with a
+    rounding floor of eps times the field scale (a square root of the
+    defect would floor at sqrt(eps) relative, masking nothing but
+    failing any eps-level tolerance).
+
+    At a converged state the cross product uses state.B itself; for a
+    single Picard iterate pass the previous iterate's field as B_cross
+    (the frozen field of the linear step), keeping the identity exact.
+    """
+    rule = assembly.quadrature_rule(6)
+    wdet = assembly.quadrature_weights(driver.mesh, rule)
+    uv = derham.evaluate_on_cells(state.u, rule.points)
+    Bv = derham.evaluate_on_cells(B_cross if B_cross is not None else state.B, rule.points)
+    cross = np.cross(uv, Bv)
+    Pj = driver.dcurl.project(cross, rule)
+    hcurlB = driver.dcurl.apply(state.B)
+
+    ident = FieldFunction(
+        driver.E_space,
+        state.E.coeffs + Pj.coeffs - hcurlB.coeffs / driver.params.Rm,
+    )
+    ident_norm = operators.lp_norm(ident, 2, quad_degree=4)
+
+    Ev = derham.evaluate_on_cells(state.E, rule.points)
+    Pjv = derham.evaluate_on_cells(Pj, rule.points)
+    j_sq = _weighted_sq(Ev + cross, wdet)
+    a_sq = _weighted_sq(Ev + Pjv, wdet)
+    b_sq = _weighted_sq(cross - Pjv, wdet)
+    defect = abs(j_sq - a_sq - b_sq)
+    split = float(defect / np.sqrt(j_sq)) if j_sq > 0 else 0.0
+    return max(ident_norm, split)
+
+
+def _weighted_sq(vals, wdet) -> float:
+    return float(np.einsum("cq,cqd,cqd->", wdet, vals, vals))
+
+
+def stability_weight_matrix(driver, state) -> sp.csr_matrix:
+    """SPD norm matrix of the linearization norms on the step unknowns
+    of ``driver``: the (u, E, B) triple norm with the frozen-field Ohm
+    term, L^2 for the scalar multipliers, identity on border rows."""
+    O, Luu = driver.cross_blocks(state.B)
+    u_space, E_space, B_space = driver.u_space, driver.E_space, driver.B_space
+    W_uu = assembly.assemble_bilinear("vec_mass", u_space, u_space) + driver.K_u
+    if O is not None:
+        W_uu = W_uu + Luu
+    C_EE = assembly.assemble_bilinear("curl_curl", E_space, E_space)
+    if "r" in driver.fields:
+        W_BB = driver.M_B + assembly.assemble_bilinear("divdiv", B_space, B_space)
+    else:
+        W_BB = driver.M_B + driver.G_dd
+    blocks = {
+        ("u", "u"): W_uu,
+        ("E", "E"): driver.M_E + C_EE,
+        ("B", "B"): W_BB,
+        ("p", "p"): assembly.assemble_bilinear("scalar_mass", driver.p_space, driver.p_space),
+    }
+    if O is not None:
+        blocks["E", "u"] = O
+        blocks["u", "E"] = O.T
+    if "r" in driver.fields:
+        blocks["r", "r"] = assembly.assemble_bilinear(
+            "scalar_mass", driver.r_space, driver.r_space
+        )
+    for name in driver.unknowns[len(driver.fields):]:
+        blocks[name, name] = sp.identity(1)
+    names = driver.unknowns
+    return sp.bmat([[blocks.get((t, f)) for f in names] for t in names], format="csr")
+
+
+def smallest_singular_value(A, *, w_test=None, w_trial=None) -> float:
+    """Smallest singular value of A, optionally weighted by SPD norm
+    matrices on the test/trial sides, by inverse power iteration.
+
+    With weights this is the discrete inf-sup/Babuska constant
+    inf_x sup_y <y, A x> / (|y|_wt |x|_wtr): the numerical proxy for
+    stability of the linearized saddle systems.  Raises LinAlgError if
+    the iteration has not converged after ``POWER_MAXIT`` steps.
+    """
+    lu = linalg.Factorization(A)
+    z = np.random.default_rng(POWER_SEED).standard_normal(lu.A.shape[0])
+
+    def wt(v):
+        return v if w_test is None else w_test @ v
+
+    def wtr(v):
+        return v if w_trial is None else w_trial @ v
+
+    mu_old = np.inf
+    for _ in range(POWER_MAXIT):
+        wz = wtr(z)
+        z_next = lu.solve(wt(lu.solve(wz, trans=True)))
+        mu = float(wz @ z_next) / float(wz @ z)
+        norm = np.sqrt(float(wtr(z_next) @ z_next))
+        z = z_next / norm
+        if abs(mu - mu_old) <= POWER_TOL * abs(mu):
+            break
+        mu_old = mu
+    else:
+        raise linalg.LinAlgError(
+            f"inverse power iteration did not converge in {POWER_MAXIT} steps"
+        )
+    if not mu > 0:
+        raise linalg.LinAlgError("inverse power iteration lost positivity")
+    return 1.0 / np.sqrt(mu)
 
 
 # ----------------------------------------------------------------------

@@ -23,8 +23,9 @@ from mhdfem.derham import (
     make_space,
     physical_points,
 )
+from mhdfem.mesh import build_topology, unit_cube_mesh
 from mhdfem.verify import builtin_case
-from oracles import cross_forms, vertex_volume_weights
+from oracles import cross_forms, interleaved_scatter, vertex_volume_weights
 
 RNG = np.random.default_rng(11)
 
@@ -208,6 +209,39 @@ def test_convection_is_skew(mesh2, topo2):
     for _ in range(5):
         x = RNG.standard_normal(u.num_free)
         assert abs(x @ (C @ x)) <= 1e-12 * scale * (x @ x)
+
+
+# ----------------------------------------------------------------------
+# the velocity forms that act on each component alike
+
+
+@pytest.mark.parametrize(
+    "form_id, cancelled", [("grad_grad", 448), ("vec_mass", 0), ("convection_skew", 343)]
+)
+def test_velocity_forms_store_only_the_component_blocks(form_id, cancelled):
+    # grad_grad here is a driver's K_u on unit_cube_mesh(4); dual_f
+    # factors its block on the first component
+    mesh = unit_cube_mesh(4)
+    u = make_space("lagrange_p2_vector", "essential_zero", mesh, build_topology(mesh))
+    w = None
+    if form_id == "convection_skew":
+        w = canonical_interpolate(
+            u, lambda x: np.stack([x[:, 1] * x[:, 2], -x[:, 0], x[:, 0] * x[:, 1]], axis=1)
+        )
+    A = assemble_bilinear(form_id, u, u, coefficient=w)
+    comp = u.free % 3
+    coo = A.tocoo()
+    assert np.array_equal(comp[coo.row], comp[coo.col])
+    assert A.nnz == 3 * A[comp == 0][:, comp == 0].nnz
+    # each component block is, bit for bit and with the sums that cancel
+    # exactly still stored, that of a scatter of the whole local matrices
+    full = interleaved_scatter(form_id, u, w)
+    for c in range(3):
+        got, want = A[comp == c][:, comp == c], full[comp == c][:, comp == c]
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.data, want.data)
+        assert np.sum(got.data == 0) == cancelled
 
 
 # ----------------------------------------------------------------------

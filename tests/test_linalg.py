@@ -15,9 +15,10 @@ from mhdfem.linalg import (
     LinAlgError,
     SingularMatrixError,
     flatten,
-    smallest_singular_value,
     solve_direct,
 )
+import oracles
+from oracles import smallest_singular_value
 
 RNG = np.random.default_rng(23)
 
@@ -242,7 +243,7 @@ def test_flatten_rejects_wrong_sizes():
 
 
 # ----------------------------------------------------------------------
-# smallest singular value
+# smallest singular value (the test oracle of the stability verdict)
 
 
 def test_smallest_singular_value_against_dense_svd():
@@ -290,7 +291,7 @@ def test_smallest_singular_value_factors_once(monkeypatch):
 def test_smallest_singular_value_unconverged_raises(monkeypatch):
     # two steps leave the 40 x 40 estimate about 1% off; it must not be
     # returned as the answer
-    monkeypatch.setattr(linalg, "POWER_MAXIT", 2)
+    monkeypatch.setattr(oracles, "POWER_MAXIT", 2)
     M = RNG.standard_normal((40, 40)) + 5.0 * np.eye(40)
     with pytest.raises(LinAlgError, match="did not converge"):
         smallest_singular_value(sp.csr_matrix(M))
@@ -335,13 +336,10 @@ def test_only_linalg_runs_krylov_solves():
     assert _call_sites("gmres") == [("linalg.py", "_gmres")]
 
 
-def test_block_grids_are_built_in_two_places():
-    # the saddle systems go through flatten; the potential map P is one
-    # block diagonal, and only the stability weight is a grid of its own
-    assert sorted(_call_sites("bmat")) == [
-        ("linalg.py", "flatten"),
-        ("mhd.py", "stability_weight_matrix"),
-    ]
+def test_block_grids_are_built_in_one_place():
+    # every saddle system goes through flatten; the stability weight of
+    # the tests builds its grid in tests/oracles.py
+    assert _call_sites("bmat") == [("linalg.py", "flatten")]
 
 
 def test_no_solve_densifies_a_matrix():

@@ -5,7 +5,7 @@ import pytest
 
 from mhdfem import assembly, derham
 from mhdfem.derham import canonical_interpolate
-from mhdfem.mesh import unit_cube_mesh
+from mhdfem.mesh import build_topology, unit_cube_mesh
 from mhdfem.mhd import MhdDriver
 from mhdfem.verify import (
     ERROR_COLUMNS,
@@ -18,6 +18,7 @@ from mhdfem.verify import (
     l3_study,
     quadrature_self_check,
 )
+from oracles import dense_rank
 
 RNG = np.random.default_rng(7)
 FAMILIES = ("normal_B", "tangential_B")
@@ -315,6 +316,44 @@ def test_complex_check_seed_stability(mesh1):
     b = complex_check(mesh1, seed=4)
     assert a["dims_full"] == b["dims_full"]
     assert a["commuting_residual"] <= 1e-10 and b["commuting_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "mesh_name", ["mesh1", "mesh2", "cube3", "single_tet", "holed_mesh", "cavity_mesh"]
+)
+def test_complex_check_ranks_match_the_dense_svd(request, mesh_name):
+    mesh = unit_cube_mesh(3) if mesh_name == "cube3" else request.getfixturevalue(mesh_name)
+    topo = build_topology(mesh)
+    G, K, D = topo.grad_incidence, topo.curl_incidence, topo.div_incidence
+    iv = np.flatnonzero(~topo.boundary_vertices)
+    ie = np.flatnonzero(~topo.boundary_edges)
+    if_ = np.flatnonzero(~topo.boundary_faces)
+    report = complex_check(mesh)
+    for key, mats in (
+        ("dims_full", (G, K, D)),
+        ("dims_zero_trace", (G[ie][:, iv], K[if_][:, ie], D[:, if_])),
+    ):
+        dims = report[key]
+        ranks = (dims["rank_grad"], dims["rank_curl"], dims["rank_div"])
+        assert ranks == tuple(dense_rank(M) for M in mats)
+
+
+def test_complex_check_fails_on_a_hole_and_a_cavity(holed_mesh, cavity_mesh):
+    holed, cavity = complex_check(holed_mesh), complex_check(cavity_mesh)
+    for report in (holed, cavity):
+        # the composites and the commuting diagram hold on any mesh; the
+        # exactness counts see the harmonic fields
+        assert report["curl_grad_max"] == 0 and report["div_curl_max"] == 0
+        assert report["commuting_residual"] <= 1e-10
+        assert report["pass"] is False
+
+    full, zt = holed["dims_full"], holed["dims_zero_trace"]
+    assert (full["rank_grad"], full["ker_curl"], full["exact_grad_curl"]) == (63, 64, False)
+    assert (zt["rank_curl"], zt["ker_div"], zt["exact_curl_div"]) == (80, 81, False)
+
+    full, zt = cavity["dims_full"], cavity["dims_zero_trace"]
+    assert (full["rank_curl"], full["ker_div"], full["exact_curl_div"]) == (215, 216, False)
+    assert (zt["rank_grad"], zt["ker_curl"], zt["exact_grad_curl"]) == (0, 1, False)
 
 
 # ----------------------------------------------------------------------
