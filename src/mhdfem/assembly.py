@@ -8,10 +8,18 @@ to the centroid rule with weight 1/6).
 Bilinear forms are assembled cellwise with numpy tensor contractions and
 scattered into sparse matrices over the free (unconstrained) degrees of
 freedom; essential-zero boundary conditions are eliminated symmetrically
-by restriction.  Zero-mean constraints are not handled here: each
-enters the Picard step's block map as one more block row and column
-holding the domain integrals of the basis functions (see the step map
-of MhdDriver, which ``block_system`` flattens).
+by restriction.  The scatter follows a plan built once per mesh and
+space pair (``_scatter_plan``): the slot in the free-dof CSR matrix of
+every kept local entry, laid out in the order in which scipy's COO->CSR
+conversion sums duplicates, so that each matrix is bit for bit the one
+``coo_matrix(...).tocsr()`` restricted to the free dofs gives.  That
+order is scipy's, not ours; the oracle test against a COO scatter
+(``tests/oracles.coo_scatter``) guards it.
+
+Zero-mean constraints are not handled here: each enters the Picard
+step's block map as one more block row and column holding the domain
+integrals of the basis functions (see the step map of MhdDriver, which
+``block_system`` flattens).
 
 The quadrature degree of each bilinear form makes its integrand exact
 on affine cells: 4 for the fluid blocks, 5 for convection
@@ -25,6 +33,7 @@ Load vectors against analytic sources default to degree 6.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +44,10 @@ from . import derham
 from .derham import FeSpace, FieldFunction
 
 MAX_QUAD_DEGREE = 14
+# local entries per block of rows while a scatter plan is built
+_PLAN_BLOCK = 1 << 16
+
+_log = logging.getLogger(__name__)
 
 
 class FormError(Exception):
@@ -98,7 +111,8 @@ FORM_TABLE = {
 }
 _NEEDS_COEFF = ("convection_skew", "ohm_cross", "lorentz_cross")
 # forms that act on the velocity space as one scalar P2 block on each
-# component; the couplings between components are zero and not stored
+# component: their local matrices are that (nc, 10, 10) block, and the
+# couplings between components are zero and not stored
 _PER_COMPONENT = ("grad_grad", "vec_mass", "convection_skew")
 
 
@@ -110,6 +124,10 @@ def _check_form(form_id, trial, test, coefficient):
         raise FormError(f"form {form_id!r} does not accept trial space {trial.kind!r}")
     if test.kind not in test_kinds:
         raise FormError(f"form {form_id!r} does not accept test space {test.kind!r}")
+    if form_id in ("vec_mass", "scalar_mass") and trial.kind != test.kind:
+        raise FormError(
+            f"form {form_id!r} pairs a space with itself, not {trial.kind!r} with {test.kind!r}"
+        )
     if trial.mesh is not test.mesh:
         raise FormError("trial and test spaces live on different meshes")
     if form_id in _NEEDS_COEFF and coefficient is None:
@@ -211,13 +229,12 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
     pts, w = rule.points, rule.weights
     if form_id == "grad_grad":
         g = derham.p2_scalar_gradients(mesh, pts)
-        k = np.einsum("q,cqad,cqbd->cab", w, g, g)
-        return _expand_vector_block(k)
+        return np.einsum("q,cqad,cqbd->cab", w, g, g)
     if form_id == "vec_mass":
         if trial.kind == "lagrange_p2_vector":
             s = derham.p2_scalar_values(pts)
             k = np.einsum("q,qa,qb->ab", w, s, s)
-            return _expand_vector_block(np.broadcast_to(k, (mesh.num_cells,) + k.shape))
+            return np.broadcast_to(k, (mesh.num_cells,) + k.shape)
         va = _vector_basis(trial, pts)
         k = np.einsum("q,cqad,cqbd->cab", w, va, va)
         return k
@@ -244,7 +261,7 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         wvals = derham.evaluate_on_cells(coefficient, pts)  # (nc, nq, 3)
         wg = np.einsum("cqd,cqbd->cqb", wvals, g)  # (w . grad) phi_b
         a = np.einsum("q,qa,cqb->cab", w, s, wg)
-        return _expand_vector_block(0.5 * (a - np.transpose(a, (0, 2, 1))))
+        return 0.5 * (a - np.transpose(a, (0, 2, 1)))
     if form_id == "divdiv":
         divs = derham.rt_divergences(mesh)
         return np.einsum("ca,cb->cab", divs, divs) / 6.0
@@ -254,8 +271,12 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
     if form_id == "ohm_cross":
         # (phi_a e_i x B) . N_e = phi_a (B x N_e)_i
         s = derham.p2_scalar_values(pts)
-        bvals = derham.evaluate_on_cells(coefficient, pts)  # (nc, nq, 3)
-        bxn = np.cross(bvals[:, :, None, :], derham.nedelec_values(mesh, pts))
+        b = derham.evaluate_on_cells(coefficient, pts)[:, :, None, :]  # (nc, nq, 1, 3)
+        n = derham.nedelec_values(mesh, pts)  # (nc, nq, 6, 3)
+        bxn = np.empty_like(n)
+        bxn[..., 0] = b[..., 1] * n[..., 2] - b[..., 2] * n[..., 1]
+        bxn[..., 1] = b[..., 2] * n[..., 0] - b[..., 0] * n[..., 2]
+        bxn[..., 2] = b[..., 0] * n[..., 1] - b[..., 1] * n[..., 0]
         k = np.einsum("q,qa,cqei->ceai", w, s, bxn, optimize=True)
         return k.reshape(mesh.num_cells, 6, 30)  # rows edge-test, cols u-trial
     if form_id == "lorentz_cross":
@@ -285,36 +306,152 @@ def _scalar_basis(space, pts):
     raise FormError(f"no scalar basis for {space.kind!r}")
 
 
-def _expand_vector_block(k):
-    """Expand a scalar-level (nc, a, b) block to the interleaved vector
-    layout (nc, 3a, 3b): identical action on each component."""
-    nc, na, nb = k.shape
-    out = np.zeros((nc, 3 * na, 3 * nb))
-    for comp in range(3):
-        out[:, comp::3, comp::3] = k
-    return out
+@dataclass(frozen=True)
+class ScatterPlan:
+    """Where the kept local entries of a space pair go in its free-dof
+    CSR matrix: ``data[slot[i]] += local.ravel()[src[i]]``, in order."""
+
+    src: np.ndarray
+    slot: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    shape: tuple
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.src, self.slot, self.indptr, self.indices))
 
 
 def _scatter(local, trial, test, *, per_component=False):
     """Scatter local matrices (nc, n_test, n_trial) into a CSR matrix
     over free dofs, eliminating essential constraints symmetrically.
 
-    ``per_component`` keeps only the entries between dofs of the same
-    velocity component (dof 3 node + c).  The zero couplings are dropped
-    after the sum, not before it: scipy sums the duplicates of a row in
-    an order set by the whole row, so scattering the three blocks alone
-    would move the per-component sums by an ulp, and with them the
-    pivots and the fill of the LU of every matrix built from them."""
-    rows = np.repeat(test.dofmap[:, :, None], trial.nloc, axis=2).ravel()
-    cols = np.repeat(trial.dofmap[:, None, :], test.nloc, axis=1).ravel()
-    mat = sp.coo_matrix(
-        (local.ravel(), (rows, cols)), shape=(test.ndof, trial.ndof)
-    ).tocsr()
+    The result is bit for bit ``coo_matrix(...).tocsr()`` of the local
+    matrices restricted to the free dofs.  scipy sums the duplicates of
+    each row in a fixed order: the row's entries in input order, then
+    permuted by its per-row ``csr_sort_indices`` (a permutation set by
+    the column keys alone), then added one after the other.  The plan
+    holds the entries in that order, and ``np.add.at`` adds them one
+    after the other onto -0.0, which leaves the first addend unchanged
+    (``np.bincount`` would start at +0.0 and turn a sum of -0.0 into
+    +0.0).
+
+    ``per_component`` takes the scalar (nc, 10, 10) block of a velocity
+    form and keeps only the entries between dofs of the same component
+    (dof 3 node + c).  The plan drops the couplings between components
+    after the sort, not before it: they take part in each row's
+    permutation, so dropping them first would move the per-component
+    sums by an ulp, and with them the pivots and the fill of the LU of
+    every matrix built from them."""
+    plan = _scatter_plan(trial, test, per_component)
+    data = np.full(len(plan.indices), -0.0)
+    np.add.at(data, plan.slot, local.ravel()[plan.src])
+    # each matrix owns its index arrays: an in-place edit of one (such as
+    # eliminate_zeros) must not reach the cached plan
+    return sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=plan.shape)
+
+
+def _scatter_plan(trial, test, per_component) -> ScatterPlan:
+    """The cached scatter plan of a space pair on its mesh."""
+    key = ("scatter_plan", test.kind, test.bc, trial.kind, trial.bc, per_component)
+    cache = trial.mesh._cache
+    if key not in cache:
+        cache[key] = _build_scatter_plan(trial, test, per_component)
+    return cache[key]
+
+
+def _build_scatter_plan(trial, test, per_component) -> ScatterPlan:
+    """Replay scipy's COO->CSR duplicate summation on entry positions.
+
+    The entries of one (cell, test dof) pair are ``nloc`` consecutive
+    local entries, so a stable sort of the pairs by row groups the
+    entries by row in input order, as ``coo_tocsr`` does.  Constrained
+    rows are skipped; the rest is sorted one block of rows at a time
+    with the entry positions as the data, by the same
+    ``csr_sort_indices`` that ``tocsr`` calls (it sorts each row on its
+    own, so blocks do not change the order)."""
+    nc, nt = test.dofmap.shape
+    nr = trial.nloc
+    idx = np.int32 if nc * nt * nr < 2**31 else np.int64
+    # position of each local entry in the array the plan gathers from
     if per_component:
-        keep = mat.indices % 3 == np.repeat(np.arange(test.ndof) % 3, np.diff(mat.indptr))
-        indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
-        mat = sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
-    return mat[test.free][:, trial.free].tocsr()
+        a, b = np.arange(nt)[:, None] // 3, np.arange(nr)[None, :] // 3
+        stride, table = (nt // 3) * (nr // 3), a * (nr // 3) + b
+    else:
+        stride, table = nt * nr, np.arange(nt * nr).reshape(nt, nr)
+    table = table.astype(idx)
+    trial_dofs = trial.dofmap.astype(idx)
+    trial_pos = np.full(trial.ndof, -1, dtype=idx)
+    trial_pos[trial.free] = np.arange(trial.num_free)
+    test_pos = np.full(test.ndof, -1, dtype=idx)
+    test_pos[test.free] = np.arange(test.num_free)
+
+    pair_row = test.dofmap.ravel()
+    pairs = np.argsort(pair_row, kind="stable")
+    # scipy sorts the rows only when some row is not already sorted: a
+    # row is when the trial dofs of each of its cells ascend and each
+    # cell's last one is at most the next cell's first
+    cells = pairs // nt
+    same_row = pair_row[pairs[1:]] == pair_row[pairs[:-1]]
+    presorted = bool(
+        np.all(np.diff(trial_dofs, axis=1) >= 0)
+        and np.all((trial_dofs[cells[:-1], -1] <= trial_dofs[cells[1:], 0]) | ~same_row)
+    )
+    pairs = pairs[test_pos[pair_row[pairs]] >= 0].astype(idx)
+    nrows = test.num_free
+    rptr = np.concatenate([[0], np.cumsum(np.bincount(pair_row, minlength=test.ndof)[test.free])])
+
+    srcs, slots, grp_rows, grp_cols = [], [], [], []
+    nnz = 0
+    step = max(1, _PLAN_BLOCK // nr)
+    edges = np.searchsorted(rptr, np.arange(0, rptr[-1], step), side="right") - 1
+    edges = np.unique(np.append(edges, nrows))
+    for r0, r1 in zip(edges[:-1], edges[1:]):
+        p = pairs[rptr[r0] : rptr[r1]]
+        cell, test_dof = np.divmod(p, nt)
+        cols = trial_dofs[cell].ravel()
+        src = ((cell * stride)[:, None] + table[test_dof]).ravel()
+        indptr = ((rptr[r0 : r1 + 1] - rptr[r0]) * nr).astype(idx)
+        if not presorted:
+            block = sp.csr_matrix((src, cols, indptr), shape=(r1 - r0, trial.ndof))
+            block.has_sorted_indices = False
+            block.sort_indices()
+            cols, src = block.indices, block.data
+        row = np.repeat(np.arange(r0, r1, dtype=idx), np.diff(indptr))
+        new = np.ones(len(cols), dtype=bool)
+        new[1:] = (cols[1:] != cols[:-1]) | (row[1:] != row[:-1])
+        keep = trial_pos[cols] >= 0
+        if per_component:
+            keep &= test.free[row] % 3 == cols % 3
+        first = new & keep
+        srcs.append(src[keep])
+        slots.append((np.cumsum(first)[keep] + (nnz - 1)).astype(idx))
+        grp_rows.append(row[first])
+        grp_cols.append(trial_pos[cols[first]])
+        nnz += int(np.count_nonzero(first))
+
+    empty = np.zeros(0, dtype=idx)
+    counts = np.bincount(np.concatenate(grp_rows or [empty]), minlength=nrows)
+    plan = ScatterPlan(
+        src=np.concatenate(srcs or [empty]),
+        slot=np.concatenate(slots or [empty]),
+        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(idx),
+        indices=np.concatenate(grp_cols or [empty]),
+        shape=(test.num_free, trial.num_free),
+    )
+    _log.debug(
+        "scatter plan %s/%s x %s/%s%s on %d cells: %d local entries into %d stored, %.2f MB",
+        test.kind,
+        test.bc,
+        trial.kind,
+        trial.bc,
+        " per component" if per_component else "",
+        nc,
+        len(plan.src),
+        nnz,
+        plan.nbytes / 1e6,
+    )
+    return plan
 
 
 def quadrature_weights(mesh, rule: QuadratureRule) -> np.ndarray:

@@ -7,13 +7,11 @@ The weak curl maps the face (div-conforming) space into the edge
 
 The boundary-condition family is carried by the spaces themselves: with
 essential-zero spaces this is the operator of the homogeneous complex,
-with unconstrained spaces its natural-boundary variant.  The L^2
-projection onto the edge space reuses the same mass factorization.
-Alongside it live the norms in which the solver measures increments and
-errors.  The Stokes and divergence-free projections of the error
-analysis are saddle systems over the scheme's own forms, so the Picard
-driver solves them (``MhdDriver.stokes_project``,
-``MhdDriver.divfree_project``).
+with unconstrained spaces its natural-boundary variant.  Alongside it
+live the norms in which the solver measures increments and errors.  The
+Stokes and divergence-free projections of the error analysis are saddle
+systems over the scheme's own forms, so the Picard driver solves them
+(``MhdDriver.stokes_project``, ``MhdDriver.divfree_project``).
 """
 
 from __future__ import annotations
@@ -59,19 +57,6 @@ class DiscreteCurl:
             raise OperatorError("field does not belong to the operator's face space")
         rhs = self.pairing @ B.coeffs[self.div_space.free]
         return FieldFunction.from_free(self.curl_space, self._lu.solve(rhs))
-
-    def project(self, values: np.ndarray, rule) -> FieldFunction:
-        """L^2 projection onto the edge space of a field tabulated at the
-        rule's quadrature points, shape (nc, nq, 3)."""
-        mesh = self.curl_space.mesh
-        basis = derham.nedelec_values(mesh, rule.points)
-        wdet = assembly.quadrature_weights(mesh, rule)
-        cellvec = np.einsum("cq,cqd,cqad->ca", wdet, values, basis)
-        rhs = np.zeros(self.curl_space.ndof)
-        np.add.at(rhs, self.curl_space.dofmap.ravel(), cellvec.ravel())
-        return FieldFunction.from_free(
-            self.curl_space, self._lu.solve(rhs[self.curl_space.free])
-        )
 
 
 # ----------------------------------------------------------------------

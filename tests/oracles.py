@@ -115,18 +115,63 @@ def dense_rank(M) -> int:
     return int(np.linalg.matrix_rank(M.toarray())) if min(M.shape) else 0
 
 
+def expand_vector_block(k):
+    """Expand a scalar-level (nc, a, b) block to the interleaved vector
+    layout (nc, 3a, 3b): identical action on each component."""
+    nc, na, nb = k.shape
+    out = np.zeros((nc, 3 * na, 3 * nb))
+    for comp in range(3):
+        out[:, comp::3, comp::3] = k
+    return out
+
+
+def coo_scatter(local, trial, test, *, per_component=False):
+    """The scatter that ``assembly._scatter`` replays: local matrices
+    (nc, n_test, n_trial) summed by ``coo_matrix(...).tocsr()`` and
+    restricted to the free dofs.  With ``per_component`` the local
+    matrices are the scalar velocity blocks; they are expanded, and the
+    couplings between components are dropped after the sum."""
+    if per_component:
+        local = expand_vector_block(local)
+    rows = np.repeat(test.dofmap[:, :, None], trial.nloc, axis=2).ravel()
+    cols = np.repeat(trial.dofmap[:, None, :], test.nloc, axis=1).ravel()
+    mat = sp.coo_matrix(
+        (local.ravel(), (rows, cols)), shape=(test.ndof, trial.ndof)
+    ).tocsr()
+    if per_component:
+        keep = mat.indices % 3 == np.repeat(np.arange(test.ndof) % 3, np.diff(mat.indptr))
+        indptr = np.concatenate([[0], np.cumsum(keep)])[mat.indptr]
+        mat = sp.csr_matrix((mat.data[keep], mat.indices[keep], indptr), shape=mat.shape)
+    return mat[test.free][:, trial.free].tocsr()
+
+
+def scaled_local_matrices(form_id, trial, test, coefficient=None):
+    """The local matrices that ``assemble_bilinear`` scatters."""
+    rule = assembly.quadrature_rule(assembly.FORM_TABLE[form_id][2])
+    mesh = trial.mesh
+    local = assembly._local_matrices(form_id, trial, test, coefficient, rule, mesh)
+    return local * np.abs(mesh.det_jacobians)[:, None, None]
+
+
 def interleaved_scatter(form_id, space, coefficient=None):
     """A per-component velocity form scattered with every entry of its
     expanded local matrices, the zero couplings between components
     included, over free dofs."""
-    rule = assembly.quadrature_rule(assembly.FORM_TABLE[form_id][2])
-    mesh = space.mesh
-    local = assembly._local_matrices(form_id, space, space, coefficient, rule, mesh)
-    local = local * np.abs(mesh.det_jacobians)[:, None, None]
-    rows = np.repeat(space.dofmap[:, :, None], 30, axis=2).ravel()
-    cols = np.repeat(space.dofmap[:, None, :], 30, axis=1).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(space.ndof,) * 2).tocsr()
-    return mat[space.free][:, space.free].tocsr()
+    local = expand_vector_block(scaled_local_matrices(form_id, space, space, coefficient))
+    return coo_scatter(local, space, space)
+
+
+def l2_project_edge(dcurl, values, rule) -> FieldFunction:
+    """L^2 projection onto the edge space of ``dcurl`` of a field
+    tabulated at the rule's quadrature points, shape (nc, nq, 3),
+    through the edge mass factorization of the discrete curl."""
+    space = dcurl.curl_space
+    basis = derham.nedelec_values(space.mesh, rule.points)
+    wdet = assembly.quadrature_weights(space.mesh, rule)
+    cellvec = np.einsum("cq,cqd,cqad->ca", wdet, values, basis)
+    rhs = np.zeros(space.ndof)
+    np.add.at(rhs, space.dofmap.ravel(), cellvec.ravel())
+    return FieldFunction.from_free(space, dcurl._lu.solve(rhs[space.free]))
 
 
 # ----------------------------------------------------------------------
@@ -152,7 +197,7 @@ def reduced_equivalence_check(driver, state, *, B_cross=None) -> float:
     uv = derham.evaluate_on_cells(state.u, rule.points)
     Bv = derham.evaluate_on_cells(B_cross if B_cross is not None else state.B, rule.points)
     cross = np.cross(uv, Bv)
-    Pj = driver.dcurl.project(cross, rule)
+    Pj = l2_project_edge(driver.dcurl, cross, rule)
     hcurlB = driver.dcurl.apply(state.B)
 
     ident = FieldFunction(

@@ -1,11 +1,14 @@
 """Quadrature rules and sparse assembly of the coupled-system blocks."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from mhdfem import assembly
 from mhdfem.assembly import (
+    FORM_TABLE,
     MAX_QUAD_DEGREE,
     FormError,
     assemble_bilinear,
@@ -24,8 +27,15 @@ from mhdfem.derham import (
     physical_points,
 )
 from mhdfem.mesh import build_topology, unit_cube_mesh
+from mhdfem.mhd import MhdDriver
 from mhdfem.verify import builtin_case
-from oracles import cross_forms, interleaved_scatter, vertex_volume_weights
+from oracles import (
+    coo_scatter,
+    cross_forms,
+    interleaved_scatter,
+    scaled_local_matrices,
+    vertex_volume_weights,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -245,6 +255,119 @@ def test_velocity_forms_store_only_the_component_blocks(form_id, cancelled):
 
 
 # ----------------------------------------------------------------------
+# the scatter plan
+
+
+# every form on every space pair it is defined on, with both boundary
+# conditions (dg0 takes none)
+FORM_CASES = [
+    (form_id, trial, test, bc)
+    for form_id, (trials, tests, _) in FORM_TABLE.items()
+    for trial in trials
+    for test in tests
+    for bc in ("none", "essential_zero")
+    if (form_id not in ("vec_mass", "scalar_mass") or trial == test)
+    and (bc == "none" or (trial, test) != ("dg0", "dg0"))
+]
+
+
+@pytest.fixture(scope="module")
+def plan_meshes(single_tet):
+    # on one cell every row is already sorted, so scipy skips its sort,
+    # and with essential conditions no dof is free
+    meshes = {"cube2": unit_cube_mesh(2), "cube4": unit_cube_mesh(4), "tet": single_tet}
+    return {name: (mesh, build_topology(mesh)) for name, mesh in meshes.items()}
+
+
+def _coefficient(form_id, mesh, topo):
+    """A nonzero frozen field for the forms that take one."""
+    if form_id == "convection_skew":
+        u = make_space("lagrange_p2_vector", "none", mesh, topo)
+        return canonical_interpolate(
+            u, lambda x: np.stack([x[:, 1] * x[:, 2] - 0.3, -x[:, 0], x[:, 0] * x[:, 1]], axis=1)
+        )
+    if form_id in ("ohm_cross", "lorentz_cross"):
+        rt = make_space("rt_lowest", "none", mesh, topo)
+        return canonical_interpolate(
+            rt, lambda x: np.stack([np.sin(x[:, 1]), 0.5 - x[:, 2], x[:, 0] ** 2], axis=1)
+        )
+    return None
+
+
+@pytest.mark.parametrize("mesh_name", ["cube2", "cube4", "tet"])
+@pytest.mark.parametrize("form_id, trial_kind, test_kind, bc", FORM_CASES)
+def test_assembly_is_the_coo_scatter_bit_for_bit(
+    plan_meshes, mesh_name, form_id, trial_kind, test_kind, bc
+):
+    mesh, topo = plan_meshes[mesh_name]
+    trial, test = (
+        make_space(kind, "none" if kind == "dg0" else bc, mesh, topo)
+        for kind in (trial_kind, test_kind)
+    )
+    coefficient = _coefficient(form_id, mesh, topo)
+    A = assemble_bilinear(form_id, trial, test, coefficient=coefficient)
+    per_component = form_id in assembly._PER_COMPONENT and trial_kind == "lagrange_p2_vector"
+    local = scaled_local_matrices(form_id, trial, test, coefficient)
+    want = coo_scatter(local, trial, test, per_component=per_component)
+    assert A.shape == want.shape
+    assert np.array_equal(A.indptr, want.indptr)
+    assert np.array_equal(A.indices, want.indices)
+    assert np.array_equal(A.data.view(np.uint64), want.data.view(np.uint64))
+
+
+def test_scatter_plans_are_built_once_per_mesh_and_space_pair(monkeypatch):
+    built = []
+    build = assembly._build_scatter_plan
+
+    def counting_build(trial, test, per_component):
+        built.append(trial.mesh)
+        return build(trial, test, per_component)
+
+    monkeypatch.setattr(assembly, "_build_scatter_plan", counting_build)
+    case = builtin_case("tangential_B", 10.0, Re=10.0, Rm=10.0)
+
+    def driver_and_step(mesh):
+        driver = MhdDriver(mesh, case.params("augmented"), case.sources())
+        at_init = len(built)
+        u, B = FieldFunction.zeros(driver.u_space), FieldFunction.zeros(driver.B_space)
+        u.coeffs[driver.u_space.free] = RNG.standard_normal(driver.u_space.num_free)
+        B.coeffs[driver.B_space.free] = RNG.standard_normal(driver.B_space.num_free)
+        driver.assemble_picard_step(u, B)
+        return driver, u, B, at_init
+
+    mesh = unit_cube_mesh(2)
+    first, u, B, at_init = driver_and_step(mesh)
+    # the first step adds the plans of ohm_cross and lorentz_cross;
+    # convection_skew shares the per-component plan of K_u
+    assert at_init > 0 and len(built) == at_init + 2
+    assert all(m is mesh for m in built)
+    first.assemble_picard_step(u, B)
+    assemble_bilinear("convection_skew", first.u_space, first.u_space, coefficient=u)
+    assemble_bilinear("lorentz_cross", first.u_space, first.u_space, coefficient=B)
+    assert len(built) == at_init + 2
+    # a second driver on the same mesh builds nothing
+    driver_and_step(mesh)
+    assert len(built) == at_init + 2
+    # a mesh of the same size gets plans of its own
+    other = unit_cube_mesh(2)
+    driver_and_step(other)
+    assert len(built) == 2 * (at_init + 2)
+    assert all(m is other for m in built[at_init + 2 :])
+
+
+def test_a_plan_build_logs_one_debug_record(caplog):
+    mesh = unit_cube_mesh(1)
+    ned = make_space("nedelec1_lowest", "essential_zero", mesh, build_topology(mesh))
+    with caplog.at_level(logging.DEBUG, logger="mhdfem.assembly"):
+        assemble_bilinear("vec_mass", ned, ned)
+        assemble_bilinear("vec_mass", ned, ned)
+    records = [r.getMessage() for r in caplog.records if r.name == "mhdfem.assembly"]
+    assert len(records) == 1
+    assert "nedelec1_lowest/essential_zero x nedelec1_lowest/essential_zero" in records[0]
+    assert "local entries" in records[0] and "MB" in records[0]
+
+
+# ----------------------------------------------------------------------
 # the magnetic cross forms
 
 
@@ -408,5 +531,7 @@ def test_form_errors(mesh1, mesh2, topo1, topo2):
         assemble_bilinear("curl_mass_pairing", rt1, rt1)
     with pytest.raises(FormError, match="different meshes"):
         assemble_bilinear("vec_mass", rt1, rt2)
+    with pytest.raises(FormError, match="pairs a space with itself"):
+        assemble_bilinear("vec_mass", rt1, ned1)
     with pytest.raises(FormError, match="coefficient"):
         assemble_bilinear("convection_skew", u1, u1)
