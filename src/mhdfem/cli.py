@@ -4,8 +4,12 @@ Four subcommands driven by a single JSON config file: ``solve`` runs one
 Picard solve and reports diagnostics, ``convergence`` runs a refinement
 study with observed rates, ``complex-check`` reports the structure
 residuals of the discrete sequence, and ``l3-study`` samples the
-divergence-free L3 bound.  Reports are written with sorted keys and
-repr-formatted floats so identical configs produce identical bytes.
+divergence-free L3 bound.  Every report goes through one writer,
+``_finish``, and carries the sections ``params``, ``mesh``, ``iterations``,
+``increments``, ``diagnostics``, ``errors``, ``rates`` and ``pass``
+(``solve`` adds ``residuals``, ``norms`` and ``checks``).  Reports are
+written with sorted keys and repr-formatted floats so identical configs
+produce identical bytes.
 
 Exit codes: 0 all assertions pass, 1 an assertion or the iteration
 failed, 2 the config could not be parsed or validated.
@@ -112,14 +116,12 @@ def load_config(path: str) -> dict:
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
     _require_keys(params, {"Re", "Rm", "s"}, "params")
+    numbers = {}
     for key in ("Re", "Rm", "s"):
         val = params.get(key, 1.0)
         if not _is_number(val) or not val > 0:
             raise ConfigError(f"params.{key} must be a positive number")
-        cfg[key] = float(val)
-
-    cfg["bc_family"] = raw.get("bc_family", "normal_B")
-    cfg["variant"] = raw.get("variant", "multiplier")
+        numbers[key] = float(val)
 
     picard = raw.get("picard", {})
     if not isinstance(picard, dict):
@@ -190,11 +192,9 @@ def load_config(path: str) -> dict:
 
     try:
         cfg["params"] = MhdParams(
-            Re=cfg["Re"],
-            Rm=cfg["Rm"],
-            s=cfg["s"],
-            bc_family=cfg["bc_family"],
-            variant=cfg["variant"],
+            **numbers,
+            bc_family=raw.get("bc_family", "normal_B"),
+            variant=raw.get("variant", "multiplier"),
         )
     except MhdError as exc:
         raise ConfigError(str(exc)) from exc
@@ -218,17 +218,21 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(report: dict, path: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_text(text: str, path: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def _finish(paths: dict, passed: bool, *, csv: str | None = None, **sections) -> int:
+    """Write a command's CSV (if any), then its JSON report with the sections
+    it leaves out empty; return the exit code."""
+    report = {"iterations": 0, "increments": [], "errors": {}, "rates": {}, **sections}
+    report["pass"] = bool(passed)
+    if csv is not None:
+        _write_text(csv, paths["csv"])
+    _write_text(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", paths["json"])
+    return EXIT_PASS if passed else EXIT_FAIL
 
 
 def _output_paths(cfg: dict, out_dir: str, command: str) -> dict:
@@ -246,16 +250,9 @@ def _output_paths(cfg: dict, out_dir: str, command: str) -> dict:
 
 
 def _params_section(cfg: dict) -> dict:
-    kind, arg = cfg["case"]
-    return {
-        **cfg["params"].as_dict(),
-        "case": kind,
-        "lam": arg,
-        "tol": cfg["tol"],
-        "maxit": cfg["maxit"],
-        "seed": cfg["seed"],
-        "quad_degree": cfg["quad_degree"],
-    }
+    kind, lam = cfg["case"]
+    run_keys = ("tol", "maxit", "seed", "quad_degree")
+    return {**cfg["params"].as_dict(), "case": kind, "lam": lam, **{k: cfg[k] for k in run_keys}}
 
 
 def _build_mesh(cfg: dict, *, min_n: int = 1) -> tuple[Mesh, dict]:
@@ -284,9 +281,8 @@ def _build_mesh(cfg: dict, *, min_n: int = 1) -> tuple[Mesh, dict]:
 def _case_and_sources(cfg: dict):
     kind, lam = cfg["case"]
     if kind == "builtin":
-        case = verify.builtin_case(
-            cfg["bc_family"], lam, Re=cfg["Re"], Rm=cfg["Rm"], s=cfg["s"]
-        )
+        p = cfg["params"]
+        case = verify.builtin_case(p.bc_family, lam, Re=p.Re, Rm=p.Rm, s=p.s)
         return case, case.sources()
     return None, SourceData()
 
@@ -310,32 +306,28 @@ def cmd_solve(cfg: dict, paths: dict) -> int:
         "curlE": diag.curlE_norm <= 1e-10 * scale,
         "energy": diag.energy_residual <= 1e-9,
     }
-    errors = (
-        verify.error_norms(driver, state, case, quad_degree=cfg["quad_degree"])
-        if case is not None
-        else {}
-    )
-    report = {
-        "params": _params_section(cfg),
-        "mesh": mesh_meta,
-        "iterations": run.iterations,
-        "increments": run.increments,
-        "residuals": run.residuals,
-        "diagnostics": diag.as_dict(),
-        "norms": {
+    errors = {}
+    if case is not None:
+        errors = verify.error_norms(driver, state, case, quad_degree=cfg["quad_degree"])
+    return _finish(
+        paths,
+        all(checks.values()),
+        params=_params_section(cfg),
+        mesh=mesh_meta,
+        iterations=run.iterations,
+        increments=run.increments,
+        residuals=run.residuals,
+        diagnostics=diag.as_dict(),
+        norms={
             "u_h1": norm_h1_vec(state.u),
             "E_l2": lp_norm(state.E, 2),
             "B_d": norm_d(state.B, driver.dcurl),
             "p_l2": lp_norm(state.p, 2),
             "state_W": run.state_norm,
         },
-        "errors": errors,
-        "rates": {},
-        "checks": checks,
-        "pass": all(checks.values()),
-    }
-    _write_json(report, paths["json"])
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+        errors=errors,
+        checks=checks,
+    )
 
 
 def cmd_convergence(cfg: dict, paths: dict) -> int:
@@ -351,93 +343,64 @@ def cmd_convergence(cfg: dict, paths: dict) -> int:
         table = verify.convergence_study(
             case,
             cfg["levels"],
-            variant=cfg["variant"],
+            variant=cfg["params"].variant,
             tol=cfg["tol"],
             maxit=cfg["maxit"],
             quad_degree=cfg["quad_degree"],
         )
     except StudyError as exc:
-        report = {
-            "params": _params_section(cfg),
-            "mesh": {"levels": cfg["levels"]},
-            "iterations": exc.report.iterations,
-            "increments": exc.report.increments,
-            "diagnostics": {"failure": str(exc)},
-            "errors": {},
-            "rates": {},
-            "pass": False,
-        }
-        _write_json(report, paths["json"])
         print(f"convergence study failed: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return _finish(
+            paths,
+            False,
+            params=_params_section(cfg),
+            mesh={"levels": cfg["levels"]},
+            iterations=exc.report.iterations,
+            increments=exc.report.increments,
+            diagnostics={"failure": str(exc)},
+        )
 
     final_rates = {c: table.rates[c][-1] for c in RATE_COLUMNS}
-    passed = all(r >= RATE_THRESHOLD for r in final_rates.values())
-    report = {
-        "params": _params_section(cfg),
-        "mesh": {"ns": table.ns, "hs": table.hs},
-        "iterations": [r.iterations for r in table.reports],
-        "increments": [r.increments for r in table.reports],
-        "diagnostics": {
+    return _finish(
+        paths,
+        all(r >= RATE_THRESHOLD for r in final_rates.values()),
+        csv=table.to_csv(),
+        params=_params_section(cfg),
+        mesh={"ns": table.ns, "hs": table.hs},
+        iterations=[r.iterations for r in table.reports],
+        increments=[r.increments for r in table.reports],
+        diagnostics={
             "quadrature_check": table.quadrature_check,
             "final_rates": final_rates,
             "rate_threshold": RATE_THRESHOLD,
         },
-        "errors": table.errors,
-        "rates": table.rates,
-        "pass": passed,
-    }
-    _write_text(table.to_csv(), paths["csv"])
-    _write_json(report, paths["json"])
-    return EXIT_PASS if passed else EXIT_FAIL
+        errors=table.errors,
+        rates=table.rates,
+    )
 
 
 def cmd_complex_check(cfg: dict, paths: dict) -> int:
     mesh, mesh_meta = _build_mesh(cfg)
     result = verify.complex_check(mesh, seed=cfg["seed"])
-    report = {
-        "params": {"seed": cfg["seed"]},
-        "mesh": mesh_meta,
-        "iterations": 0,
-        "increments": [],
-        "diagnostics": result,
-        "errors": {},
-        "rates": {},
-        "pass": bool(result["pass"]),
-    }
-    _write_json(report, paths["json"])
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
+    return _finish(
+        paths, result["pass"], params={"seed": cfg["seed"]}, mesh=mesh_meta, diagnostics=result
+    )
 
 
 def cmd_l3_study(cfg: dict, paths: dict) -> int:
     if len(cfg["levels"]) < 2:
         raise ConfigError("an L3 study needs at least 2 levels to compare growth")
-    result = verify.l3_study(
-        cfg["levels"],
-        samples=cfg["samples"],
-        bc_family=cfg["bc_family"],
-        seed=cfg["seed"],
+    params = {"bc_family": cfg["params"].bc_family, "samples": cfg["samples"], "seed": cfg["seed"]}
+    result = verify.l3_study(cfg["levels"], **params)
+    rows = zip(result["levels"], result["max_ratios"])
+    return _finish(
+        paths,
+        result["growth_ok"],
+        csv="n,max_ratio\n" + "".join(f"{n},{ratio!r}\n" for n, ratio in rows),
+        params=params,
+        mesh={"levels": result["levels"]},
+        diagnostics=result,
     )
-    lines = ["n,max_ratio"]
-    for n, ratio in zip(result["levels"], result["max_ratios"]):
-        lines.append(f"{n},{ratio!r}")
-    report = {
-        "params": {
-            "bc_family": cfg["bc_family"],
-            "samples": cfg["samples"],
-            "seed": cfg["seed"],
-        },
-        "mesh": {"levels": result["levels"]},
-        "iterations": 0,
-        "increments": [],
-        "diagnostics": result,
-        "errors": {},
-        "rates": {},
-        "pass": bool(result["growth_ok"]),
-    }
-    _write_text("\n".join(lines) + "\n", paths["csv"])
-    _write_json(report, paths["json"])
-    return EXIT_PASS if report["pass"] else EXIT_FAIL
 
 
 COMMANDS = {

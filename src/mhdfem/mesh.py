@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,53 +87,41 @@ class Mesh:
     def num_cells(self) -> int:
         return len(self.cells)
 
-    @property
+    @cached_property
     def cell_coords(self):
         """Vertex coordinates per cell, shape (nc, 4, 3)."""
-        if "cell_coords" not in self._cache:
-            self._cache["cell_coords"] = self.vertices[self.cells]
-        return self._cache["cell_coords"]
+        return self.vertices[self.cells]
 
-    @property
+    @cached_property
     def jacobians(self):
         """Edge matrices J with rows v_i - v_0, shape (nc, 3, 3)."""
-        if "jacobians" not in self._cache:
-            X = self.cell_coords
-            self._cache["jacobians"] = X[:, 1:, :] - X[:, :1, :]
-        return self._cache["jacobians"]
+        X = self.cell_coords
+        return X[:, 1:, :] - X[:, :1, :]
 
-    @property
+    @cached_property
     def det_jacobians(self):
-        if "detj" not in self._cache:
-            self._cache["detj"] = np.linalg.det(self.jacobians)
-        return self._cache["detj"]
+        return np.linalg.det(self.jacobians)
 
-    @property
+    @cached_property
     def volumes(self):
-        if "volumes" not in self._cache:
-            self._cache["volumes"] = self.det_jacobians / 6.0
-        return self._cache["volumes"]
+        return self.det_jacobians / 6.0
 
-    @property
+    @cached_property
     def grad_lambda(self):
         """Gradients of the four barycentric coordinates, shape (nc, 4, 3)."""
-        if "grad_lambda" not in self._cache:
-            inv_t = np.linalg.inv(self.jacobians)  # columns are grad lambda_i
-            g = np.transpose(inv_t, (0, 2, 1))
-            g0 = -g.sum(axis=1, keepdims=True)
-            self._cache["grad_lambda"] = np.concatenate([g0, g], axis=1)
-        return self._cache["grad_lambda"]
+        inv_t = np.linalg.inv(self.jacobians)  # columns are grad lambda_i
+        g = np.transpose(inv_t, (0, 2, 1))
+        g0 = -g.sum(axis=1, keepdims=True)
+        return np.concatenate([g0, g], axis=1)
 
-    @property
+    @cached_property
     def diameters(self):
         """Cell diameters (longest edge), shape (nc,)."""
-        if "diameters" not in self._cache:
-            X = self.cell_coords
-            d = np.zeros(self.num_cells)
-            for a, b in LOCAL_EDGES:
-                d = np.maximum(d, np.linalg.norm(X[:, a] - X[:, b], axis=1))
-            self._cache["diameters"] = d
-        return self._cache["diameters"]
+        X = self.cell_coords
+        d = np.zeros(self.num_cells)
+        for a, b in LOCAL_EDGES:
+            d = np.maximum(d, np.linalg.norm(X[:, a] - X[:, b], axis=1))
+        return d
 
 
 def _repair_orientation(vertices, cells):

@@ -567,7 +567,7 @@ class MhdDriver:
             float(
                 np.sqrt(
                     operators.lp_norm(state.B, 2, quad_degree=4) ** 2
-                    + norm_sq_cellwise(div, self.mesh.volumes)
+                    + float((div * div) @ self.mesh.volumes)
                 )
             ),
         )
@@ -654,9 +654,4 @@ def _row(blocks: dict, t: str, x: dict):
     """Block row t of a step map applied to the unknowns in x; the
     unknowns absent from x are zero."""
     return sum(blocks[t, f] @ v for f, v in x.items() if (t, f) in blocks)
-
-
-def norm_sq_cellwise(values: np.ndarray, volumes: np.ndarray) -> float:
-    """Integral of a cellwise-constant scalar squared."""
-    return float((values * values) @ volumes)
 

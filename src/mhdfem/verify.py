@@ -263,15 +263,6 @@ class ErrorTable:
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
-    def as_dict(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "hs": list(self.hs),
-            "errors": {k: list(v) for k, v in self.errors.items()},
-            "rates": {k: list(v) for k, v in self.rates.items()},
-            "quadrature_check": dict(self.quadrature_check),
-        }
-
 
 def convergence_study(
     case: ManufacturedCase,

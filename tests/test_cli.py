@@ -1,5 +1,6 @@
 """Command line interface: configs, exit codes, report files."""
 
+import ast
 import filecmp
 import json
 import os
@@ -344,6 +345,62 @@ def test_l3_study_needs_two_levels(tmp_path, capsys):
     path = write_config(tmp_path, levels=[2], case={"zero_source": True})
     assert cli.main(["l3-study", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
     assert "at least 2 levels" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# one report writer
+
+
+COMMON_SECTIONS = {
+    "params", "mesh", "iterations", "increments", "diagnostics", "errors", "rates", "pass",
+}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, report_name, extra",
+    [
+        ("solve", {}, "solve_report.json", {"residuals", "norms", "checks"}),
+        ("convergence", {"levels": [2, 3, 4]}, "convergence_report.json", set()),
+        (
+            "convergence",
+            {"levels": [2, 3, 4], "picard": {"tol": 1e-10, "maxit": 1}},
+            "convergence_report.json",
+            set(),
+        ),
+        ("complex-check", {"mesh": {"builtin": 1}}, "complex_report.json", set()),
+        ("l3-study", {"levels": [1, 2], "samples": 5}, "l3_report.json", set()),
+    ],
+    ids=["solve", "convergence", "convergence-failure", "complex-check", "l3-study"],
+)
+def test_every_report_carries_the_common_sections(
+    tmp_path, command, overrides, report_name, extra
+):
+    path = write_config(tmp_path, **overrides)
+    code = cli.main([command, "--config", path, "--out-dir", str(tmp_path)])
+    report = read_report(tmp_path, report_name)
+    assert set(report) == COMMON_SECTIONS | extra
+    assert isinstance(report["pass"], bool)
+    assert code == (cli.EXIT_PASS if report["pass"] else cli.EXIT_FAIL)
+
+
+def test_one_report_writer():
+    # json.dumps is called once in the CLI, by the report writer, and
+    # json.dump not at all
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    sites = [
+        (node.func.attr, fn.name)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "json"
+        and node.func.attr in ("dump", "dumps")
+    ]
+    assert sites == [("dumps", "_finish")]
+    source = ast.unparse(tree)
+    assert source.count("json.dumps(") == 1 and "json.dump(" not in source
 
 
 # ----------------------------------------------------------------------

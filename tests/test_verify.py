@@ -224,15 +224,12 @@ def test_small_study_table_and_csv():
             if cell:
                 float(cell)  # every data cell is a plain parseable number
 
+    assert table.ns == [2, 3, 4]
     assert table.hs == sorted(table.hs, reverse=True)
     assert all(r > 0.5 for r in table.rates["err_B_l2"])
     # the measuring quadrature is converged: one degree up moves nothing
     assert table.quadrature_check
     assert max(table.quadrature_check.values()) < 1e-3
-
-    d = table.as_dict()
-    assert d["ns"] == [2, 3, 4]
-    assert set(d["errors"]) == set(table.errors)
 
 
 def test_self_check_compares_two_rules(solved_case_n4):
