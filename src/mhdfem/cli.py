@@ -237,8 +237,8 @@ def _finish(paths: dict, passed: bool, *, csv: str | None = None, **sections) ->
 
 def _output_paths(cfg: dict, out_dir: str, command: str) -> dict:
     """Report kind -> file path of a command's reports under out_dir;
-    a path that names an existing directory is a config error, raised
-    before any work is done."""
+    a path that names an existing directory, or two kinds that name one
+    file, is a config error, raised before any work is done."""
     paths = {
         kind: os.path.join(out_dir, cfg["outputs"].get(kind, default))
         for kind, default in OUTPUTS[command].items()
@@ -246,6 +246,8 @@ def _output_paths(cfg: dict, out_dir: str, command: str) -> dict:
     for kind, path in paths.items():
         if os.path.isdir(path):
             raise ConfigError(f"outputs.{kind} names the directory {path}, not a file")
+    if len({os.path.normpath(path) for path in paths.values()}) < len(paths):
+        raise ConfigError(" and ".join(f"outputs.{k}" for k in paths) + " name one file")
     return paths
 
 
@@ -296,7 +298,7 @@ def cmd_solve(cfg: dict, paths: dict) -> int:
     case, sources = _case_and_sources(cfg)
     driver = MhdDriver(mesh, cfg["params"], sources=sources)
     state, run = driver.picard_solve(tol=cfg["tol"], maxit=cfg["maxit"])
-    diag = driver.diagnostics(state)
+    diag = run.diagnostics_history[-1]
 
     scale = max(1.0, run.state_norm)
     checks = {

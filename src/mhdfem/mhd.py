@@ -305,6 +305,8 @@ class MhdDriver:
     def cross_blocks(self, B_prev: FieldFunction):
         """Ohm coupling (F, u x B-) and velocity Lorentz Gram matrix for a
         frozen magnetic field; (None, None) when B- = 0."""
+        if B_prev.space is not self.B_space:
+            raise MhdError("previous iterate lives on foreign spaces")
         if not _nonzero(B_prev):
             return None, None
         O = assembly.assemble_bilinear(
@@ -315,11 +317,11 @@ class MhdDriver:
         )
         return O, Luu
 
-    def _step_map(self, u_prev: FieldFunction, B_prev: FieldFunction, cross=None) -> tuple:
+    def _step_map(self, u_prev: FieldFunction, cross: tuple) -> tuple:
         """Block map (test, trial) -> block over ``unknowns``, with the
         border row and column ``f + "_mean"`` of each zero-mean field f,
-        and load map of one Picard step at the frozen state (u-, B-)."""
-        if u_prev.space is not self.u_space or B_prev.space is not self.B_space:
+        and load map of one Picard step at u- and the cross blocks of B-."""
+        if u_prev.space is not self.u_space:
             raise MhdError("previous iterate lives on foreign spaces")
         p = self.params
         s, alpha = p.s, p.alpha
@@ -329,7 +331,7 @@ class MhdDriver:
             A_uu = A_uu + assembly.assemble_bilinear(
                 "convection_skew", self.u_space, self.u_space, coefficient=u_prev
             )
-        O, Luu = self.cross_blocks(B_prev) if cross is None else cross
+        O, Luu = cross
         if O is not None:
             A_uu = A_uu + s * Luu
 
@@ -358,7 +360,8 @@ class MhdDriver:
         """Matrix and right-hand side (A, b) of one Picard step at the
         frozen state (u-, B-), over the unknowns in ``unknowns`` order:
         the monolithic system that defines the step."""
-        A, b, _ = self.block_system(self.unknowns, *self._step_map(u_prev, B_prev))
+        step = self._step_map(u_prev, self.cross_blocks(B_prev))
+        A, b, _ = self.block_system(self.unknowns, *step)
         return A, b
 
     def _potential_system(self, blocks: dict, rhs: dict) -> tuple:
@@ -400,12 +403,7 @@ class MhdDriver:
         (N, 3, 3) tensors G_ij = d_j u_i.  Returns (projected velocity,
         auxiliary pressure).
         """
-        try:
-            S, offsets = self._stokes_poisson()
-        except linalg.SingularMatrixError as exc:
-            raise MhdError(
-                f"Stokes system singular (velocity/pressure pair unstable): {exc}"
-            ) from exc
+        S, offsets = self._stokes_poisson()
         # the system divided by Re is the Stokes part of S, whose u rows
         # carry K_u / Re and whose pressure is -q / Re; phi solves
         # s G0^T M_E G0 phi = 0
@@ -434,11 +432,16 @@ class MhdDriver:
     def _stokes_poisson(self) -> tuple:
         """LU of the Stokes-Poisson operator S, the potential step matrix
         at u- = 0, B- = 0, and its block offsets; factored on first use,
-        then kept."""
+        then kept.  A singular S is a driver error."""
         if self._S is None:
-            zero = self.zero_state()
-            S, _, offsets = self._potential_system(*self._step_map(zero.u, zero.B))
-            self._S = linalg.Factorization(S), offsets
+            step = self._step_map(self.zero_state().u, (None, None))
+            S, _, offsets = self._potential_system(*step)
+            try:
+                self._S = linalg.Factorization(S), offsets
+            except linalg.SingularMatrixError as exc:
+                raise MhdError(
+                    f"Stokes system singular (velocity/pressure pair unstable): {exc}"
+                ) from exc
         return self._S
 
     def _solve_step(self, blocks: dict, rhs: dict) -> tuple:
@@ -509,14 +512,12 @@ class MhdDriver:
 
         for _ in range(maxit):
             cross = self.cross_blocks(state.B)
-            new_state, resid, reduced, how = self._solve_step(
-                *self._step_map(state.u, state.B, cross)
-            )
+            new_state, resid, reduced, how = self._solve_step(*self._step_map(state.u, cross))
 
             du = FieldFunction(self.u_space, new_state.u.coeffs - state.u.coeffs)
             dB = FieldFunction(self.B_space, new_state.B.coeffs - state.B.coeffs)
             increment = operators.norm_w(du, dB, self.dcurl)
-            diag = self.diagnostics(new_state, B_prev=state.B, cross=cross)
+            diag = self.diagnostics(new_state, cross)
 
             report.iterations += 1
             report.increments.append(increment)
@@ -546,17 +547,14 @@ class MhdDriver:
     # ------------------------------------------------------------------
     # diagnostics
 
-    def diagnostics(
-        self, state: MhdState, *, B_prev: FieldFunction | None = None, cross=None
-    ) -> Diagnostics:
-        """Exact-identity and energy-chain diagnostics for a state.
+    def diagnostics(self, state: MhdState, cross: tuple) -> Diagnostics:
+        """Exact-identity and energy-chain diagnostics of a Picard iterate.
 
-        B_prev is the frozen field of the step that produced the state;
-        it defaults to state.B, which is the converged interpretation.
+        ``cross`` is the ``cross_blocks`` pair of the frozen field B- of
+        the step that produced the state, so j = E + u x B- and the energy
+        identity are read on the operators that step solved with.
         """
         p = self.params
-        if B_prev is None:
-            B_prev = state.B
         uf = state.u.coeffs[self.u_space.free]
         Ef = state.E.coeffs[self.E_space.free]
 
@@ -577,8 +575,6 @@ class MhdDriver:
         curlE_norm = operators.norm_curl_part(state.E)
 
         # energy identity from the assembled operators of the step
-        if cross is None:
-            cross = self.cross_blocks(B_prev)
         O, Luu = cross
         dissipation = float(uf @ (self.K_u @ uf)) / p.Re
         joule = float(Ef @ (self.M_E @ Ef))

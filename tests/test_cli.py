@@ -172,6 +172,17 @@ def test_output_naming_an_existing_directory_exits_2(tmp_path, capsys, monkeypat
     assert "config error: outputs.json names the directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("csv_name", ["same.txt", "sub/../same.txt"])
+@pytest.mark.parametrize("command", ["convergence", "l3-study"])
+def test_report_kinds_naming_one_file_exit_2(tmp_path, capsys, monkeypatch, command, csv_name):
+    # the JSON would overwrite the CSV; checked before the run starts
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg, paths: pytest.fail(f"{command} ran"))
+    path = write_config(tmp_path, outputs={"json": "same.txt", "csv": csv_name})
+    assert cli.main([command, "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_CONFIG
+    assert "config error: outputs.json and outputs.csv name one file" in capsys.readouterr().err
+    assert not (tmp_path / "same.txt").exists()
+
+
 # ----------------------------------------------------------------------
 # solve
 
@@ -209,6 +220,58 @@ def test_solve_nonconvergence_exits_1(tmp_path):
     report = read_report(tmp_path, "solve_report.json")
     assert report["pass"] is False
     assert report["checks"]["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "bc_family, variant", [("normal_B", "multiplier"), ("tangential_B", "augmented")]
+)
+def test_loose_tolerance_solve_passes_the_energy_check(tmp_path, bc_family, variant):
+    # the report reads the last iterate's own record, with B- frozen at
+    # the previous iterate, so the energy identity holds to rounding
+    # however far the loop is from its fixed point
+    path = write_config(
+        tmp_path,
+        mesh={"builtin": 3},
+        case={"builtin": 10.0},
+        params={"Re": 10.0, "Rm": 10.0},
+        picard={"tol": 1e-4},
+        bc_family=bc_family,
+        variant=variant,
+    )
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_PASS
+    report = read_report(tmp_path, "solve_report.json")
+    assert report["checks"]["energy"] is True
+    assert report["diagnostics"]["energy_residual"] <= 1e-12
+
+
+def test_solve_reports_the_last_step_record(tmp_path, monkeypatch):
+    # each step's cross forms are assembled once, for its solve and its
+    # record, and the report measures nothing again
+    from mhdfem import assembly
+    from mhdfem.mhd import MhdDriver
+
+    forms, runs = [], []
+    assemble, picard_solve = assembly.assemble_bilinear, MhdDriver.picard_solve
+
+    def counting(form_id, *args, **kwargs):
+        forms.append(form_id)
+        return assemble(form_id, *args, **kwargs)
+
+    def recording(self, **kwargs):
+        state, run = picard_solve(self, **kwargs)
+        runs.append(run)
+        return state, run
+
+    monkeypatch.setattr(assembly, "assemble_bilinear", counting)
+    monkeypatch.setattr(MhdDriver, "picard_solve", recording)
+    path = write_config(tmp_path)
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_PASS
+    report = read_report(tmp_path, "solve_report.json")
+    # the first step freezes B- = 0 and assembles no cross form
+    assert report["iterations"] == 3
+    assert forms.count("ohm_cross") == forms.count("lorentz_cross") == 2
+    (run,) = runs
+    assert report["diagnostics"] == run.diagnostics_history[-1].as_dict()
 
 
 def test_custom_output_name(tmp_path):
@@ -313,6 +376,20 @@ def test_solve_on_a_domain_with_holes_fails_early(
     assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_FAIL
     assert "run failed: " in (err := capsys.readouterr().err)
     assert f"b0, b1, b2 = {betti}" in err
+    assert not (tmp_path / "solve_report.json").exists()
+
+
+@pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"])
+def test_solve_on_one_tetrahedron_names_the_unstable_pair(
+    single_tet, tmp_path, capsys, bc_family
+):
+    # the Stokes-Poisson operator of the Picard steps is singular there
+    msh = tmp_path / "tet.msh"
+    _write_msh2(single_tet, msh)
+    path = write_config(tmp_path, mesh={"msh2": str(msh)}, bc_family=bc_family)
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_FAIL
+    err = capsys.readouterr().err
+    assert "run failed: Stokes system singular (velocity/pressure pair unstable)" in err
     assert not (tmp_path / "solve_report.json").exists()
 
 

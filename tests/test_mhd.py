@@ -16,6 +16,7 @@ from oracles import (
     stability_weight_matrix,
     variant_gaps,
 )
+from test_linalg import _call_sites
 
 FAMILIES = ("normal_B", "tangential_B")
 VARIANTS = ("multiplier", "augmented")
@@ -431,7 +432,7 @@ def test_joule_term_matches_direct_quadrature(mesh2):
     drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
     state, report = drv.picard_solve(tol=1e-11, maxit=50, keep_states=True)
     prev = report.states[-2]
-    diag = drv.diagnostics(state, B_prev=prev.B)
+    diag = drv.diagnostics(state, drv.cross_blocks(prev.B))
 
     rule = assembly.quadrature_rule(6)
     wdet = assembly.quadrature_weights(mesh2, rule)
@@ -465,12 +466,23 @@ def test_energy_chain_holds_per_iterate(g_zero_run):
 
 
 def test_curl_bound_needs_the_frozen_field(g_zero_run):
-    # re-evaluating an iterate against its own B (instead of the frozen
-    # previous one) must still respect the curl bound scale-wise
+    # re-evaluating each iterate against the cross blocks of the frozen
+    # previous field must respect the curl bound scale-wise
     driver, state, report = g_zero_run
     for prev, cur in zip(report.states, report.states[1:]):
-        diag = driver.diagnostics(cur, B_prev=prev.B)
+        diag = driver.diagnostics(cur, driver.cross_blocks(prev.B))
         assert diag.energy3_lhs <= diag.energy3_rhs * (1 + 1e-8)
+
+
+def test_each_iterate_is_measured_once():
+    # the Picard loop records every iterate, with the cross blocks its
+    # step solved with; nothing else in the package measures one, and
+    # only the loop and the flattened step assemble the cross blocks
+    assert _call_sites("diagnostics") == [("mhd.py", "picard_solve")]
+    assert sorted(_call_sites("cross_blocks")) == [
+        ("mhd.py", "assemble_picard_step"),
+        ("mhd.py", "picard_solve"),
+    ]
 
 
 # ----------------------------------------------------------------------
