@@ -53,7 +53,6 @@ _TOP_KEYS = {
     "mesh",
     "params",
     "bc_family",
-    "variant",
     "picard",
     "case",
     "levels",
@@ -95,6 +94,9 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    if "variant" in raw:
+        why = "every Picard step is checked against both formulations (multiplier and augmented)"
+        raise ConfigError(f"variant is not an option: {why}")
     _require_keys(raw, _TOP_KEYS, "config root")
 
     cfg: dict = {}
@@ -191,11 +193,7 @@ def load_config(path: str) -> dict:
     cfg["outputs"] = outputs
 
     try:
-        cfg["params"] = MhdParams(
-            **numbers,
-            bc_family=raw.get("bc_family", "normal_B"),
-            variant=raw.get("variant", "multiplier"),
-        )
+        cfg["params"] = MhdParams(**numbers, bc_family=raw.get("bc_family", "normal_B"))
     except MhdError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg
@@ -345,7 +343,6 @@ def cmd_convergence(cfg: dict, paths: dict) -> int:
         table = verify.convergence_study(
             case,
             cfg["levels"],
-            variant=cfg["params"].variant,
             tol=cfg["tol"],
             maxit=cfg["maxit"],
             quad_degree=cfg["quad_degree"],

@@ -6,8 +6,9 @@ where j = E + u x B-, Ohm's law s(j, F) - alpha(B, curl F) = <g, F>,
 Faraday's law alpha(curl E, C) plus the divergence constraint on B, and
 incompressibility.  Two boundary-condition families are supported
 (normal_B: u = 0, B.n = 0, E x n = 0 essential; tangential_B: natural
-magnetic conditions), and two treatments of the divergence constraint
-(Lagrange multiplier r, or the augmented grad-div term alpha(div B, div C)).
+magnetic conditions).  The two treatments of the divergence constraint,
+a Lagrange multiplier r and the augmented term alpha(div B, div C), give
+the same iterates, so each step is solved once and checked against both.
 
 The magnetic multiplier space differs between the families: the
 constrained-flux family pairs with zero-mean piecewise constants (the
@@ -16,33 +17,31 @@ space), while the natural family uses the full piecewise-constant space,
 whose divergence map is onto.  Restricting the natural family's
 multiplier to zero mean leaves a one-dimensional kernel (the face field
 with uniform divergence) and a singular linear system, so the full space
-is the well-posed choice; the computed multiplier is zero either way.
-The augmented driver has no r unknown.
+is the well-posed choice.
 
 A Picard step is one map (test, trial) -> block over the driver's
-unknowns, border rows of the zero-mean fields included; ``block_system``
-flattens such a map over a list of unknowns.  Flattened over
-``unknowns`` it is the monolithic matrix that defines the step, but a
-step is solved in potentials of the exact sequence.  On a connected
-domain without holes or cavities (Betti numbers b1 = b2 = 0, checked
-when the driver is built) every curl-free E is G phi and every
-divergence-free B is C a, with G and C the integer gradient and curl
-incidences on the free dofs.  Ohm's law tested with gradients loses B,
+fields, border rows of the zero-mean fields included; ``block_system``
+flattens such a map over a list of unknowns.  With the div B blocks of
+a formulation, over its unknowns (``formulations``), it is a monolithic
+matrix that defines the step, but a step is solved in potentials.  On
+a connected domain without holes or cavities (Betti numbers
+b1 = b2 = 0, checked when the driver is built) every curl-free E is
+G phi and every divergence-free B is C a, with G and C the integer
+gradient and curl incidences on the free dofs.  Ohm's law tested with gradients loses B,
 because R_EB = C^T M_B and C G = 0, so the map is lifted to the
 potentials (u, phi, p, p_mean), with E = G0 phi and B, r and r_mean
 dropped, and only that Galerkin system is flattened and solved.
 B = C a then follows from the Ohm rows, with a gauged by a spanning
 tree (the tree-cotree construction of Gross & Kotiuga, Electromagnetic
 Theory and Computation, 2004) and the constant cotree matrix C^T M_B C
-factored once per driver, and the monolithic residual is taken block
-by block.  Every Picard
-iterate therefore has cellwise div B = 0, r = 0 and curl E = 0 by the
-integer identities div curl = 0 and curl grad = 0, and satisfies the
-energy identity
+factored once per driver; r is measured, and each monolithic residual
+is taken block by block.  Every Picard iterate therefore has cellwise
+div B = 0, curl E = 0 and r at roundoff by the integer identities
+div curl = 0 and curl grad = 0, and satisfies the energy identity
 
     Re^-1 |grad u|^2 + s |j|^2 = <f, u> + <g, E>
 
-to solver tolerance; the relative residual of the monolithic system
+to solver tolerance; the relative residual of each monolithic system
 must meet ``linalg.RESIDUAL_TOL``.  The source work term pairs g with
 the electric field because E is the admissible Ohm test function; when
 g = 0 this is the scheme's plain energy law, and j coincides with
@@ -80,7 +79,6 @@ class MhdError(Exception):
 
 
 BC_FAMILIES = ("normal_B", "tangential_B")
-VARIANTS = ("multiplier", "augmented")
 
 _log = logging.getLogger(__name__)
 
@@ -97,7 +95,6 @@ class MhdParams:
     Rm: float = 1.0
     s: float = 1.0
     bc_family: str = "normal_B"
-    variant: str = "multiplier"
 
     def __post_init__(self):
         for name in ("Re", "Rm", "s"):
@@ -105,8 +102,6 @@ class MhdParams:
                 raise MhdError(f"parameter {name} must be positive and finite")
         if self.bc_family not in BC_FAMILIES:
             raise MhdError(f"unknown bc_family {self.bc_family!r}")
-        if self.variant not in VARIANTS:
-            raise MhdError(f"unknown variant {self.variant!r}")
 
     @property
     def alpha(self) -> float:
@@ -129,13 +124,14 @@ class SourceData:
 
 @dataclass
 class MhdState:
-    """One solution snapshot; r is None in the augmented variant."""
+    """One solution snapshot; r is the multiplier formulation's r, the
+    least-squares multiplier of its B rows at the computed (E, B)."""
 
     u: FieldFunction
     E: FieldFunction
     B: FieldFunction
     p: FieldFunction
-    r: FieldFunction | None = None
+    r: FieldFunction
 
 
 @dataclass
@@ -210,30 +206,42 @@ class MhdDriver:
             "E": make_space("nedelec1_lowest", ess, mesh, topo),
             "B": make_space("rt_lowest", ess, mesh, topo),
             "p": make_space("lagrange_p1", "none", mesh, topo, mean_constraint=True),
+            "r": make_space("dg0", "none", mesh, topo, mean_constraint=normal),
         }
-        self.u_space, self.E_space, self.B_space, self.p_space = self.spaces.values()
+        self.u_space, self.E_space, self.B_space, self.p_space, self.r_space = self.spaces.values()
 
         self.dcurl = operators.DiscreteCurl(self.E_space, self.B_space)
         self.K_u = assembly.assemble_bilinear("grad_grad", self.u_space, self.u_space)
         self.M_E, self.R_EB = self.dcurl.mass, self.dcurl.pairing
         self.M_B = assembly.assemble_bilinear("vec_mass", self.B_space, self.B_space)
         self.D_p = assembly.assemble_bilinear("div_pressure", self.u_space, self.p_space)
-        if params.variant == "multiplier":
-            self.spaces["r"] = make_space("dg0", "none", mesh, topo, mean_constraint=normal)
-            self.D_r = assembly.assemble_bilinear("div_scalar", self.B_space, self.spaces["r"])
-        else:
-            self.G_dd = assembly.assemble_bilinear("divdiv", self.B_space, self.B_space)
-        self.r_space = self.spaces.get("r")
+        self.D_r = assembly.assemble_bilinear("div_scalar", self.B_space, self.r_space)
+        self.G_dd = assembly.assemble_bilinear("divdiv", self.B_space, self.B_space)
 
-        # fields of every Picard step; unknowns adds their border names
+        # fields of every Picard step and state
         self.fields = tuple(self.spaces)
-        # border row of each zero-mean constraint: the basis integrals
+        # border row of each zero-mean constraint, the basis integrals, and
+        # the blocks of its row and column f + "_mean" in a step map
         self.mean_rows = {
             f: sp.csr_matrix(assembly.domain_integral_vector(space))
             for f, space in self.spaces.items()
             if space.mean_constraint
         }
-        self.unknowns = self.fields + tuple(f + "_mean" for f in self.mean_rows)
+        self._borders = {}
+        for f, row in self.mean_rows.items():
+            self._borders[f + "_mean", f], self._borders[f, f + "_mean"] = row, row.T
+        unknowns = self.fields + tuple(f + "_mean" for f in self.mean_rows)
+        # the two treatments of div B = 0: name -> (unknowns of its
+        # monolithic system, blocks it adds to the step map)
+        self.formulations = {
+            "multiplier": (unknowns, {("r", "B"): self.D_r, ("B", "r"): self.D_r.T}),
+            "augmented": (("u", "E", "B", "p", "p_mean"), {("B", "B"): params.alpha * self.G_dd}),
+        }
+        # r is the least-squares multiplier of the B rows: the normal
+        # matrix D_r D_r^T, a dg0 graph Laplacian, bordered like r
+        r_names = ("r", "r_mean") if "r" in self.mean_rows else ("r",)
+        r_blocks = {("r", "r"): self.D_r @ self.D_r.T, **self._borders}
+        self._r_normal = linalg.Factorization(self.block_system(r_names, r_blocks, {})[0])
         self._build_potentials(topo)
 
         self.load_f = (
@@ -318,9 +326,10 @@ class MhdDriver:
         return O, Luu
 
     def _step_map(self, u_prev: FieldFunction, cross: tuple) -> tuple:
-        """Block map (test, trial) -> block over ``unknowns``, with the
+        """Block map (test, trial) -> block over ``fields``, with the
         border row and column ``f + "_mean"`` of each zero-mean field f,
-        and load map of one Picard step at u- and the cross blocks of B-."""
+        and load map of one Picard step at u- and the cross blocks of B-;
+        the blocks of div B = 0 are those of ``formulations``."""
         if u_prev.space is not self.u_space:
             raise MhdError("previous iterate lives on foreign spaces")
         p = self.params
@@ -346,23 +355,8 @@ class MhdDriver:
         if O is not None:
             blocks["E", "u"] = s * O
             blocks["u", "E"] = blocks["E", "u"].T
-        if "r" in self.fields:
-            blocks["r", "B"] = self.D_r
-            blocks["B", "r"] = blocks["r", "B"].T
-        else:
-            blocks["B", "B"] = alpha * self.G_dd
-        for f, row in self.mean_rows.items():
-            blocks[f + "_mean", f] = row
-            blocks[f, f + "_mean"] = row.T
+        blocks.update(self._borders)
         return blocks, {"u": self.load_f, "E": self.load_g}
-
-    def assemble_picard_step(self, u_prev: FieldFunction, B_prev: FieldFunction) -> tuple:
-        """Matrix and right-hand side (A, b) of one Picard step at the
-        frozen state (u-, B-), over the unknowns in ``unknowns`` order:
-        the monolithic system that defines the step."""
-        step = self._step_map(u_prev, self.cross_blocks(B_prev))
-        A, b, _ = self.block_system(self.unknowns, *step)
-        return A, b
 
     def _potential_system(self, blocks: dict, rhs: dict) -> tuple:
         """(A, b, offsets) of a step map's Galerkin system on the
@@ -446,8 +440,8 @@ class MhdDriver:
 
     def _solve_step(self, blocks: dict, rhs: dict) -> tuple:
         """Solution of one step map as a state, the relative residual of
-        its monolithic system, the potential matrix and how that was
-        solved.
+        each formulation's monolithic system by name, the potential matrix
+        and how that was solved.
 
         (u, phi, p) come from the Galerkin system on the potentials, in
         which B drops out because Ohm's law is tested with gradients
@@ -457,9 +451,10 @@ class MhdDriver:
         follows from the Ohm rows on the cotree, K a = -(ohm residual)_ct
         / alpha; the other Ohm rows hold with them, because both sides
         are orthogonal to the gradients and the tree rows of G0 are
-        invertible.  r and r_mean are zero.  The monolithic residual is
-        taken row block by row block of the map, over every row of the
-        step, the B, r and border rows included."""
+        invertible.  r solves the multiplier system's B rows
+        D_r^T r = -alpha R_EB^T E in least squares; r_mean is zero.  Each
+        formulation's monolithic residual is taken row block by row block,
+        over every row of its system, the B, r and border rows included."""
         A, b, offsets = self._potential_system(blocks, rhs)
         S, _ = self._stokes_poisson()
         try:
@@ -472,20 +467,27 @@ class MhdDriver:
         x = {"u": u, "E": self.G0 @ phi, "p": p, "p_mean": p_mean}
         ohm = rhs["E"] - _row(blocks, "E", x)
         x["B"] = self.C_ct @ self._cotree.solve(-ohm[self._ct] / self.params.alpha)
+        # the B rows carry no load: D_r times their residual at r = 0
+        load = -(self.D_r @ _row(blocks, "B", x))
+        border = np.zeros(self._r_normal.A.shape[0] - len(load))
+        x["r"] = self._r_normal.solve(np.concatenate([load, border]))[: len(load)]
 
-        res_sq = sum(
-            np.sum(np.square(rhs.get(t, 0.0) - _row(blocks, t, x))) for t in self.unknowns
-        )
         b_sq = sum(float(v @ v) for v in rhs.values())
-        resid = float(np.sqrt(res_sq / b_sq)) if b_sq > 0 else 0.0
-        if not resid <= linalg.RESIDUAL_TOL:
-            raise linalg.LinAlgError(
-                f"Picard step residual {resid:.3e} exceeds {linalg.RESIDUAL_TOL:.1e}"
-            )
+        residuals = {}
+        for name, (unknowns, constraint) in self.formulations.items():
+            system = {**blocks, **constraint}
+            res_sq = sum(np.sum(np.square(rhs.get(t, 0.0) - _row(system, t, x))) for t in unknowns)
+            resid = float(np.sqrt(res_sq / b_sq)) if b_sq > 0 else 0.0
+            if not resid <= linalg.RESIDUAL_TOL:
+                raise linalg.LinAlgError(
+                    f"Picard step residual {resid:.3e} of the {name} system exceeds "
+                    f"{linalg.RESIDUAL_TOL:.1e}"
+                )
+            residuals[name] = resid
         state = self.zero_state()
-        for f in ("u", "E", "B", "p"):
+        for f in self.fields:
             getattr(state, f).coeffs[self.spaces[f].free] = x[f]
-        return state, resid, A, how
+        return state, residuals, A, how
 
     def picard_solve(
         self,
@@ -512,7 +514,7 @@ class MhdDriver:
 
         for _ in range(maxit):
             cross = self.cross_blocks(state.B)
-            new_state, resid, reduced, how = self._solve_step(*self._step_map(state.u, cross))
+            new_state, residuals, reduced, how = self._solve_step(*self._step_map(state.u, cross))
 
             du = FieldFunction(self.u_space, new_state.u.coeffs - state.u.coeffs)
             dB = FieldFunction(self.B_space, new_state.B.coeffs - state.B.coeffs)
@@ -521,19 +523,20 @@ class MhdDriver:
 
             report.iterations += 1
             report.increments.append(increment)
-            report.residuals.append(resid)
+            report.residuals.append(max(residuals.values()))
             report.diagnostics_history.append(diag)
             if keep_states:
                 report.states.append(new_state)
             prev = report.increments[-2] if report.iterations > 1 else 0.0
             _log.debug(
-                "Picard step %d: %d reduced unknowns, %d nonzeros, %s, residual %.3e, "
-                "contraction ratio %s",
+                "Picard step %d: %d reduced unknowns, %d nonzeros, %s, residuals %s, "
+                "|r| %.3e, contraction ratio %s",
                 report.iterations,
                 reduced.shape[0],
                 reduced.nnz,
                 how,
-                resid,
+                ", ".join(f"{name} {resid:.3e}" for name, resid in residuals.items()),
+                diag.r_norm,
                 f"{increment / prev:.3e}" if prev > 0 else "n/a",
             )
             report.state_norm = operators.norm_w(new_state.u, new_state.B, self.dcurl)
@@ -569,9 +572,7 @@ class MhdDriver:
                 )
             ),
         )
-        r_norm = (
-            operators.lp_norm(state.r, 2, quad_degree=2) if state.r is not None else 0.0
-        )
+        r_norm = operators.lp_norm(state.r, 2, quad_degree=2)
         curlE_norm = operators.norm_curl_part(state.E)
 
         # energy identity from the assembled operators of the step

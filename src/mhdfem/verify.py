@@ -96,10 +96,11 @@ class ManufacturedCase:
     g: object
     exprs: dict = field(default_factory=dict, repr=False)
 
+    # ``variant`` here and in ``convergence_study`` is unread: every step
+    # is checked against both formulations.  The benchmark change of ROADMAP
+    # item 7 removes both with their two call sites in perfbench/workloads.py.
     def params(self, variant: str = "multiplier") -> MhdParams:
-        return MhdParams(
-            Re=self.Re, Rm=self.Rm, s=self.s, bc_family=self.bc_family, variant=variant
-        )
+        return MhdParams(Re=self.Re, Rm=self.Rm, s=self.s, bc_family=self.bc_family)
 
     def sources(self) -> SourceData:
         return SourceData(f=self.f, g=self.g)
@@ -285,7 +286,7 @@ def convergence_study(
     check = {}
     for idx, n in enumerate(levels):
         mesh = unit_cube_mesh(n)
-        driver = MhdDriver(mesh, case.params(variant), case.sources())
+        driver = MhdDriver(mesh, case.params(), case.sources())
         state, report = driver.picard_solve(tol=tol, maxit=maxit)
         if not report.converged:
             raise StudyError(f"Picard did not converge at level n={n}", report)

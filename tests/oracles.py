@@ -1,7 +1,5 @@
 """Reference computations that tests compare the package against."""
 
-import dataclasses
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -9,7 +7,6 @@ import scipy.sparse.linalg as spla
 from mhdfem import assembly, derham, linalg, operators
 from mhdfem.derham import FieldFunction
 from mhdfem.mesh import LOCAL_EDGES, LOCAL_FACES
-from mhdfem.mhd import MhdDriver
 
 # inverse power iteration of smallest_singular_value
 POWER_MAXIT = 500
@@ -70,40 +67,45 @@ def divfree_saddle(B_space, func):
     return spla.spsolve(A, b)[: B_space.num_free]
 
 
-def monolithic_step(driver, u_prev, B_prev) -> dict:
+def monolithic_system(driver, formulation, u_prev, B_prev) -> tuple:
+    """Matrix and right-hand side (A, b) of one Picard step of ``driver``
+    at the frozen (u-, B-) in the named formulation, "multiplier" or
+    "augmented": the driver's step map with that formulation's
+    constraint blocks, flattened over its unknowns."""
+    unknowns, constraint = driver.formulations[formulation]
+    blocks, rhs = driver._step_map(u_prev, driver.cross_blocks(B_prev))
+    A, b, _ = driver.block_system(unknowns, {**blocks, **constraint}, rhs)
+    return A, b
+
+
+def monolithic_step(driver, formulation, u_prev, B_prev) -> dict:
     """Field name -> FieldFunction of one Picard step of ``driver`` at the
-    frozen (u-, B-), solved on its monolithic matrix with ``solve_direct``
-    instead of in potentials.  The frozen fields may come from another
-    driver on the same mesh."""
-    A, b = driver.assemble_picard_step(
-        FieldFunction(driver.u_space, u_prev.coeffs), FieldFunction(driver.B_space, B_prev.coeffs)
-    )
+    frozen (u-, B-), solved on the named formulation's monolithic matrix
+    with ``solve_direct`` instead of in potentials; r only in the
+    multiplier formulation."""
+    A, b = monolithic_system(driver, formulation, u_prev, B_prev)
     x = linalg.solve_direct(A, b)
-    # the fields come first in ``unknowns``, the border multipliers last
-    sizes = [driver.spaces[f].num_free for f in driver.fields]
-    parts = np.split(x, np.cumsum(sizes))
-    return {f: FieldFunction.from_free(driver.spaces[f], v) for f, v in zip(driver.fields, parts)}
+    # the fields come first in the unknowns, the border multipliers last
+    fields = [f for f in driver.formulations[formulation][0] if f in driver.spaces]
+    parts = np.split(x, np.cumsum([driver.spaces[f].num_free for f in fields]))
+    return {f: FieldFunction.from_free(driver.spaces[f], v) for f, v in zip(fields, parts)}
 
 
-def variant_gaps(driver, report) -> dict:
+def formulation_gaps(driver, report, formulation) -> dict:
     """Largest gaps between the iterates of a ``keep_states`` Picard run of
-    ``driver`` and the other variant's monolithic step from the same
+    ``driver`` and the named formulation's monolithic step from the same
     frozen (u-, B-): "w" the W-norm gap of (u, B) relative to the
     oracle's W-norm, "E" and "p" the L^2 gaps."""
-    other_variant = "augmented" if driver.params.variant == "multiplier" else "multiplier"
-    other = MhdDriver(
-        driver.mesh, dataclasses.replace(driver.params, variant=other_variant), driver.sources
-    )
     gaps = {"w": 0.0, "E": 0.0, "p": 0.0}
     for prev, cur in zip(report.states, report.states[1:]):
-        ref = monolithic_step(other, prev.u, prev.B)
+        ref = monolithic_step(driver, formulation, prev.u, prev.B)
         diff = {
             f: FieldFunction(ref[f].space, getattr(cur, f).coeffs - ref[f].coeffs)
             for f in ("u", "E", "B", "p")
         }
-        w = operators.norm_w(diff["u"], diff["B"], other.dcurl)
+        w = operators.norm_w(diff["u"], diff["B"], driver.dcurl)
         if w > 0:
-            w /= operators.norm_w(ref["u"], ref["B"], other.dcurl)
+            w /= operators.norm_w(ref["u"], ref["B"], driver.dcurl)
         gaps["w"] = max(gaps["w"], w)
         gaps["E"] = max(gaps["E"], operators.lp_norm(diff["E"], 2, quad_degree=4))
         gaps["p"] = max(gaps["p"], operators.lp_norm(diff["p"], 2, quad_degree=2))
@@ -220,36 +222,31 @@ def _weighted_sq(vals, wdet) -> float:
     return float(np.einsum("cq,cqd,cqd->", wdet, vals, vals))
 
 
-def stability_weight_matrix(driver, state) -> sp.csr_matrix:
-    """SPD norm matrix of the linearization norms on the step unknowns
-    of ``driver``: the (u, E, B) triple norm with the frozen-field Ohm
-    term, L^2 for the scalar multipliers, identity on border rows."""
+def stability_weight_matrix(driver, state, formulation) -> sp.csr_matrix:
+    """SPD norm matrix of the linearization norms on the unknowns of the
+    named formulation's step of ``driver``: the (u, E, B) triple norm
+    with the frozen-field Ohm term, L^2 for the scalar multipliers,
+    identity on border rows."""
     O, Luu = driver.cross_blocks(state.B)
-    u_space, E_space, B_space = driver.u_space, driver.E_space, driver.B_space
+    u_space, E_space = driver.u_space, driver.E_space
     W_uu = assembly.assemble_bilinear("vec_mass", u_space, u_space) + driver.K_u
     if O is not None:
         W_uu = W_uu + Luu
     C_EE = assembly.assemble_bilinear("curl_curl", E_space, E_space)
-    if "r" in driver.fields:
-        W_BB = driver.M_B + assembly.assemble_bilinear("divdiv", B_space, B_space)
-    else:
-        W_BB = driver.M_B + driver.G_dd
     blocks = {
         ("u", "u"): W_uu,
         ("E", "E"): driver.M_E + C_EE,
-        ("B", "B"): W_BB,
+        ("B", "B"): driver.M_B + driver.G_dd,
         ("p", "p"): assembly.assemble_bilinear("scalar_mass", driver.p_space, driver.p_space),
+        ("r", "r"): assembly.assemble_bilinear("scalar_mass", driver.r_space, driver.r_space),
     }
     if O is not None:
         blocks["E", "u"] = O
         blocks["u", "E"] = O.T
-    if "r" in driver.fields:
-        blocks["r", "r"] = assembly.assemble_bilinear(
-            "scalar_mass", driver.r_space, driver.r_space
-        )
-    for name in driver.unknowns[len(driver.fields):]:
-        blocks[name, name] = sp.identity(1)
-    names = driver.unknowns
+    names = driver.formulations[formulation][0]
+    for name in names:
+        if name not in driver.spaces:
+            blocks[name, name] = sp.identity(1)
     return sp.bmat([[blocks.get((t, f)) for f in names] for t in names], format="csr")
 
 

@@ -15,14 +15,15 @@ from mhdfem.mesh import unit_cube_mesh
 from mhdfem.mhd import MhdDriver, SourceData
 from mhdfem.verify import builtin_case, complex_check, l3_study
 from oracles import (
+    formulation_gaps,
+    monolithic_system,
     reduced_equivalence_check,
     smallest_singular_value,
     stability_weight_matrix,
-    variant_gaps,
 )
 
 FAMILIES = ("normal_B", "tangential_B")
-VARIANTS = ("multiplier", "augmented")
+FORMULATIONS = ("multiplier", "augmented")
 MESH_NS = (2, 4)
 
 
@@ -38,18 +39,15 @@ def meshes():
 
 @pytest.fixture(scope="module")
 def builtin_grid(meshes):
-    """Converged builtin-case solves: family x variant x mesh level."""
+    """Converged builtin-case solves: family x mesh level."""
     runs = {}
     for bc_family in FAMILIES:
         case = builtin_case(bc_family)
-        for variant in VARIANTS:
-            for n in MESH_NS:
-                driver = MhdDriver(meshes[n], case.params(variant), case.sources())
-                state, report = driver.picard_solve(
-                    tol=1e-11, maxit=50, keep_states=True
-                )
-                assert report.converged, (bc_family, variant, n)
-                runs[bc_family, variant, n] = (driver, state, report)
+        for n in MESH_NS:
+            driver = MhdDriver(meshes[n], case.params(), case.sources())
+            state, report = driver.picard_solve(tol=1e-11, maxit=50, keep_states=True)
+            assert report.converged, (bc_family, n)
+            runs[bc_family, n] = (driver, state, report)
     return runs
 
 
@@ -66,19 +64,16 @@ def g_zero_grid(meshes):
     for bc_family in FAMILIES:
         case = builtin_case(bc_family)
         sources = SourceData(f=case.sources().f, g=None)
-        for variant in VARIANTS:
-            for n in MESH_NS:
-                driver = MhdDriver(meshes[n], case.params(variant), sources)
-                rng = np.random.default_rng(11)
-                init = driver.zero_state()
-                init.B.coeffs[driver.B_space.free] = rng.standard_normal(
-                    driver.B_space.num_free
-                )
-                state, report = driver.picard_solve(
-                    tol=1e-11, maxit=50, init=init, keep_states=True
-                )
-                assert report.converged, (bc_family, variant, n)
-                runs[bc_family, variant, n] = (driver, state, report)
+        for n in MESH_NS:
+            driver = MhdDriver(meshes[n], case.params(), sources)
+            rng = np.random.default_rng(11)
+            init = driver.zero_state()
+            init.B.coeffs[driver.B_space.free] = rng.standard_normal(driver.B_space.num_free)
+            state, report = driver.picard_solve(
+                tol=1e-11, maxit=50, init=init, keep_states=True
+            )
+            assert report.converged, (bc_family, n)
+            runs[bc_family, n] = (driver, state, report)
     return runs
 
 
@@ -162,23 +157,24 @@ def test_reduced_system_equivalence(g_zero_grid):
 # formulation equivalence and the nonlinear iteration
 
 
-def test_variant_equivalence(builtin_grid):
-    # each variant's potential iterates against the other variant's
-    # monolithic step from the same frozen (u-, B-), solved directly
+def test_formulation_equivalence(builtin_grid):
+    # the potential iterates against each formulation's monolithic step
+    # from the same frozen (u-, B-), solved directly
     worst = 0.0
     for driver, state, report in builtin_grid.values():
-        worst = max(worst, variant_gaps(driver, report)["w"])
+        for formulation in FORMULATIONS:
+            worst = max(worst, formulation_gaps(driver, report, formulation)["w"])
     _verdict(
-        "variant equivalence",
+        "formulation equivalence",
         worst <= 1e-8,
-        f"max W-norm gap of each variant's iterates to the other's monolithic step "
-        f"= {worst:.3e} relative (tol 1e-8)",
+        f"max W-norm gap of the iterates to the multiplier and augmented monolithic "
+        f"steps = {worst:.3e} relative (tol 1e-8)",
     )
 
 
 def test_picard_contraction(meshes):
     case = builtin_case("normal_B")
-    driver = MhdDriver(meshes[4], case.params("multiplier"), case.sources())
+    driver = MhdDriver(meshes[4], case.params(), case.sources())
     tol = 1e-8
     state_a, report_a = driver.picard_solve(tol=tol, maxit=50)
     assert report_a.converged and report_a.iterations >= 3
@@ -307,13 +303,13 @@ def test_solver_contract(builtin_grid, g_zero_grid, meshes):
     for n in (2, 3, 4):
         mesh = meshes[n] if n in meshes else unit_cube_mesh(n)
         if n in MESH_NS:
-            driver, state, _ = builtin_grid["normal_B", "multiplier", n]
+            driver, state, _ = builtin_grid["normal_B", n]
         else:
-            driver = MhdDriver(mesh, case.params("multiplier"), case.sources())
+            driver = MhdDriver(mesh, case.params(), case.sources())
             state, report = driver.picard_solve(tol=1e-11, maxit=50)
             assert report.converged
-        A, _ = driver.assemble_picard_step(state.u, state.B)
-        W = stability_weight_matrix(driver, state)
+        A, _ = monolithic_system(driver, "multiplier", state.u, state.B)
+        W = stability_weight_matrix(driver, state, "multiplier")
         sigmas.append(smallest_singular_value(A, w_test=W, w_trial=W))
 
     decay = [b / a for a, b in zip(sigmas, sigmas[1:])]

@@ -33,6 +33,7 @@ from oracles import (
     coo_scatter,
     cross_forms,
     interleaved_scatter,
+    monolithic_system,
     scaled_local_matrices,
     vertex_volume_weights,
 )
@@ -327,12 +328,12 @@ def test_scatter_plans_are_built_once_per_mesh_and_space_pair(monkeypatch):
     case = builtin_case("tangential_B", 10.0, Re=10.0, Rm=10.0)
 
     def driver_and_step(mesh):
-        driver = MhdDriver(mesh, case.params("augmented"), case.sources())
+        driver = MhdDriver(mesh, case.params(), case.sources())
         at_init = len(built)
         u, B = FieldFunction.zeros(driver.u_space), FieldFunction.zeros(driver.B_space)
         u.coeffs[driver.u_space.free] = RNG.standard_normal(driver.u_space.num_free)
         B.coeffs[driver.B_space.free] = RNG.standard_normal(driver.B_space.num_free)
-        driver.assemble_picard_step(u, B)
+        monolithic_system(driver, "augmented", u, B)
         return driver, u, B, at_init
 
     mesh = unit_cube_mesh(2)
@@ -341,7 +342,7 @@ def test_scatter_plans_are_built_once_per_mesh_and_space_pair(monkeypatch):
     # convection_skew shares the per-component plan of K_u
     assert at_init > 0 and len(built) == at_init + 2
     assert all(m is mesh for m in built)
-    first.assemble_picard_step(u, B)
+    monolithic_system(first, "augmented", u, B)
     assemble_bilinear("convection_skew", first.u_space, first.u_space, coefficient=u)
     assemble_bilinear("lorentz_cross", first.u_space, first.u_space, coefficient=B)
     assert len(built) == at_init + 2

@@ -1,9 +1,11 @@
-"""Picard driver: step assembly, invariants, diagnostics, variants."""
+"""Picard driver: step assembly, invariants, diagnostics, formulations."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhdfem import assembly, linalg, operators
 from mhdfem.derham import FieldFunction, build_topology, evaluate_on_cells
@@ -11,15 +13,16 @@ from mhdfem.mesh import unit_cube_mesh
 from mhdfem.mhd import MhdDriver, MhdError, MhdParams, MhdState, SourceData
 from mhdfem.verify import builtin_case
 from oracles import (
+    formulation_gaps,
     monolithic_step,
+    monolithic_system,
     reduced_equivalence_check,
     stability_weight_matrix,
-    variant_gaps,
 )
 from test_linalg import _call_sites
 
 FAMILIES = ("normal_B", "tangential_B")
-VARIANTS = ("multiplier", "augmented")
+FORMULATIONS = ("multiplier", "augmented")
 
 
 def _same_matrix(A, B):
@@ -27,13 +30,14 @@ def _same_matrix(A, B):
     assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
 
 
-def _blocks(drv, A):
-    """Sub-blocks of a step matrix keyed by (test, trial) unknown names,
-    sized from the spaces, with one row per border."""
-    sizes = [drv.spaces[f].num_free for f in drv.fields]
-    cuts = np.cumsum([0] + sizes + [1] * (len(drv.unknowns) - len(drv.fields)))
+def _blocks(drv, formulation, A):
+    """Sub-blocks of a formulation's step matrix keyed by (test, trial)
+    unknown names, sized from the spaces, with one row per border."""
+    unknowns = drv.formulations[formulation][0]
+    sizes = [drv.spaces[f].num_free if f in drv.spaces else 1 for f in unknowns]
+    cuts = np.cumsum([0] + sizes)
     assert A.shape == (cuts[-1], cuts[-1])
-    spans = dict(zip(drv.unknowns, zip(cuts[:-1], cuts[1:])))
+    spans = dict(zip(unknowns, zip(cuts[:-1], cuts[1:])))
     return {
         (t, f): A[i0:i1, j0:j1]
         for t, (i0, i1) in spans.items()
@@ -64,7 +68,7 @@ def g_zero_run(request, mesh2):
     """
     case = builtin_case(request.param)
     src = SourceData(f=case.sources().f, g=None)
-    driver = MhdDriver(mesh2, case.params("multiplier"), src)
+    driver = MhdDriver(mesh2, case.params(), src)
     rng = np.random.default_rng(11)
     init = driver.zero_state()
     init.B.coeffs[driver.B_space.free] = rng.standard_normal(driver.B_space.num_free)
@@ -84,7 +88,6 @@ def g_zero_run(request, mesh2):
         ({"Rm": -2.0}, "must be positive"),
         ({"s": 0.0}, "must be positive"),
         ({"bc_family": "periodic"}, "unknown bc_family"),
-        ({"variant": "penalty"}, "unknown variant"),
         ({"Re": np.inf}, "must be positive"),
         ({"Rm": np.inf}, "must be positive"),
         ({"s": np.inf}, "must be positive"),
@@ -94,14 +97,14 @@ def g_zero_run(request, mesh2):
     ],
 )
 def test_params_validation(kwargs, match):
-    base = {"Re": 1.0, "Rm": 1.0, "s": 1.0, "bc_family": "normal_B", "variant": "multiplier"}
+    base = {"Re": 1.0, "Rm": 1.0, "s": 1.0, "bc_family": "normal_B"}
     base.update(kwargs)
     with pytest.raises(MhdError, match=match):
         MhdParams(**base)
 
 
 def test_params_alpha_and_dict():
-    p = MhdParams(Re=2.0, Rm=4.0, s=3.0, bc_family="tangential_B", variant="augmented")
+    p = MhdParams(Re=2.0, Rm=4.0, s=3.0, bc_family="tangential_B")
     assert p.alpha == pytest.approx(0.75)
     d = p.as_dict()
     assert d["alpha"] == pytest.approx(0.75)
@@ -110,13 +113,10 @@ def test_params_alpha_and_dict():
 
 def test_zero_state_multiplier_carries_r(mesh2):
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"))
+    drv = MhdDriver(mesh2, case.params())
     state = drv.zero_state()
     assert state.r is not None
     assert not np.any(state.u.coeffs) and not np.any(state.B.coeffs)
-
-    drv_aug = MhdDriver(mesh2, case.params("augmented"))
-    assert drv_aug.zero_state().r is None
 
 
 def test_picard_argument_validation(mesh2):
@@ -133,16 +133,16 @@ def test_picard_argument_validation(mesh2):
 
 def test_zero_prev_block_layout(mesh2):
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
-    A, b = drv.assemble_picard_step(drv.zero_state().u, drv.zero_state().B)
+    drv = MhdDriver(mesh2, case.params(), case.sources())
+    A, b = monolithic_system(drv, "multiplier", drv.zero_state().u, drv.zero_state().B)
 
-    assert drv.unknowns == ("u", "E", "B", "p", "r", "p_mean", "r_mean")
+    assert drv.formulations["multiplier"][0] == ("u", "E", "B", "p", "r", "p_mean", "r_mean")
     expected = {
         ("u", "u"), ("E", "E"), ("E", "B"), ("B", "E"),
         ("u", "p"), ("p", "u"), ("B", "r"), ("r", "B"),
         ("p", "p_mean"), ("p_mean", "p"), ("r", "r_mean"), ("r_mean", "r"),
     }
-    assert _nonzero_blocks(_blocks(drv, A)) == expected
+    assert _nonzero_blocks(_blocks(drv, "multiplier", A)) == expected
     nu, nE = drv.u_space.num_free, drv.E_space.num_free
     assert np.array_equal(b[:nu], drv.load_f)
     assert np.array_equal(b[nu:nu + nE], drv.load_g)
@@ -150,10 +150,10 @@ def test_zero_prev_block_layout(mesh2):
 
 
 def test_zero_prev_blocks_match_operators(mesh2):
-    p = MhdParams(Re=5.0, Rm=2.0, s=3.0, bc_family="normal_B", variant="multiplier")
+    p = MhdParams(Re=5.0, Rm=2.0, s=3.0, bc_family="normal_B")
     drv = MhdDriver(mesh2, p)
     zero = drv.zero_state()
-    blocks = _blocks(drv, drv.assemble_picard_step(zero.u, zero.B)[0])
+    blocks = _blocks(drv, "multiplier", monolithic_system(drv, "multiplier", zero.u, zero.B)[0])
 
     _same_matrix(blocks["u", "u"], (1.0 / p.Re) * drv.K_u)
     _same_matrix(blocks["E", "E"], p.s * drv.M_E)
@@ -164,18 +164,19 @@ def test_zero_prev_blocks_match_operators(mesh2):
 
 
 def test_cross_blocks_vanish_for_zero_field(mesh2):
-    drv = MhdDriver(mesh2, builtin_case("normal_B").params("multiplier"))
+    drv = MhdDriver(mesh2, builtin_case("normal_B").params())
     assert drv.cross_blocks(drv.zero_state().B) == (None, None)
 
 
 def test_cross_coupling_enters_the_step(mesh2):
-    p = MhdParams(Re=1.0, Rm=1.0, s=2.0, bc_family="normal_B", variant="multiplier")
+    p = MhdParams(Re=1.0, Rm=1.0, s=2.0, bc_family="normal_B")
     drv = MhdDriver(mesh2, p)
     rng = np.random.default_rng(7)
     B_prev = FieldFunction.zeros(drv.B_space)
     B_prev.coeffs[drv.B_space.free] = rng.standard_normal(drv.B_space.num_free)
 
-    blocks = _blocks(drv, drv.assemble_picard_step(drv.zero_state().u, B_prev)[0])
+    A = monolithic_system(drv, "multiplier", drv.zero_state().u, B_prev)[0]
+    blocks = _blocks(drv, "multiplier", A)
     O, Luu = drv.cross_blocks(B_prev)
     _same_matrix(blocks["E", "u"], p.s * O)
     _same_matrix(blocks["u", "E"], blocks["E", "u"].T)
@@ -183,48 +184,49 @@ def test_cross_coupling_enters_the_step(mesh2):
 
 
 def test_augmented_layout_replaces_multiplier(mesh2):
-    p = MhdParams(Re=1.0, Rm=4.0, s=2.0, bc_family="normal_B", variant="augmented")
+    p = MhdParams(Re=1.0, Rm=4.0, s=2.0, bc_family="normal_B")
     drv = MhdDriver(mesh2, p)
     zero = drv.zero_state()
-    blocks = _blocks(drv, drv.assemble_picard_step(zero.u, zero.B)[0])
+    blocks = _blocks(drv, "augmented", monolithic_system(drv, "augmented", zero.u, zero.B)[0])
 
-    assert drv.unknowns == ("u", "E", "B", "p", "p_mean")
+    assert drv.formulations["augmented"][0] == ("u", "E", "B", "p", "p_mean")
     _same_matrix(blocks["B", "B"], p.alpha * drv.G_dd)
 
 
 def test_tangential_multiplier_has_no_r_border(mesh2):
-    drv = MhdDriver(mesh2, builtin_case("tangential_B").params("multiplier"))
+    drv = MhdDriver(mesh2, builtin_case("tangential_B").params())
     zero = drv.zero_state()
-    _blocks(drv, drv.assemble_picard_step(zero.u, zero.B)[0])
-    assert drv.unknowns == ("u", "E", "B", "p", "r", "p_mean")
+    _blocks(drv, "multiplier", monolithic_system(drv, "multiplier", zero.u, zero.B)[0])
+    assert drv.formulations["multiplier"][0] == ("u", "E", "B", "p", "r", "p_mean")
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("formulation", FORMULATIONS)
 @pytest.mark.parametrize("bc_family", FAMILIES)
-def test_step_transposes_and_borders_are_exact(mesh2, bc_family, variant):
+def test_step_transposes_and_borders_are_exact(mesh2, bc_family, formulation):
     case = builtin_case(bc_family)
-    drv = MhdDriver(mesh2, case.params(variant), case.sources())
-    blocks = _blocks(drv, drv.assemble_picard_step(*_random_prev(drv))[0])
+    drv = MhdDriver(mesh2, case.params(), case.sources())
+    blocks = _blocks(drv, formulation, monolithic_system(drv, formulation, *_random_prev(drv))[0])
 
     pairs = [(("u", "E"), ("E", "u"), 1.0), (("u", "p"), ("p", "u"), 1.0),
              (("B", "E"), ("E", "B"), -1.0)]
-    if "r" in drv.fields:
+    if formulation == "multiplier":
         pairs.append((("B", "r"), ("r", "B"), 1.0))
     for key, partner, sign in pairs:
         assert blocks[key].count_nonzero()
         _same_matrix(blocks[key], sign * blocks[partner].T)
 
-    # only the multiplier step has r, and only normal_B borders it
+    # only normal_B borders r, and only the multiplier step has r
+    assert set(drv.mean_rows) == ({"p", "r"} if bc_family == "normal_B" else {"p"})
     expected = {"p": assembly.domain_integral_vector(drv.p_space)}
-    if bc_family == "normal_B" and variant == "multiplier":
+    if bc_family == "normal_B" and formulation == "multiplier":
         expected["r"] = assembly.domain_integral_vector(drv.r_space)
-    assert set(drv.mean_rows) == set(expected)
-    assert drv.unknowns[len(drv.fields):] == tuple(f + "_mean" for f in expected)
+    unknowns = drv.formulations[formulation][0]
+    assert [f for f in unknowns if f.endswith("_mean")] == [f + "_mean" for f in expected]
     for field in expected:
         name = field + "_mean"
         assert np.array_equal(blocks[name, field].toarray().ravel(), expected[field])
         assert np.array_equal(blocks[field, name].toarray().ravel(), expected[field])
-        for other in drv.unknowns:
+        for other in unknowns:
             if other != field:
                 assert blocks[name, other].count_nonzero() == 0
                 assert blocks[other, name].count_nonzero() == 0
@@ -232,10 +234,10 @@ def test_step_transposes_and_borders_are_exact(mesh2, bc_family, variant):
 
 def test_foreign_state_rejected(mesh2):
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"))
-    other = MhdDriver(mesh2, case.params("multiplier"))
+    drv = MhdDriver(mesh2, case.params())
+    other = MhdDriver(mesh2, case.params())
     with pytest.raises(MhdError, match="foreign spaces"):
-        drv.assemble_picard_step(other.zero_state().u, drv.zero_state().B)
+        monolithic_system(drv, "multiplier", other.zero_state().u, drv.zero_state().B)
 
 
 # ----------------------------------------------------------------------
@@ -243,20 +245,20 @@ def test_foreign_state_rejected(mesh2):
 
 
 def test_zero_sources_converge_immediately(mesh2):
-    drv = MhdDriver(mesh2, builtin_case("normal_B").params("multiplier"))
+    drv = MhdDriver(mesh2, builtin_case("normal_B").params())
     state, report = drv.picard_solve(tol=1e-11)
     assert report.converged and report.iterations == 1
     for field in (state.u, state.E, state.B, state.p, state.r):
         assert not np.any(field.coeffs)
 
 
-@pytest.mark.parametrize("with_sources, factorizations", [(False, 2), (True, 3)])
+@pytest.mark.parametrize("with_sources, factorizations", [(False, 3), (True, 4)])
 def test_velocity_dual_norm_factors_only_a_nonzero_load(
     mesh2, monkeypatch, with_sources, factorizations
 ):
-    """The Nedelec mass of the discrete curl and the cotree matrix are
-    always factored; the velocity stiffness only when the load f has a
-    nonzero entry."""
+    """The Nedelec mass of the discrete curl, the cotree matrix and the
+    normal matrix of r are always factored; the velocity stiffness only
+    when the load f has a nonzero entry."""
     calls = []
     splu = linalg.spla.splu
     monkeypatch.setattr(linalg.spla, "splu", lambda A: calls.append(A) or splu(A))
@@ -266,18 +268,18 @@ def test_velocity_dual_norm_factors_only_a_nonzero_load(
     assert (drv.dual_f > 0.0) == with_sources
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("formulation", FORMULATIONS)
 @pytest.mark.parametrize("bc_family", FAMILIES)
-def test_potential_step_matches_the_monolithic_solve(bc_family, variant):
+def test_potential_step_matches_the_monolithic_solve(bc_family, formulation):
     case = builtin_case(bc_family)
-    drv = MhdDriver(unit_cube_mesh(3), case.params(variant), case.sources())
+    drv = MhdDriver(unit_cube_mesh(3), case.params(), case.sources())
     init = drv.zero_state()
     init.u, init.B = _random_prev(drv)
     _, report = drv.picard_solve(maxit=1, init=init, keep_states=True)
 
-    ref = monolithic_step(drv, init.u, init.B)
-    got = np.concatenate([getattr(report.states[1], f).coeffs for f in drv.fields])
-    want = np.concatenate([ref[f].coeffs for f in drv.fields])
+    ref = monolithic_step(drv, formulation, init.u, init.B)
+    got = np.concatenate([getattr(report.states[1], f).coeffs for f in ref])
+    want = np.concatenate([ref[f].coeffs for f in ref])
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
     assert report.residuals[0] <= 1e-12
 
@@ -286,7 +288,7 @@ def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
     # one LU, of the Stokes-Poisson operator S on the potentials, serves
     # every Picard step and every Stokes projection of the driver
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    drv = MhdDriver(mesh2, case.params(), case.sources())
     rows = []
     splu = linalg.spla.splu
     monkeypatch.setattr(linalg.spla, "splu", lambda A: rows.append(A.shape[0]) or splu(A))
@@ -302,7 +304,7 @@ def test_picard_flattens_only_the_potential_system(mesh2, monkeypatch):
     # each step flattens its map on (u, phi, p, p_mean) alone, and S is
     # flattened once; the monolithic matrix is never built
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    drv = MhdDriver(mesh2, case.params(), case.sources())
     rows = []
     flatten = linalg.flatten
 
@@ -316,20 +318,21 @@ def test_picard_flattens_only_the_potential_system(mesh2, monkeypatch):
     S, _ = drv._stokes_poisson()
     assert report.iterations >= 3
     assert rows == [S.A.shape[0]] * (report.iterations + 1)
-    full = drv.assemble_picard_step(drv.zero_state().u, drv.zero_state().B)[0]
-    assert S.A.shape[0] < full.shape[0]
+    for formulation in FORMULATIONS:
+        full = monolithic_system(drv, formulation, drv.zero_state().u, drv.zero_state().B)[0]
+        assert S.A.shape[0] < full.shape[0]
 
 
 def test_steps_gmres_cannot_solve_are_factored(caplog):
     # far outside the smallness condition the frozen terms swamp S, GMRES
     # misses the contract and each step is factored on its own
     case = builtin_case("normal_B", 100.0, Re=1000.0, Rm=1000.0)
-    drv = MhdDriver(unit_cube_mesh(3), case.params("multiplier"), case.sources())
+    drv = MhdDriver(unit_cube_mesh(3), case.params(), case.sources())
     with caplog.at_level(logging.DEBUG, logger="mhdfem.mhd"):
         _, report = drv.picard_solve(maxit=3)
     messages = [r.getMessage() for r in caplog.records if r.name == "mhdfem.mhd"]
     assert report.iterations == len(messages) == 3
-    assert all("nonzeros, factored, residual" in m for m in messages[1:])
+    assert all("nonzeros, factored, residuals" in m for m in messages[1:])
     assert max(report.residuals) <= 1e-10
 
 
@@ -342,7 +345,7 @@ def test_velocity_dual_norm_matches_the_vector_solve(mesh2):
 
 def test_each_step_logs_its_solve(mesh2, caplog):
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    drv = MhdDriver(mesh2, case.params(), case.sources())
     drv.picard_solve(tol=1e-10, maxit=50)
     assert not caplog.records  # silent by default
 
@@ -357,25 +360,28 @@ def test_each_step_logs_its_solve(mesh2, caplog):
     assert records[0].getMessage().endswith("contraction ratio n/a")
     ratio = report.increments[2] / report.increments[1]
     assert records[2].getMessage().endswith(f"contraction ratio {ratio:.3e}")
-    assert f"residual {report.residuals[2]:.3e}" in records[2].getMessage()
+    # both formulations' residuals, the larger one reported, and |r|
+    message = records[2].getMessage()
+    residuals = re.search(r"residuals multiplier (\S+), augmented (\S+), ", message)
+    assert residuals is not None, message
+    assert max(residuals.groups(), key=float) == f"{report.residuals[2]:.3e}"
+    assert f"|r| {report.diagnostics_history[2].r_norm:.3e}, " in message
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("bc_family", FAMILIES)
 @pytest.mark.parametrize(
     "mesh_name, betti", [("holed_mesh", "1, 1, 0"), ("cavity_mesh", "1, 0, 1")]
 )
-def test_driver_rejects_holes_and_cavities(request, mesh_name, betti, bc_family, variant):
+def test_driver_rejects_holes_and_cavities(request, mesh_name, betti, bc_family):
     mesh = request.getfixturevalue(mesh_name)
     with pytest.raises(MhdError, match=f"b0, b1, b2 = {betti}"):
-        MhdDriver(mesh, builtin_case(bc_family).params(variant))
+        MhdDriver(mesh, builtin_case(bc_family).params())
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("bc_family", FAMILIES)
-def test_iterates_satisfy_exact_constraints(mesh2, bc_family, variant):
+def test_iterates_satisfy_exact_constraints(mesh2, bc_family):
     case = builtin_case(bc_family)
-    drv = MhdDriver(mesh2, case.params(variant), case.sources())
+    drv = MhdDriver(mesh2, case.params(), case.sources())
     state, report = drv.picard_solve(tol=1e-11, maxit=50, keep_states=True)
 
     assert report.converged
@@ -398,7 +404,7 @@ def test_iterates_satisfy_exact_constraints(mesh2, bc_family, variant):
 
 def test_two_initial_guesses_reach_the_same_state(mesh2):
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    drv = MhdDriver(mesh2, case.params(), case.sources())
     tol = 1e-10
     state_a, report_a = drv.picard_solve(tol=tol, maxit=50)
 
@@ -417,7 +423,7 @@ def test_two_initial_guesses_reach_the_same_state(mesh2):
 
 def test_maxit_reports_nonconvergence(mesh2):
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    drv = MhdDriver(mesh2, case.params(), case.sources())
     state, report = drv.picard_solve(tol=1e-11, maxit=1)
     assert not report.converged
     assert report.iterations == 1
@@ -429,7 +435,7 @@ def test_maxit_reports_nonconvergence(mesh2):
 
 def test_joule_term_matches_direct_quadrature(mesh2):
     case = builtin_case("normal_B")
-    drv = MhdDriver(mesh2, case.params("multiplier"), case.sources())
+    drv = MhdDriver(mesh2, case.params(), case.sources())
     state, report = drv.picard_solve(tol=1e-11, maxit=50, keep_states=True)
     prev = report.states[-2]
     diag = drv.diagnostics(state, drv.cross_blocks(prev.B))
@@ -476,13 +482,10 @@ def test_curl_bound_needs_the_frozen_field(g_zero_run):
 
 def test_each_iterate_is_measured_once():
     # the Picard loop records every iterate, with the cross blocks its
-    # step solved with; nothing else in the package measures one, and
-    # only the loop and the flattened step assemble the cross blocks
+    # step solved with; nothing else in the package measures one or
+    # assembles the cross blocks
     assert _call_sites("diagnostics") == [("mhd.py", "picard_solve")]
-    assert sorted(_call_sites("cross_blocks")) == [
-        ("mhd.py", "assemble_picard_step"),
-        ("mhd.py", "picard_solve"),
-    ]
+    assert _call_sites("cross_blocks") == [("mhd.py", "picard_solve")]
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +493,7 @@ def test_each_iterate_is_measured_once():
 
 
 def test_reduced_check_zero_state(mesh2):
-    drv = MhdDriver(mesh2, builtin_case("normal_B").params("multiplier"))
+    drv = MhdDriver(mesh2, builtin_case("normal_B").params())
     assert reduced_equivalence_check(drv, drv.zero_state()) == 0.0
 
 
@@ -507,7 +510,7 @@ def test_reduced_check_per_iterate(g_zero_run):
 def test_reduced_check_detects_perturbation(mesh2):
     case = builtin_case("normal_B")
     src = SourceData(f=case.sources().f, g=None)
-    drv = MhdDriver(mesh2, case.params("multiplier"), src)
+    drv = MhdDriver(mesh2, case.params(), src)
     state, report = drv.picard_solve(tol=1e-11, maxit=50)
     assert report.converged
     assert reduced_equivalence_check(drv, state) == 0.0
@@ -520,29 +523,82 @@ def test_reduced_check_detects_perturbation(mesh2):
 
 
 # ----------------------------------------------------------------------
-# variant equivalence: each iterate against the other variant's
-# monolithic step
+# formulation equivalence: each iterate against each formulation's
+# monolithic step, and both systems gate every step
 
 
 @pytest.mark.parametrize("bc_family", FAMILIES)
-def test_variants_agree(mesh2, bc_family):
+def test_formulations_agree(mesh2, bc_family):
     case = builtin_case(bc_family)
-    for variant in VARIANTS:
-        drv = MhdDriver(mesh2, case.params(variant), case.sources())
-        _, report = drv.picard_solve(tol=1e-11, keep_states=True)
-        assert report.converged
-        gaps = variant_gaps(drv, report)
+    drv = MhdDriver(mesh2, case.params(), case.sources())
+    _, report = drv.picard_solve(tol=1e-11, keep_states=True)
+    assert report.converged
+    for formulation in FORMULATIONS:
+        gaps = formulation_gaps(drv, report, formulation)
         assert gaps["w"] <= 1e-8
         assert gaps["E"] <= 1e-8
         assert gaps["p"] <= 1e-8
-        diag = report.diagnostics_history[-1]
-        assert diag.divB_max <= 1e-10 * diag.divB_scale
+    diag = report.diagnostics_history[-1]
+    assert diag.divB_max <= 1e-10 * diag.divB_scale
 
 
-def test_variants_agree_trivially_without_forcing(mesh2):
-    drv = MhdDriver(mesh2, builtin_case("normal_B").params("multiplier"))
+def test_formulations_agree_trivially_without_forcing(mesh2):
+    drv = MhdDriver(mesh2, builtin_case("normal_B").params())
     _, report = drv.picard_solve(tol=1e-11, keep_states=True)
-    assert variant_gaps(drv, report) == {"w": 0.0, "E": 0.0, "p": 0.0}
+    for formulation in FORMULATIONS:
+        assert formulation_gaps(drv, report, formulation) == {"w": 0.0, "E": 0.0, "p": 0.0}
+
+
+@pytest.mark.parametrize(
+    "formulation, matrix", [("multiplier", "D_r"), ("augmented", "G_dd")]
+)
+@pytest.mark.parametrize("bc_family", FAMILIES)
+def test_a_perturbed_constraint_block_fails_the_first_step(
+    mesh2, bc_family, formulation, matrix
+):
+    # one entry more in D_r (or G_dd), in the column of the face where
+    # the computed B is largest, breaks the r rows (or the B rows) of
+    # that formulation's system; the other system alone would pass
+    case = builtin_case(bc_family)
+    drv = MhdDriver(mesh2, case.params(), case.sources())
+    _, report = drv.picard_solve(maxit=1, keep_states=True)
+    B = report.states[1].B.coeffs[drv.B_space.free]
+    face = int(np.argmax(np.abs(B)))
+    assert abs(B[face]) > 0
+
+    M = getattr(drv, matrix)
+    row = M[:, face].nonzero()[0][0]
+    M = M + sp.csr_matrix(([1.0], ([row], [face])), shape=M.shape)
+    unknowns, blocks = drv.formulations[formulation]
+    if matrix == "D_r":
+        blocks["r", "B"], blocks["B", "r"] = M, M.T
+    else:
+        blocks["B", "B"] = drv.params.alpha * M
+    with pytest.raises(linalg.LinAlgError, match=f"of the {formulation} system exceeds"):
+        drv.picard_solve(maxit=1)
+
+
+@pytest.mark.parametrize("bc_family", FAMILIES)
+def test_every_iterate_carries_a_measured_r(mesh2, bc_family):
+    # r is the least-squares multiplier of the multiplier system's B rows
+    # at the computed E: D_r (-alpha R_EB^T E - D_r^T r) = 0 (a zero
+    # r_mean needs no border term, because the columns of D_r sum to zero
+    # on normal_B), and its relative norm meets the |r| gate
+    case = builtin_case(bc_family)
+    drv = MhdDriver(mesh2, case.params(), case.sources())
+    _, report = drv.picard_solve(tol=1e-11, keep_states=True)
+    assert report.converged
+    scale = max(1.0, report.state_norm)
+    for state, diag in zip(report.states[1:], report.diagnostics_history):
+        assert state.r.space is drv.r_space
+        E = state.E.coeffs[drv.E_space.free]
+        r = state.r.coeffs[drv.r_space.free]
+        at_zero = drv.D_r @ (-drv.params.alpha * (drv.R_EB.T @ E))
+        normal = at_zero - drv.D_r @ (drv.D_r.T @ r)
+        assert np.linalg.norm(at_zero) > 0
+        assert np.linalg.norm(normal) <= linalg.RESIDUAL_TOL * np.linalg.norm(at_zero)
+        assert diag.r_norm == operators.lp_norm(state.r, 2, quad_degree=2)
+        assert diag.r_norm / scale <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -552,13 +608,13 @@ def test_variants_agree_trivially_without_forcing(mesh2):
 def test_weight_matrix_is_spd_on_the_step_unknowns(mesh2):
     for bc_family in FAMILIES:
         case = builtin_case(bc_family)
-        for variant in VARIANTS:
-            drv = MhdDriver(mesh2, case.params(variant), case.sources())
-            u_prev, B_prev = _random_prev(drv)
-            state = drv.zero_state()
-            state.u, state.B = u_prev, B_prev
-            W = stability_weight_matrix(drv, state)
-            A, _ = drv.assemble_picard_step(u_prev, B_prev)
+        drv = MhdDriver(mesh2, case.params(), case.sources())
+        u_prev, B_prev = _random_prev(drv)
+        state = drv.zero_state()
+        state.u, state.B = u_prev, B_prev
+        for formulation in FORMULATIONS:
+            W = stability_weight_matrix(drv, state, formulation)
+            A, _ = monolithic_system(drv, formulation, u_prev, B_prev)
 
             assert W.shape == A.shape
             asym = np.abs((W - W.T).data)
@@ -567,8 +623,9 @@ def test_weight_matrix_is_spd_on_the_step_unknowns(mesh2):
             np.linalg.cholesky(W.toarray())
 
             # border rows are plain identity
-            nb = 2 if (bc_family, variant) == ("normal_B", "multiplier") else 1
-            assert len(drv.unknowns) - len(drv.fields) == nb
+            nb = 2 if (bc_family, formulation) == ("normal_B", "multiplier") else 1
+            unknowns = drv.formulations[formulation][0]
+            assert len([f for f in unknowns if f not in drv.spaces]) == nb
             tail = W[-nb:, :].toarray()
             assert np.array_equal(tail[:, :-nb], np.zeros_like(tail[:, :-nb]))
             assert np.array_equal(tail[:, -nb:], np.eye(nb))

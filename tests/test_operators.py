@@ -254,21 +254,17 @@ def test_stokes_project_singular_system_is_a_driver_error(mesh1):
 
 @pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"], ids=["flux_zero", "free"])
 def test_divfree_project_divergence_vanishes(mesh2, monkeypatch, bc_family):
-    # both variants project as curls of cotree potentials: no saddle
-    # system is solved, and both return the same field, exactly
+    # the projection is a curl of a cotree potential: no saddle system
+    # is solved
     sizes = []
     solve = linalg.solve_direct
     monkeypatch.setattr(linalg, "solve_direct", lambda A, b: sizes.append(len(b)) or solve(A, b))
     case = builtin_case(bc_family)
-    outs = []
-    for variant in ("multiplier", "augmented"):
-        drv = MhdDriver(mesh2, case.params(variant))
-        sizes.clear()
-        outs.append(drv.divfree_project(case.B))
-        assert sizes == []
-        scale = max(np.abs(outs[-1].coeffs).max(), 1e-30)
-        assert np.abs(evaluate_div_on_cells(outs[-1])).max() <= 1e-12 * scale
-    assert np.array_equal(outs[0].coeffs, outs[1].coeffs)
+    drv = MhdDriver(mesh2, case.params())
+    out = drv.divfree_project(case.B)
+    assert sizes == []
+    scale = max(np.abs(out.coeffs).max(), 1e-30)
+    assert np.abs(evaluate_div_on_cells(out)).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"])

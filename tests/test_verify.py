@@ -251,9 +251,8 @@ def test_self_check_at_the_highest_config_degree(mesh2):
     assert max(chk.values()) < 1e-3
 
 
-@pytest.mark.parametrize("variant", ("multiplier", "augmented"))
 @pytest.mark.parametrize("bc_family", FAMILIES)
-def test_each_constant_form_is_assembled_once(mesh2, monkeypatch, bc_family, variant):
+def test_each_constant_form_is_assembled_once(mesh2, monkeypatch, bc_family):
     # driver, Picard solve and error row share one set of constant
     # matrices: no coefficient-free (form, trial, test) is assembled twice
     counts = {}
@@ -267,13 +266,13 @@ def test_each_constant_form_is_assembled_once(mesh2, monkeypatch, bc_family, var
 
     monkeypatch.setattr(assembly, "assemble_bilinear", counting)
     case = builtin_case(bc_family)
-    driver = MhdDriver(mesh2, case.params(variant), case.sources())
+    driver = MhdDriver(mesh2, case.params(), case.sources())
     state, report = driver.picard_solve(tol=1e-10, maxit=50)
     assert report.converged
     error_norms(driver, state, case)
     assert counts and set(counts.values()) == {1}
-    # divdiv in the augmented variant, div_scalar only in the multiplier one
-    assert len(counts) == 6
+    # div_scalar and divdiv are the constraint blocks of the two formulations
+    assert len(counts) == 7
 
 
 # ----------------------------------------------------------------------
