@@ -30,7 +30,7 @@ from .assembly import MAX_QUAD_DEGREE
 from .linalg import LinAlgError
 from .mesh import Mesh, MeshError, mesh_metrics, read_gmsh_msh2, unit_cube_mesh
 from .mhd import MhdDriver, MhdError, MhdParams, SourceData
-from .operators import lp_norm, norm_d, norm_h1_vec
+from .operators import lp_norm
 from .verify import StudyError, VerifyError
 
 EXIT_PASS = 0
@@ -319,9 +319,9 @@ def cmd_solve(cfg: dict, paths: dict) -> int:
         residuals=run.residuals,
         diagnostics=diag.as_dict(),
         norms={
-            "u_h1": norm_h1_vec(state.u),
+            "u_h1": diag.norm.u,
             "E_l2": lp_norm(state.E, 2),
-            "B_d": norm_d(state.B, driver.dcurl),
+            "B_d": diag.norm.B,
             "p_l2": lp_norm(state.p, 2),
             "state_W": run.state_norm,
         },

@@ -1,4 +1,4 @@
-"""The discrete curl and the solution norms.
+"""The discrete curl and the quadrature norms.
 
 The weak curl maps the face (div-conforming) space into the edge
 (curl-conforming) space through a pre-factorized mass solve:
@@ -7,11 +7,11 @@ The weak curl maps the face (div-conforming) space into the edge
 
 The boundary-condition family is carried by the spaces themselves: with
 essential-zero spaces this is the operator of the homogeneous complex,
-with unconstrained spaces its natural-boundary variant.  Alongside it
-live the norms in which the solver measures increments and errors.  The
-Stokes and divergence-free projections of the error analysis are saddle
-systems over the scheme's own forms, so the Picard driver solves them
-(``MhdDriver.stokes_project``, ``MhdDriver.divfree_project``).
+with unconstrained spaces its natural-boundary variant.  The same solve
+gives |curl_h B|_0.  The quadrature norms measure what the driver's
+matrices do not: L^3 norms, the L^2 norms of r, E and p, and the
+cellwise curl of an edge field.  The W-norm of (u, B) is
+``MhdDriver.w_norm``, and the driver solves the error projections.
 """
 
 from __future__ import annotations
@@ -51,16 +51,24 @@ class DiscreteCurl:
         )
         self._lu = linalg.Factorization(self.mass)
 
-    def apply(self, B: FieldFunction) -> FieldFunction:
-        """curl_h B as a field in the edge space."""
+    def _load(self, B: FieldFunction) -> np.ndarray:
+        """R_EB B, the load of the mass solve M_E c = R_EB B for curl_h B."""
         if B.space is not self.div_space:
             raise OperatorError("field does not belong to the operator's face space")
-        rhs = self.pairing @ B.coeffs[self.div_space.free]
-        return FieldFunction.from_free(self.curl_space, self._lu.solve(rhs))
+        return self.pairing @ B.coeffs[self.div_space.free]
+
+    def apply(self, B: FieldFunction) -> FieldFunction:
+        """curl_h B as a field in the edge space."""
+        return FieldFunction.from_free(self.curl_space, self._lu.solve(self._load(B)))
+
+    def norm(self, B: FieldFunction) -> float:
+        """|curl_h B|_0 = (c . R_EB B)^(1/2), since M_E c = R_EB B."""
+        load = self._load(B)
+        return float(np.sqrt(self._lu.solve(load) @ load))
 
 
 # ----------------------------------------------------------------------
-# norms
+# quadrature norms
 
 
 def lp_norm(f: FieldFunction, p: int = 2, *, quad_degree: int = 6) -> float:
@@ -77,43 +85,7 @@ def lp_norm(f: FieldFunction, p: int = 2, *, quad_degree: int = 6) -> float:
     return float(np.einsum("cq,cq->", wdet, mag**p) ** (1.0 / p))
 
 
-def norm_h1_vec(u: FieldFunction) -> float:
-    """Full H^1 norm of a velocity field."""
-    return float(np.sqrt(lp_norm(u, 2, quad_degree=4) ** 2 + seminorm_h1_vec(u) ** 2))
-
-
-def seminorm_h1_vec(u: FieldFunction) -> float:
-    """L^2 norm of the velocity gradient tensor (degree-4 quadrature)."""
-    rule = assembly.quadrature_rule(4)
-    G = derham.evaluate_grad_on_cells(u, rule.points)
-    wdet = assembly.quadrature_weights(u.space.mesh, rule)
-    return float(np.sqrt(np.einsum("cq,cqij,cqij->", wdet, G, G)))
-
-
-def norm_div_part(B: FieldFunction) -> float:
-    """L^2 norm of the (cellwise constant) divergence of a face field."""
-    div = derham.evaluate_div_on_cells(B)
-    return float(np.sqrt((div * div) @ B.space.mesh.volumes))
-
-
 def norm_curl_part(F: FieldFunction) -> float:
     """L^2 norm of the (cellwise constant) curl of an edge field."""
     curl = derham.evaluate_curl_on_cells(F)
     return float(np.sqrt(np.einsum("cd,cd,c->", curl, curl, F.space.mesh.volumes)))
-
-
-def norm_d(B: FieldFunction, dcurl: DiscreteCurl) -> float:
-    """Magnetic graph norm: (|B|^2 + |div B|^2 + |curl_h B|^2)^(1/2)."""
-    curl_h = dcurl.apply(B)
-    return float(
-        np.sqrt(
-            lp_norm(B, 2, quad_degree=4) ** 2
-            + norm_div_part(B) ** 2
-            + lp_norm(curl_h, 2, quad_degree=4) ** 2
-        )
-    )
-
-
-def norm_w(u: FieldFunction, B: FieldFunction, dcurl: DiscreteCurl) -> float:
-    """Combined solution norm |(u, B)|_W = (|u|_1^2 + |B|_d^2)^(1/2)."""
-    return float(np.sqrt(norm_h1_vec(u) ** 2 + norm_d(B, dcurl) ** 2))

@@ -141,9 +141,7 @@ def test_reduced_system_equivalence(g_zero_grid):
         assert reduced_equivalence_check(driver, driver.zero_state()) == 0.0
         for prev, cur in zip(report.states, report.states[1:]):
             discrepancy = reduced_equivalence_check(driver, cur, B_cross=prev.B)
-            scale = operators.lp_norm(cur.E, 2, quad_degree=4) + operators.norm_d(
-                cur.B, driver.dcurl
-            )
+            scale = operators.lp_norm(cur.E, 2, quad_degree=4) + driver.w_norm(cur.u, cur.B).B
             if scale > 0:
                 worst = max(worst, discrepancy / scale)
     _verdict(
@@ -189,7 +187,7 @@ def test_picard_contraction(meshes):
     state_b, report_b = driver.picard_solve(tol=tol, maxit=50, init=init)
     du = FieldFunction(driver.u_space, state_a.u.coeffs - state_b.u.coeffs)
     dB = FieldFunction(driver.B_space, state_a.B.coeffs - state_b.B.coeffs)
-    gap = operators.norm_w(du, dB, driver.dcurl)
+    gap = driver.w_norm(du, dB).total
     budget = 10 * tol * max(1.0, report_a.state_norm)
 
     ok = report_b.converged and all(r < 0.9 for r in ratios) and gap <= budget

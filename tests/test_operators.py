@@ -16,19 +16,9 @@ from mhdfem.derham import (
 )
 from mhdfem.mesh import unit_cube_mesh, build_topology
 from mhdfem.mhd import MhdDriver, MhdError, MhdParams
-from mhdfem.operators import (
-    DiscreteCurl,
-    OperatorError,
-    lp_norm,
-    norm_curl_part,
-    norm_d,
-    norm_div_part,
-    norm_h1_vec,
-    norm_w,
-    seminorm_h1_vec,
-)
+from mhdfem.operators import DiscreteCurl, OperatorError, lp_norm, norm_curl_part
 from mhdfem.verify import builtin_case
-from oracles import divfree_saddle, l2_project_edge
+from oracles import divfree_saddle, h1_seminorm, l2_project_edge, w_norm_parts
 
 RNG = np.random.default_rng(31)
 
@@ -326,30 +316,22 @@ def test_lp_norm_oracles(mesh2, topo2):
         lp_norm(const, 4)
 
 
-def test_norm_d_zero_and_consistency(mesh2, topo2):
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
-    assert norm_d(FieldFunction.zeros(rt), dcurl) == 0.0
-    B = FieldFunction.zeros(rt)
-    B.coeffs[rt.free] = RNG.standard_normal(rt.num_free)
-    expected = np.sqrt(
-        lp_norm(B, 2) ** 2 + norm_div_part(B) ** 2 + lp_norm(dcurl.apply(B), 2) ** 2
-    )
-    assert norm_d(B, dcurl) == pytest.approx(expected, rel=1e-13)
-
-
-def test_norm_w_recomposition(mesh2, topo2):
-    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
-    uh = FieldFunction.zeros(u)
-    uh.coeffs[u.free] = RNG.standard_normal(u.num_free)
-    B = FieldFunction.zeros(rt)
-    B.coeffs[rt.free] = RNG.standard_normal(rt.num_free)
-    expected = np.sqrt(norm_h1_vec(uh) ** 2 + norm_d(B, dcurl) ** 2)
-    assert norm_w(uh, B, dcurl) == pytest.approx(expected, rel=1e-13)
+@pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"])
+def test_w_norm_matches_quadrature(mesh2, bc_family):
+    # each part of the driver's W-norm, a quadratic form of its assembled
+    # matrices, is the quadrature of the same fields
+    drv = MhdDriver(mesh2, MhdParams(bc_family=bc_family))
+    parts = ("u", "B_div", "curl_h", "B", "total")
+    zero = drv.zero_state()
+    assert all(getattr(drv.w_norm(zero.u, zero.B), k) == 0.0 for k in parts)
+    for _ in range(3):
+        u, B = (
+            FieldFunction.from_free(s, RNG.standard_normal(s.num_free))
+            for s in (drv.u_space, drv.B_space)
+        )
+        norm, ref = drv.w_norm(u, B), w_norm_parts(drv, u, B)
+        for k in parts:
+            assert getattr(norm, k) == pytest.approx(ref[k], rel=1e-13), k
 
 
 def test_norms_never_tabulate_a_basis(mesh2, topo2, monkeypatch):
@@ -370,8 +352,8 @@ def test_norms_never_tabulate_a_basis(mesh2, topo2, monkeypatch):
         monkeypatch.setattr(derham, name, spy)
     lp_norm(E, 3)
     lp_norm(B, 3)
-    seminorm_h1_vec(uh)
-    norm_w(uh, B, dcurl)
+    lp_norm(dcurl.apply(B), 2)
+    h1_seminorm(uh)
     assert calls == []
 
 

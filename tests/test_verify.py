@@ -271,8 +271,9 @@ def test_each_constant_form_is_assembled_once(mesh2, monkeypatch, bc_family):
     assert report.converged
     error_norms(driver, state, case)
     assert counts and set(counts.values()) == {1}
-    # div_scalar and divdiv are the constraint blocks of the two formulations
-    assert len(counts) == 7
+    # div_scalar and divdiv are the constraint blocks of the two
+    # formulations, and vec_mass on the velocity is the mass part of W_u
+    assert len(counts) == 8
 
 
 # ----------------------------------------------------------------------
