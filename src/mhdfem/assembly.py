@@ -10,11 +10,11 @@ scattered into sparse matrices over the free (unconstrained) degrees of
 freedom; essential-zero boundary conditions are eliminated symmetrically
 by restriction.  The scatter follows a plan built once per mesh and
 space pair (``_scatter_plan``): the slot in the free-dof CSR matrix of
-every kept local entry, laid out in the order in which scipy's COO->CSR
-conversion sums duplicates, so that each matrix is bit for bit the one
-``coo_matrix(...).tocsr()`` restricted to the free dofs gives.  That
-order is scipy's, not ours; the oracle test against a COO scatter
-(``tests/oracles.coo_scatter``) guards it.
+every kept local entry, which is the rank of its free (row, col) key
+among the sorted keys, and one ``np.bincount`` sums the entries into
+their slots.  Each matrix has the pattern of ``coo_matrix(...).tocsr()``
+restricted to the free dofs and equals it to rounding (the oracle test
+against ``tests/oracles.coo_scatter`` checks both).
 
 Zero-mean constraints are not handled here: each enters the Picard
 step's block map as one more block row and column holding the domain
@@ -192,8 +192,7 @@ def assemble_linear(
         cellvec = comp.reshape(nc, 30)
     else:
         raise FormError(f"cannot assemble a load on space kind {space.kind!r}")
-    vec = np.zeros(space.ndof)
-    np.add.at(vec, space.dofmap.ravel(), cellvec.ravel())
+    vec = np.bincount(space.dofmap.ravel(), weights=cellvec.ravel(), minlength=space.ndof)
     return vec[space.free]
 
 
@@ -208,8 +207,7 @@ def _grad_load(space: FeSpace, grad_func, quad_degree: int) -> np.ndarray:
     sg = derham.p2_scalar_gradients(mesh, rule.points)
     wdet = quadrature_weights(mesh, rule)
     comp = np.einsum("cq,cqij,cqaj->cai", wdet, G, sg)
-    vec = np.zeros(space.ndof)
-    np.add.at(vec, space.dofmap.ravel(), comp.reshape(mesh.num_cells, 30).ravel())
+    vec = np.bincount(space.dofmap.ravel(), weights=comp.ravel(), minlength=space.ndof)
     return vec[space.free]
 
 
@@ -309,7 +307,7 @@ def _scalar_basis(space, pts):
 @dataclass(frozen=True)
 class ScatterPlan:
     """Where the kept local entries of a space pair go in its free-dof
-    CSR matrix: ``data[slot[i]] += local.ravel()[src[i]]``, in order."""
+    CSR matrix: ``data[slot[i]] += local.ravel()[src[i]]``."""
 
     src: np.ndarray
     slot: np.ndarray
@@ -324,31 +322,18 @@ class ScatterPlan:
 
 def _scatter(local, trial, test, *, per_component=False):
     """Scatter local matrices (nc, n_test, n_trial) into a CSR matrix
-    over free dofs, eliminating essential constraints symmetrically.
-
-    The result is bit for bit ``coo_matrix(...).tocsr()`` of the local
-    matrices restricted to the free dofs.  scipy sums the duplicates of
-    each row in a fixed order: the row's entries in input order, then
-    permuted by its per-row ``csr_sort_indices`` (a permutation set by
-    the column keys alone), then added one after the other.  The plan
-    holds the entries in that order, and ``np.add.at`` adds them one
-    after the other onto -0.0, which leaves the first addend unchanged
-    (``np.bincount`` would start at +0.0 and turn a sum of -0.0 into
-    +0.0).
-
-    ``per_component`` takes the scalar (nc, 10, 10) block of a velocity
-    form and keeps only the entries between dofs of the same component
-    (dof 3 node + c).  The plan drops the couplings between components
-    after the sort, not before it: they take part in each row's
-    permutation, so dropping them first would move the per-component
-    sums by an ulp, and with them the pivots and the fill of the LU of
-    every matrix built from them."""
+    over free dofs, eliminating essential constraints symmetrically: the
+    pattern of ``coo_matrix(...).tocsr()`` restricted to the free dofs,
+    and its values to rounding.  ``per_component`` takes the scalar
+    (nc, 10, 10) block of a velocity form and stores only the entries
+    between dofs of the same component (dof 3 node + c)."""
     plan = _scatter_plan(trial, test, per_component)
-    data = np.full(len(plan.indices), -0.0)
-    np.add.at(data, plan.slot, local.ravel()[plan.src])
+    data = np.bincount(plan.slot, weights=local.ravel()[plan.src], minlength=len(plan.indices))
     # each matrix owns its index arrays: an in-place edit of one (such as
-    # eliminate_zeros) must not reach the cached plan
-    return sp.csr_matrix((data, plan.indices.copy(), plan.indptr.copy()), shape=plan.shape)
+    # eliminate_zeros) must not reach the cached plan; and np.bincount of
+    # no entries gives an integer array, hence dtype=float
+    indices, indptr = plan.indices.copy(), plan.indptr.copy()
+    return sp.csr_matrix((data, indices, indptr), shape=plan.shape, dtype=float)
 
 
 def _scatter_plan(trial, test, per_component) -> ScatterPlan:
@@ -361,95 +346,54 @@ def _scatter_plan(trial, test, per_component) -> ScatterPlan:
 
 
 def _build_scatter_plan(trial, test, per_component) -> ScatterPlan:
-    """Replay scipy's COO->CSR duplicate summation on entry positions.
-
-    The entries of one (cell, test dof) pair are ``nloc`` consecutive
-    local entries, so a stable sort of the pairs by row groups the
-    entries by row in input order, as ``coo_tocsr`` does.  Constrained
-    rows are skipped; the rest is sorted one block of rows at a time
-    with the entry positions as the data, by the same
-    ``csr_sort_indices`` that ``tocsr`` calls (it sorts each row on its
-    own, so blocks do not change the order)."""
-    nc, nt = test.dofmap.shape
-    nr = trial.nloc
+    """Give each kept local entry the slot of its free-dof key
+    ``row * ncols + col`` among the sorted unique keys.  The (cell, test
+    dof) pairs are sorted by row and cut into blocks of about
+    ``_PLAN_BLOCK`` entries on row starts, so no row spans two blocks and
+    the unique keys of the blocks, one after the other, are the pattern."""
+    (nc, nt), nr = test.dofmap.shape, trial.nloc
     idx = np.int32 if nc * nt * nr < 2**31 else np.int64
-    # position of each local entry in the array the plan gathers from
+    # per test dof: the local trial dofs it couples to, and their
+    # positions in the (nc, ...) local array the plan gathers from
+    a, b = np.arange(nt)[:, None], np.arange(nr // 3 if per_component else nr)
     if per_component:
-        a, b = np.arange(nt)[:, None] // 3, np.arange(nr)[None, :] // 3
-        stride, table = (nt // 3) * (nr // 3), a * (nr // 3) + b
+        cols_local, table, stride = 3 * b + a % 3, a // 3 * b.size + b, nt * nr // 9
     else:
-        stride, table = nt * nr, np.arange(nt * nr).reshape(nt, nr)
-    table = table.astype(idx)
-    trial_dofs = trial.dofmap.astype(idx)
-    trial_pos = np.full(trial.ndof, -1, dtype=idx)
+        cols_local, table, stride = np.tile(b, (nt, 1)), a * nr + b, nt * nr
+    trial_pos, test_pos = np.full(trial.ndof, -1), np.full(test.ndof, -1)
     trial_pos[trial.free] = np.arange(trial.num_free)
-    test_pos = np.full(test.ndof, -1, dtype=idx)
     test_pos[test.free] = np.arange(test.num_free)
-
-    pair_row = test.dofmap.ravel()
-    pairs = np.argsort(pair_row, kind="stable")
-    # scipy sorts the rows only when some row is not already sorted: a
-    # row is when the trial dofs of each of its cells ascend and each
-    # cell's last one is at most the next cell's first
-    cells = pairs // nt
-    same_row = pair_row[pairs[1:]] == pair_row[pairs[:-1]]
-    presorted = bool(
-        np.all(np.diff(trial_dofs, axis=1) >= 0)
-        and np.all((trial_dofs[cells[:-1], -1] <= trial_dofs[cells[1:], 0]) | ~same_row)
-    )
-    pairs = pairs[test_pos[pair_row[pairs]] >= 0].astype(idx)
-    nrows = test.num_free
-    rptr = np.concatenate([[0], np.cumsum(np.bincount(pair_row, minlength=test.ndof)[test.free])])
-
-    srcs, slots, grp_rows, grp_cols = [], [], [], []
+    pair_row = test_pos[test.dofmap.ravel()]
+    # constrained rows (-1) sort first
+    pairs = np.argsort(pair_row, kind="stable")[np.count_nonzero(pair_row < 0) :]
+    nrows, ncols = test.num_free, trial.num_free
+    rptr = np.concatenate([[0], np.cumsum(np.bincount(pair_row[pairs], minlength=nrows))])
+    srcs, slots, counts, cols = ([np.zeros(0, dtype=idx)] for _ in range(4))
     nnz = 0
-    step = max(1, _PLAN_BLOCK // nr)
-    edges = np.searchsorted(rptr, np.arange(0, rptr[-1], step), side="right") - 1
-    edges = np.unique(np.append(edges, nrows))
+    edges = np.arange(0, rptr[-1], max(1, _PLAN_BLOCK // b.size))
+    edges = np.unique(np.append(np.searchsorted(rptr, edges, side="right") - 1, nrows))
     for r0, r1 in zip(edges[:-1], edges[1:]):
         p = pairs[rptr[r0] : rptr[r1]]
         cell, test_dof = np.divmod(p, nt)
-        cols = trial_dofs[cell].ravel()
-        src = ((cell * stride)[:, None] + table[test_dof]).ravel()
-        indptr = ((rptr[r0 : r1 + 1] - rptr[r0]) * nr).astype(idx)
-        if not presorted:
-            block = sp.csr_matrix((src, cols, indptr), shape=(r1 - r0, trial.ndof))
-            block.has_sorted_indices = False
-            block.sort_indices()
-            cols, src = block.indices, block.data
-        row = np.repeat(np.arange(r0, r1, dtype=idx), np.diff(indptr))
-        new = np.ones(len(cols), dtype=bool)
-        new[1:] = (cols[1:] != cols[:-1]) | (row[1:] != row[:-1])
-        keep = trial_pos[cols] >= 0
-        if per_component:
-            keep &= test.free[row] % 3 == cols % 3
-        first = new & keep
-        srcs.append(src[keep])
-        slots.append((np.cumsum(first)[keep] + (nnz - 1)).astype(idx))
-        grp_rows.append(row[first])
-        grp_cols.append(trial_pos[cols[first]])
-        nnz += int(np.count_nonzero(first))
-
-    empty = np.zeros(0, dtype=idx)
-    counts = np.bincount(np.concatenate(grp_rows or [empty]), minlength=nrows)
+        col = trial_pos[trial.dofmap[cell[:, None], cols_local[test_dof]]]
+        keep = col >= 0
+        keys, slot = np.unique((pair_row[p][:, None] * ncols + col)[keep], return_inverse=True)
+        srcs.append(((cell * stride)[:, None] + table[test_dof])[keep].astype(idx))
+        slots.append((slot + nnz).astype(idx))
+        counts.append(np.bincount(keys // ncols - r0, minlength=r1 - r0).astype(idx))
+        cols.append((keys % ncols).astype(idx))
+        nnz += len(keys)
     plan = ScatterPlan(
-        src=np.concatenate(srcs or [empty]),
-        slot=np.concatenate(slots or [empty]),
-        indptr=np.concatenate([[0], np.cumsum(counts)]).astype(idx),
-        indices=np.concatenate(grp_cols or [empty]),
-        shape=(test.num_free, trial.num_free),
+        src=np.concatenate(srcs),
+        slot=np.concatenate(slots),
+        indptr=np.concatenate([[0], np.cumsum(np.concatenate(counts))]).astype(idx),
+        indices=np.concatenate(cols),
+        shape=(nrows, ncols),
     )
     _log.debug(
         "scatter plan %s/%s x %s/%s%s on %d cells: %d local entries into %d stored, %.2f MB",
-        test.kind,
-        test.bc,
-        trial.kind,
-        trial.bc,
-        " per component" if per_component else "",
-        nc,
-        len(plan.src),
-        nnz,
-        plan.nbytes / 1e6,
+        test.kind, test.bc, trial.kind, trial.bc, " per component" if per_component else "",
+        nc, len(plan.src), nnz, plan.nbytes / 1e6,
     )
     return plan
 

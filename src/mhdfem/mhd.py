@@ -404,7 +404,7 @@ class MhdDriver:
             tuple(lift), reduced, {"u": rhs["u"], "phi": G0.T @ rhs["E"]}
         )
         # K_u and D_p store the entries whose sums cancel exactly (1,344
-        # and 252 at n = 4); kept, they would enter the ordering and the
+        # and 279 at n = 4); kept, they would enter the ordering and the
         # LU of S and every product with the step matrix
         A.eliminate_zeros()
         return A, b, offsets

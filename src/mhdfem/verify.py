@@ -464,6 +464,10 @@ def l3_study(
     if bc_family not in BC_FAMILIES:
         raise VerifyError(f"unknown bc_family {bc_family!r}")
     levels = list(levels)
+    if len(levels) < 2:
+        raise VerifyError("an L3 study needs at least 2 levels to compare growth")
+    if levels[0] < 1 or any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1)):
+        raise VerifyError("levels must be strictly increasing and positive")
     rng = np.random.default_rng(seed)
     ess = "essential_zero" if bc_family == "normal_B" else "none"
     max_ratios = []

@@ -156,11 +156,12 @@ def expand_vector_block(k):
 
 
 def coo_scatter(local, trial, test, *, per_component=False):
-    """The scatter that ``assembly._scatter`` replays: local matrices
-    (nc, n_test, n_trial) summed by ``coo_matrix(...).tocsr()`` and
-    restricted to the free dofs.  With ``per_component`` the local
-    matrices are the scalar velocity blocks; they are expanded, and the
-    couplings between components are dropped after the sum."""
+    """Local matrices (nc, n_test, n_trial) summed by
+    ``coo_matrix(...).tocsr()`` and restricted to the free dofs: the
+    reference whose pattern ``assembly._scatter`` stores, with its values
+    to rounding.  With ``per_component`` the local matrices are the
+    scalar velocity blocks; they are expanded, and the couplings between
+    components are dropped after the sum."""
     if per_component:
         local = expand_vector_block(local)
     rows = np.repeat(test.dofmap[:, :, None], trial.nloc, axis=2).ravel()

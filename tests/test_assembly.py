@@ -41,6 +41,18 @@ from oracles import (
 RNG = np.random.default_rng(11)
 
 
+def assert_summed_to_rounding(got, want, abs_sum, addends):
+    """``got`` and ``want`` sum the same addends in two orders: the same
+    pattern, and each entry within twice the recursive-summation bound
+    (k - 1) eps sum |x| of its k addends x (``addends`` and ``abs_sum``
+    are k and sum |x| on the pattern of ``want``)."""
+    for M in (got, abs_sum, addends):
+        assert np.array_equal(M.indptr, want.indptr)
+        assert np.array_equal(M.indices, want.indices)
+    bound = 2 * (addends.data - 1) * np.finfo(float).eps * abs_sum.data
+    assert np.all(np.abs(got.data - want.data) <= bound)
+
+
 # ----------------------------------------------------------------------
 # quadrature rules
 
@@ -244,14 +256,17 @@ def test_velocity_forms_store_only_the_component_blocks(form_id, cancelled):
     coo = A.tocoo()
     assert np.array_equal(comp[coo.row], comp[coo.col])
     assert A.nnz == 3 * A[comp == 0][:, comp == 0].nnz
-    # each component block is, bit for bit and with the sums that cancel
+    # each component block is, to rounding and with the sums that cancel
     # exactly still stored, that of a scatter of the whole local matrices
     full = interleaved_scatter(form_id, u, w)
+    local = scaled_local_matrices(form_id, u, u, w)
+    abs_sum, addends = (
+        coo_scatter(x, u, u, per_component=True) for x in (np.abs(local), np.ones_like(local))
+    )
     for c in range(3):
-        got, want = A[comp == c][:, comp == c], full[comp == c][:, comp == c]
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        assert np.array_equal(got.data, want.data)
+        on = comp == c
+        got, want, abs_on, addends_on = (M[on][:, on] for M in (A, full, abs_sum, addends))
+        assert_summed_to_rounding(got, want, abs_on, addends_on)
         assert np.sum(got.data == 0) == cancelled
 
 
@@ -274,10 +289,21 @@ FORM_CASES = [
 
 @pytest.fixture(scope="module")
 def plan_meshes(single_tet):
-    # on one cell every row is already sorted, so scipy skips its sort,
-    # and with essential conditions no dof is free
+    # on one cell each entry has one addend, and with essential
+    # conditions no dof is free
     meshes = {"cube2": unit_cube_mesh(2), "cube4": unit_cube_mesh(4), "tet": single_tet}
     return {name: (mesh, build_topology(mesh)) for name, mesh in meshes.items()}
+
+
+def _spaces(mesh, topo, trial_kind, test_kind, bc):
+    return tuple(
+        make_space(kind, "none" if kind == "dg0" else bc, mesh, topo)
+        for kind in (trial_kind, test_kind)
+    )
+
+
+def _per_component(form_id, trial_kind):
+    return form_id in assembly._PER_COMPONENT and trial_kind == "lagrange_p2_vector"
 
 
 def _coefficient(form_id, mesh, topo):
@@ -297,23 +323,39 @@ def _coefficient(form_id, mesh, topo):
 
 @pytest.mark.parametrize("mesh_name", ["cube2", "cube4", "tet"])
 @pytest.mark.parametrize("form_id, trial_kind, test_kind, bc", FORM_CASES)
-def test_assembly_is_the_coo_scatter_bit_for_bit(
+def test_assembly_is_the_coo_scatter_to_rounding(
     plan_meshes, mesh_name, form_id, trial_kind, test_kind, bc
 ):
     mesh, topo = plan_meshes[mesh_name]
-    trial, test = (
-        make_space(kind, "none" if kind == "dg0" else bc, mesh, topo)
-        for kind in (trial_kind, test_kind)
-    )
+    trial, test = _spaces(mesh, topo, trial_kind, test_kind, bc)
     coefficient = _coefficient(form_id, mesh, topo)
     A = assemble_bilinear(form_id, trial, test, coefficient=coefficient)
-    per_component = form_id in assembly._PER_COMPONENT and trial_kind == "lagrange_p2_vector"
+    per_component = _per_component(form_id, trial_kind)
     local = scaled_local_matrices(form_id, trial, test, coefficient)
-    want = coo_scatter(local, trial, test, per_component=per_component)
+    want, abs_sum, addends = (
+        coo_scatter(x, trial, test, per_component=per_component)
+        for x in (local, np.abs(local), np.ones_like(local))
+    )
     assert A.shape == want.shape
-    assert np.array_equal(A.indptr, want.indptr)
-    assert np.array_equal(A.indices, want.indices)
-    assert np.array_equal(A.data.view(np.uint64), want.data.view(np.uint64))
+    assert_summed_to_rounding(A, want, abs_sum, addends)
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 30])
+def test_the_scatter_plan_does_not_depend_on_the_block_size(plan_meshes, monkeypatch, block):
+    # a row cut across two blocks would store one (row, col) twice
+    mesh, topo = plan_meshes["cube4"]
+
+    def plans():
+        for form_id, trial_kind, test_kind, bc in FORM_CASES:
+            mesh._cache.clear()
+            trial, test = _spaces(mesh, topo, trial_kind, test_kind, bc)
+            yield assembly._scatter_plan(trial, test, _per_component(form_id, trial_kind))
+
+    default = list(plans())
+    monkeypatch.setattr(assembly, "_PLAN_BLOCK", block)
+    for want, got in zip(default, plans(), strict=True):
+        for name in ("src", "slot", "indptr", "indices"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_scatter_plans_are_built_once_per_mesh_and_space_pair(monkeypatch):

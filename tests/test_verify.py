@@ -372,9 +372,15 @@ def test_l3_study_validation():
         l3_study([1, 2], samples=0)
     with pytest.raises(VerifyError, match="unknown bc_family"):
         l3_study([1, 2], bc_family="mixed")
+    for levels in ([], [4]):
+        with pytest.raises(VerifyError, match="at least 2 levels"):
+            l3_study(levels)
+    for levels in ([4, 2], [0, 1]):
+        with pytest.raises(VerifyError, match="strictly increasing and positive"):
+            l3_study(levels)
 
 
 def test_l3_study_is_deterministic():
-    a = l3_study([1], samples=5, seed=9)
-    b = l3_study([1], samples=5, seed=9)
+    a = l3_study([1, 2], samples=5, seed=9)
+    b = l3_study([1, 2], samples=5, seed=9)
     assert a["max_ratios"] == b["max_ratios"]
