@@ -5,6 +5,9 @@ requested degree the weights are strictly positive and polynomial
 exactness is guaranteed by construction (the degree-1 rule degenerates
 to the centroid rule with weight 1/6).
 
+Every basis comes from ``derham.basis_values``; only the velocity forms
+that act on each component alike ask which kind a space is.
+
 Bilinear forms are assembled cellwise with numpy tensor contractions and
 scattered into sparse matrices over the free (unconstrained) degrees of
 freedom; essential-zero boundary conditions are eliminated symmetrically
@@ -170,28 +173,13 @@ def assemble_linear(
     xq = derham.physical_points(mesh, rule.points)
     fvals = np.asarray(func(xq.reshape(-1, 3)), dtype=float)
     nc, nq = xq.shape[:2]
-    wdet = rule.weights[None, :] * np.abs(mesh.det_jacobians)[:, None]
-    if space.kind == "lagrange_p1":
-        fvals = fvals.reshape(nc, nq)
-        cellvec = np.einsum("cq,cq,qa->ca", wdet, fvals, derham.p1_values(rule.points))
-    elif space.kind == "dg0":
-        fvals = fvals.reshape(nc, nq)
-        cellvec = np.einsum("cq,cq->c", wdet, fvals)[:, None]
-    elif space.kind == "nedelec1_lowest":
-        fvals = fvals.reshape(nc, nq, 3)
-        basis = derham.nedelec_values(mesh, rule.points)
-        cellvec = np.einsum("cq,cqd,cqad->ca", wdet, fvals, basis)
-    elif space.kind == "rt_lowest":
-        fvals = fvals.reshape(nc, nq, 3)
-        basis = derham.rt_values(mesh, rule.points)
-        cellvec = np.einsum("cq,cqd,cqad->ca", wdet, fvals, basis)
-    elif space.kind == "lagrange_p2_vector":
-        fvals = fvals.reshape(nc, nq, 3)
-        svals = derham.p2_scalar_values(rule.points)
-        comp = np.einsum("cq,cqd,qa->cad", wdet, fvals, svals)
-        cellvec = comp.reshape(nc, 30)
+    wdet = quadrature_weights(mesh, rule)
+    basis = derham.basis_values(space, rule.points)
+    if basis.ndim == 2:  # scalar, the same on every cell
+        cellvec = np.einsum("cq,cq,qa->ca", wdet, fvals.reshape(nc, nq), basis)
     else:
-        raise FormError(f"cannot assemble a load on space kind {space.kind!r}")
+        basis = np.broadcast_to(basis, (nc,) + basis.shape[-3:])
+        cellvec = np.einsum("cq,cqd,cqad->ca", wdet, fvals.reshape(nc, nq, 3), basis)
     vec = np.bincount(space.dofmap.ravel(), weights=cellvec.ravel(), minlength=space.ndof)
     return vec[space.free]
 
@@ -214,8 +202,6 @@ def _grad_load(space: FeSpace, grad_func, quad_degree: int) -> np.ndarray:
 def domain_integral_vector(space: FeSpace) -> np.ndarray:
     """Integrals of the basis functions over the domain (free dofs);
     the border row that realizes a zero-mean constraint."""
-    if space.kind == "dg0":
-        return space.mesh.volumes[space.free]
     return assemble_linear(space, lambda x: np.ones(len(x)), quad_degree=2)
 
 
@@ -228,20 +214,17 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
     if form_id == "grad_grad":
         g = derham.p2_scalar_gradients(mesh, pts)
         return np.einsum("q,cqad,cqbd->cab", w, g, g)
-    if form_id == "vec_mass":
+    if form_id in ("vec_mass", "scalar_mass"):
         if trial.kind == "lagrange_p2_vector":
-            s = derham.p2_scalar_values(pts)
+            s = derham.p2_scalar_values(pts)  # the block of each component
+        else:
+            s = derham.basis_values(trial, pts)
+        if s.ndim == 2:  # scalar, the same on every cell
             k = np.einsum("q,qa,qb->ab", w, s, s)
             return np.broadcast_to(k, (mesh.num_cells,) + k.shape)
-        va = _vector_basis(trial, pts)
-        k = np.einsum("q,cqad,cqbd->cab", w, va, va)
-        return k
-    if form_id == "scalar_mass":
-        s = _scalar_basis(trial, pts)
-        k = np.einsum("q,qa,qb->ab", w, s, s)
-        return np.broadcast_to(k, (mesh.num_cells,) + k.shape)
+        return np.einsum("q,cqad,cqbd->cab", w, s, s)
     if form_id == "curl_mass_pairing":
-        rt = derham.rt_values(mesh, pts)
+        rt = derham.basis_values(trial, pts)
         curls = derham.nedelec_curls(mesh)
         return np.einsum("q,cqfd,ced->cef", w, rt, curls)  # rows edge-test, cols face-trial
     if form_id == "div_scalar":
@@ -249,7 +232,7 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         return (divs / 6.0)[:, None, :]  # (nc, 1, 4), weight sum 1/6
     if form_id == "div_pressure":
         g = derham.p2_scalar_gradients(mesh, pts)
-        s = _scalar_basis(test, pts)
+        s = derham.basis_values(test, pts)
         k = np.einsum("q,qa,cqbj->cabj", w, s, g)  # test a, trial scalar b, comp j
         nc = mesh.num_cells
         return k.reshape(nc, k.shape[1], 30)
@@ -270,7 +253,7 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         # (phi_a e_i x B) . N_e = phi_a (B x N_e)_i
         s = derham.p2_scalar_values(pts)
         b = derham.evaluate_on_cells(coefficient, pts)[:, :, None, :]  # (nc, nq, 1, 3)
-        n = derham.nedelec_values(mesh, pts)  # (nc, nq, 6, 3)
+        n = derham.basis_values(test, pts)  # (nc, nq, 6, 3)
         bxn = np.empty_like(n)
         bxn[..., 0] = b[..., 1] * n[..., 2] - b[..., 2] * n[..., 1]
         bxn[..., 1] = b[..., 2] * n[..., 0] - b[..., 0] * n[..., 2]
@@ -286,22 +269,6 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         k = np.einsum("q,qa,qb,cqij->caibj", w, s, s, c, optimize=True)
         return k.reshape(mesh.num_cells, 30, 30)
     raise FormError(f"unknown form {form_id!r}")
-
-
-def _vector_basis(space, pts):
-    if space.kind == "nedelec1_lowest":
-        return derham.nedelec_values(space.mesh, pts)
-    if space.kind == "rt_lowest":
-        return derham.rt_values(space.mesh, pts)
-    raise FormError(f"no vector basis for {space.kind!r}")
-
-
-def _scalar_basis(space, pts):
-    if space.kind == "lagrange_p1":
-        return derham.p1_values(pts)
-    if space.kind == "dg0":
-        return np.ones((len(np.atleast_2d(pts)), 1))
-    raise FormError(f"no scalar basis for {space.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ Five space kinds are provided:
 * ``dg0``                    piecewise constants (L^2 slot)
 * ``lagrange_p2_vector``     vector quadratic Lagrange (velocity)
 
+Each kind is described here and nowhere else: ``make_space`` reads its
+dofs (cell-to-dof map, boundary flag per dof) from one table, and
+``basis_values`` gives its basis at reference points to every load and
+form of ``assembly``.
+
 Edge and face degrees of freedom are oriented by ascending global vertex
 index, which makes tangential/normal traces match across cells without
 per-cell sign tables.  Basis functions are barycentric (Whitney) forms
@@ -46,7 +51,6 @@ class SpaceError(Exception):
 
 
 SCALAR_KINDS = ("lagrange_p1", "dg0")
-ALL_KINDS = SCALAR_KINDS + ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
 BC_KINDS = ("essential_zero", "none")
 
 # degree-5-exact Gauss rule on [0, 1] for edge circulations
@@ -125,6 +129,27 @@ class FieldFunction:
         return cls(space, coeffs)
 
 
+def _velocity_dofs(mesh: Mesh, topology: MeshTopology):
+    """P2 nodes (vertices, then edge midpoints) with component-interleaved
+    dofs 3 node + i, and the boundary flag of each."""
+    nodes = np.concatenate([mesh.cells, mesh.num_vertices + topology.cell_to_edge], axis=1)
+    boundary = np.concatenate([topology.boundary_vertices, topology.boundary_edges])
+    return (3 * nodes[:, :, None] + np.arange(3)).reshape(-1, 30), np.repeat(boundary, 3)
+
+
+# kind -> (mesh, topology) -> (cell-to-dof map (nc, nloc), boundary flag per dof)
+_DOFS = {
+    "lagrange_p1": lambda mesh, topo: (mesh.cells, topo.boundary_vertices),
+    "nedelec1_lowest": lambda mesh, topo: (topo.cell_to_edge, topo.boundary_edges),
+    "rt_lowest": lambda mesh, topo: (topo.cell_to_face, topo.boundary_faces),
+    "dg0": lambda mesh, topo: (
+        np.arange(mesh.num_cells, dtype=np.int64)[:, None],
+        np.zeros(mesh.num_cells, dtype=bool),
+    ),
+    "lagrange_p2_vector": _velocity_dofs,
+}
+
+
 def make_space(
     kind: str,
     bc: str,
@@ -134,7 +159,7 @@ def make_space(
     mean_constraint: bool = False,
 ) -> FeSpace:
     """Build a finite element space of the given kind on a mesh."""
-    if kind not in ALL_KINDS:
+    if kind not in _DOFS:
         raise SpaceError(f"unknown space kind {kind!r}")
     if bc not in BC_KINDS:
         raise SpaceError(f"unknown boundary condition {bc!r}")
@@ -147,49 +172,9 @@ def make_space(
     if mean_constraint and bc != "none":
         raise SpaceError("a mean constraint does not combine with essential boundary conditions")
 
-    nv = mesh.num_vertices
-    ne = topology.num_edges
-    nc = mesh.num_cells
-
-    if kind == "lagrange_p1":
-        ndof = nv
-        dofmap = mesh.cells.copy()
-        constrained = (
-            topology.boundary_vertices.copy()
-            if bc == "essential_zero"
-            else np.zeros(ndof, dtype=bool)
-        )
-    elif kind == "nedelec1_lowest":
-        ndof = ne
-        dofmap = topology.cell_to_edge.copy()
-        constrained = (
-            topology.boundary_edges.copy()
-            if bc == "essential_zero"
-            else np.zeros(ndof, dtype=bool)
-        )
-    elif kind == "rt_lowest":
-        ndof = topology.num_faces
-        dofmap = topology.cell_to_face.copy()
-        constrained = (
-            topology.boundary_faces.copy()
-            if bc == "essential_zero"
-            else np.zeros(ndof, dtype=bool)
-        )
-    elif kind == "dg0":
-        ndof = nc
-        dofmap = np.arange(nc, dtype=np.int64)[:, None]
-        constrained = np.zeros(ndof, dtype=bool)
-    elif kind == "lagrange_p2_vector":
-        scalar_map = np.concatenate([mesh.cells, nv + topology.cell_to_edge], axis=1)
-        dofmap = (3 * scalar_map[:, :, None] + np.arange(3)).reshape(nc, 30)
-        ndof = 3 * (nv + ne)
-        constrained = np.zeros(ndof, dtype=bool)
-        if bc == "essential_zero":
-            scalar_bc = np.concatenate(
-                [topology.boundary_vertices, topology.boundary_edges]
-            )
-            constrained = np.repeat(scalar_bc, 3)
-
+    cell_dofs, boundary = _DOFS[kind](mesh, topology)
+    ndof = len(boundary)
+    constrained = boundary.copy() if bc == "essential_zero" else np.zeros(ndof, dtype=bool)
     return FeSpace(
         kind=kind,
         bc=bc,
@@ -197,7 +182,7 @@ def make_space(
         topology=topology,
         mean_constraint=mean_constraint,
         ndof=ndof,
-        dofmap=dofmap,
+        dofmap=cell_dofs.copy(),
         constrained=constrained,
     )
 
@@ -283,11 +268,6 @@ def reference_barycentric(points: np.ndarray) -> np.ndarray:
     return np.concatenate([lam0[:, None], points], axis=1)
 
 
-def p1_values(points: np.ndarray) -> np.ndarray:
-    """P1 basis values, (nq, 4): the barycentric coordinates."""
-    return reference_barycentric(points)
-
-
 def p2_scalar_values(points: np.ndarray) -> np.ndarray:
     """Scalar P2 basis values, (nq, 10): 4 vertex + 6 edge functions."""
     lam = reference_barycentric(points)
@@ -309,11 +289,6 @@ def p2_scalar_gradients(mesh: Mesh, points: np.ndarray) -> np.ndarray:
     return _at_points(p2_gradient_table(mesh), points)
 
 
-def nedelec_values(mesh: Mesh, points: np.ndarray) -> np.ndarray:
-    """Whitney edge basis values on every cell, (nc, nq, 6, 3)."""
-    return _at_points(edge_table(mesh), points)
-
-
 def nedelec_curls(mesh: Mesh) -> np.ndarray:
     """Curls of the Whitney edge basis (constant per cell), (nc, 6, 3):
     curl(lambda_k T_k) = grad lambda_k x T_k."""
@@ -321,15 +296,33 @@ def nedelec_curls(mesh: Mesh) -> np.ndarray:
     return np.cross(G, edge_table(mesh)).sum(axis=2)
 
 
-def rt_values(mesh: Mesh, points: np.ndarray) -> np.ndarray:
-    """Whitney face (Raviart-Thomas) basis values, (nc, nq, 4, 3)."""
-    return _at_points(face_table(mesh), points)
-
-
 def rt_divergences(mesh: Mesh) -> np.ndarray:
     """Divergences of the face basis (constant per cell), (nc, 4):
     div(lambda_k T_k) = grad lambda_k . T_k."""
     return np.einsum("ckd,cfkd->cf", mesh.grad_lambda, face_table(mesh))
+
+
+# kind -> barycentric coefficient table of its basis, for the kinds whose
+# basis differs from cell to cell
+_TABLES = {"nedelec1_lowest": edge_table, "rt_lowest": face_table}
+
+
+def basis_values(space: FeSpace, points: np.ndarray) -> np.ndarray:
+    """A space's basis at reference points.  A basis that is the same on
+    every cell has no cell axis: (nq, nloc) for the scalar kinds, and
+    (nq, 30, 3) for the velocity, phi_a e_i at local dof 3a + i.  The
+    edge and face bases are (nc, nq, nloc, 3)."""
+    kind = space.kind
+    if kind == "lagrange_p1":
+        return reference_barycentric(points)
+    if kind == "dg0":
+        return np.ones((len(np.atleast_2d(points)), 1))
+    if kind == "lagrange_p2_vector":
+        s = p2_scalar_values(points)
+        return (s[:, :, None, None] * np.eye(3)).reshape(len(s), 30, 3)
+    if kind in _TABLES:
+        return _at_points(_TABLES[kind](space.mesh), points)
+    raise SpaceError(f"no basis for space kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -354,19 +347,13 @@ def evaluate_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
     scalar kinds, (nc, nq, 3) for vector kinds."""
     space = f.space
     local = f.coeffs[space.dofmap]  # (nc, nloc)
-    kind = space.kind
-    if kind == "lagrange_p1":
-        return np.einsum("qa,ca->cq", p1_values(points), local)
-    if kind == "dg0":
-        nq = len(np.atleast_2d(points))
-        return np.repeat(local, nq, axis=1)
-    if kind == "nedelec1_lowest":
-        return _contract_at_points(local, edge_table(space.mesh), points)
-    if kind == "rt_lowest":
-        return _contract_at_points(local, face_table(space.mesh), points)
-    # lagrange_p2_vector: component-interleaved coefficients
-    comps = local.reshape(space.mesh.num_cells, 10, 3)
-    return p2_scalar_values(points) @ comps
+    if space.kind in _TABLES:
+        return _contract_at_points(local, _TABLES[space.kind](space.mesh), points)
+    if space.kind == "lagrange_p2_vector":
+        # component-interleaved coefficients
+        comps = local.reshape(space.mesh.num_cells, 10, 3)
+        return p2_scalar_values(points) @ comps
+    return np.einsum("qa,ca->cq", basis_values(space, points), local)
 
 
 def evaluate_grad_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:

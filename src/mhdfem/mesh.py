@@ -152,25 +152,15 @@ def unit_cube_mesh(n: int) -> Mesh:
     grid = np.linspace(0.0, 1.0, m)
     xx, yy, zz = np.meshgrid(grid, grid, grid, indexing="ij")
     vertices = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-
-    def vid(i, j, k):
-        return (i * m + j) * m + k
-
-    cells = []
-    corner_steps = list(itertools.permutations(range(3)))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = np.array([i, j, k])
-                for perm in corner_steps:
-                    c = [base.copy()]
-                    p = base.copy()
-                    for axis in perm:
-                        p = p.copy()
-                        p[axis] += 1
-                        c.append(p)
-                    cells.append([vid(*q) for q in c])
-    return Mesh(vertices, np.array(cells, dtype=np.int64))
+    # the corners of each path from (i, j, k) to (i+1, j+1, k+1) that
+    # steps along the axes in the order of one permutation, (6, 4, 3)
+    perms = np.array(list(itertools.permutations(range(3))))
+    paths = np.zeros((len(perms), 4, 3), dtype=np.int64)
+    paths[:, 1:] = np.cumsum(np.eye(3, dtype=np.int64)[perms], axis=1)
+    idx = np.arange(n)
+    base = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"), axis=-1).reshape(-1, 1, 1, 3)
+    cells = (base + paths) @ np.array([m * m, m, 1])  # (n^3, 6, 4) vertex ids
+    return Mesh(vertices, cells.reshape(-1, 4))
 
 
 def read_gmsh_msh2(path: str) -> Mesh:

@@ -281,6 +281,9 @@ def convergence_study(
         raise VerifyError("a rate study needs at least 3 levels")
     if any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1)):
         raise VerifyError("levels must be strictly increasing")
+    if min(levels) < 2:
+        # n = 1 leaves the velocity space too small for the pressure constraint
+        raise VerifyError("levels must be at least 2")
 
     ns, hs, rows, reports = [], [], [], []
     check = {}

@@ -1,5 +1,7 @@
 """Reference computations that tests compare the package against."""
 
+import itertools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -12,6 +14,25 @@ from mhdfem.mesh import LOCAL_EDGES, LOCAL_FACES
 POWER_MAXIT = 500
 POWER_TOL = 1e-8
 POWER_SEED = 0
+
+
+def kuhn_cells(n) -> np.ndarray:
+    """The cells of ``unit_cube_mesh(n)`` before orientation repair, one
+    subcube and one path at a time: for each subcube (i, j, k), in
+    lexicographic order, the six paths from its corner (i, j, k) to
+    (i+1, j+1, k+1) that step along the axes in the order of each
+    permutation, as vertex ids (i m + j) m + k with m = n + 1."""
+    m = n + 1
+    cells = []
+    for base in itertools.product(range(n), repeat=3):
+        for perm in itertools.permutations(range(3)):
+            p = list(base)
+            corners = [tuple(p)]
+            for axis in perm:
+                p[axis] += 1
+                corners.append(tuple(p))
+            cells.append([(i * m + j) * m + k for i, j, k in corners])
+    return np.array(cells, dtype=np.int64)
 
 
 def vertex_volume_weights(space) -> np.ndarray:
@@ -33,7 +54,7 @@ def cross_forms(u_space, E_space, B, rule):
     for i in range(3):
         basis[:, :, :, i, i] = s
     cross = np.cross(basis.reshape(bvals.shape[:2] + (30, 3)), bvals[:, :, None, :])
-    ned = derham.nedelec_values(mesh, rule.points)
+    ned = derham.basis_values(E_space, rule.points)
     O = np.einsum("cq,cqed,cqbd->ceb", wdet, ned, cross)
     L = np.einsum("cq,cqad,cqbd->cab", wdet, cross, cross)
     return _dense(O, u_space, E_space), _dense(L, u_space, u_space)
@@ -197,7 +218,7 @@ def l2_project_edge(dcurl, values, rule) -> FieldFunction:
     tabulated at the rule's quadrature points, shape (nc, nq, 3),
     through the edge mass factorization of the discrete curl."""
     space = dcurl.curl_space
-    basis = derham.nedelec_values(space.mesh, rule.points)
+    basis = derham.basis_values(space, rule.points)
     wdet = assembly.quadrature_weights(space.mesh, rule)
     cellvec = np.einsum("cq,cqd,cqad->ca", wdet, values, basis)
     rhs = np.zeros(space.ndof)
@@ -366,6 +387,13 @@ def rt_values(mesh, points):
     )
 
 
+def p2_scalar_values(points):
+    """Scalar P2 basis values, (nq, 10): lambda_a (2 lambda_a - 1) and 4 lambda_a lambda_b."""
+    lam = derham.reference_barycentric(points)
+    edges = [4.0 * lam[:, a] * lam[:, b] for a, b in LOCAL_EDGES]
+    return np.column_stack([lam * (2.0 * lam - 1.0)] + edges)
+
+
 def nedelec_curls(mesh):
     """Curls 2 grad lambda_a x grad lambda_b of the edge basis, (nc, 6, 3)."""
     _, (Ga, Gb) = _oriented(mesh, np.array(LOCAL_EDGES))
@@ -376,3 +404,33 @@ def rt_divergences(mesh):
     """Divergences 6 grad lambda_a . (grad lambda_b x grad lambda_c) of the face basis, (nc, 4)."""
     _, (Ga, Gb, Gc) = _oriented(mesh, np.array(LOCAL_FACES))
     return 6.0 * np.einsum("ced,ced->ce", Ga, np.cross(Gb, Gc))
+
+
+def load_vector(space, func, rule):
+    """``assemble_linear`` as a quadrature sum per local dof over the
+    bases above: the integral of f . phi_a on every cell, added into the
+    global dof of a, over free dofs.  Scalar bases get a component axis
+    of length 1; the velocity basis is phi_a e_i at local dof 3a + i."""
+    mesh = space.mesh
+    nc, nq = mesh.num_cells, len(rule.points)
+    lam = derham.reference_barycentric(rule.points)
+    if space.kind == "lagrange_p1":
+        basis = np.broadcast_to(lam[None, :, :, None], (nc, nq, 4, 1))
+    elif space.kind == "dg0":
+        basis = np.ones((nc, nq, 1, 1))
+    elif space.kind == "nedelec1_lowest":
+        basis = nedelec_values(mesh, rule.points)
+    elif space.kind == "rt_lowest":
+        basis = rt_values(mesh, rule.points)
+    else:
+        s = p2_scalar_values(rule.points)
+        basis = np.zeros((nc, nq, 30, 3))
+        for a, i in itertools.product(range(10), range(3)):
+            basis[:, :, 3 * a + i, i] = s[:, a]
+    x = derham.physical_points(mesh, rule.points).reshape(-1, 3)
+    f = np.asarray(func(x), dtype=float).reshape(nc, nq, -1)
+    wdet = rule.weights[None, :] * np.abs(mesh.det_jacobians)[:, None]
+    vec = np.zeros(space.ndof)
+    for a in range(space.nloc):
+        np.add.at(vec, space.dofmap[:, a], np.einsum("cq,cqd,cqd->c", wdet, f, basis[:, :, a]))
+    return vec[space.free]

@@ -33,6 +33,7 @@ from oracles import (
     coo_scatter,
     cross_forms,
     interleaved_scatter,
+    load_vector,
     monolithic_system,
     scaled_local_matrices,
     vertex_volume_weights,
@@ -514,6 +515,25 @@ def test_load_pairing_matches_quadrature(mesh2, topo2):
     gvals = func(physical_points(mesh2, rule.points).reshape(-1, 3)).reshape(fvals.shape)
     rhs = np.einsum("cq,cqd,cqd->", wdet, fvals, gvals)
     assert lhs == pytest.approx(rhs, rel=1e-13)
+
+
+def _scalar_source(x):
+    return np.sin(x[:, 0] + 2.0 * x[:, 1]) * np.exp(x[:, 2]) + x[:, 0] ** 3
+
+
+def _vector_source(x):
+    return np.stack([_scalar_source(x), np.cos(x[:, 1] * x[:, 2]), x[:, 0] * x[:, 1] ** 2], axis=1)
+
+
+@pytest.mark.parametrize(
+    "kind", ["lagrange_p1", "dg0", "nedelec1_lowest", "rt_lowest", "lagrange_p2_vector"]
+)
+def test_every_load_is_the_per_dof_quadrature_sum(mesh2, topo2, kind):
+    space = make_space(kind, "none" if kind == "dg0" else "essential_zero", mesh2, topo2)
+    func = _scalar_source if kind in ("lagrange_p1", "dg0") else _vector_source
+    want = load_vector(space, func, quadrature_rule(6))
+    got = assemble_linear(space, func)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_magnetic_source_load_closes_ohm_identity(mesh2, topo2):

@@ -1,6 +1,8 @@
 """Finite element spaces: dof conventions, interpolation, conformity and
 the commuting-diagram property of the canonical interpolants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,14 @@ from mhdfem.assembly import quadrature_rule
 from mhdfem.derham import (
     FieldFunction,
     SpaceError,
+    basis_values,
     canonical_interpolate,
     evaluate_curl_on_cells,
     evaluate_div_on_cells,
     evaluate_grad_on_cells,
     evaluate_on_cells,
     make_space,
-    nedelec_values,
     physical_points,
-    rt_values,
 )
 from mhdfem.mesh import Mesh, unit_cube_mesh
 from oracles import vertex_volume_weights
@@ -203,7 +204,6 @@ def test_interior_trace_continuity(mesh2, topo2, kind):
         for face in topo2.cell_to_face[c]:
             if face in cells_of:
                 cells_of[face].append(c)
-    basis_values = nedelec_values if kind == "nedelec1_lowest" else rt_values
     checked = 0
     for face in interior[:: max(1, len(interior) // 10)]:
         c1, c2 = cells_of[face]
@@ -213,7 +213,7 @@ def test_interior_trace_continuity(mesh2, topo2, kind):
         n = n / np.linalg.norm(n)
         traces = []
         for c in (c1, c2):
-            vals = basis_values(mesh2, _ref_coords(mesh2, c, x))[c]
+            vals = basis_values(space, _ref_coords(mesh2, c, x))[c]
             v = np.einsum("qad,a->qd", vals, f.coeffs[space.dofmap[c]])
             if kind == "nedelec1_lowest":
                 traces.append(v - np.outer(v @ n, n))  # tangential part
@@ -240,11 +240,24 @@ def _close(got, want):
     return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+# brute-force tabulation -> the space kind whose basis_values it checks
+_TABULATED_KINDS = {"nedelec_values": "nedelec1_lowest", "rt_values": "rt_lowest"}
+
+
 @pytest.mark.parametrize("name", ["nedelec_values", "rt_values", "p2_scalar_gradients"])
 def test_basis_tables_match_the_brute_force_tabulation(jittered_mesh, name):
     points = quadrature_rule(6).points
-    got = getattr(derham, name)(jittered_mesh, points)
+    if name in _TABULATED_KINDS:
+        got = basis_values(make_space(_TABULATED_KINDS[name], "none", jittered_mesh), points)
+    else:
+        got = derham.p2_scalar_gradients(jittered_mesh, points)
     assert _close(got, getattr(oracles, name)(jittered_mesh, points))
+
+
+def test_basis_values_rejects_an_unknown_kind(mesh1, topo1):
+    space = dataclasses.replace(make_space("dg0", "none", mesh1, topo1), kind="lagrange_p3")
+    with pytest.raises(SpaceError, match="lagrange_p3"):
+        basis_values(space, REF_POINTS)
 
 
 @pytest.mark.parametrize("name", ["nedelec_curls", "rt_divergences"])

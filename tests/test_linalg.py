@@ -379,6 +379,46 @@ def test_no_private_linalg_names_outside_linalg():
 
 
 # ----------------------------------------------------------------------
+# space kinds are told apart in derham
+
+
+def _kind_comparisons() -> list:
+    """(module, enclosing function, string literals compared with) of
+    every comparison that reads a ``.kind`` attribute in the package."""
+    sites = []
+
+    def literals(node):
+        elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return tuple(e.value for e in elts if isinstance(e, ast.Constant) and isinstance(e.value, str))
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Compare):
+                operands = [child.left, *child.comparators]
+                if any(isinstance(o, ast.Attribute) and o.attr == "kind" for o in operands):
+                    sites.append((module, where, sum(map(literals, operands), ())))
+            visit(child, module, where)
+
+    for name, tree in _package_trees():
+        visit(tree, name, None)
+    return sites
+
+
+def test_only_derham_tells_space_kinds_apart():
+    # a kind's dofs and basis come from derham; the velocity forms that
+    # act on each component alike are the one exception
+    sites = [site for site in _kind_comparisons() if site[0] != "derham.py"]
+    assert [site for site in sites if site[2]] == [
+        ("assembly.py", "assemble_bilinear", ("lagrange_p2_vector",)),
+        ("assembly.py", "_local_matrices", ("lagrange_p2_vector",)),
+    ]
+    assert not {where for _, where, _ in sites} & {"assemble_linear", "domain_integral_vector"}
+
+
+# ----------------------------------------------------------------------
 # imports of the package and the tests
 
 

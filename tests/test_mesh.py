@@ -13,6 +13,7 @@ from mhdfem.mesh import (
     read_gmsh_msh2,
     unit_cube_mesh,
 )
+from oracles import kuhn_cells
 
 # Entity counts of the Kuhn triangulation, frozen from independent counting:
 # vertices (n+1)^3, cells 6 n^3; edges and faces enumerated once and kept.
@@ -43,6 +44,13 @@ def test_unit_cube_geometry(n):
     assert mesh.volumes.sum() == pytest.approx(1.0, rel=1e-14)
     # every Kuhn tet contains a subcube main diagonal
     assert mesh.diameters == pytest.approx(np.sqrt(3.0) / n, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_unit_cube_cells_follow_the_kuhn_loop(n):
+    # the cell order fixes the dof numbering, and with it every rounding
+    mesh = unit_cube_mesh(n)
+    assert np.array_equal(mesh.cells, Mesh(mesh.vertices, kuhn_cells(n)).cells)
 
 
 def test_unit_cube_rejects_bad_n():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mhdfem import assembly, derham
+from mhdfem import assembly, derham, verify
 from mhdfem.derham import canonical_interpolate
 from mhdfem.mesh import build_topology, unit_cube_mesh
 from mhdfem.mhd import MhdDriver
@@ -192,12 +192,18 @@ def test_doubling_the_scaling_doubles_the_errors(mesh2):
 # convergence study mechanics
 
 
-def test_study_validates_levels():
+def test_study_validates_levels(monkeypatch):
     case = builtin_case("normal_B")
     with pytest.raises(VerifyError, match="at least 3 levels"):
         convergence_study(case, [2, 4])
     with pytest.raises(VerifyError, match="strictly increasing"):
         convergence_study(case, [2, 4, 4])
+    # rejected before any mesh is built: n = 0 is no mesh, and at n = 1
+    # the Stokes system is singular
+    monkeypatch.setattr(verify, "unit_cube_mesh", None)
+    for levels in ([0, 1, 2], [1, 2, 3]):
+        with pytest.raises(VerifyError, match="at least 2"):
+            convergence_study(case, levels)
 
 
 def test_study_attaches_failure_report():
