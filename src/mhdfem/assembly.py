@@ -171,15 +171,16 @@ def assemble_linear(
     rule = quadrature_rule(quad_degree)
     mesh = space.mesh
     xq = derham.physical_points(mesh, rule.points)
-    fvals = np.asarray(func(xq.reshape(-1, 3)), dtype=float)
     nc, nq = xq.shape[:2]
-    wdet = quadrature_weights(mesh, rule)
+    fvals = np.asarray(func(xq.reshape(-1, 3)), dtype=float).reshape(nc, nq, -1)
+    fw = fvals * quadrature_weights(mesh, rule)[:, :, None]  # (nc, nq, 1 or 3)
     basis = derham.basis_values(space, rule.points)
     if basis.ndim == 2:  # scalar, the same on every cell
-        cellvec = np.einsum("cq,cq,qa->ca", wdet, fvals.reshape(nc, nq), basis)
-    else:
-        basis = np.broadcast_to(basis, (nc,) + basis.shape[-3:])
-        cellvec = np.einsum("cq,cqd,cqad->ca", wdet, fvals.reshape(nc, nq, 3), basis)
+        cellvec = fw[:, :, 0] @ basis
+    elif basis.ndim == 3:  # vector, the same on every cell: (nq, nloc, 3)
+        cellvec = fw.reshape(nc, -1) @ basis.transpose(0, 2, 1).reshape(-1, basis.shape[1])
+    else:  # vector, per cell: (nc, nq, nloc, 3)
+        cellvec = np.einsum("cqd,cqad->ca", fw, basis)
     vec = np.bincount(space.dofmap.ravel(), weights=cellvec.ravel(), minlength=space.ndof)
     return vec[space.free]
 

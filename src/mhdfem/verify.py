@@ -2,20 +2,22 @@
 
 The built-in manufactured case places smooth closed-form fields on the
 unit cube that satisfy div u = 0, div B = 0, curl E = 0 and the boundary
-traces of the requested family exactly.  The body force f and the
-magnetic source g are derived symbolically so the (g-augmented) strong
-system holds pointwise, which makes measured convergence rates
-meaningful.  On top of this live the error norms, the mesh-refinement
-rate study, the de Rham complex property report, and the discrete
-Poincare-type L3 ratio study.
+traces of the requested family exactly: u and B are curls and E is a
+gradient of scalar potentials.  The body force f and the magnetic source
+g are closed forms in the potentials' partial derivatives, composed in
+numpy, so the (g-augmented) strong system holds pointwise, which makes
+measured convergence rates meaningful; the symbolic derivation of the
+same case is kept as the test oracle (``tests/oracles.py``).  On top of
+this live the error norms, the mesh-refinement rate study, the de Rham
+complex property report, and the discrete Poincare-type L3 ratio study.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from . import assembly, derham, operators
 from .derham import FieldFunction, make_space
@@ -35,66 +37,110 @@ class StudyError(VerifyError):
         self.report = report
 
 
-_X, _Y, _Z = sympy.symbols("x y z", real=True)
-_VARS = (_X, _Y, _Z)
+# ----------------------------------------------------------------------
+# manufactured case
+#
+# A scalar potential maps points (N, 3) to its partials there: a function
+# d(i, j, k) giving the (N,) values of d^i/dx^i d^j/dy^j d^k/dz^k w, for
+# orders up to 3 in each variable.  The built-in potentials are products
+# of univariate factors; a factor maps t (N,) to the list of its value
+# and first three derivatives.
 
 
-def _grad(expr):
-    return sympy.Matrix([expr.diff(v) for v in _VARS])
+def _polynomial(coeffs):
+    """The univariate factor of the polynomial with these coefficients
+    (constant term first)."""
+    derivs = [np.polynomial.Polynomial(coeffs).deriv(k).coef for k in range(4)]
+    return lambda t: [np.polynomial.polynomial.polyval(t, c) for c in derivs]
 
 
-def _curl(vec):
-    return sympy.Matrix(
-        [
-            vec[2].diff(_Y) - vec[1].diff(_Z),
-            vec[0].diff(_Z) - vec[2].diff(_X),
-            vec[1].diff(_X) - vec[0].diff(_Y),
-        ]
-    )
+def _sin_pi(t):
+    sin, cos = np.sin(np.pi * t), np.cos(np.pi * t)
+    return [sin, np.pi * cos, -np.pi**2 * sin, -np.pi**3 * cos]
 
 
-def _div(vec):
-    return sum(vec[i].diff(_VARS[i]) for i in range(3))
+def _cos_pi(t):
+    sin, cos = np.sin(np.pi * t), np.cos(np.pi * t)
+    return [cos, -np.pi * sin, -np.pi**2 * cos, np.pi**3 * sin]
 
 
-def _lambdify(expr):
-    """Vectorized callable mapping (N, 3) points to (N,) + shape values
-    of a sympy scalar (shape ()), column vector (3,) or matrix (3, 3)."""
-    if isinstance(expr, sympy.MatrixBase):
-        shape = (expr.rows,) if expr.cols == 1 else expr.shape
-    else:
-        shape, expr = (), [expr]
-    # one function per entry, so that constant entries broadcast
-    fns = [sympy.lambdify(_VARS, entry, "numpy") for entry in expr]
+_BUBBLE = _polynomial([0, 0, 1, -2, 1])  # t^2 (1 - t)^2
+_HAT = _polynomial([0, 1, -1])  # t (1 - t)
+_ONE = _polynomial([1])
 
-    def call(points):
-        points = np.asarray(points, dtype=float)
-        x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        out = np.empty((len(points), len(fns)))
-        for k, fn in enumerate(fns):
-            out[:, k] = np.broadcast_to(np.asarray(fn(x, y, z), dtype=float), x.shape)
-        return out.reshape((len(points),) + shape)
 
-    return call
+def _product(fx, fy, fz):
+    """The potential fx(x) fy(y) fz(z)."""
+
+    def at(points):
+        tx, ty, tz = (fac(points[:, axis]) for axis, fac in enumerate((fx, fy, fz)))
+        return lambda i, j, k: tx[i] * ty[j] * tz[k]
+
+    return at
+
+
+_UNIT = np.eye(3, dtype=int)  # the multi-indices of d/dx, d/dy, d/dz
+# curl(z w) = (w_y, -w_x, 0) = _PERP grad w
+_PERP = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+def _gradient(d):
+    return np.stack([d(*a) for a in _UNIT], axis=-1)
+
+
+def _hessian(d):
+    return np.stack([np.stack([d(*(a + b)) for b in _UNIT], axis=-1) for a in _UNIT], axis=-2)
+
+
+def _grad_laplacian(d):
+    return np.stack([sum(d(*(a + 2 * b)) for b in _UNIT) for a in _UNIT], axis=-1)
+
+
+# points per block of a field evaluation: its temporaries (tables,
+# partials, products) stay a few MB however many points it is given
+_BLOCK = 8192
+
+
+def _blockwise(*shape):
+    """Evaluate a field method, points (N, 3) -> (N,) + shape, block by
+    block into one result array."""
+
+    def wrap(method):
+        @functools.wraps(method)
+        def call(self, points):
+            points = np.asarray(points, dtype=float)
+            out = np.empty((len(points),) + shape)
+            for start in range(0, len(points), _BLOCK):
+                block = slice(start, start + _BLOCK)
+                out[block] = method(self, points[block])
+            return out
+
+        return call
+
+    return wrap
 
 
 @dataclass
 class ManufacturedCase:
-    """Closed-form exact fields with symbolically derived sources."""
+    """Exact fields from scalar potentials, with closed-form sources.
+
+    u = lam curl(z w_u), B = lam curl(z w_B), E = lam grad w_E and
+    p = lam (sin pi x - 2/pi), so div u = div B = 0 and curl E = 0 hold
+    identically.  Each field and the sources f and g, which close the
+    g-augmented strong system pointwise, are composed in numpy from the
+    potentials' partials at the points (N, 3) they are called with.  The
+    symbolic derivation of the same case is kept as the test oracle
+    (``tests/oracles.py``).
+    """
 
     bc_family: str
     lam: float
     Re: float
     Rm: float
     s: float
-    u: object
-    grad_u: object
-    B: object
-    E: object
-    p: object
-    f: object
-    g: object
-    exprs: dict = field(default_factory=dict, repr=False)
+    w_u: object = field(repr=False)
+    w_B: object = field(repr=False)
+    w_E: object = field(repr=False)
 
     # ``variant`` here and in ``convergence_study`` is unread: every step
     # is checked against both formulations.  The benchmark change of ROADMAP
@@ -105,63 +151,76 @@ class ManufacturedCase:
     def sources(self) -> SourceData:
         return SourceData(f=self.f, g=self.g)
 
+    @_blockwise(3)
+    def u(self, points):
+        return self.lam * _gradient(self.w_u(points)) @ _PERP.T
+
+    @_blockwise(3, 3)
+    def grad_u(self, points):
+        return self.lam * _PERP @ _hessian(self.w_u(points))
+
+    @_blockwise(3)
+    def B(self, points):
+        return self.lam * _gradient(self.w_B(points)) @ _PERP.T
+
+    @_blockwise(3)
+    def E(self, points):
+        return self.lam * _gradient(self.w_E(points))
+
+    @_blockwise()
+    def p(self, points):
+        return self.lam * (np.sin(np.pi * points[:, 0]) - 2 / np.pi)
+
+    @_blockwise(3)
+    def f(self, points):
+        """(grad u) u - lap u / Re - s j x B + grad p, with j = E + u x B."""
+        u, B = self.u(points), self.B(points)
+        j = self.E(points) + np.cross(u, B)
+        lap_u = self.lam * _grad_laplacian(self.w_u(points)) @ _PERP.T
+        grad_p = np.zeros_like(u)
+        grad_p[:, 0] = self.lam * np.pi * np.cos(np.pi * points[:, 0])
+        conv = np.einsum("nij,nj->ni", self.grad_u(points), u)
+        return conv - lap_u / self.Re - self.s * np.cross(j, B) + grad_p
+
+    @_blockwise(3)
+    def g(self, points):
+        """s (j - curl B / Rm), with j = E + u x B."""
+        u, B = self.u(points), self.B(points)
+        j = self.E(points) + np.cross(u, B)
+        d = self.w_B(points)  # curl curl(z w) = (w_xz, w_yz, -(w_xx + w_yy))
+        curl_B = self.lam * np.stack([d(1, 0, 1), d(0, 1, 1), -(d(2, 0, 0) + d(0, 2, 0))], axis=-1)
+        return self.s * (j - curl_B / self.Rm)
+
 
 def builtin_case(
     bc_family: str, lam: float = 0.1, *, Re: float = 1.0, Rm: float = 1.0, s: float = 1.0
 ) -> ManufacturedCase:
     """The built-in unit-cube manufactured case for a BC family.
 
-    Velocity is a curl (divergence-free, zero trace); the magnetic and
-    electric constructions swap between families so the essential traces
-    of each family hold exactly.  Sources close the g-augmented system.
+    w_u = P(x) P(y) P(z) with P(t) = t^2 (1 - t)^2, so u has zero trace.
+    The magnetic and electric potentials swap between families so that
+    the essential traces of each family hold exactly: normal_B takes
+    w_B = sin(pi x) sin(pi y) and w_E = q(x) q(y) q(z) with q(t) = t (1 - t);
+    tangential_B takes w_B = w_u and w_E = cos(pi x) cos(pi y) cos(pi z).
     """
     if lam < 0:
         raise VerifyError("field scaling lam must be nonnegative")
     if bc_family not in BC_FAMILIES:
         raise VerifyError(f"unknown bc_family {bc_family!r}")
-    x, y, z = _VARS
-    pi = sympy.pi
-    chi = (x * (1 - x) * y * (1 - y) * z * (1 - z)) ** 2
-    u = lam * sympy.Matrix([chi.diff(y), -chi.diff(x), 0])
-    p = lam * (sympy.sin(pi * x) - 2 / pi)
-
+    w_u = _product(_BUBBLE, _BUBBLE, _BUBBLE)
     if bc_family == "normal_B":
-        B = lam * sympy.Matrix(
-            [
-                pi * sympy.sin(pi * x) * sympy.cos(pi * y),
-                -pi * sympy.cos(pi * x) * sympy.sin(pi * y),
-                0,
-            ]
-        )
-        phi = x * (1 - x) * y * (1 - y) * z * (1 - z)
-        E = lam * _grad(phi)
+        w_B, w_E = _product(_sin_pi, _sin_pi, _ONE), _product(_HAT, _HAT, _HAT)
     else:
-        chi_b = (x * y * z * (1 - x) * (1 - y) * (1 - z)) ** 2
-        B = lam * _curl(sympy.Matrix([0, 0, chi_b]))
-        psi = sympy.cos(pi * x) * sympy.cos(pi * y) * sympy.cos(pi * z)
-        E = lam * _grad(psi)
-
-    j = E + u.cross(B)
-    grad_u = sympy.Matrix([[u[i].diff(v) for v in _VARS] for i in range(3)])
-    conv = sympy.Matrix([sum(u[k] * u[i].diff(_VARS[k]) for k in range(3)) for i in range(3)])
-    lap_u = sympy.Matrix([sum(u[i].diff(v, 2) for v in _VARS) for i in range(3)])
-    f = conv - lap_u / Re - s * j.cross(B) + _grad(p)
-    g = s * (j - _curl(B) / Rm)
-
+        w_B, w_E = w_u, _product(_cos_pi, _cos_pi, _cos_pi)
     return ManufacturedCase(
         bc_family=bc_family,
         lam=float(lam),
         Re=float(Re),
         Rm=float(Rm),
         s=float(s),
-        u=_lambdify(u),
-        grad_u=_lambdify(grad_u),
-        B=_lambdify(B),
-        E=_lambdify(E),
-        p=_lambdify(p),
-        f=_lambdify(f),
-        g=_lambdify(g),
-        exprs={"div_u": _div(u), "div_B": _div(B), "curl_E": _curl(E)},
+        w_u=w_u,
+        w_B=w_B,
+        w_E=w_E,
     )
 
 

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+import sympy
 
 from mhdfem import assembly, derham, linalg, operators
 from mhdfem.derham import FieldFunction
@@ -434,3 +435,88 @@ def load_vector(space, func, rule):
     for a in range(space.nloc):
         np.add.at(vec, space.dofmap[:, a], np.einsum("cq,cqd,cqd->c", wdet, f, basis[:, :, a]))
     return vec[space.free]
+
+
+# ----------------------------------------------------------------------
+# the built-in manufactured case, derived symbolically
+
+_X, _Y, _Z = sympy.symbols("x y z", real=True)
+_VARS = (_X, _Y, _Z)
+
+
+def _grad(expr):
+    return sympy.Matrix([expr.diff(v) for v in _VARS])
+
+
+def _curl(vec):
+    return sympy.Matrix(
+        [
+            vec[2].diff(_Y) - vec[1].diff(_Z),
+            vec[0].diff(_Z) - vec[2].diff(_X),
+            vec[1].diff(_X) - vec[0].diff(_Y),
+        ]
+    )
+
+
+def _div(vec):
+    return sum(vec[i].diff(_VARS[i]) for i in range(3))
+
+
+def _lambdify(expr):
+    """Vectorized callable mapping (N, 3) points to (N,) + shape values
+    of a sympy scalar (shape ()), column vector (3,) or matrix (3, 3)."""
+    if isinstance(expr, sympy.MatrixBase):
+        shape = (expr.rows,) if expr.cols == 1 else expr.shape
+    else:
+        shape, expr = (), [expr]
+    # one function per entry, so that constant entries broadcast
+    fns = [sympy.lambdify(_VARS, entry, "numpy") for entry in expr]
+
+    def call(points):
+        points = np.asarray(points, dtype=float)
+        x, y, z = points[:, 0], points[:, 1], points[:, 2]
+        out = np.empty((len(points), len(fns)))
+        for k, fn in enumerate(fns):
+            out[:, k] = np.broadcast_to(np.asarray(fn(x, y, z), dtype=float), x.shape)
+        return out.reshape((len(points),) + shape)
+
+    return call
+
+
+def sympy_case(bc_family, lam, *, Re, Rm, s):
+    """``verify.builtin_case`` derived symbolically: (fields, exprs), where
+    fields maps "u", "grad_u", "B", "E", "p", "f" and "g" to vectorized
+    callables of (N, 3) points, and exprs holds the sympy expressions
+    "div_u", "div_B" and "curl_E" of the exact fields."""
+    x, y, z = _VARS
+    pi = sympy.pi
+    chi = (x * (1 - x) * y * (1 - y) * z * (1 - z)) ** 2
+    u = lam * sympy.Matrix([chi.diff(y), -chi.diff(x), 0])
+    p = lam * (sympy.sin(pi * x) - 2 / pi)
+
+    if bc_family == "normal_B":
+        B = lam * sympy.Matrix(
+            [
+                pi * sympy.sin(pi * x) * sympy.cos(pi * y),
+                -pi * sympy.cos(pi * x) * sympy.sin(pi * y),
+                0,
+            ]
+        )
+        phi = x * (1 - x) * y * (1 - y) * z * (1 - z)
+        E = lam * _grad(phi)
+    else:
+        chi_b = (x * y * z * (1 - x) * (1 - y) * (1 - z)) ** 2
+        B = lam * _curl(sympy.Matrix([0, 0, chi_b]))
+        psi = sympy.cos(pi * x) * sympy.cos(pi * y) * sympy.cos(pi * z)
+        E = lam * _grad(psi)
+
+    j = E + u.cross(B)
+    grad_u = sympy.Matrix([[u[i].diff(v) for v in _VARS] for i in range(3)])
+    conv = sympy.Matrix([sum(u[k] * u[i].diff(_VARS[k]) for k in range(3)) for i in range(3)])
+    lap_u = sympy.Matrix([sum(u[i].diff(v, 2) for v in _VARS) for i in range(3)])
+    f = conv - lap_u / Re - s * j.cross(B) + _grad(p)
+    g = s * (j - _curl(B) / Rm)
+
+    exprs = {"u": u, "grad_u": grad_u, "B": B, "E": E, "p": p, "f": f, "g": g}
+    fields = {name: _lambdify(expr) for name, expr in exprs.items()}
+    return fields, {"div_u": _div(u), "div_B": _div(B), "curl_E": _curl(E)}

@@ -543,17 +543,32 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
     assert filecmp.cmp(out_a / "l3_report.json", out_b / "l3_report.json", shallow=False)
 
 
-def test_module_entry_point(tmp_path):
-    path = write_config(tmp_path, mesh={"builtin": 1}, case={"zero_source": True})
+def _child_env() -> dict:
     # the child imports the package under test, installed or not
     paths = [str(Path(mhdfem.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def test_module_entry_point(tmp_path):
+    path = write_config(tmp_path, mesh={"builtin": 1}, case={"zero_source": True})
     proc = subprocess.run(
         [sys.executable, "-m", "mhdfem.cli", "complex-check",
          "--config", path, "--out-dir", str(tmp_path)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert (tmp_path / "complex_report.json").exists()
+
+
+def test_cli_does_not_import_sympy():
+    # sympy is a test dependency only: the manufactured case is numpy
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mhdfem.cli; print('sympy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import sympy
 
 from mhdfem import assembly, derham, verify
 from mhdfem.derham import canonical_interpolate
@@ -18,7 +19,7 @@ from mhdfem.verify import (
     l3_study,
     quadrature_self_check,
 )
-from oracles import dense_rank
+from oracles import dense_rank, sympy_case
 
 RNG = np.random.default_rng(7)
 FAMILIES = ("normal_B", "tangential_B")
@@ -37,17 +38,30 @@ def _solved(case, mesh, tol=1e-11):
 
 @pytest.mark.parametrize("bc_family", FAMILIES)
 def test_exact_fields_satisfy_pointwise_constraints(bc_family):
-    import sympy
-
-    case = builtin_case(bc_family)
+    lam = 0.1
+    _, exprs = sympy_case(bc_family, lam, Re=1.0, Rm=1.0, s=1.0)
     pts = RNG.random((100, 3))
-    div_u = sympy.lambdify(sympy.symbols("x y z"), case.exprs["div_u"], "numpy")
-    div_B = sympy.lambdify(sympy.symbols("x y z"), sympy.simplify(case.exprs["div_B"]), "numpy")
+    div_u = sympy.lambdify(sympy.symbols("x y z"), exprs["div_u"], "numpy")
+    div_B = sympy.lambdify(sympy.symbols("x y z"), sympy.simplify(exprs["div_B"]), "numpy")
     for p in pts:
-        assert abs(float(div_u(*p))) <= 1e-10 * case.lam
-        assert abs(float(div_B(*p))) <= 1e-10 * case.lam
-    curl_E = case.exprs["curl_E"]
+        assert abs(float(div_u(*p))) <= 1e-10 * lam
+        assert abs(float(div_B(*p))) <= 1e-10 * lam
+    curl_E = exprs["curl_E"]
     assert all(sympy.simplify(c) == 0 for c in curl_E)
+
+
+@pytest.mark.parametrize("bc_family", FAMILIES)
+@pytest.mark.parametrize("lam, Re, Rm, s", [(0.1, 1, 1, 1), (10, 10, 10, 1), (2, 3, 7, 0.5)])
+def test_builtin_case_matches_sympy_oracle(bc_family, lam, Re, Rm, s):
+    case = builtin_case(bc_family, lam, Re=Re, Rm=Rm, s=s)
+    fields, _ = sympy_case(bc_family, lam, Re=Re, Rm=Rm, s=s)
+    pts = RNG.random((500, 3))
+    shapes = {"p": (500,), "grad_u": (500, 3, 3)}
+    for name, oracle in fields.items():
+        want = oracle(pts)
+        got = getattr(case, name)(pts)
+        assert got.shape == want.shape == shapes.get(name, (500, 3)), name
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
 @pytest.mark.parametrize("bc_family", FAMILIES)
