@@ -7,9 +7,10 @@ residuals of the discrete sequence, and ``l3-study`` samples the
 divergence-free L3 bound.  Every report goes through one writer,
 ``_finish``, and carries the sections ``params``, ``mesh``, ``iterations``,
 ``increments``, ``diagnostics``, ``errors``, ``rates`` and ``pass``
-(``solve`` adds ``residuals``, ``norms`` and ``checks``).  Reports are
-written with sorted keys and repr-formatted floats so identical configs
-produce identical bytes.
+(``solve`` adds ``residuals``, ``norms``, ``contract`` and ``checks``).
+Every verdict on the iterates comes from ``verify.picard_contract``.
+Reports are written with sorted keys and repr-formatted floats so
+identical configs produce identical bytes.
 
 Exit codes: 0 all assertions pass, 1 an assertion or the iteration
 failed, 2 the config could not be parsed or validated.
@@ -130,7 +131,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("picard must be an object")
     _require_keys(picard, {"tol", "maxit"}, "picard")
     tol = picard.get("tol", 1e-8)
-    if not _is_number(tol) or not 0.0 < tol < 1.0:
+    if not _is_number(tol) or not 0 < tol < 1:
         raise ConfigError("picard.tol must lie in (0, 1)")
     maxit = picard.get("maxit", 100)
     if not _is_int(maxit) or maxit < 1:
@@ -297,15 +298,8 @@ def cmd_solve(cfg: dict, paths: dict) -> int:
     driver = MhdDriver(mesh, cfg["params"], sources=sources)
     state, run = driver.picard_solve(tol=cfg["tol"], maxit=cfg["maxit"])
     diag = run.diagnostics_history[-1]
-
-    scale = max(1.0, run.state_norm)
-    checks = {
-        "converged": run.converged,
-        "divB": diag.divB_max <= 1e-10 * diag.divB_scale,
-        "multiplier": diag.r_norm <= 1e-10 * scale,
-        "curlE": diag.curlE_norm <= 1e-10 * scale,
-        "energy": diag.energy_residual <= 1e-9,
-    }
+    contract = verify.picard_contract(run, sources)
+    checks = {"converged": run.converged, **{gate: v["pass"] for gate, v in contract.items()}}
     errors = {}
     if case is not None:
         errors = verify.error_norms(driver, state, case, quad_degree=cfg["quad_degree"])
@@ -326,6 +320,7 @@ def cmd_solve(cfg: dict, paths: dict) -> int:
             "state_W": run.state_norm,
         },
         errors=errors,
+        contract=contract,
         checks=checks,
     )
 
@@ -333,11 +328,7 @@ def cmd_solve(cfg: dict, paths: dict) -> int:
 def cmd_convergence(cfg: dict, paths: dict) -> int:
     if cfg["case"][0] != "builtin":
         raise ConfigError("a convergence study needs the builtin case (an exact solution)")
-    if len(cfg["levels"]) < 3:
-        raise ConfigError("a convergence study needs at least 3 levels")
-    if cfg["levels"][0] < 2:
-        raise ConfigError("a convergence study needs levels n >= 2")
-    case, _ = _case_and_sources(cfg)
+    case, sources = _case_and_sources(cfg)
 
     try:
         table = verify.convergence_study(
@@ -360,9 +351,12 @@ def cmd_convergence(cfg: dict, paths: dict) -> int:
         )
 
     final_rates = {c: table.rates[c][-1] for c in RATE_COLUMNS}
+    contracts = [verify.picard_contract(report, sources) for report in table.reports]
     return _finish(
         paths,
-        all(r >= RATE_THRESHOLD for r in final_rates.values()),
+        all(r >= RATE_THRESHOLD for r in final_rates.values())
+        and all(gate["pass"] for contract in contracts for gate in contract.values())
+        and np.max(list(table.quadrature_check.values())) <= verify.QUADRATURE_CHECK_MAX,
         csv=table.to_csv(),
         params=_params_section(cfg),
         mesh={"ns": table.ns, "hs": table.hs},
@@ -370,6 +364,7 @@ def cmd_convergence(cfg: dict, paths: dict) -> int:
         increments=[r.increments for r in table.reports],
         diagnostics={
             "quadrature_check": table.quadrature_check,
+            "contract": contracts,
             "final_rates": final_rates,
             "rate_threshold": RATE_THRESHOLD,
         },
@@ -387,8 +382,6 @@ def cmd_complex_check(cfg: dict, paths: dict) -> int:
 
 
 def cmd_l3_study(cfg: dict, paths: dict) -> int:
-    if len(cfg["levels"]) < 2:
-        raise ConfigError("an L3 study needs at least 2 levels to compare growth")
     params = {"bc_family": cfg["params"].bc_family, "samples": cfg["samples"], "seed": cfg["seed"]}
     result = verify.l3_study(cfg["levels"], **params)
     rows = zip(result["levels"], result["max_ratios"])
@@ -434,12 +427,12 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         paths = _output_paths(cfg, args.out_dir, args.command)
         return COMMANDS[args.command](cfg, paths)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (LinAlgError, MhdError, VerifyError, MeshError) as exc:
+    except (LinAlgError, MhdError, StudyError, MeshError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except (ConfigError, VerifyError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

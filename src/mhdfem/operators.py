@@ -7,10 +7,10 @@ The weak curl maps the face (div-conforming) space into the edge
 
 The boundary-condition family is carried by the spaces themselves: with
 essential-zero spaces this is the operator of the homogeneous complex,
-with unconstrained spaces its natural-boundary variant.  The same solve
-gives |curl_h B|_0.  The quadrature norms measure what the driver's
-matrices do not: L^3 norms, the L^2 norms of r, E and p, and the
-cellwise curl of an edge field.  The W-norm of (u, B) is
+with unconstrained spaces its natural-boundary variant.  The package
+reads only |curl_h B|_0 from that solve.  The quadrature norms measure
+what the driver's matrices do not: L^3 norms, the L^2 norms of r, E and
+p, and the cellwise curl of an edge field.  The W-norm of (u, B) is
 ``MhdDriver.w_norm``, and the driver solves the error projections.
 """
 
@@ -51,19 +51,11 @@ class DiscreteCurl:
         )
         self._lu = linalg.Factorization(self.mass)
 
-    def _load(self, B: FieldFunction) -> np.ndarray:
-        """R_EB B, the load of the mass solve M_E c = R_EB B for curl_h B."""
+    def norm(self, B: FieldFunction) -> float:
+        """|curl_h B|_0 = (c . R_EB B)^(1/2), where M_E c = R_EB B."""
         if B.space is not self.div_space:
             raise OperatorError("field does not belong to the operator's face space")
-        return self.pairing @ B.coeffs[self.div_space.free]
-
-    def apply(self, B: FieldFunction) -> FieldFunction:
-        """curl_h B as a field in the edge space."""
-        return FieldFunction.from_free(self.curl_space, self._lu.solve(self._load(B)))
-
-    def norm(self, B: FieldFunction) -> float:
-        """|curl_h B|_0 = (c . R_EB B)^(1/2), since M_E c = R_EB B."""
-        load = self._load(B)
+        load = self.pairing @ B.coeffs[self.div_space.free]
         return float(np.sqrt(self._lu.solve(load) @ load))
 
 

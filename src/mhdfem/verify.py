@@ -8,8 +8,8 @@ g are closed forms in the potentials' partial derivatives, composed in
 numpy, so the (g-augmented) strong system holds pointwise, which makes
 measured convergence rates meaningful; the symbolic derivation of the
 same case is kept as the test oracle (``tests/oracles.py``).  On top of
-this live the error norms, the mesh-refinement rate study, the de Rham
-complex property report, and the discrete Poincare-type L3 ratio study.
+this live the error norms, the solver contract, the rate study, the de
+Rham complex property report and the discrete Poincare-type L3 ratio study.
 """
 
 from __future__ import annotations
@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import assembly, derham, operators
+from . import assembly, derham, linalg, operators
 from .derham import FieldFunction, make_space
 from .mesh import Mesh, build_topology, mesh_metrics, unit_cube_mesh
 from .mhd import BC_FAMILIES, MhdDriver, MhdParams, PicardReport, SourceData
 
 
 class VerifyError(Exception):
-    """Raised for invalid study configuration."""
+    """Raised for invalid study configuration, before any mesh is built."""
 
 
 class StudyError(VerifyError):
@@ -287,13 +287,48 @@ def quadrature_self_check(driver, state, case, base: dict, *, quad_degree: int =
     """Relative change of every error norm when the measuring quadrature
     is raised to the next distinct rule (two degrees up, since the
     conical rules advance in steps of two), against the ``base`` row that
-    ``error_norms`` gave at quad_degree; entries should stay below 1e-3."""
+    ``error_norms`` gave at quad_degree; studies gate it by QUADRATURE_CHECK_MAX."""
     finer = error_norms(driver, state, case, quad_degree=quad_degree + 2)
     out = {}
     for key, val in base.items():
         ref = max(abs(finer[key]), 1e-300)
         out[key] = abs(val - finer[key]) / ref
     return out
+
+
+# ----------------------------------------------------------------------
+# the solver contract
+
+CONTRACT_BOUNDS = {
+    "divB": 1e-10,  # cellwise |div B| / max(1, |B|_div)
+    "multiplier": 1e-10,  # |r|_0 / max(1, final |(u, B)|_W)
+    "curlE": 1e-10,  # |curl E|_0 / max(1, final |(u, B)|_W)
+    "energy": 1e-9,  # relative residual of the energy identity
+    "linear_residual": linalg.RESIDUAL_TOL,  # each step's, over both formulations
+    "curl_bound": 1 + 1e-8,  # (|curl_h B|_0 / Rm) / |j|_0, only when g = 0
+}
+QUADRATURE_CHECK_MAX = 1e-3  # bound on every entry of a study's quadrature self-check
+
+
+def picard_contract(report: PicardReport, sources: SourceData) -> dict:
+    """gate -> {"worst", "bound", "pass"}: each gate's largest value over the
+    iterates of a Picard run against its bound in CONTRACT_BOUNDS (the curl
+    bound only when g is None, on iterates with |j| > 0); a NaN fails its gate."""
+    scale, steps = max(1.0, report.state_norm), report.diagnostics_history
+    values = {
+        "divB": [d.divB_max / d.divB_scale for d in steps],
+        "multiplier": [d.r_norm / scale for d in steps],
+        "curlE": [d.curlE_norm / scale for d in steps],
+        "energy": [d.energy_residual for d in steps],
+        "linear_residual": report.residuals,
+    }
+    if sources.g is None:
+        values["curl_bound"] = [d.energy3_lhs / d.energy3_rhs for d in steps if d.energy3_rhs != 0]
+    contract = {}
+    for gate, vals in values.items():
+        worst, bound = float(np.max(vals, initial=0.0)), CONTRACT_BOUNDS[gate]
+        contract[gate] = {"worst": worst, "bound": bound, "pass": worst <= bound}
+    return contract
 
 
 # ----------------------------------------------------------------------
@@ -342,7 +377,7 @@ def convergence_study(
         raise VerifyError("levels must be strictly increasing")
     if min(levels) < 2:
         # n = 1 leaves the velocity space too small for the pressure constraint
-        raise VerifyError("levels must be at least 2")
+        raise VerifyError("a rate study needs levels n >= 2, at least 2 cells per edge")
 
     ns, hs, rows, reports = [], [], [], []
     check = {}

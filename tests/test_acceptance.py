@@ -13,7 +13,7 @@ from mhdfem import cli, operators
 from mhdfem.derham import FieldFunction
 from mhdfem.mesh import unit_cube_mesh
 from mhdfem.mhd import MhdDriver, SourceData
-from mhdfem.verify import builtin_case, complex_check, l3_study
+from mhdfem.verify import builtin_case, complex_check, l3_study, picard_contract
 from oracles import (
     formulation_gaps,
     monolithic_system,
@@ -84,6 +84,20 @@ def _all_diagnostics(*grids):
                 yield key, report, diag
 
 
+def _package_agrees(gate, worst, bound, *grids):
+    """The package's contract on every run of the grids names this test's
+    literal bound, reaches this test's worst value and gives its verdict:
+    a bound moved in the package breaks the test."""
+    contracts = [
+        picard_contract(report, driver.sources)
+        for grid in grids
+        for driver, state, report in grid.values()
+    ]
+    assert {c[gate]["bound"] for c in contracts} == {bound}
+    assert max(c[gate]["worst"] for c in contracts) == worst
+    assert all(c[gate]["pass"] for c in contracts) == (worst <= bound)
+
+
 # ----------------------------------------------------------------------
 # exact structure of the computed states
 
@@ -92,6 +106,7 @@ def test_magnetic_gauss_law(builtin_grid, g_zero_grid):
     worst = 0.0
     for key, report, diag in _all_diagnostics(builtin_grid, g_zero_grid):
         worst = max(worst, diag.divB_max / diag.divB_scale)
+    _package_agrees("divB", worst, 1e-10, builtin_grid, g_zero_grid)
     _verdict(
         "magnetic Gauss law",
         worst <= 1e-10,
@@ -105,6 +120,8 @@ def test_multiplier_and_curl_free_identities(builtin_grid, g_zero_grid):
         scale = max(1.0, report.state_norm)
         worst_r = max(worst_r, diag.r_norm / scale)
         worst_c = max(worst_c, diag.curlE_norm / scale)
+    _package_agrees("multiplier", worst_r, 1e-10, builtin_grid, g_zero_grid)
+    _package_agrees("curlE", worst_c, 1e-10, builtin_grid, g_zero_grid)
     _verdict(
         "multiplier and curl-free identities",
         worst_r <= 1e-10 and worst_c <= 1e-10,
@@ -116,6 +133,7 @@ def test_energy_identity(builtin_grid, g_zero_grid):
     worst = 0.0
     for key, report, diag in _all_diagnostics(builtin_grid, g_zero_grid):
         worst = max(worst, diag.energy_residual)
+    _package_agrees("energy", worst, 1e-9, builtin_grid, g_zero_grid)
     _verdict(
         "energy identity",
         worst <= 1e-9,
@@ -128,6 +146,7 @@ def test_curl_bound(g_zero_grid):
     for key, report, diag in _all_diagnostics(g_zero_grid):
         if diag.energy3_rhs > 0:
             worst = max(worst, diag.energy3_lhs / diag.energy3_rhs)
+    _package_agrees("curl_bound", worst, 1 + 1e-8, g_zero_grid)
     _verdict(
         "curl bound",
         worst <= 1 + 1e-8,
@@ -295,6 +314,7 @@ def test_solver_contract(builtin_grid, g_zero_grid, meshes):
     for grid in (builtin_grid, g_zero_grid):
         for driver, state, report in grid.values():
             worst_resid = max(worst_resid, max(report.residuals))
+    _package_agrees("linear_residual", worst_resid, 1e-10, builtin_grid, g_zero_grid)
 
     case = builtin_case("normal_B")
     sigmas = []

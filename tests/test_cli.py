@@ -1,6 +1,7 @@
 """Command line interface: configs, exit codes, report files."""
 
 import ast
+import dataclasses
 import filecmp
 import json
 import os
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 import mhdfem
-from mhdfem import cli
+from mhdfem import cli, verify
+from mhdfem.mhd import MhdDriver
 
 MSH_SAMPLE = """$MeshFormat
 2.2 0 8
@@ -215,8 +217,15 @@ def test_builtin_solve_report_contents(tmp_path):
     assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_PASS
     report = read_report(tmp_path, "solve_report.json")
 
-    assert set(report["checks"]) == {"converged", "divB", "multiplier", "curlE", "energy"}
+    assert set(report["checks"]) == {
+        "converged", "divB", "multiplier", "curlE", "energy", "linear_residual",
+    }
     assert all(report["checks"].values())
+    # the builtin case has a magnetic source g, so the curl bound is no gate
+    assert set(report["contract"]) == set(report["checks"]) - {"converged"}
+    for gate, verdict in report["contract"].items():
+        assert verdict["pass"] is report["checks"][gate]
+        assert verdict["bound"] == verify.CONTRACT_BOUNDS[gate]
     assert report["params"]["alpha"] == 1.0
     assert report["params"]["case"] == "builtin"
     assert report["mesh"]["source"] == "builtin"
@@ -314,6 +323,9 @@ def test_convergence_study_mechanics(tmp_path):
     assert set(rates) == set(cli.RATE_COLUMNS)
     assert all(r >= cli.RATE_THRESHOLD for r in rates.values())
     assert max(report["diagnostics"]["quadrature_check"].values()) < 1e-3
+    contracts = report["diagnostics"]["contract"]
+    assert len(contracts) == 3
+    assert all(verdict["pass"] for contract in contracts for verdict in contract.values())
 
 
 def test_convergence_requires_three_levels(tmp_path, capsys):
@@ -336,6 +348,75 @@ def test_convergence_failure_writes_a_report(tmp_path, capsys):
     assert report["pass"] is False
     assert "did not converge" in report["diagnostics"]["failure"]
     assert report["iterations"] == 1
+
+
+# ----------------------------------------------------------------------
+# the solver contract on every iterate
+
+
+def _break_records(monkeypatch, broken):
+    """Make ``MhdDriver.diagnostics`` return ``broken(driver, k, record)``
+    for the k-th record it measures (from 1), with the true records
+    collected in the returned list."""
+    measure, records = MhdDriver.diagnostics, []
+
+    def diagnostics(self, state, cross):
+        records.append(measure(self, state, cross))
+        return broken(self, len(records), records[-1])
+
+    monkeypatch.setattr(MhdDriver, "diagnostics", diagnostics)
+    return records
+
+
+@pytest.mark.parametrize("divB_max", [1.0, float("nan")])
+def test_solve_gates_every_iterate(tmp_path, monkeypatch, divB_max):
+    # only the first of the three step records breaks div B; the report's
+    # diagnostics are the last record, which holds
+    def broken(driver, k, diag):
+        return dataclasses.replace(diag, divB_max=divB_max) if k == 1 else diag
+
+    records = _break_records(monkeypatch, broken)
+    path = write_config(tmp_path)
+    assert cli.main(["solve", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_FAIL
+    report = read_report(tmp_path, "solve_report.json")
+    assert report["iterations"] == len(records) == 3
+    assert report["diagnostics"] == records[-1].as_dict()
+    assert report["contract"]["divB"]["pass"] is False
+    assert report["checks"] == {
+        "converged": True, **{gate: gate != "divB" for gate in report["contract"]}
+    }
+    assert report["pass"] is False
+
+
+def test_convergence_gates_every_level(tmp_path, monkeypatch):
+    # the middle level, n = 3 (162 cells), breaks the energy identity on
+    # every iterate; its rates and the other levels hold
+    def broken(driver, k, diag):
+        middle = driver.mesh.num_cells == 6 * 3**3
+        return dataclasses.replace(diag, energy_residual=1.0) if middle else diag
+
+    _break_records(monkeypatch, broken)
+    path = write_config(tmp_path, levels=[2, 3, 4])
+    assert cli.main(["convergence", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_FAIL
+    report = read_report(tmp_path, "convergence_report.json")
+    contracts = report["diagnostics"]["contract"]
+    assert [contract["energy"]["pass"] for contract in contracts] == [True, False, True]
+    assert all(r >= cli.RATE_THRESHOLD for r in report["diagnostics"]["final_rates"].values())
+    assert report["pass"] is False
+
+
+def test_convergence_gates_the_quadrature_self_check(tmp_path, monkeypatch):
+    def loose(driver, state, case, base, **kwargs):
+        return dict.fromkeys(base, 2e-3)
+
+    monkeypatch.setattr(verify, "quadrature_self_check", loose)
+    path = write_config(tmp_path, levels=[2, 3, 4])
+    assert cli.main(["convergence", "--config", path, "--out-dir", str(tmp_path)]) == cli.EXIT_FAIL
+    report = read_report(tmp_path, "convergence_report.json")
+    contracts = report["diagnostics"]["contract"]
+    assert all(verdict["pass"] for contract in contracts for verdict in contract.values())
+    assert all(r >= cli.RATE_THRESHOLD for r in report["diagnostics"]["final_rates"].values())
+    assert report["pass"] is False
 
 
 # ----------------------------------------------------------------------
@@ -446,7 +527,7 @@ COMMON_SECTIONS = {
 @pytest.mark.parametrize(
     "command, overrides, report_name, extra",
     [
-        ("solve", {}, "solve_report.json", {"residuals", "norms", "checks"}),
+        ("solve", {}, "solve_report.json", {"residuals", "norms", "contract", "checks"}),
         ("convergence", {"levels": [2, 3, 4]}, "convergence_report.json", set()),
         (
             "convergence",
@@ -488,6 +569,55 @@ def test_one_report_writer():
     assert sites == [("dumps", "_finish")]
     source = ast.unparse(tree)
     assert source.count("json.dumps(") == 1 and "json.dump(" not in source
+
+
+def test_cli_names_no_bound_of_its_own():
+    # the contract's bounds are named in verify (with linalg.RESIDUAL_TOL):
+    # the CLI compares no value with a float literal, and no command
+    # checks its levels, which the studies validate
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    float_compares = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(leaf, ast.Constant) and isinstance(leaf.value, float)
+            for leaf in ast.walk(node)
+        )
+    ]
+    assert float_compares == []
+    level_checks = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(leaf, ast.Constant) and leaf.value == "levels" for leaf in ast.walk(node))
+    ]
+    assert level_checks == []
+
+
+def test_a_verify_error_is_raised_before_any_mesh():
+    # the CLI reads a VerifyError that is not a StudyError as a config
+    # error: each one is raised before the function builds its first mesh
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    late = []
+    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)):
+        calls = [
+            node.lineno
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "unit_cube_mesh"
+        ]
+        raises = [
+            node.lineno
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == "VerifyError"
+        ]
+        late += [(fn.name, line) for line in raises if calls and line > min(calls)]
+        assert not raises or fn.name in {"builtin_case", "convergence_study", "l3_study"}
+    assert late == []
 
 
 # ----------------------------------------------------------------------

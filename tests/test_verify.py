@@ -1,13 +1,15 @@
 """Manufactured cases, error norms, and the verification studies."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import sympy
 
-from mhdfem import assembly, derham, verify
+from mhdfem import assembly, derham, linalg, verify
 from mhdfem.derham import canonical_interpolate
 from mhdfem.mesh import build_topology, unit_cube_mesh
-from mhdfem.mhd import MhdDriver
+from mhdfem.mhd import MhdDriver, PicardReport, SourceData
 from mhdfem.verify import (
     ERROR_COLUMNS,
     StudyError,
@@ -17,6 +19,7 @@ from mhdfem.verify import (
     convergence_study,
     error_norms,
     l3_study,
+    picard_contract,
     quadrature_self_check,
 )
 from oracles import dense_rank, sympy_case
@@ -200,6 +203,48 @@ def test_doubling_the_scaling_doubles_the_errors(mesh2):
     for key in ERROR_COLUMNS:
         ratio = rows[0.2][key] / rows[0.1][key]
         assert 1.5 <= ratio <= 2.5
+
+
+# ----------------------------------------------------------------------
+# the solver contract
+
+
+def _run(residuals, **fields):
+    """A Picard report of one record per residual; each field given is a
+    list with one value per record, the rest hold the identities."""
+    ok = dict(divB_max=0.0, divB_scale=1.0, r_norm=0.0, curlE_norm=0.0,
+              energy_residual=0.0, energy3_lhs=0.0, energy3_rhs=0.0)
+    records = [
+        SimpleNamespace(**{**ok, **{key: vals[k] for key, vals in fields.items()}})
+        for k in range(len(residuals))
+    ]
+    return PicardReport(converged=True, iterations=len(records), residuals=residuals,
+                        diagnostics_history=records, state_norm=1.0)
+
+
+def test_contract_reads_every_iterate_and_fails_a_nan():
+    nan = float("nan")
+    # Python's max([1e-16, nan]) is 1e-16: a NaN after a finite value hides
+    contract = picard_contract(_run([1e-16, nan], divB_max=[nan, 0.0]), SourceData(g=len))
+    assert set(contract) == {"divB", "multiplier", "curlE", "energy", "linear_residual"}
+    assert np.isnan(contract["linear_residual"]["worst"])
+    assert np.isnan(contract["divB"]["worst"])
+    assert [gate for gate, v in contract.items() if not v["pass"]] == ["divB", "linear_residual"]
+    assert contract["linear_residual"]["bound"] == linalg.RESIDUAL_TOL
+
+    contract = picard_contract(_run([0.0, 0.0], energy_residual=[2e-9, 0.0]), SourceData())
+    assert contract["energy"] == {"worst": 2e-9, "bound": 1e-9, "pass": False}
+
+
+def test_contract_reads_the_curl_bound_without_g():
+    # iterates with |j| = 0 have no ratio; a NaN |j| is read and fails
+    report = _run([0.0] * 3, energy3_lhs=[5.0, 1.0, 1.0], energy3_rhs=[0.0, 2.0, 4.0])
+    assert "curl_bound" not in picard_contract(report, SourceData(g=len))
+    assert picard_contract(report, SourceData())["curl_bound"]["worst"] == 0.5
+    report = _run([0.0] * 2, energy3_lhs=[1.0, 1.0], energy3_rhs=[2.0, float("nan")])
+    assert picard_contract(report, SourceData())["curl_bound"]["pass"] is False
+    report = _run([0.0], energy3_lhs=[1.0 + 1e-6], energy3_rhs=[1.0])
+    assert picard_contract(report, SourceData())["curl_bound"]["pass"] is False
 
 
 # ----------------------------------------------------------------------
