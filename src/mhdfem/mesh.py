@@ -2,8 +2,8 @@
 
 Provides the structured Kuhn subdivision of the unit cube, a reader for
 Gmsh MSH 2.2 ASCII files, entity topology (edges, faces, incidence with
-orientation signs), the Betti numbers of the meshed domain and mesh
-quality metrics.
+orientation signs), the Betti numbers of the meshed domain, spanning
+trees of an edge graph and mesh quality metrics.
 
 Conventions used throughout the package:
 
@@ -354,6 +354,29 @@ def betti_numbers(mesh: Mesh, topo: MeshTopology) -> tuple[int, int, int]:
     b2 = shells - b0
     chi = mesh.num_vertices - topo.num_edges + topo.num_faces - mesh.num_cells
     return int(b0), int(b0 + b2 - chi), int(b2)
+
+
+def cotree_edges(ends: np.ndarray, root: int) -> np.ndarray:
+    """Indices of the edges, given as (n, 2) node pairs over the nodes
+    0..root, that are off a breadth-first spanning tree grown from root;
+    loops are always off it.  Raises MeshError when root does not reach
+    every node."""
+    ends = np.sort(ends, axis=1)
+    link = ends[:, 0] != ends[:, 1]
+    graph = sp.csr_matrix(
+        (np.ones(link.sum()), (ends[link, 0], ends[link, 1])), shape=(root + 1, root + 1)
+    )
+    reached, pred = csgraph.breadth_first_order(graph, root, directed=False)
+    if len(reached) <= root:
+        raise MeshError(f"{root + 1 - len(reached)} nodes are not connected to the root")
+    # the tree edge of node k joins it to pred[k]; pick one of any parallels
+    keys = ends[:, 0] * (root + 1) + ends[:, 1]
+    order = np.argsort(keys, kind="stable")
+    k = np.arange(root)
+    tree_keys = np.minimum(k, pred[:root]) * (root + 1) + np.maximum(k, pred[:root])
+    on_tree = np.zeros(len(ends), dtype=bool)
+    on_tree[order[np.searchsorted(keys[order], tree_keys)]] = True
+    return np.flatnonzero(~on_tree)
 
 
 def _grad_incidence(edges, nv):

@@ -69,11 +69,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from . import assembly, derham, linalg, operators
 from .derham import FieldFunction, make_space
-from .mesh import Mesh, betti_numbers, build_topology
+from .mesh import Mesh, betti_numbers, build_topology, cotree_edges
 
 
 class MhdError(Exception):
@@ -315,7 +314,7 @@ class MhdDriver:
         m = len(phi_vertices)
         node = np.full(nv, m)  # the ground node is m
         node[phi_vertices] = np.arange(m)
-        ct = _cotree_edges(node[topo.edges[E_free]], m)
+        ct = cotree_edges(node[topo.edges[E_free]], m)
 
         self.C_ct = topo.curl_incidence[B_free][:, E_free[ct]].astype(float).tocsr()
         self._ct = ct
@@ -652,26 +651,6 @@ class MhdDriver:
             energy5_ratio=energy5_ratio,
             norm=norm,
         )
-
-
-def _cotree_edges(ends: np.ndarray, root: int) -> np.ndarray:
-    """Indices of the edges, given as (n, 2) node pairs over the nodes
-    0..root, that are off a breadth-first spanning tree grown from root;
-    loops are always off it.  Every node must be reachable."""
-    ends = np.sort(ends, axis=1)
-    link = ends[:, 0] != ends[:, 1]
-    graph = sp.csr_matrix(
-        (np.ones(link.sum()), (ends[link, 0], ends[link, 1])), shape=(root + 1, root + 1)
-    )
-    _, pred = csgraph.breadth_first_order(graph, root, directed=False)
-    # the tree edge of node k joins it to pred[k]; pick one of any parallels
-    keys = ends[:, 0] * (root + 1) + ends[:, 1]
-    order = np.argsort(keys, kind="stable")
-    k = np.arange(root)
-    tree_keys = np.minimum(k, pred[:root]) * (root + 1) + np.maximum(k, pred[:root])
-    on_tree = np.zeros(len(ends), dtype=bool)
-    on_tree[order[np.searchsorted(keys[order], tree_keys)]] = True
-    return np.flatnonzero(~on_tree)
 
 
 def _row(blocks: dict, t: str, x: dict):

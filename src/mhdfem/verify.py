@@ -18,10 +18,12 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from . import assembly, derham, linalg, operators
 from .derham import FieldFunction, make_space
-from .mesh import Mesh, build_topology, mesh_metrics, unit_cube_mesh
+from .mesh import Mesh, MeshError, build_topology, cotree_edges, mesh_metrics, unit_cube_mesh
 from .mhd import BC_FAMILIES, MhdDriver, MhdParams, PicardReport, SourceData
 
 
@@ -452,25 +454,105 @@ def _affine_fields(rng):
     return scalar, grad_scalar, vec(Mf), curl_of(Mf), vec(Mb), div_of(Mb)
 
 
-def _sequence_dims(G, K, D) -> dict:
+def _rank(M) -> int:
+    """Exact rank of a sparse integer matrix M, by peeling.
+
+    An entry alone in its row or in its column is a pivot: eliminating
+    with it changes no other entry, so rank M is 1 + the rank of M
+    without its row and column, and no fill appears.  Pivots that share
+    no row or column stay pivots while the others go, so each round
+    removes all of them at once.  What does not peel (the core) is made
+    dense, and its rank is read from the eigenvalues of its Gram matrix
+    (the smaller of C^T C and C C^T, which have the rank of C and here
+    hold exact integers)."""
+    M = sp.csr_matrix(M, copy=True)
+    M.eliminate_zeros()
+    M = M.tocoo()
+    r, c, v = M.row, M.col, M.data
+    rank = 0
+    while len(r):
+        alone = (np.bincount(r, minlength=M.shape[0])[r] == 1) | (
+            np.bincount(c, minlength=M.shape[1])[c] == 1
+        )
+        piv = np.flatnonzero(alone)
+        if not len(piv):
+            break
+        piv = piv[np.unique(c[piv], return_index=True)[1]]
+        piv = piv[np.unique(r[piv], return_index=True)[1]]
+        rank += len(piv)
+        row_out = np.zeros(M.shape[0], dtype=bool)
+        col_out = np.zeros(M.shape[1], dtype=bool)
+        row_out[r[piv]] = col_out[c[piv]] = True
+        live = ~(row_out[r] | col_out[c])
+        r, c, v = r[live], c[live], v[live]
+    if not len(r):
+        return rank
+    _, ri = np.unique(r, return_inverse=True)
+    _, ci = np.unique(c, return_inverse=True)
+    core = np.zeros((ri.max() + 1, ci.max() + 1))
+    core[ri, ci] = v
+    gram = core.T @ core if core.shape[0] >= core.shape[1] else core @ core.T
+    return rank + int(np.linalg.matrix_rank(gram, hermitian=True))
+
+
+def _grounded(M) -> np.ndarray:
+    """Columns of M that keep its rank.  When the rows of M sum to zero
+    exactly, so do the columns of each connected component of its column
+    graph (columns joined by a shared row), and one column per component
+    goes; otherwise every column stays."""
+    n = M.shape[1]
+    if np.any(M @ np.ones(n, dtype=M.dtype)):
+        return np.arange(n)
+    A = abs(M)
+    _, comp = csgraph.connected_components(A.T @ A, directed=False)
+    return np.setdiff1d(np.arange(n), np.unique(comp, return_index=True)[1])
+
+
+def _cotree(G, KG) -> np.ndarray:
+    """Columns of K that keep its rank, given G and KG = K G.
+
+    When KG = 0 exactly and each row of G has at most two nonzeros, each
+    row is an edge of a graph: between its two nonzero columns, or from
+    its one nonzero column to a ground node.  On a spanning tree grown
+    from the ground, the tree rows of G form a triangular matrix with a
+    nonzero diagonal, so K's tree columns lie in the span of its others
+    and only the edges off the tree stay.  Otherwise, or when the ground
+    does not reach every column, every column stays."""
+    G = sp.csr_matrix(G, copy=True)
+    G.eliminate_zeros()
+    ne, m = G.shape
+    count = np.diff(G.indptr)
+    if KG.count_nonzero() or count.max(initial=0) > 2:
+        return np.arange(ne)
+    ends = np.full((ne, 2), m)
+    first = G.indptr[:-1]
+    ends[count > 0, 0] = G.indices[first[count > 0]]
+    ends[count > 1, 1] = G.indices[first[count > 1] + 1]
+    try:
+        return cotree_edges(ends, m)
+    except MeshError:
+        return np.arange(ne)
+
+
+def _sequence_dims(G, K, D, KG) -> dict:
     """Ranks, kernel dimensions and exactness flags of the sequence
-    grad -> curl -> div given by sparse integer incidence matrices.
+    grad -> curl -> div given by sparse integer incidence matrices and
+    KG = K G.
 
-    Each rank is measured from its matrix M as the rank of the Gram
-    matrix M^T M or M M^T, whichever is smaller: for real M both have
-    the rank of M, since M^T M x = 0 gives |M x|^2 = 0.  The Gram is a
-    sparse product of the int64 incidences, so its entries are exact
-    integers; only then is it made dense, and its rank is read from the
-    eigenvalues of a symmetric matrix, which costs far less than the SVD
-    of the rectangular M.  Dense, one matrix at a time: small meshes."""
-
-    def rank(M):
-        if min(M.shape) == 0:
-            return 0
-        gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
-        return int(np.linalg.matrix_rank(gram.toarray().astype(float), hermitian=True))
-
-    rank_G, rank_K, rank_D = (rank(M) for M in (G, K, D))
+    Each rank is measured exactly by peeling (``_rank``).  Peeling alone
+    leaves a gradient or curl incidence untouched (no row or column has
+    one nonzero), so three exact reductions come first, each only when
+    its integer identity holds: G loses one vertex column per connected
+    component when G 1 = 0 (grounding); K keeps only its columns off a
+    spanning tree rooted at the grounded vertices, or at the boundary
+    vertices for the zero-trace G, when K G = 0 (the cotree); and D
+    loses one cell row per component when 1^T D = 0, which holds on the
+    interior faces.  On the unit cube everything then peels, and only a
+    mesh with a hole or a cavity leaves a small dense core."""
+    G = G[:, _grounded(G)]
+    rank_G = _rank(G)
+    rank_K = _rank(K[:, _cotree(G, KG)])
+    rank_D = _rank(D[_grounded(D.T)])
     ne, nf = K.shape[1], D.shape[1]
     return {
         "rank_grad": rank_G,
@@ -519,13 +601,14 @@ def complex_check(mesh: Mesh, *, seed: int = 42) -> dict:
 
     # exactness: kernel and range dimensions
     nt = mesh.num_cells
-    full = _sequence_dims(G, K, D)
+    full = _sequence_dims(G, K, D, KG)
     report["dims_full"] = {**full, "div_onto": full["rank_div"] == nt}
 
     iv = np.flatnonzero(~topo.boundary_vertices)
     ie = np.flatnonzero(~topo.boundary_edges)
     if_ = np.flatnonzero(~topo.boundary_faces)
-    zero = _sequence_dims(G[ie][:, iv], K[if_][:, ie], D[:, if_])
+    G0, K0, D0 = G[ie][:, iv], K[if_][:, ie], D[:, if_]
+    zero = _sequence_dims(G0, K0, D0, K0 @ G0)
     report["dims_zero_trace"] = {**zero, "div_onto_zero_mean": zero["rank_div"] == nt - 1}
     report["pass"] = bool(
         report["curl_grad_max"] == 0

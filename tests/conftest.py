@@ -49,6 +49,14 @@ def cavity_mesh():
 
 
 @pytest.fixture(scope="session")
+def two_cubes():
+    """``unit_cube_mesh(1)`` and a disjoint copy shifted by 2 in x: b0 = 2."""
+    cube = unit_cube_mesh(1)
+    shifted = cube.vertices + np.array([2.0, 0.0, 0.0])
+    return Mesh(np.vstack([cube.vertices, shifted]), np.vstack([cube.cells, cube.cells + 8]))
+
+
+@pytest.fixture(scope="session")
 def single_tet():
     vertices = np.array(
         [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]

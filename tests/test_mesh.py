@@ -9,11 +9,12 @@ from mhdfem.mesh import (
     ParseError,
     betti_numbers,
     build_topology,
+    cotree_edges,
     mesh_metrics,
     read_gmsh_msh2,
     unit_cube_mesh,
 )
-from oracles import kuhn_cells
+from oracles import dense_rank, kuhn_cells
 
 # Entity counts of the Kuhn triangulation, frozen from independent counting:
 # vertices (n+1)^3, cells 6 n^3; edges and faces enumerated once and kept.
@@ -257,9 +258,26 @@ def test_betti_numbers(request, name, betti):
     assert betti_numbers(mesh, build_topology(mesh)) == betti
 
 
-def test_betti_numbers_count_components():
-    # two disjoint cubes: two components, each with one boundary shell
-    cube = unit_cube_mesh(1)
-    shifted = cube.vertices + np.array([2.0, 0.0, 0.0])
-    mesh = Mesh(np.vstack([cube.vertices, shifted]), np.vstack([cube.cells, cube.cells + 8]))
-    assert betti_numbers(mesh, build_topology(mesh)) == (2, 0, 0)
+def test_betti_numbers_count_components(two_cubes):
+    # two components, each with one boundary shell
+    assert betti_numbers(two_cubes, build_topology(two_cubes)) == (2, 0, 0)
+
+
+def test_cotree_edges_leave_an_invertible_tree(mesh2, topo2):
+    # the boundary vertices merge into one ground node m, the root
+    iv = np.flatnonzero(~topo2.boundary_vertices)
+    m = len(iv)
+    node = np.full(mesh2.num_vertices, m)
+    node[iv] = np.arange(m)
+    ends = node[topo2.edges]
+    ct = cotree_edges(ends, m)
+    assert len(ct) == topo2.num_edges - m
+    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
+    assert len(loops) and np.isin(loops, ct).all()
+    tree = np.setdiff1d(np.arange(topo2.num_edges), ct)
+    assert dense_rank(topo2.grad_incidence[tree][:, iv]) == m
+
+
+def test_cotree_edges_needs_every_node_reachable():
+    with pytest.raises(MeshError, match="1 nodes are not connected"):
+        cotree_edges(np.array([[0, 2]]), 2)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import sympy
 
 from mhdfem import assembly, derham, linalg, verify
@@ -381,7 +382,8 @@ def test_complex_check_seed_stability(mesh1):
 
 
 @pytest.mark.parametrize(
-    "mesh_name", ["mesh1", "mesh2", "cube3", "single_tet", "holed_mesh", "cavity_mesh"]
+    "mesh_name",
+    ["mesh1", "mesh2", "cube3", "single_tet", "two_cubes", "holed_mesh", "cavity_mesh"],
 )
 def test_complex_check_ranks_match_the_dense_svd(request, mesh_name):
     mesh = unit_cube_mesh(3) if mesh_name == "cube3" else request.getfixturevalue(mesh_name)
@@ -398,6 +400,84 @@ def test_complex_check_ranks_match_the_dense_svd(request, mesh_name):
         dims = report[key]
         ranks = (dims["rank_grad"], dims["rank_curl"], dims["rank_div"])
         assert ranks == tuple(dense_rank(M) for M in mats)
+
+
+@pytest.mark.parametrize("mesh_name", ["cube3", "single_tet", "two_cubes"])
+def test_complex_check_makes_no_dense_matrix_without_a_hole(request, monkeypatch, mesh_name):
+    mesh = unit_cube_mesh(3) if mesh_name == "cube3" else request.getfixturevalue(mesh_name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense rank was taken")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", refuse)
+    assert complex_check(mesh)["dims_full"]["exact_curl_div"]
+
+
+def _random_integer_matrix(rng, shape, nnz):
+    """Sparse integer matrix with entries in -3..3; duplicates are summed,
+    so some stored entries may be zero."""
+    rows = rng.integers(0, shape[0], nnz) if shape[0] else np.zeros(0, int)
+    cols = rng.integers(0, shape[1], nnz) if shape[1] else np.zeros(0, int)
+    vals = rng.integers(-3, 4, len(rows))
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def test_peeled_rank_matches_the_dense_svd():
+    rng = np.random.default_rng(2022)
+    mats = [sp.csr_matrix(shape, dtype=np.int64) for shape in ((0, 0), (0, 4), (4, 0), (3, 5))]
+    for _ in range(40):
+        shape = tuple(rng.integers(1, 30, 2))
+        mats.append(_random_integer_matrix(rng, shape, rng.integers(1, 2 * sum(shape))))
+        # a product through a narrow middle: sparse and rank deficient
+        k = rng.integers(1, 6)
+        mats.append(
+            _random_integer_matrix(rng, (shape[0], k), shape[0])
+            @ _random_integer_matrix(rng, (k, shape[1]), shape[1])
+        )
+        # a dense block of rank k next to a sparse block: every row and
+        # column of the dense block holds several nonzeros, so it stays
+        # as the core
+        m = k + rng.integers(2, 6)
+        core = rng.integers(1, 4, (m, k)) @ rng.integers(1, 4, (k, m))
+        mats.append(sp.block_diag([core, mats[-2]], format="csr"))
+    for M in mats:
+        assert verify._rank(M) == dense_rank(M), M.shape
+
+
+def _sequence_ranks(G, K, D):
+    dims = verify._sequence_dims(G, K, D, K @ G)
+    return dims["rank_grad"], dims["rank_curl"], dims["rank_div"]
+
+
+def test_sequence_dims_skip_a_reduction_whose_identity_fails(topo2):
+    G, K, D = topo2.grad_incidence, topo2.curl_incidence, topo2.div_incidence
+    D0 = D[:, np.flatnonzero(~topo2.boundary_faces)]
+    ne, nv = G.shape
+
+    # a row of G that does not sum to zero: no grounding, and K G != 0
+    G_row = G.copy()
+    G_row.data[G_row.indptr[0]] *= 2
+    assert len(verify._grounded(G_row)) == nv
+    assert (K @ G_row).count_nonzero()
+    # a face whose curl of a gradient is not zero: no cotree
+    K_sign = K.copy()
+    K_sign.data[0] *= -1
+    assert len(verify._cotree(G[:, verify._grounded(G)], K_sign @ G)) == ne
+    # edge 0 made unsigned, with the faces around it dropped: K G = 0 still,
+    # but no row of G touches the ground, so it reaches no column
+    G_abs = G.copy()
+    G_abs.data[G_abs.indptr[0]:G_abs.indptr[1]] = 1
+    K_off = K[np.flatnonzero(K[:, 0].toarray().ravel() == 0)]
+    assert not (K_off @ G_abs).count_nonzero()
+    assert len(verify._grounded(G_abs)) == nv
+    assert len(verify._cotree(G_abs, K_off @ G_abs)) == ne
+    # a column of D0 that does not sum to zero: no grounding of its cells
+    D_col = D0.copy()
+    D_col.data[0] *= 2
+    assert len(verify._grounded(D_col.T)) == D.shape[0]
+
+    for mats in ((G_row, K, D), (G, K_sign, D), (G_abs, K_off, D), (G, K, D_col)):
+        assert _sequence_ranks(*mats) == tuple(dense_rank(M) for M in mats)
 
 
 def test_complex_check_fails_on_a_hole_and_a_cavity(holed_mesh, cavity_mesh):
