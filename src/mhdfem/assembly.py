@@ -19,10 +19,11 @@ their slots.  Each matrix has the pattern of ``coo_matrix(...).tocsr()``
 restricted to the free dofs and equals it to rounding (the oracle test
 against ``tests/oracles.coo_scatter`` checks both).
 
-Zero-mean constraints are not handled here: each enters the Picard
-step's block map as one more block row and column holding the domain
-integrals of the basis functions (see the step map of MhdDriver, which
-``block_system`` flattens).
+Zero-mean constraints are not handled here: the driver chooses the
+zero-mean fields, and each enters the Picard step's block map as one
+more block row and column holding the domain integrals of the basis
+functions (``domain_integral_vector``); ``linalg.flatten`` lays the
+map out as one matrix.
 
 The quadrature degree of each bilinear form makes its integrand exact
 on affine cells: 4 for the fluid blocks, 5 for convection

@@ -3,7 +3,7 @@
 Five space kinds are provided:
 
 * ``lagrange_p1``            scalar vertex elements (H(grad) slot; also
-                             the zero-mean pressure)
+                             the pressure)
 * ``nedelec1_lowest``        first-kind edge elements (H(curl) slot)
 * ``rt_lowest``              lowest Raviart-Thomas face elements (H(div) slot)
 * ``dg0``                    piecewise constants (L^2 slot)
@@ -32,9 +32,9 @@ divergences follow from the same tables.
 
 ``bc="essential_zero"`` constrains the boundary trace to zero (vertex
 values, edge circulations, face fluxes, or full velocity trace);
-``bc="none"`` leaves all degrees of freedom free.  A zero-mean
-constraint (``mean_constraint=True``) is for ``lagrange_p1`` and ``dg0``
-without essential conditions.
+``bc="none"`` leaves all degrees of freedom free.  Which fields carry a
+zero mean is the driver's choice (``MhdDriver.mean_rows``), not a
+property of a space.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class SpaceError(Exception):
     """Raised for invalid space kind / boundary condition combinations."""
 
 
-SCALAR_KINDS = ("lagrange_p1", "dg0")
 BC_KINDS = ("essential_zero", "none")
 
 # degree-5-exact Gauss rule on [0, 1] for edge circulations
@@ -81,7 +80,6 @@ class FeSpace:
     bc: str
     mesh: Mesh
     topology: MeshTopology
-    mean_constraint: bool
     ndof: int
     dofmap: np.ndarray          # (nc, nloc) local-to-global
     constrained: np.ndarray     # (ndof,) bool, essential dofs
@@ -155,8 +153,6 @@ def make_space(
     bc: str,
     mesh: Mesh,
     topology: MeshTopology | None = None,
-    *,
-    mean_constraint: bool = False,
 ) -> FeSpace:
     """Build a finite element space of the given kind on a mesh."""
     if kind not in _DOFS:
@@ -167,10 +163,6 @@ def make_space(
         topology = build_topology(mesh)
     if kind == "dg0" and bc != "none":
         raise SpaceError(f"{kind} does not admit essential boundary conditions")
-    if mean_constraint and kind not in SCALAR_KINDS:
-        raise SpaceError(f"mean constraint is only meaningful for scalar spaces, not {kind}")
-    if mean_constraint and bc != "none":
-        raise SpaceError("a mean constraint does not combine with essential boundary conditions")
 
     cell_dofs, boundary = _DOFS[kind](mesh, topology)
     ndof = len(boundary)
@@ -180,7 +172,6 @@ def make_space(
         bc=bc,
         mesh=mesh,
         topology=topology,
-        mean_constraint=mean_constraint,
         ndof=ndof,
         dofmap=cell_dofs.copy(),
         constrained=constrained,

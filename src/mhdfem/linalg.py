@@ -7,8 +7,9 @@ matrix is factored: it reports singularity with the pivot index, and
 every solve, with the matrix, with its transpose, or with a nearby
 matrix by GMRES preconditioned with the LU, either meets a hard
 relative-residual bound after iterative refinement, or raises.  Around
-it lives the block flattening of a ``sp.bmat`` grid, in which a
-zero-mean constraint is one more block row and column.
+it lives ``flatten``, which turns a map (test, trial) -> block over a
+list of unknowns into one matrix; a zero-mean constraint is one more
+unknown with its border row and column.
 """
 
 from __future__ import annotations
@@ -170,40 +171,33 @@ class Factorization:
         return x
 
 
-def solve_direct(A: sp.spmatrix, b: np.ndarray) -> np.ndarray:
-    """One-off direct sparse solve under the residual contract."""
-    return Factorization(A).solve(b)
+def flatten(names: tuple, blocks: dict, rhs: dict) -> tuple:
+    """One CSR matrix and right-hand side of a block system over the
+    unknowns ``names``.
 
-
-def flatten(grid, rhs):
-    """One CSR matrix and right-hand side from a grid of blocks.
-
-    ``grid`` follows the ``sp.bmat`` convention: a list of block rows,
-    ``None`` for a zero block.  A zero-mean constraint ``w . x_f = 0``
-    on the unknowns of block column f is one more block row holding w as
-    a 1 x n_f sparse block in column f, with its transpose in block row
-    f and a zero corner.  ``rhs`` holds one vector per block row, ``None``
-    for zero.  Returns (A, b, offsets); ``np.split(x, offsets)`` splits
-    a solution into its blocks.
+    ``blocks`` maps (test, trial) to a sparse block and ``rhs`` maps an
+    unknown to its load vector; absent blocks and loads are zero.  A
+    zero-mean constraint ``w . x_f = 0`` on unknown f is one more unknown
+    m, with w as the 1 x n_f block (m, f), its transpose as (f, m) and no
+    (m, m) block.  Returns (A, b, offsets); ``np.split(x, offsets)``
+    splits a solution into its blocks.
     """
-    if len(rhs) != len(grid):
-        raise LinAlgError(f"{len(rhs)} right-hand sides for {len(grid)} block rows")
+    grid = [[blocks.get((t, f)) for f in names] for t in names]
     sizes = []
-    for i, row in enumerate(grid):
+    for t, row in zip(names, grid):
         shapes = [m.shape[0] for m in row if m is not None]
         if not shapes:
-            raise LinAlgError(f"block row {i} is empty")
+            raise LinAlgError(f"block row {t!r} is empty")
         sizes.append(shapes[0])
     try:
         A = sp.bmat(grid, format="csr")
     except ValueError as exc:
         raise LinAlgError(f"blocks do not fit: {exc}") from exc
-    parts = [
-        np.zeros(n) if vec is None else np.asarray(vec, dtype=float)
-        for n, vec in zip(sizes, rhs)
-    ]
-    for n, part in zip(sizes, parts):
+    parts = []
+    for t, n in zip(names, sizes):
+        vec = rhs.get(t)
+        part = np.zeros(n) if vec is None else np.asarray(vec, dtype=float)
         if part.shape != (n,):
-            raise LinAlgError(f"right-hand side of shape {part.shape} for a block row of {n}")
+            raise LinAlgError(f"right-hand side of shape {part.shape} for block row {t!r} of {n}")
+        parts.append(part)
     return A, np.concatenate(parts), np.cumsum(sizes)[:-1]
-

@@ -3,11 +3,11 @@
 Provides the structured Kuhn subdivision of the unit cube, a reader for
 Gmsh MSH 2.2 ASCII files, entity topology (edges, faces, incidence with
 orientation signs), the Betti numbers of the meshed domain, spanning
-trees of an edge graph and mesh quality metrics.
+trees of the graph of an edge-node incidence and mesh quality metrics.
 
 Conventions used throughout the package:
 
-* every vertex belongs to a cell;
+* every vertex belongs to a cell and has finite coordinates;
 * cell vertex orderings are repaired so every tetrahedron has positive
   volume (ascending vertex indices, last two swapped when needed);
 * local edges of a cell are the vertex pairs
@@ -61,6 +61,11 @@ class Mesh:
         cells = np.ascontiguousarray(cells, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
             raise MeshError("vertices must be an (nv, 3) array")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise MeshError(
+                f"{len(bad)} vertices have non-finite coordinates (first: vertex {bad[0]})"
+            )
         if cells.ndim != 2 or cells.shape[1] != 4:
             raise MeshError("cells must be an (nc, 4) array")
         if cells.size and (cells.min() < 0 or cells.max() >= len(self.vertices)):
@@ -356,12 +361,27 @@ def betti_numbers(mesh: Mesh, topo: MeshTopology) -> tuple[int, int, int]:
     return int(b0), int(b0 + b2 - chi), int(b2)
 
 
-def cotree_edges(ends: np.ndarray, root: int) -> np.ndarray:
-    """Indices of the edges, given as (n, 2) node pairs over the nodes
-    0..root, that are off a breadth-first spanning tree grown from root;
-    loops are always off it.  Raises MeshError when root does not reach
-    every node."""
-    ends = np.sort(ends, axis=1)
+def cotree_edges(G) -> np.ndarray:
+    """Rows of the edge-node incidence G (one row per edge, one column
+    per node) that are off a breadth-first spanning tree grown from a
+    ground node, the root.
+
+    A row with two nonzeros joins their nodes, a row with one joins its
+    node to the ground, and a row with none is a loop, always off the
+    tree.  Raises MeshError for a row with more than two nonzeros, and
+    when the root does not reach every node."""
+    G = sp.csr_matrix(G, copy=True)
+    G.eliminate_zeros()
+    G.sort_indices()
+    ne, root = G.shape
+    count = np.diff(G.indptr)
+    if count.max(initial=0) > 2:
+        raise MeshError(f"row {np.argmax(count)} of the incidence has {count.max()} nonzeros")
+    # nodes of each edge, the ground node root where a row has fewer
+    ends = np.full((ne, 2), root)
+    first = G.indptr[:-1]
+    ends[count > 0, 0] = G.indices[first[count > 0]]
+    ends[count > 1, 1] = G.indices[first[count > 1] + 1]
     link = ends[:, 0] != ends[:, 1]
     graph = sp.csr_matrix(
         (np.ones(link.sum()), (ends[link, 0], ends[link, 1])), shape=(root + 1, root + 1)

@@ -20,7 +20,7 @@ with uniform divergence) and a singular linear system, so the full space
 is the well-posed choice.
 
 A Picard step is one map (test, trial) -> block over the driver's
-fields, border rows of the zero-mean fields included; ``block_system``
+fields, border rows of the zero-mean fields included; ``linalg.flatten``
 flattens such a map over a list of unknowns.  With the div B blocks of
 a formulation, over its unknowns (``formulations``), it is a monolithic
 matrix that defines the step, but a step is solved in potentials.  On
@@ -226,8 +226,8 @@ class MhdDriver:
             "u": make_space("lagrange_p2_vector", "essential_zero", mesh, topo),
             "E": make_space("nedelec1_lowest", ess, mesh, topo),
             "B": make_space("rt_lowest", ess, mesh, topo),
-            "p": make_space("lagrange_p1", "none", mesh, topo, mean_constraint=True),
-            "r": make_space("dg0", "none", mesh, topo, mean_constraint=normal),
+            "p": make_space("lagrange_p1", "none", mesh, topo),
+            "r": make_space("dg0", "none", mesh, topo),
         }
         self.u_space, self.E_space, self.B_space, self.p_space, self.r_space = self.spaces.values()
 
@@ -244,12 +244,12 @@ class MhdDriver:
 
         # fields of every Picard step and state
         self.fields = tuple(self.spaces)
-        # border row of each zero-mean constraint, the basis integrals, and
-        # the blocks of its row and column f + "_mean" in a step map
+        # border row of each zero-mean field (the pressure, and r where it
+        # pairs with the constrained flux), the basis integrals, and the
+        # blocks of its row and column f + "_mean" in a step map
         self.mean_rows = {
-            f: sp.csr_matrix(assembly.domain_integral_vector(space))
-            for f, space in self.spaces.items()
-            if space.mean_constraint
+            f: sp.csr_matrix(assembly.domain_integral_vector(self.spaces[f]))
+            for f in (("p", "r") if normal else ("p",))
         }
         self._borders = {}
         for f, row in self.mean_rows.items():
@@ -265,7 +265,7 @@ class MhdDriver:
         # matrix D_r D_r^T, a dg0 graph Laplacian, bordered like r
         r_names = ("r", "r_mean") if "r" in self.mean_rows else ("r",)
         r_blocks = {("r", "r"): self.D_r @ self.D_r.T, **self._borders}
-        self._r_normal = linalg.Factorization(self.block_system(r_names, r_blocks, {})[0])
+        self._r_normal = linalg.Factorization(linalg.flatten(r_names, r_blocks, {})[0])
         self._build_potentials(topo)
 
         self.load_f = (
@@ -297,24 +297,19 @@ class MhdDriver:
         ``G0`` is the gradient incidence on the free edges and the
         potential's vertices: the interior ones (normal_B), or all but
         vertex 0, where phi is pinned (tangential_B); E = G0 phi.  A
-        spanning tree of the vertex graph, in which the other vertices
+        spanning tree of the graph of G0, in which the other vertices
         are merged into one ground node, gauges the vector potential:
         B = C_ct a, with C the curl incidence on the free faces and edges
         and ``ct`` the free edges off the tree, and ``_cotree`` factors
         K = C_ct^T M_B C_ct.
         """
         E_free, B_free = self.E_space.free, self.B_space.free
-        nv = self.mesh.num_vertices
         if self.params.bc_family == "normal_B":
             phi_vertices = np.flatnonzero(~topo.boundary_vertices)
         else:
-            phi_vertices = np.arange(1, nv)
+            phi_vertices = np.arange(1, self.mesh.num_vertices)
         self.G0 = topo.grad_incidence[E_free][:, phi_vertices].astype(float).tocsr()
-
-        m = len(phi_vertices)
-        node = np.full(nv, m)  # the ground node is m
-        node[phi_vertices] = np.arange(m)
-        ct = cotree_edges(node[topo.edges[E_free]], m)
+        ct = cotree_edges(self.G0)
 
         self.C_ct = topo.curl_incidence[B_free][:, E_free[ct]].astype(float).tocsr()
         self._ct = ct
@@ -322,14 +317,6 @@ class MhdDriver:
 
     # ------------------------------------------------------------------
     # the Picard step: one block map, and the two systems flattened from it
-
-    def block_system(self, names: tuple, blocks: dict, rhs: dict) -> tuple:
-        """Matrix, right-hand side and block offsets (A, b, offsets) of a
-        saddle system over the unknowns ``names``, from a map (test, trial)
-        -> block and a map unknown -> load vector; absent blocks and loads
-        are zero, and ``np.split(x, offsets)`` splits a solution."""
-        grid = [[blocks.get((t, f)) for f in names] for t in names]
-        return linalg.flatten(grid, [rhs.get(t) for t in names])
 
     def zero_state(self) -> MhdState:
         return MhdState(**{f: FieldFunction.zeros(self.spaces[f]) for f in self.fields})
@@ -399,7 +386,7 @@ class MhdDriver:
                 if f == "phi":
                     block = block @ G0
                 reduced[t, f] = block
-        A, b, offsets = self.block_system(
+        A, b, offsets = linalg.flatten(
             tuple(lift), reduced, {"u": rhs["u"], "phi": G0.T @ rhs["E"]}
         )
         # K_u and D_p store the entries whose sums cancel exactly (1,344
@@ -494,7 +481,7 @@ class MhdDriver:
             y = S.solve(b, A=A)
             how = f"GMRES on S: {S.iterations} iterations, {S.sweeps} refinement sweeps"
         except linalg.LinAlgError:
-            y = linalg.solve_direct(A, b)
+            y = linalg.Factorization(A).solve(b)
             how = "factored"
         u, phi, p, p_mean = np.split(y, offsets)
         x = {"u": u, "E": self.G0 @ phi, "p": p, "p_mean": p_mean}

@@ -205,8 +205,8 @@ def builtin_case(
     w_B = sin(pi x) sin(pi y) and w_E = q(x) q(y) q(z) with q(t) = t (1 - t);
     tangential_B takes w_B = w_u and w_E = cos(pi x) cos(pi y) cos(pi z).
     """
-    if lam < 0:
-        raise VerifyError("field scaling lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise VerifyError("field scaling lam must be finite and nonnegative")
     if bc_family not in BC_FAMILIES:
         raise VerifyError(f"unknown bc_family {bc_family!r}")
     w_u = _product(_BUBBLE, _BUBBLE, _BUBBLE)
@@ -511,27 +511,19 @@ def _grounded(M) -> np.ndarray:
 def _cotree(G, KG) -> np.ndarray:
     """Columns of K that keep its rank, given G and KG = K G.
 
-    When KG = 0 exactly and each row of G has at most two nonzeros, each
-    row is an edge of a graph: between its two nonzero columns, or from
-    its one nonzero column to a ground node.  On a spanning tree grown
-    from the ground, the tree rows of G form a triangular matrix with a
-    nonzero diagonal, so K's tree columns lie in the span of its others
-    and only the edges off the tree stay.  Otherwise, or when the ground
-    does not reach every column, every column stays."""
-    G = sp.csr_matrix(G, copy=True)
-    G.eliminate_zeros()
-    ne, m = G.shape
-    count = np.diff(G.indptr)
-    if KG.count_nonzero() or count.max(initial=0) > 2:
-        return np.arange(ne)
-    ends = np.full((ne, 2), m)
-    first = G.indptr[:-1]
-    ends[count > 0, 0] = G.indices[first[count > 0]]
-    ends[count > 1, 1] = G.indices[first[count > 1] + 1]
-    try:
-        return cotree_edges(ends, m)
-    except MeshError:
-        return np.arange(ne)
+    When KG = 0 exactly and G is an edge-node incidence, on a spanning
+    tree of its graph grown from the ground (``cotree_edges``) the tree
+    rows of G form a triangular matrix with a nonzero diagonal, so K's
+    tree columns lie in the span of its others and only the edges off
+    the tree stay.  Otherwise (KG != 0, a row of G with more than two
+    nonzeros, or a ground that does not reach every column) every column
+    stays."""
+    if not KG.count_nonzero():
+        try:
+            return cotree_edges(G)
+        except MeshError:
+            pass
+    return np.arange(G.shape[0])
 
 
 def _sequence_dims(G, K, D, KG) -> dict:

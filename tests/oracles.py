@@ -73,9 +73,7 @@ def divfree_saddle(B_space, func):
     [[M_B, D^T], [D, 0]] with a piecewise-constant multiplier, zero-mean
     (one border row) when the face space constrains the flux."""
     normal = B_space.bc == "essential_zero"
-    r_space = derham.make_space(
-        "dg0", "none", B_space.mesh, B_space.topology, mean_constraint=normal
-    )
+    r_space = derham.make_space("dg0", "none", B_space.mesh, B_space.topology)
     M = assembly.assemble_bilinear("vec_mass", B_space, B_space)
     D = assembly.assemble_bilinear("div_scalar", B_space, r_space)
     grid = [[M, D.T], [D, None]]
@@ -96,17 +94,17 @@ def monolithic_system(driver, formulation, u_prev, B_prev) -> tuple:
     constraint blocks, flattened over its unknowns."""
     unknowns, constraint = driver.formulations[formulation]
     blocks, rhs = driver._step_map(u_prev, driver.cross_blocks(B_prev))
-    A, b, _ = driver.block_system(unknowns, {**blocks, **constraint}, rhs)
+    A, b, _ = linalg.flatten(unknowns, {**blocks, **constraint}, rhs)
     return A, b
 
 
 def monolithic_step(driver, formulation, u_prev, B_prev) -> dict:
     """Field name -> FieldFunction of one Picard step of ``driver`` at the
     frozen (u-, B-), solved on the named formulation's monolithic matrix
-    with ``solve_direct`` instead of in potentials; r only in the
+    by a fresh factorization instead of in potentials; r only in the
     multiplier formulation."""
     A, b = monolithic_system(driver, formulation, u_prev, B_prev)
-    x = linalg.solve_direct(A, b)
+    x = linalg.Factorization(A).solve(b)
     # the fields come first in the unknowns, the border multipliers last
     fields = [f for f in driver.formulations[formulation][0] if f in driver.spaces]
     parts = np.split(x, np.cumsum([driver.spaces[f].num_free for f in fields]))
@@ -219,7 +217,7 @@ def discrete_curl(dcurl, B) -> FieldFunction:
     solve of M_E c = R_EB B with the operator's matrices, by a fresh
     factorization rather than the operator's own."""
     load = dcurl.pairing @ B.coeffs[dcurl.div_space.free]
-    return FieldFunction.from_free(dcurl.curl_space, linalg.solve_direct(dcurl.mass, load))
+    return FieldFunction.from_free(dcurl.curl_space, linalg.Factorization(dcurl.mass).solve(load))
 
 
 def l2_project_edge(dcurl, values, rule) -> FieldFunction:

@@ -2,6 +2,7 @@
 the commuting-diagram property of the canonical interpolants."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import oracles
 from mhdfem import derham
 from mhdfem.assembly import quadrature_rule
 from mhdfem.derham import (
+    FeSpace,
     FieldFunction,
     SpaceError,
     basis_values,
@@ -52,9 +54,8 @@ def test_space_counts_essential_n1(mesh1, topo1, kind, ndof, nfree):
 
 
 def test_space_counts_unconstrained(mesh2, topo2):
-    p = make_space("lagrange_p1", "none", mesh2, topo2, mean_constraint=True)
+    p = make_space("lagrange_p1", "none", mesh2, topo2)
     assert p.ndof == 27 and p.num_free == 27
-    assert p.mean_constraint
     d = make_space("dg0", "none", mesh2, topo2)
     assert d.ndof == 48
     assert d.nloc == 1
@@ -67,10 +68,12 @@ def test_make_space_rejects_bad_arguments(mesh1, topo1):
         make_space("lagrange_p1", "dirichlet", mesh1, topo1)
     with pytest.raises(SpaceError):
         make_space("dg0", "essential_zero", mesh1, topo1)
-    with pytest.raises(SpaceError):
-        make_space("nedelec1_lowest", "none", mesh1, topo1, mean_constraint=True)
-    with pytest.raises(SpaceError, match="mean constraint"):
-        make_space("lagrange_p1", "essential_zero", mesh1, topo1, mean_constraint=True)
+
+
+def test_a_space_has_no_zero_mean_flag():
+    # which fields carry a zero mean is the driver's choice (mean_rows)
+    assert "mean_constraint" not in inspect.signature(make_space).parameters
+    assert "mean_constraint" not in {f.name for f in dataclasses.fields(FeSpace)}
 
 
 def test_field_function_length_check(mesh1, topo1):

@@ -15,7 +15,6 @@ from mhdfem.linalg import (
     LinAlgError,
     SingularMatrixError,
     flatten,
-    solve_direct,
 )
 import oracles
 from oracles import smallest_singular_value
@@ -30,12 +29,12 @@ RNG = np.random.default_rng(23)
 def test_solve_identity():
     A = sp.identity(5, format="csr")
     b = np.arange(5.0)
-    assert solve_direct(A, b) == pytest.approx(b, abs=1e-14)
+    assert Factorization(A).solve(b) == pytest.approx(b, abs=1e-14)
 
 
 def test_solve_indefinite_2x2():
     A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    x = solve_direct(A, np.array([1.0, 2.0]))
+    x = Factorization(A).solve(np.array([1.0, 2.0]))
     assert x == pytest.approx([2.0, 1.0], abs=1e-14)
 
 
@@ -43,27 +42,27 @@ def test_solve_spd_50_matches_dense_oracle():
     M = RNG.standard_normal((50, 50))
     A = sp.csr_matrix(M @ M.T + 50.0 * np.eye(50))
     b = RNG.standard_normal(50)
-    x = solve_direct(A, b)
+    x = Factorization(A).solve(b)
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
     assert x == pytest.approx(np.linalg.solve(A.toarray(), b), rel=1e-10, abs=1e-12)
 
 
 def test_solve_zero_rhs():
     A = sp.identity(4, format="csr")
-    assert np.abs(solve_direct(A, np.zeros(4))).max() == 0.0
+    assert np.abs(Factorization(A).solve(np.zeros(4))).max() == 0.0
 
 
 def test_solve_reports_singularity_with_pivot():
     A = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(SingularMatrixError) as err:
-        solve_direct(A, np.array([1.0, 1.0]))
+        Factorization(A).solve(np.array([1.0, 1.0]))
     assert err.value.pivot == 1
 
 
 def test_solve_shape_mismatch():
     A = sp.identity(3, format="csr")
     with pytest.raises(LinAlgError, match="shape"):
-        solve_direct(A, np.ones(4))
+        Factorization(A).solve(np.ones(4))
 
 
 def test_transposed_solve_matches_dense_oracle():
@@ -160,16 +159,16 @@ def test_gmres_solve_with_a_far_matrix_raises():
 # block flattening
 
 
-def _two_field_grid():
+def _two_field_map():
     Auu = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
     Aee = sp.csr_matrix(np.array([[4.0]]))
     Aue = sp.csr_matrix(np.array([[0.5], [0.0]]))
-    return [[Auu, Aue], [Aue.T, Aee]]
+    return {("u", "u"): Auu, ("u", "e"): Aue, ("e", "u"): Aue.T, ("e", "e"): Aee}
 
 
 def test_flatten_single_block_is_identity_map():
     A0 = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    A, b, offsets = flatten([[A0]], [np.ones(2)])
+    A, b, offsets = flatten(("u",), {("u", "u"): A0}, {"u": np.ones(2)})
     assert A.format == "csr"
     assert A.toarray() == pytest.approx(A0.toarray())
     assert b == pytest.approx([1.0, 1.0])
@@ -177,13 +176,14 @@ def test_flatten_single_block_is_identity_map():
 
 
 def test_flatten_layout_and_round_trip():
-    A, b, offsets = flatten(_two_field_grid(), [np.array([1.0, 0.0]), np.array([2.0])])
+    rhs = {"u": np.array([1.0, 0.0]), "e": np.array([2.0])}
+    A, b, offsets = flatten(("u", "e"), _two_field_map(), rhs)
     assert A.shape == (3, 3)
     assert list(offsets) == [2]
     expected = np.array([[2.0, 1.0, 0.5], [1.0, 3.0, 0.0], [0.5, 0.0, 4.0]])
     assert A.toarray() == pytest.approx(expected)
     assert b == pytest.approx([1.0, 0.0, 2.0])
-    x = solve_direct(A, b)
+    x = Factorization(A).solve(b)
     xu, xe = np.split(x, offsets)
     assert xu.shape == (2,) and xe.shape == (1,)
     assert np.concatenate([xu, xe]) == pytest.approx(x)
@@ -193,7 +193,8 @@ def test_flatten_border_goes_last():
     M = sp.csr_matrix(np.diag([1.0, 2.0, 4.0]))
     w = np.array([0.25, 0.5, 0.25])
     row = sp.csr_matrix(w)
-    A, b, offsets = flatten([[M, row.T], [row, None]], [np.ones(3), None])
+    blocks = {("p", "p"): M, ("p", "p_mean"): row.T, ("p_mean", "p"): row}
+    A, b, offsets = flatten(("p", "p_mean"), blocks, {"p": np.ones(3)})
     assert A.shape == (4, 4)
     assert list(offsets) == [3]
     dense = A.toarray()
@@ -201,7 +202,7 @@ def test_flatten_border_goes_last():
     assert dense[3, :3] == pytest.approx(w)
     assert dense[3, 3] == 0.0
     assert b[3] == 0.0
-    x = solve_direct(A, b)
+    x = Factorization(A).solve(b)
     xp, mult = np.split(x, offsets)
     # the border enforces the weighted zero-mean constraint
     assert abs(xp @ w) <= 1e-12
@@ -211,35 +212,27 @@ def test_flatten_border_goes_last():
 
 
 def test_validate_rejects_bad_blocks():
-    grid = _two_field_grid()
-    rhs = [np.zeros(2), np.zeros(1)]
+    blocks = _two_field_map()
     # a block of the wrong size
-    bad = [[grid[0][0], sp.csr_matrix((2, 2))], grid[1]]
     with pytest.raises(LinAlgError, match="do not fit"):
-        flatten(bad, rhs)
+        flatten(("u", "e"), {**blocks, ("u", "e"): sp.csr_matrix((2, 2))}, {})
     # an empty block row, which bmat would size to zero
     with pytest.raises(LinAlgError, match="empty"):
-        flatten([grid[0], [None, None]], rhs)
+        flatten(("u", "e"), {("u", "u"): blocks["u", "u"], ("u", "e"): blocks["u", "e"]}, {})
 
 
 def test_validate_rejects_bad_border_length():
-    grid = _two_field_grid()
-    rhs = [np.zeros(2), np.zeros(1), None]
     # a border row one entry longer than the field it constrains
     border = sp.csr_matrix(np.ones((1, 3)))
-    bad = [grid[0] + [None], grid[1] + [None], [border, None, None]]
+    blocks = {**_two_field_map(), ("m", "u"): border}
     with pytest.raises(LinAlgError, match="do not fit"):
-        flatten(bad, rhs)
+        flatten(("u", "e", "m"), blocks, {})
 
 
 def test_flatten_rejects_wrong_sizes():
-    grid = _two_field_grid()
-    rhs = [np.zeros(2), np.zeros(1)]
-    # right-hand sides that do not match the block rows
+    # a right-hand side that does not match its block row
     with pytest.raises(LinAlgError, match="right-hand side"):
-        flatten(grid, [np.zeros(3), None])
-    with pytest.raises(LinAlgError, match="right-hand sides"):
-        flatten(grid, rhs[:1])
+        flatten(("u", "e"), _two_field_map(), {"u": np.zeros(3)})
 
 
 # ----------------------------------------------------------------------
@@ -350,10 +343,19 @@ def test_no_solve_densifies_a_matrix():
 
 
 def test_one_saddle_system_path():
-    # the driver's block_system is the one place a block grid is
-    # flattened, and the driver the one place that builds a border row
-    assert _call_sites("flatten") == [("mhd.py", "block_system")]
+    # the driver flattens a block map only for the r normal matrix and
+    # the potential system, and is the one place that builds a border row
+    assert _call_sites("flatten") == [("mhd.py", "__init__"), ("mhd.py", "_potential_system")]
     assert {module for module, _ in _call_sites("domain_integral_vector")} == {"mhd.py"}
+
+
+def test_one_gauge_tree_builder():
+    # a gauge tree's graph is read from an incidence in mesh.cotree_edges
+    # alone: by the driver's gauge and by complex_check's cotree
+    assert _call_sites("cotree_edges") == [
+        ("mhd.py", "_build_potentials"),
+        ("verify.py", "_cotree"),
+    ]
 
 
 def test_no_private_linalg_names_outside_linalg():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mhdfem.mesh import (
     Mesh,
@@ -14,6 +15,8 @@ from mhdfem.mesh import (
     read_gmsh_msh2,
     unit_cube_mesh,
 )
+from mhdfem.mhd import MhdDriver
+from mhdfem.verify import builtin_case
 from oracles import dense_rank, kuhn_cells
 
 # Entity counts of the Kuhn triangulation, frozen from independent counting:
@@ -91,6 +94,16 @@ def test_constructor_rejects_unused_vertices():
     two = np.vstack([[[5.0, 5.0, 5.0], [6.0, 6.0, 6.0]], cube.vertices])
     with pytest.raises(MeshError, match=r"^2 vertices .* no cell \(first unused: vertex 0\)"):
         Mesh(two, cube.cells + 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_constructor_rejects_non_finite_vertices(bad):
+    # named before orientation repair, which would call an inf cell degenerate
+    cube = unit_cube_mesh(1)
+    vertices = cube.vertices.copy()
+    vertices[5, 1] = bad
+    with pytest.raises(MeshError, match=r"^1 vertices .* non-finite .* \(first: vertex 5\)"):
+        Mesh(vertices, cube.cells)
 
 
 def test_grad_lambda_reproduces_barycentric(single_tet):
@@ -263,21 +276,52 @@ def test_betti_numbers_count_components(two_cubes):
     assert betti_numbers(two_cubes, build_topology(two_cubes)) == (2, 0, 0)
 
 
-def test_cotree_edges_leave_an_invertible_tree(mesh2, topo2):
-    # the boundary vertices merge into one ground node m, the root
-    iv = np.flatnonzero(~topo2.boundary_vertices)
-    m = len(iv)
-    node = np.full(mesh2.num_vertices, m)
-    node[iv] = np.arange(m)
-    ends = node[topo2.edges]
-    ct = cotree_edges(ends, m)
-    assert len(ct) == topo2.num_edges - m
-    loops = np.flatnonzero(ends[:, 0] == ends[:, 1])
-    assert len(loops) and np.isin(loops, ct).all()
-    tree = np.setdiff1d(np.arange(topo2.num_edges), ct)
-    assert dense_rank(topo2.grad_incidence[tree][:, iv]) == m
+def _interior_incidence():
+    # the boundary vertices merge into one ground node, the root
+    topo = build_topology(unit_cube_mesh(2))
+    return topo.grad_incidence[:, np.flatnonzero(~topo.boundary_vertices)]
+
+
+def _driver_incidence(bc_family, n):
+    return MhdDriver(unit_cube_mesh(n), builtin_case(bc_family).params()).G0
+
+
+@pytest.mark.parametrize(
+    "incidence",
+    [
+        pytest.param(_interior_incidence, id="interior-2"),
+        *(
+            pytest.param(lambda f=f, n=n: _driver_incidence(f, n), id=f"{f}-G0-{n}")
+            for f in ("normal_B", "tangential_B")
+            for n in (1, 2, 3)
+        ),
+    ],
+)
+def test_cotree_edges_leave_an_invertible_tree(incidence):
+    G = incidence()
+    ne, m = G.shape
+    ct = cotree_edges(G)
+    assert len(ct) == ne - m
+    loops = np.flatnonzero(G.getnnz(axis=1) == 0)
+    assert np.isin(loops, ct).all()
+    tree = np.setdiff1d(np.arange(ne), ct)
+    assert dense_rank(G[tree]) == m
+
+
+def test_cotree_edges_loops_stay_off_the_tree():
+    # edges between two boundary vertices are loops at the ground node
+    G = _interior_incidence()
+    loops = np.flatnonzero(G.getnnz(axis=1) == 0)
+    assert len(loops) and np.isin(loops, cotree_edges(G)).all()
+
+
+def test_cotree_edges_rejects_a_row_that_is_no_edge():
+    G = sp.csr_matrix(np.array([[-1, 1, 0], [1, -1, 1]]))
+    with pytest.raises(MeshError, match="row 1 of the incidence has 3 nonzeros"):
+        cotree_edges(G)
 
 
 def test_cotree_edges_needs_every_node_reachable():
+    # node 0 is joined to the ground, node 1 to nothing
     with pytest.raises(MeshError, match="1 nodes are not connected"):
-        cotree_edges(np.array([[0, 2]]), 2)
+        cotree_edges(sp.csr_matrix(np.array([[1, 0]])))

@@ -339,7 +339,7 @@ def test_steps_gmres_cannot_solve_are_factored(caplog):
 def test_velocity_dual_norm_matches_the_vector_solve(mesh2):
     # the scalar-block solve on each component equals the solve with K_u
     drv = MhdDriver(mesh2, MhdParams(), builtin_case("normal_B").sources())
-    x = linalg.solve_direct(drv.K_u, drv.load_f)
+    x = linalg.Factorization(drv.K_u).solve(drv.load_f)
     assert drv.dual_f == pytest.approx(np.sqrt(drv.load_f @ x), rel=1e-12)
 
 

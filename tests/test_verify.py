@@ -130,8 +130,9 @@ def test_case_scaling_and_validation():
     for fld in (case.u, case.B, case.E, case.f, case.g):
         assert np.abs(fld(pts)).max() == 0.0
     assert np.abs(case.p(pts)).max() == 0.0
-    with pytest.raises(VerifyError, match="nonnegative"):
-        builtin_case("normal_B", -0.5)
+    for lam in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(VerifyError, match="finite and nonnegative"):
+            builtin_case("normal_B", lam)
     with pytest.raises(VerifyError, match="unknown bc_family"):
         builtin_case("slip")
 
