@@ -52,12 +52,17 @@ The potential step matrix differs from its value at u- = 0, B- = 0,
 the Stokes-Poisson operator S (the bordered Stokes block with K_u / Re
 next to s G0^T M_E G0), only by the frozen convection,
 Lorentz and Ohm terms, which the smallness condition of the Picard
-theory keeps small.  So S is factored once per driver, on first use,
-and each step is solved by GMRES preconditioned with that LU (Elman,
-Silvester & Wathen, Finite Elements and Fast Iterative Solvers, 2014);
-a step that GMRES cannot bring under the residual contract within its
-budget is factored on its own.  The Stokes projection of the error
-analysis is the Stokes part of S, so it reuses the same LU.  Increments
+theory keeps small.  So S is eliminated exactly by blocks once per
+driver, on first use, and each step is solved by GMRES preconditioned
+with that elimination (Elman, Silvester & Wathen, Finite Elements and
+Fast Iterative Solvers, 2014, whose block preconditioners approximate
+the same elimination): the velocity block K_u / Re is the scalar P2
+stiffness k on each component, solved on the one LU of k per driver
+that also gives the dual norm of f, and the trailing (phi, p, p_mean)
+block is its dense Schur complement, factored by one dense LU.  A step
+that GMRES cannot bring under the residual contract within its budget
+is factored on its own.  The Stokes projection of the error analysis is
+the Stokes part of S, so it reuses the same elimination.  Increments
 and iterates are measured in the W-norm of the Picard theory (``w_norm``):
 |(u, B)|_W^2 = u.(M_u + K_u)u + B.(M_B + G_dd)B + |curl_h B|_0^2.
 """
@@ -209,7 +214,8 @@ class MhdDriver:
     def __init__(self, mesh: Mesh, params: MhdParams, sources: SourceData | None = None):
         self.mesh = mesh
         self.params = params
-        self._S = None  # the Stokes-Poisson LU, built on first use
+        self._S = None  # the Stokes-Poisson elimination, built on first use
+        self._k = None  # the LU of the scalar velocity stiffness k
         self.sources = sources if sources is not None else SourceData()
         topo = build_topology(mesh)
         betti = betti_numbers(mesh, topo)
@@ -280,16 +286,38 @@ class MhdDriver:
         )
 
         # discrete dual norm sup <f, v> / |grad v| over the velocity space;
-        # the coefficients are component-interleaved (dof 3 node + c) and
-        # K_u is the scalar stiffness k on each component, so f K_u^-1 f
-        # sums f_c k^-1 f_c over the components on one LU of k
+        # K_u is the scalar stiffness k on each interleaved component, so
+        # f K_u^-1 f sums f_c k^-1 f_c over the components on one LU of k
         self.dual_f = 0.0
         if np.any(self.load_f):
-            comp = self.u_space.free % 3
-            k = linalg.Factorization(self.K_u[comp == 0][:, comp == 0])
-            loads = [self.load_f[comp == c] for c in range(3)]
-            work = sum(float(f_c @ k.solve(f_c)) for f_c in loads)
+            k = self._stiffness()
+            work = sum(float(f_c @ k.solve(f_c)) for f_c in self.load_f.reshape(-1, 3).T)
             self.dual_f = float(np.sqrt(max(work, 0.0)))
+
+    def _stiffness(self) -> linalg.Factorization:
+        """LU of the scalar P2 stiffness k, the block of K_u on one
+        velocity component; factored on first use, by ``dual_f`` or with
+        S, then kept.
+
+        The free velocity coefficients must be component-interleaved
+        (dof 3 node + c, with every component of a free node free), and
+        K_u must hold k on each component and nothing between them.  That
+        is checked here, once, and a failed property raises.
+        """
+        if self._k is None:
+            free = self.u_space.free
+            nodes = np.unique(free // 3)
+            if not np.array_equal(free, (3 * nodes[:, None] + np.arange(3)).ravel()):
+                raise MhdError("a free velocity node has a component that is not free")
+            K = self.K_u.tocoo()
+            if np.any((K.row % 3 != K.col % 3) & (K.data != 0)):
+                raise MhdError("K_u has entries between velocity components")
+            comp = free % 3
+            k = self.K_u[comp == 0][:, comp == 0]
+            if any((self.K_u[comp == c][:, comp == c] - k).count_nonzero() for c in (1, 2)):
+                raise MhdError("K_u differs between velocity components")
+            self._k = linalg.Factorization(k)
+        return self._k
 
     def _build_potentials(self, topo) -> None:
         """The constant operators of the potential solve.
@@ -390,8 +418,8 @@ class MhdDriver:
             tuple(lift), reduced, {"u": rhs["u"], "phi": G0.T @ rhs["E"]}
         )
         # K_u and D_p store the entries whose sums cancel exactly (1,344
-        # and 279 at n = 4); kept, they would enter the ordering and the
-        # LU of S and every product with the step matrix
+        # and 279 at n = 4); kept, they would enter the elimination of S
+        # and every product with the step matrix
         A.eliminate_zeros()
         return A, b, offsets
 
@@ -413,7 +441,7 @@ class MhdDriver:
         Solves (grad Pu, grad v) + (q_aux, div v) = (grad u, grad v),
         (div Pu, q) = 0 with zero-mean auxiliary pressure, over the
         driver's velocity and pressure spaces, with the Stokes-Poisson
-        LU of the Picard steps.  ``grad_u_func`` maps (N, 3) points to
+        elimination of the Picard steps.  ``grad_u_func`` maps (N, 3) points to
         (N, 3, 3) tensors G_ij = d_j u_i.  Returns (projected velocity,
         auxiliary pressure).
         """
@@ -444,14 +472,20 @@ class MhdDriver:
     # Picard loop
 
     def _stokes_poisson(self) -> tuple:
-        """LU of the Stokes-Poisson operator S, the potential step matrix
-        at u- = 0, B- = 0, and its block offsets; factored on first use,
-        then kept.  A singular S is a driver error."""
+        """Factorization of the Stokes-Poisson operator S, the potential
+        step matrix at u- = 0, B- = 0, and its block offsets; built on
+        first use, then kept.  S is eliminated by blocks: its u block
+        K_u / Re is k / Re on each component, on the LU of k, and the
+        (phi, p, p_mean) block is its dense Schur complement.  A singular
+        S is a driver error."""
         if self._S is None:
             step = self._step_map(self.zero_state().u, (None, None))
             S, _, offsets = self._potential_system(*step)
             try:
-                self._S = linalg.Factorization(S), offsets
+                k = self._stiffness()
+                self._S = linalg.Factorization.by_blocks(
+                    S, k, copies=3, scale=1.0 / self.params.Re
+                ), offsets
             except linalg.SingularMatrixError as exc:
                 raise MhdError(
                     f"Stokes system singular (velocity/pressure pair unstable): {exc}"
@@ -466,8 +500,8 @@ class MhdDriver:
         (u, phi, p) come from the Galerkin system on the potentials, in
         which B drops out because Ohm's law is tested with gradients
         (G0^T R_EB = G0^T C^T M_B = 0).  It is solved by GMRES
-        preconditioned with the Stokes-Poisson LU, or factored when GMRES
-        misses its budget or the residual contract.  B = C_ct a then
+        preconditioned with the Stokes-Poisson elimination, or factored
+        when GMRES misses its budget or the residual contract.  B = C_ct a then
         follows from the Ohm rows on the cotree, K a = -(ohm residual)_ct
         / alpha; the other Ohm rows hold with them, because both sides
         are orthogonal to the gradients and the tree rows of G0 are

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import mhdfem
 from mhdfem import linalg
@@ -16,6 +17,9 @@ from mhdfem.linalg import (
     SingularMatrixError,
     flatten,
 )
+from mhdfem.mesh import unit_cube_mesh
+from mhdfem.mhd import MhdDriver, MhdError
+from mhdfem.verify import builtin_case
 import oracles
 from oracles import smallest_singular_value
 
@@ -153,6 +157,93 @@ def test_gmres_solve_with_a_far_matrix_raises():
         lu.solve(RNG.standard_normal(n), A=far)
     with pytest.raises(LinAlgError, match="shape"):
         lu.solve(np.ones(n), A=far[:-1, :-1])
+
+
+# ----------------------------------------------------------------------
+# block elimination on the LU of an interleaved leading block
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(n, family) for n in (2, 4) for family in ("normal_B", "tangential_B")],
+    ids=lambda p: f"n{p[0]}-{p[1]}",
+)
+def stokes_poisson(request):
+    n, family = request.param
+    case = builtin_case(family)
+    drv = MhdDriver(unit_cube_mesh(n), case.params(), case.sources())
+    S, _ = drv._stokes_poisson()
+    return drv, S
+
+
+@pytest.mark.parametrize("trans", [False, True], ids=["plain", "transposed"])
+def test_block_elimination_of_S_matches_superlu(stokes_poisson, trans):
+    _, S = stokes_poisson
+    b = RNG.standard_normal(S.A.shape[0])
+    x = S.solve(b, trans=trans)
+    ref = spla.splu(S.A.tocsc()).solve(b, trans="T" if trans else "N")
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_block_elimination_preconditions_the_step_matrix(stokes_poisson):
+    # a Picard step at the first iterate: GMRES on the elimination of S
+    drv, S = stokes_poisson
+    state, _ = drv.picard_solve(maxit=1)
+    A, b, _ = drv._potential_system(*drv._step_map(state.u, drv.cross_blocks(state.B)))
+    x = S.solve(b, A=A)
+    assert np.linalg.norm(b - A @ x) <= linalg.RESIDUAL_TOL * np.linalg.norm(b)
+    assert 0 < S.iterations <= linalg.GMRES_MAXIT
+
+
+def _interleaved(k, copies, tail_blocks):
+    """[[k kron I, A12], [A21, A22]] with the given tail blocks."""
+    A12, A21, A22 = tail_blocks
+    return sp.bmat([[sp.kron(k, sp.identity(copies)), A12], [A21, A22]], format="csr")
+
+
+def test_block_elimination_matches_dense_oracle():
+    k = sp.csr_matrix(RNG.standard_normal((6, 6)) + 8.0 * np.eye(6))
+    tail = (
+        sp.random(18, 4, density=0.4, random_state=7),
+        sp.random(4, 18, density=0.4, random_state=8),
+        sp.csr_matrix(RNG.standard_normal((4, 4)) + 4.0 * np.eye(4)),
+    )
+    A = _interleaved(k, 3, tail)
+    lu = Factorization.by_blocks(2.0 * A, Factorization(k), 3, 2.0)
+    b = RNG.standard_normal(22)
+    for trans, M in ((False, 2.0 * A), (True, 2.0 * A.T)):
+        x = lu.solve(b, trans=trans)
+        assert x == pytest.approx(np.linalg.solve(M.toarray(), b), rel=1e-10, abs=1e-12)
+
+
+def test_singular_schur_complement_reports_its_pivot():
+    # the last trailing unknown is decoupled with a zero diagonal
+    k = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))
+    A12 = sp.csr_matrix(np.hstack([np.ones((9, 2)), np.zeros((9, 1))]))
+    A22 = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
+    A = _interleaved(k, 3, (A12, A12.T, A22))
+    with pytest.raises(SingularMatrixError) as err:
+        Factorization.by_blocks(A, Factorization(k), 3, 1.0)
+    assert err.value.pivot == 9 + 2
+
+
+def test_block_elimination_needs_a_trailing_block():
+    k = sp.identity(2, format="csr")
+    with pytest.raises(LinAlgError, match="no trailing block"):
+        Factorization.by_blocks(sp.identity(6, format="csr"), Factorization(k), 3, 1.0)
+
+
+@pytest.mark.parametrize("family", ["normal_B", "tangential_B"])
+@pytest.mark.parametrize("mesh_name", ["single_tet", "mesh1"])
+def test_unstable_pair_is_a_driver_error_with_its_pivot(request, mesh_name, family):
+    # k is empty on one tetrahedron and 3 x 3 on one cube; the pressure
+    # Schur complement is singular on both
+    drv = MhdDriver(request.getfixturevalue(mesh_name), builtin_case(family).params())
+    with pytest.raises(MhdError, match=r"velocity/pressure pair unstable") as err:
+        drv.picard_solve(maxit=1)
+    cause = err.value.__cause__
+    assert isinstance(cause, SingularMatrixError)
+    assert cause.pivot >= drv.u_space.num_free
 
 
 # ----------------------------------------------------------------------
@@ -322,6 +413,9 @@ def _call_sites(callee: str) -> list:
 
 
 def test_only_linalg_factors_matrices():
+    # sparse and dense LU alike
+    for callee in ("splu", "lu_factor", "lu", "getrf"):
+        assert {module for module, _ in _call_sites(callee)} <= {"linalg.py"}
     assert {module for module, _ in _call_sites("splu")} == {"linalg.py"}
 
 
@@ -336,9 +430,12 @@ def test_block_grids_are_built_in_one_place():
 
 
 def test_no_solve_densifies_a_matrix():
-    # only the pivot search of a failed factorization goes dense
+    # only the pivot search of a failed factorization goes dense, and the
+    # Schur complement of a block elimination, which is dense by design
     assert [site for site in _call_sites("toarray") if site[0] == "linalg.py"] == [
-        ("linalg.py", "_locate_pivot")
+        ("linalg.py", "_locate_pivot"),
+        ("linalg.py", "_schur_complement"),
+        ("linalg.py", "_schur_complement"),
     ]
 
 

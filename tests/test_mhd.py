@@ -2,6 +2,7 @@
 
 import logging
 import re
+import types
 
 import numpy as np
 import pytest
@@ -285,10 +286,14 @@ def test_potential_step_matches_the_monolithic_solve(bc_family, formulation):
 
 
 def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
-    # one LU, of the Stokes-Poisson operator S on the potentials, serves
-    # every Picard step and every Stokes projection of the driver
+    # the Stokes-Poisson operator S on the potentials is eliminated by
+    # blocks on the LU of the velocity stiffness k, built with the driver
+    # (for dual_f): every Picard step and every Stokes projection runs on
+    # it, and SuperLU factors no step matrix and no S
     case = builtin_case("normal_B")
     drv = MhdDriver(mesh2, case.params(), case.sources())
+    k = drv._k
+    assert k is not None
     rows = []
     splu = linalg.spla.splu
     monkeypatch.setattr(linalg.spla, "splu", lambda A: rows.append(A.shape[0]) or splu(A))
@@ -296,8 +301,9 @@ def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
     drv.stokes_project(case.grad_u)
     drv.stokes_project(case.grad_u, quad_degree=8)
     assert report.converged and report.iterations >= 3
+    assert rows == []
     S, _ = drv._stokes_poisson()
-    assert rows == [S.A.shape[0]]
+    assert S._lu._k is k._lu and drv._stiffness() is k
 
 
 def test_picard_flattens_only_the_potential_system(mesh2, monkeypatch):
@@ -341,6 +347,32 @@ def test_velocity_dual_norm_matches_the_vector_solve(mesh2):
     drv = MhdDriver(mesh2, MhdParams(), builtin_case("normal_B").sources())
     x = linalg.Factorization(drv.K_u).solve(drv.load_f)
     assert drv.dual_f == pytest.approx(np.sqrt(drv.load_f @ x), rel=1e-12)
+
+
+def _component_blocks_broken(drv, how):
+    """The driver before k is factored, with one property of the
+    velocity stiffness broken."""
+    drv._k = None
+    free = drv.u_space.free
+    if how == "free":
+        drv.u_space = types.SimpleNamespace(free=free[1:])
+        return "a free velocity node has a component that is not free"
+    K = drv.K_u.tolil()
+    if how == "cross":
+        K[0, 1] = 1.0
+        drv.K_u = K.tocsr()
+        return "K_u has entries between velocity components"
+    K[2, 2] *= 2.0
+    drv.K_u = K.tocsr()
+    return "K_u differs between velocity components"
+
+
+@pytest.mark.parametrize("how", ["free", "cross", "differs"])
+def test_stiffness_structure_is_checked_where_k_is_factored(mesh2, how):
+    drv = MhdDriver(mesh2, MhdParams())
+    message = _component_blocks_broken(drv, how)
+    with pytest.raises(MhdError, match=message):
+        drv._stiffness()
 
 
 def test_each_step_logs_its_solve(mesh2, caplog):
