@@ -26,12 +26,19 @@ functions (``domain_integral_vector``); ``linalg.flatten`` lays the
 map out as one matrix.
 
 The quadrature degree of each bilinear form makes its integrand exact
-on affine cells: 4 for the fluid blocks, 5 for convection
-(P2 x grad P2 x P2), 3 for curl/divergence pairings, and 6 for the
-magnetic cross blocks.  These use (phi e_i x B) . F = phi (B x F)_i and
-(phi_a e_i x B) . (phi_b e_j x B) = phi_a phi_b (|B|^2 delta_ij - B_i B_j),
-so each is one contraction of the scalar P2 table with a per-point
-tensor of B; B in RT is linear, so |B|^2 phi_a phi_b has degree 6.
+on affine cells: 4 for the fluid blocks, 3 for curl/divergence
+pairings, and for the three forms of a frozen coefficient 5 for
+convection (P2 x P2 x grad P2), 4 for the Ohm cross block
+(P2 x RT x Nedelec) and 6 for the Lorentz block (P2 x RT x RT x P2).
+Those three are not summed point by point.  Their integrands are
+polynomials whose per-cell factors are linear (B in RT, the Nedelec
+basis, grad phi_b) or quadratic (w in P2), so each local matrix is a
+reference moment table, built once by the form's rule
+(``reference_moments``), contracted with a small tensor of cell values:
+the barycentric coefficients X_k of B (its values at the reference
+vertices), the edge basis and grad phi_b there, and w at the ten P2
+nodes.  They use (phi e_i x B) . F = phi (B x F)_i and
+(phi_a e_i x B) . (phi_b e_j x B) = phi_a phi_b (|B|^2 delta_ij - B_i B_j).
 Load vectors against analytic sources default to degree 6.
 """
 
@@ -74,7 +81,12 @@ _rule_cache: dict = {}
 def quadrature_rule(degree: int) -> QuadratureRule:
     """Positive-weight tetrahedral rule exact for polynomials of the
     given total degree (conical product construction)."""
-    if not isinstance(degree, (int, np.integer)) or not 1 <= degree <= MAX_QUAD_DEGREE:
+    # a bool is an int, but no degree
+    if (
+        isinstance(degree, bool)
+        or not isinstance(degree, (int, np.integer))
+        or not 1 <= degree <= MAX_QUAD_DEGREE
+    ):
         raise FormError(f"unsupported quadrature degree {degree!r}")
     degree = int(degree)
     if degree in _rule_cache:
@@ -98,6 +110,31 @@ def quadrature_rule(degree: int) -> QuadratureRule:
     return rule
 
 
+# form_id -> its reference moments from (weights, scalar P2 values,
+# barycentric coordinates) at the points of a rule: the integrals over
+# the reference cell of phi_a phi_b lambda_k lambda_l (Lorentz),
+# phi_a lambda_k lambda_l (Ohm) and phi_a phi_m lambda_k (convection)
+_MOMENTS = {
+    "lorentz_cross": lambda w, s, lam: np.einsum("q,qa,qb,qk,ql->abkl", w, s, s, lam, lam),
+    "ohm_cross": lambda w, s, lam: np.einsum("q,qa,qk,ql->akl", w, s, lam, lam),
+    "convection_skew": lambda w, s, lam: np.einsum("q,qa,qm,qk->amk", w, s, s, lam),
+}
+_moment_cache: dict = {}
+
+
+def reference_moments(form_id: str, rule: QuadratureRule) -> np.ndarray:
+    """The reference moment table of a coefficient form by a rule,
+    exact when the rule's degree covers the form's integrand."""
+    key = (form_id, rule.degree)
+    if key not in _moment_cache:
+        s = derham.p2_scalar_values(rule.points)
+        lam = derham.reference_barycentric(rule.points)
+        table = _MOMENTS[form_id](rule.weights, s, lam)
+        table.setflags(write=False)  # shared by every call
+        _moment_cache[key] = table
+    return _moment_cache[key]
+
+
 # form_id -> (trial kinds, test kinds, quadrature degree)
 _VEC = ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
 FORM_TABLE = {
@@ -108,12 +145,15 @@ FORM_TABLE = {
     "div_scalar": (("rt_lowest",), ("dg0",), 3),
     "div_pressure": (("lagrange_p2_vector",), ("lagrange_p1",), 4),
     "convection_skew": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 5),
-    "ohm_cross": (("lagrange_p2_vector",), ("nedelec1_lowest",), 6),
+    "ohm_cross": (("lagrange_p2_vector",), ("nedelec1_lowest",), 4),
     "lorentz_cross": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 6),
     "divdiv": (("rt_lowest",), ("rt_lowest",), 3),
     "curl_curl": (("nedelec1_lowest",), ("nedelec1_lowest",), 1),
 }
-_NEEDS_COEFF = ("convection_skew", "ohm_cross", "lorentz_cross")
+# form_id -> the kinds of frozen field it takes: the moments are exact
+# for a quadratic w and a linear B
+_LINEAR = ("nedelec1_lowest", "rt_lowest")
+_COEFFICIENT_KINDS = {"convection_skew": _VEC, "ohm_cross": _LINEAR, "lorentz_cross": _LINEAR}
 # forms that act on the velocity space as one scalar P2 block on each
 # component: their local matrices are that (nc, 10, 10) block, and the
 # couplings between components are zero and not stored
@@ -134,8 +174,13 @@ def _check_form(form_id, trial, test, coefficient):
         )
     if trial.mesh is not test.mesh:
         raise FormError("trial and test spaces live on different meshes")
-    if form_id in _NEEDS_COEFF and coefficient is None:
-        raise FormError(f"form {form_id!r} needs a frozen coefficient field")
+    if form_id in _COEFFICIENT_KINDS:
+        if coefficient is None:
+            raise FormError(f"form {form_id!r} needs a frozen coefficient field")
+        if coefficient.space.kind not in _COEFFICIENT_KINDS[form_id]:
+            raise FormError(
+                f"form {form_id!r} does not accept a coefficient in {coefficient.space.kind!r}"
+            )
     return degree
 
 
@@ -239,37 +284,44 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         nc = mesh.num_cells
         return k.reshape(nc, k.shape[1], 30)
     if form_id == "convection_skew":
-        s = derham.p2_scalar_values(pts)
-        g = derham.p2_scalar_gradients(mesh, pts)
-        wvals = derham.evaluate_on_cells(coefficient, pts)  # (nc, nq, 3)
-        wg = np.einsum("cqd,cqbd->cqb", wvals, g)  # (w . grad) phi_b
-        a = np.einsum("q,qa,cqb->cab", w, s, wg)
-        return 0.5 * (a - np.transpose(a, (0, 2, 1)))
+        # w = sum_m phi_m W_m and grad phi_b = sum_k lambda_k G_bk, so
+        # (w . grad phi_b, phi_a) = sum_mk R[a, m, k] (W_m . G_bk)
+        W = derham.evaluate_on_cells(coefficient, derham.P2_NODES)  # [c, m, d]
+        G = derham.p2_scalar_gradients(mesh, derham.REFERENCE_VERTICES)  # [c, k, b, d]
+        nc = mesh.num_cells
+        Q = G.transpose(0, 2, 1, 3).reshape(nc, 40, 3) @ W.transpose(0, 2, 1)  # [c, bk, m]
+        R = reference_moments(form_id, rule).transpose(0, 2, 1)  # [a, k, m]
+        a = (Q.reshape(-1, 40) @ R.reshape(10, 40).T).reshape(nc, 10, 10)  # [c, b, a]
+        return 0.5 * (np.transpose(a, (0, 2, 1)) - a)
     if form_id == "divdiv":
         divs = derham.rt_divergences(mesh)
         return np.einsum("ca,cb->cab", divs, divs) / 6.0
     if form_id == "curl_curl":
         curls = derham.nedelec_curls(mesh)
         return np.einsum("cad,cbd->cab", curls, curls) / 6.0
+    # B = sum_k lambda_k X_k and N_e = sum_l lambda_l T_el on each cell
     if form_id == "ohm_cross":
-        # (phi_a e_i x B) . N_e = phi_a (B x N_e)_i
-        s = derham.p2_scalar_values(pts)
-        b = derham.evaluate_on_cells(coefficient, pts)[:, :, None, :]  # (nc, nq, 1, 3)
-        n = derham.basis_values(test, pts)  # (nc, nq, 6, 3)
-        bxn = np.empty_like(n)
-        bxn[..., 0] = b[..., 1] * n[..., 2] - b[..., 2] * n[..., 1]
-        bxn[..., 1] = b[..., 2] * n[..., 0] - b[..., 0] * n[..., 2]
-        bxn[..., 2] = b[..., 0] * n[..., 1] - b[..., 1] * n[..., 0]
-        k = np.einsum("q,qa,cqei->ceai", w, s, bxn, optimize=True)
-        return k.reshape(mesh.num_cells, 6, 30)  # rows edge-test, cols u-trial
+        # (phi_a e_i x B) . N_e = phi_a (B x N_e)_i = sum_kl phi_a lambda_k lambda_l (X_k x T_el)_i
+        X = derham.evaluate_on_cells(coefficient, derham.REFERENCE_VERTICES)
+        T = derham.basis_values(test, derham.REFERENCE_VERTICES).transpose(0, 2, 1, 3)
+        X, T = X[:, None, :, None, :], T[:, :, None, :, :]  # [c, e, k, l, d]
+        P = np.empty((mesh.num_cells, 6, 3, 4, 4))  # [c, e, i, k, l]
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            P[:, :, i] = X[..., j] * T[..., k] - X[..., k] * T[..., j]
+        m = reference_moments(form_id, rule)
+        ohm = (P.reshape(-1, 16) @ m.reshape(10, 16).T).reshape(-1, 6, 3, 10)
+        return ohm.transpose(0, 1, 3, 2).reshape(-1, 6, 30)  # rows edge-test, cols u-trial
     if form_id == "lorentz_cross":
         # (phi_a e_i x B) . (phi_b e_j x B) = phi_a phi_b (|B|^2 delta_ij - B_i B_j)
-        s = derham.p2_scalar_values(pts)
-        bvals = derham.evaluate_on_cells(coefficient, pts)
-        c = np.einsum("cqk,cqk->cq", bvals, bvals)[..., None, None] * np.eye(3)
-        c -= bvals[..., :, None] * bvals[..., None, :]  # (nc, nq, 3, 3)
-        k = np.einsum("q,qa,qb,cqij->caibj", w, s, s, c, optimize=True)
-        return k.reshape(mesh.num_cells, 30, 30)
+        #   = sum_kl phi_a phi_b lambda_k lambda_l ((X_k . X_l) delta_ij - X_ki X_lj)
+        X = derham.evaluate_on_cells(coefficient, derham.REFERENCE_VERTICES)
+        Xt = X.transpose(0, 2, 1)  # [c, i, k]
+        C = -Xt[:, :, None, :, None] * Xt[:, None, :, None, :]  # [c, i, j, k, l]
+        C[:, range(3), range(3)] += (X @ Xt)[:, None]
+        M = reference_moments(form_id, rule)
+        lor = (C.reshape(-1, 16) @ M.reshape(100, 16).T).reshape(-1, 3, 3, 10, 10)
+        return lor.transpose(0, 3, 1, 4, 2).reshape(-1, 30, 30)
     raise FormError(f"unknown form {form_id!r}")
 
 

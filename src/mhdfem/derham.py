@@ -252,6 +252,15 @@ def p2_gradient_table(mesh: Mesh) -> np.ndarray:
     return mesh._cache["p2_gradient_table"]
 
 
+# the vertices of the reference cell, where the barycentric coordinates
+# are the identity, and the nodes of the scalar P2 basis: the vertices,
+# then the midpoints of LOCAL_EDGES
+REFERENCE_VERTICES = np.vstack([np.zeros(3), np.eye(3)])
+P2_NODES = np.vstack(
+    [REFERENCE_VERTICES] + [REFERENCE_VERTICES[[a, b]].mean(axis=0) for a, b in LOCAL_EDGES]
+)
+
+
 def reference_barycentric(points: np.ndarray) -> np.ndarray:
     """Barycentric coordinates (nq, 4) of reference-tet points (nq, 3)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -26,6 +26,14 @@ def topo2(mesh2):
     return build_topology(mesh2)
 
 
+@pytest.fixture(scope="session")
+def jittered_mesh():
+    """unit_cube_mesh(2) with every vertex moved, so no two cells are alike."""
+    mesh = unit_cube_mesh(2)
+    jitter = np.random.default_rng(5).uniform(-0.08, 0.08, mesh.vertices.shape)
+    return Mesh(mesh.vertices + jitter, mesh.cells)
+
+
 def cube_minus(n, subcubes):
     """``unit_cube_mesh(n)`` without the six cells of each listed subcube
     (i, j, k); every vertex stays in use."""

@@ -61,6 +61,29 @@ def cross_forms(u_space, E_space, B, rule):
     return _dense(O, u_space, E_space), _dense(L, u_space, u_space)
 
 
+def convection_skew(u_space, w, rule):
+    """Brute-force ``convection_skew`` as a dense matrix over free dofs:
+    tabulate w and (w . grad) phi_b at every point from the velocity
+    coefficients and the term-by-term P2 bases below, form
+    ((w . grad)(phi_b e_j), phi_a e_i) for every pair of velocity basis
+    functions, and take its skew part
+    1/2 [(w . grad phi_b, phi_a) - (w . grad phi_a, phi_b)]."""
+    mesh = u_space.mesh
+    nc, nq = mesh.num_cells, len(rule.points)
+    wdet = rule.weights[None, :] * np.abs(mesh.det_jacobians)[:, None]
+    s = p2_scalar_values(rule.points)  # (nq, 10)
+    wvals = np.einsum("qm,cmd->cqd", s, w.coeffs[w.space.dofmap].reshape(nc, 10, 3))
+    adv = np.einsum("cqd,cqbd->cqb", wvals, p2_scalar_gradients(mesh, rule.points))
+    basis = np.zeros((nc, nq, 10, 3, 3))  # local dof 3a + i
+    advected = np.zeros((nc, nq, 10, 3, 3))
+    for i in range(3):
+        basis[:, :, :, i, i] = s
+        advected[:, :, :, i, i] = adv
+    basis, advected = (x.reshape(nc, nq, 30, 3) for x in (basis, advected))
+    A = np.einsum("cq,cqad,cqbd->cab", wdet, basis, advected)
+    return _dense(0.5 * (A - A.transpose(0, 2, 1)), u_space, u_space)
+
+
 def _dense(local, trial, test):
     A = np.zeros((test.ndof, trial.ndof))
     np.add.at(A, (test.dofmap[:, :, None], trial.dofmap[:, None, :]), local)

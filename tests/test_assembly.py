@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from mhdfem import assembly
+from mhdfem import assembly, derham
 from mhdfem.assembly import (
     FORM_TABLE,
     MAX_QUAD_DEGREE,
@@ -30,6 +30,7 @@ from mhdfem.mesh import build_topology, unit_cube_mesh
 from mhdfem.mhd import MhdDriver
 from mhdfem.verify import builtin_case
 from oracles import (
+    convection_skew,
     coo_scatter,
     cross_forms,
     interleaved_scatter,
@@ -95,7 +96,7 @@ def test_rule_monomial_exactness(degree):
                 assert quad == pytest.approx(exact, rel=1e-12), (a, b, c)
 
 
-@pytest.mark.parametrize("degree", [0, MAX_QUAD_DEGREE + 1, 2.5, "4"])
+@pytest.mark.parametrize("degree", [0, MAX_QUAD_DEGREE + 1, 2.5, "4", True])
 def test_rule_rejects_bad_degree(degree):
     with pytest.raises(FormError):
         quadrature_rule(degree)
@@ -448,27 +449,94 @@ def test_ohm_cross_is_the_load_of_u_cross_B(mesh2, topo2):
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("ess", ["essential_zero", "none"])
-def test_cross_forms_match_the_tabulated_cross_at_a_varying_field(mesh2, topo2, ess):
+def assert_close(got, want):
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+# the meshes the brute-force oracles run on, with each boundary condition:
+# the Kuhn cube has six cell shapes, the jittered one no two alike, and
+# on one cell no dof is free under essential conditions
+ORACLE_CASES = [
+    (mesh_name, ess)
+    for mesh_name in ("mesh2", "jittered_mesh", "single_tet")
+    for ess in ("essential_zero", "none")
+    if (mesh_name, ess) != ("single_tet", "essential_zero")
+]
+
+
+@pytest.mark.parametrize("mesh_name, ess", ORACLE_CASES)
+def test_cross_forms_match_the_tabulated_cross_at_a_varying_field(request, mesh_name, ess):
     # a random RT field varies from point to point, so a per-point
     # indexing slip in the contraction shows here but not at constant B
-    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    ned = make_space("nedelec1_lowest", ess, mesh2, topo2)
-    rt = make_space("rt_lowest", ess, mesh2, topo2)
+    mesh = request.getfixturevalue(mesh_name)
+    u = make_space("lagrange_p2_vector", ess, mesh)
+    ned = make_space("nedelec1_lowest", ess, mesh, u.topology)
+    rt = make_space("rt_lowest", ess, mesh, u.topology)
     rng = np.random.default_rng(5)
     B = FieldFunction.from_free(rt, rng.standard_normal(rt.num_free))
     O = assemble_bilinear("ohm_cross", u, ned, coefficient=B).toarray()
     Luu = assemble_bilinear("lorentz_cross", u, u, coefficient=B).toarray()
     rule = quadrature_rule(6)
     O_ref, Luu_ref = cross_forms(u, ned, B, rule)
-    assert np.abs(O - O_ref).max() <= 1e-13 * np.abs(O_ref).max()
-    assert np.abs(Luu - Luu_ref).max() <= 1e-13 * np.abs(Luu_ref).max()
+    assert_close(O, O_ref)
+    assert_close(Luu, Luu_ref)
 
     uh = FieldFunction.from_free(u, rng.standard_normal(u.num_free))
     x = uh.coeffs[u.free]
     uxb = np.cross(evaluate_on_cells(uh, rule.points), evaluate_on_cells(B, rule.points))
-    expected = np.sum(quadrature_weights(mesh2, rule) * np.sum(uxb**2, axis=-1))
+    expected = np.sum(quadrature_weights(mesh, rule) * np.sum(uxb**2, axis=-1))
     assert abs(x @ Luu @ x - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize("mesh_name, ess", ORACLE_CASES)
+def test_convection_matches_the_tabulated_form_at_a_varying_field(request, mesh_name, ess):
+    mesh = request.getfixturevalue(mesh_name)
+    u = make_space("lagrange_p2_vector", ess, mesh)
+    w = FieldFunction.from_free(u, np.random.default_rng(6).standard_normal(u.num_free))
+    C = assemble_bilinear("convection_skew", u, u, coefficient=w).toarray()
+    assert_close(C, convection_skew(u, w, quadrature_rule(6)))
+
+
+@pytest.mark.parametrize("form_id", assembly._MOMENTS)
+def test_the_moment_tables_are_exact(form_id):
+    # a rule too low for the integrand is off by several percent; the rules'
+    # own nodes and weights leave up to 16 ulp of the largest entry
+    # between two exact ones
+    got = assembly.reference_moments(form_id, quadrature_rule(FORM_TABLE[form_id][2]))
+    want = assembly.reference_moments(form_id, quadrature_rule(MAX_QUAD_DEGREE))
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_the_reference_nodes_are_those_of_the_bases():
+    # a linear field at the vertices gives its barycentric coefficients,
+    # and a P2 field at the P2 nodes its nodal values
+    assert np.array_equal(derham.reference_barycentric(derham.REFERENCE_VERTICES), np.eye(4))
+    assert np.array_equal(derham.p2_scalar_values(derham.P2_NODES), np.eye(10))
+
+
+def test_coefficient_forms_evaluate_their_field_at_a_few_reference_nodes(mesh2, monkeypatch):
+    # the frozen field enters through its values at the reference vertices
+    # or P2 nodes; a kernel that evaluated it at the quadrature points
+    # would read 27 or more
+    u = make_space("lagrange_p2_vector", "none", mesh2)
+    ned = make_space("nedelec1_lowest", "none", mesh2, u.topology)
+    rt = make_space("rt_lowest", "none", mesh2, u.topology)
+    B = FieldFunction(rt, RNG.standard_normal(rt.ndof))
+    w = FieldFunction(u, RNG.standard_normal(u.ndof))
+    evaluate = derham.evaluate_on_cells
+    points = []
+
+    def counting_evaluate(f, pts):
+        points.append(len(pts))
+        return evaluate(f, pts)
+
+    monkeypatch.setattr(derham, "evaluate_on_cells", counting_evaluate)
+    for form_id, test, coefficient in [
+        ("ohm_cross", ned, B), ("lorentz_cross", u, B), ("convection_skew", u, w)
+    ]:
+        points.clear()
+        assemble_bilinear(form_id, u, test, coefficient=coefficient)
+        assert points and max(points) <= 10, form_id
 
 
 def test_lorentz_cross_takes_only_velocity_trials(mesh1, topo1):
@@ -598,3 +666,9 @@ def test_form_errors(mesh1, mesh2, topo1, topo2):
         assemble_bilinear("vec_mass", rt1, ned1)
     with pytest.raises(FormError, match="coefficient"):
         assemble_bilinear("convection_skew", u1, u1)
+    # the moments hold B linear: a quadratic field is refused
+    with pytest.raises(FormError, match="coefficient in 'lagrange_p2_vector'"):
+        assemble_bilinear("lorentz_cross", u1, u1, coefficient=FieldFunction.zeros(u1))
+    dg1 = make_space("dg0", "none", mesh1, topo1)
+    with pytest.raises(FormError, match="coefficient in 'dg0'"):
+        assemble_bilinear("convection_skew", u1, u1, coefficient=FieldFunction.zeros(dg1))

@@ -23,7 +23,6 @@ from mhdfem.derham import (
     make_space,
     physical_points,
 )
-from mhdfem.mesh import Mesh, unit_cube_mesh
 from oracles import vertex_volume_weights
 
 RNG = np.random.default_rng(7)
@@ -229,14 +228,6 @@ def test_interior_trace_continuity(mesh2, topo2, kind):
 
 # ----------------------------------------------------------------------
 # barycentric coefficient tables against the term-by-term tabulation
-
-
-@pytest.fixture(scope="module")
-def jittered_mesh():
-    """unit_cube_mesh(2) with every vertex moved, so no two cells are alike."""
-    mesh = unit_cube_mesh(2)
-    jitter = np.random.default_rng(5).uniform(-0.08, 0.08, mesh.vertices.shape)
-    return Mesh(mesh.vertices + jitter, mesh.cells)
 
 
 def _close(got, want):
