@@ -36,8 +36,8 @@ basis, grad phi_b) or quadratic (w in P2), so each local matrix is a
 reference moment table, built once by the form's rule
 (``reference_moments``), contracted with a small tensor of cell values:
 the barycentric coefficients X_k of B (its values at the reference
-vertices), the edge basis and grad phi_b there, and w at the ten P2
-nodes.  They use (phi e_i x B) . F = phi (B x F)_i and
+vertices), those of the edge basis and of grad phi_b, and w at the ten
+P2 nodes.  They use (phi e_i x B) . F = phi (B x F)_i and
 (phi_a e_i x B) . (phi_b e_j x B) = phi_a phi_b (|B|^2 delta_ij - B_i B_j).
 Load vectors against analytic sources default to degree 6.
 """
@@ -110,29 +110,23 @@ def quadrature_rule(degree: int) -> QuadratureRule:
     return rule
 
 
-# form_id -> its reference moments from (weights, scalar P2 values,
-# barycentric coordinates) at the points of a rule: the integrals over
-# the reference cell of phi_a phi_b lambda_k lambda_l (Lorentz),
-# phi_a lambda_k lambda_l (Ohm) and phi_a phi_m lambda_k (convection)
-_MOMENTS = {
-    "lorentz_cross": lambda w, s, lam: np.einsum("q,qa,qb,qk,ql->abkl", w, s, s, lam, lam),
-    "ohm_cross": lambda w, s, lam: np.einsum("q,qa,qk,ql->akl", w, s, lam, lam),
-    "convection_skew": lambda w, s, lam: np.einsum("q,qa,qm,qk->amk", w, s, s, lam),
-}
 _moment_cache: dict = {}
 
 
-def reference_moments(form_id: str, rule: QuadratureRule) -> np.ndarray:
-    """The reference moment table of a coefficient form by a rule,
-    exact when the rule's degree covers the form's integrand."""
-    key = (form_id, rule.degree)
-    if key not in _moment_cache:
+def reference_moments(rule: QuadratureRule) -> np.ndarray:
+    """M[a, b, k, l], the integral over the reference cell of
+    phi_a phi_b lambda_k lambda_l by a rule: exact at degree 6.  Its sums
+    are the tables of the other coefficient forms, exact when the rule
+    covers their integrands: sum_b phi_b = 1 gives the Ohm moments
+    int phi_a lambda_k lambda_l (degree 4), and sum_l lambda_l = 1 the
+    convection moments int phi_a phi_m lambda_k (degree 5)."""
+    if rule.degree not in _moment_cache:
         s = derham.p2_scalar_values(rule.points)
         lam = derham.reference_barycentric(rule.points)
-        table = _MOMENTS[form_id](rule.weights, s, lam)
+        table = np.einsum("q,qa,qb,qk,ql->abkl", rule.weights, s, s, lam, lam)
         table.setflags(write=False)  # shared by every call
-        _moment_cache[key] = table
-    return _moment_cache[key]
+        _moment_cache[rule.degree] = table
+    return _moment_cache[rule.degree]
 
 
 # form_id -> (trial kinds, test kinds, quadrature degree)
@@ -287,10 +281,10 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         # w = sum_m phi_m W_m and grad phi_b = sum_k lambda_k G_bk, so
         # (w . grad phi_b, phi_a) = sum_mk R[a, m, k] (W_m . G_bk)
         W = derham.evaluate_on_cells(coefficient, derham.P2_NODES)  # [c, m, d]
-        G = derham.p2_scalar_gradients(mesh, derham.REFERENCE_VERTICES)  # [c, k, b, d]
+        G = derham.p2_gradient_table(mesh)  # [c, b, k, d]
         nc = mesh.num_cells
-        Q = G.transpose(0, 2, 1, 3).reshape(nc, 40, 3) @ W.transpose(0, 2, 1)  # [c, bk, m]
-        R = reference_moments(form_id, rule).transpose(0, 2, 1)  # [a, k, m]
+        Q = G.reshape(nc, 40, 3) @ W.transpose(0, 2, 1)  # [c, bk, m]
+        R = reference_moments(rule).sum(axis=3).transpose(0, 2, 1)  # [a, k, m]
         a = (Q.reshape(-1, 40) @ R.reshape(10, 40).T).reshape(nc, 10, 10)  # [c, b, a]
         return 0.5 * (np.transpose(a, (0, 2, 1)) - a)
     if form_id == "divdiv":
@@ -303,13 +297,13 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
     if form_id == "ohm_cross":
         # (phi_a e_i x B) . N_e = phi_a (B x N_e)_i = sum_kl phi_a lambda_k lambda_l (X_k x T_el)_i
         X = derham.evaluate_on_cells(coefficient, derham.REFERENCE_VERTICES)
-        T = derham.basis_values(test, derham.REFERENCE_VERTICES).transpose(0, 2, 1, 3)
+        T = derham.edge_table(mesh)  # [c, e, l, d]; FORM_TABLE fixes the test kind
         X, T = X[:, None, :, None, :], T[:, :, None, :, :]  # [c, e, k, l, d]
         P = np.empty((mesh.num_cells, 6, 3, 4, 4))  # [c, e, i, k, l]
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             P[:, :, i] = X[..., j] * T[..., k] - X[..., k] * T[..., j]
-        m = reference_moments(form_id, rule)
+        m = reference_moments(rule).sum(axis=1)  # [a, k, l]
         ohm = (P.reshape(-1, 16) @ m.reshape(10, 16).T).reshape(-1, 6, 3, 10)
         return ohm.transpose(0, 1, 3, 2).reshape(-1, 6, 30)  # rows edge-test, cols u-trial
     if form_id == "lorentz_cross":
@@ -319,7 +313,7 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         Xt = X.transpose(0, 2, 1)  # [c, i, k]
         C = -Xt[:, :, None, :, None] * Xt[:, None, :, None, :]  # [c, i, j, k, l]
         C[:, range(3), range(3)] += (X @ Xt)[:, None]
-        M = reference_moments(form_id, rule)
+        M = reference_moments(rule)
         lor = (C.reshape(-1, 16) @ M.reshape(100, 16).T).reshape(-1, 3, 3, 10, 10)
         return lor.transpose(0, 3, 1, 4, 2).reshape(-1, 30, 30)
     raise FormError(f"unknown form {form_id!r}")
