@@ -345,15 +345,26 @@ def _contract_at_points(local: np.ndarray, table: np.ndarray, points) -> np.ndar
 def evaluate_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
     """Field values at reference points on every cell: (nc, nq) for
     scalar kinds, (nc, nq, 3) for vector kinds."""
-    space = f.space
-    local = f.coeffs[space.dofmap]  # (nc, nloc)
+    return evaluate_coefficients(f.space, f.coeffs, points)
+
+
+def evaluate_coefficients(
+    space: FeSpace, coeffs: np.ndarray, points: np.ndarray, cells=slice(None)
+) -> np.ndarray:
+    """Values at reference points, on the cells ``cells`` (a slice), of
+    the fields whose coefficients are the columns of ``coeffs``, (ndof,)
+    or (ndof, m): (nc, nq, ...) for scalar kinds, (nc, nq, ..., 3) for
+    vector kinds."""
+    local = coeffs[space.dofmap[cells]]  # (nc, nloc, ...)
     if space.kind in _TABLES:
-        return _contract_at_points(local, _TABLES[space.kind](space.mesh), points)
+        return _contract_at_points(local, _TABLES[space.kind](space.mesh)[cells], points)
     if space.kind == "lagrange_p2_vector":
-        # component-interleaved coefficients
-        comps = local.reshape(space.mesh.num_cells, 10, 3)
-        return p2_scalar_values(points) @ comps
-    return np.einsum("qa,ca->cq", basis_values(space, points), local)
+        # component-interleaved coefficients, (c, 3 a + i, ...) -> (c, a, ..., i)
+        nc, extra = len(local), coeffs.shape[1:]
+        comps = np.moveaxis(local.reshape((nc, 10, 3) + extra), 2, -1)
+        vals = p2_scalar_values(points) @ comps.reshape(nc, 10, -1)
+        return vals.reshape((nc, -1) + extra + (3,))
+    return np.einsum("qa,ca...->cq...", basis_values(space, points), local)
 
 
 def evaluate_grad_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:

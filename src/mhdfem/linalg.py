@@ -70,6 +70,16 @@ def _vanishing(pivots: np.ndarray) -> np.ndarray:
     return d <= 1e-14 * max(d.max(initial=0.0), 1.0)
 
 
+def _backward_error(absA, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The componentwise backward error max_i |r_i| / (|A| |x| + |b|)_i
+    of each column of x, with r = b - A x."""
+    scale = absA @ np.abs(x)
+    scale += np.abs(b)
+    # a row with zero scale |A| |x| + |b| has r_i = 0 exactly
+    scale[~(scale > 0)] = 1.0
+    return np.max(np.divide(np.abs(r), scale, out=scale), axis=0, initial=0.0)
+
+
 def _square(A: sp.spmatrix) -> sp.csr_matrix:
     """A as CSR, which must be square."""
     A = A.tocsr()
@@ -140,10 +150,14 @@ class Factorization:
         self, b: np.ndarray, *, trans: bool = False, A: sp.spmatrix | None = None
     ) -> np.ndarray:
         """x with A x = b, or A^T x = b when ``trans`` is set; with ``A``
-        given, x with that matrix by preconditioned GMRES."""
+        given, x with that matrix by preconditioned GMRES.
+
+        Without ``A``, b may be an (n, m) block of right-hand sides: each
+        column is refined, and checked against the contract, on its own,
+        and a zero column gives a zero column."""
         b = np.asarray(b, dtype=float)
-        if self.A.shape[0] != len(b):
-            raise LinAlgError(f"shape mismatch: A is {self.A.shape}, b has {len(b)}")
+        if b.ndim not in (1, 2) or self.A.shape[0] != len(b):
+            raise LinAlgError(f"shape mismatch: A is {self.A.shape}, b is {b.shape}")
         if A is None:
             A = self.A.T if trans else self.A
             mode = "T" if trans else "N"
@@ -154,38 +168,45 @@ class Factorization:
         else:
             if trans or A.shape != self.A.shape:
                 raise LinAlgError(f"GMRES needs A of shape {self.A.shape}, not transposed")
+            if b.ndim != 1:
+                raise LinAlgError(f"GMRES takes one right-hand side, not a block of {b.shape}")
             A = A.tocsr()
 
             def inner(r):
-                return self._gmres(A, r)
+                return self._gmres(A, r[:, 0])[:, None]
 
         self.iterations = self.sweeps = 0
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
+        B = b.reshape(len(b), -1)
+        bnorm = np.linalg.norm(B, axis=0)
+        if not bnorm.any():
             return np.zeros_like(b)
-        x = inner(b)
-        absA, absb = abs(A), np.abs(b)
+        x = inner(B)
+        absA = abs(A)
         # refine on the componentwise backward error: a normwise stop
         # leaves blocks far smaller than the rest (E and B when g = 0)
-        # inaccurate, and identity checks downstream read those digits
+        # inaccurate, and identity checks downstream read those digits.
+        # Each column stops on its own; a zero column stops at once.
         tol = BACKWARD_ULPS * np.finfo(float).eps
-        last = np.inf
+        last = np.full(B.shape[1], np.inf)
+        todo = np.ones(B.shape[1], dtype=bool)
         for _ in range(3):
-            r = b - A @ x
-            # a row with zero scale |A| |x| + |b| has r_i = 0 exactly
-            scale = absA @ np.abs(x) + absb
-            omega = np.max(np.abs(r) / np.where(scale > 0, scale, 1.0), initial=0.0)
-            if omega <= tol or omega >= 0.5 * last:
+            r = B - A @ x
+            omega = _backward_error(absA, B, x, r)
+            todo &= ~((omega <= tol) | (omega >= 0.5 * last))
+            if not todo.any():
                 break
-            last = omega
-            x = x + inner(r)
+            last[todo] = omega[todo]
+            x[:, todo] += inner(r[:, todo])
             self.sweeps += 1
-        resid = np.linalg.norm(b - A @ x) / bnorm
-        if not resid <= RESIDUAL_TOL:
+        resid = np.linalg.norm(B - A @ x, axis=0) / np.where(bnorm > 0, bnorm, 1.0)
+        missed = np.flatnonzero(~(resid <= RESIDUAL_TOL))
+        if len(missed):
+            j = missed[0]
+            where = f" in column {j}" if b.ndim == 2 else ""
             raise LinAlgError(
-                f"sparse solve residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e}"
+                f"sparse solve residual {resid[j]:.3e}{where} exceeds {RESIDUAL_TOL:.1e}"
             )
-        return x
+        return x.reshape(b.shape)
 
     def _gmres(self, A: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
         """One GMRES cycle on A x = b, left-preconditioned with the LU."""
@@ -259,18 +280,19 @@ class _BlockElimination:
         return X.reshape(B.shape) / self._scale
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        b = np.ravel(b)
+        """x of the shape of b, (n,) or a block (n, m)."""
+        B = b.reshape(len(b), -1)
         n = self._n
         if trans == "N":
             upper, lower = self._A12, self._A21
         else:
             upper, lower = self._A21.T, self._A12.T
-        y = self._lead_solve(b[:n, None], trans)[:, 0]
+        y = self._lead_solve(B[:n], trans)
         x2 = la.lu_solve(
-            self._schur, b[n:] - lower @ y, trans=int(trans != "N"), check_finite=False
+            self._schur, B[n:] - lower @ y, trans=int(trans != "N"), check_finite=False
         )
-        x1 = y - self._lead_solve((upper @ x2)[:, None], trans)[:, 0]
-        return np.concatenate([x1, x2])
+        x1 = y - self._lead_solve(upper @ x2, trans)
+        return np.concatenate([x1, x2]).reshape(b.shape)
 
 
 def flatten(names: tuple, blocks: dict, rhs: dict) -> tuple:

@@ -9,7 +9,7 @@ import sympy
 
 from mhdfem import assembly, derham, linalg, operators
 from mhdfem.derham import FieldFunction
-from mhdfem.mesh import LOCAL_EDGES, LOCAL_FACES
+from mhdfem.mesh import LOCAL_EDGES, LOCAL_FACES, build_topology, unit_cube_mesh
 
 # inverse power iteration of smallest_singular_value
 POWER_MAXIT = 500
@@ -181,6 +181,45 @@ def w_norm_parts(driver, u, B) -> dict:
     parts["B"] = np.hypot(parts["B_div"], parts["curl_h"])
     parts["total"] = np.hypot(parts["u"], parts["B"])
     return parts
+
+
+def lp_norm_on_all_cells(f, p, quad_degree) -> float:
+    """L^p norm of one field by quadrature, |f| evaluated on every cell
+    at once and raised to the power p: what ``operators.lp_norms`` walks
+    in cell blocks over many fields."""
+    rule = assembly.quadrature_rule(quad_degree)
+    vals = derham.evaluate_on_cells(f, rule.points)
+    wdet = assembly.quadrature_weights(f.space.mesh, rule)
+    mag = np.sqrt(np.einsum("cqd,cqd->cq", vals, vals)) if vals.ndim == 3 else np.abs(vals)
+    return float(np.einsum("cq,cq->", wdet, mag**p) ** (1.0 / p))
+
+
+def l3_ratios(levels, samples, bc_family, seed) -> list:
+    """The L^3 study one sample at a time, per level the ratios
+    |d_h|_{0,3} / |curl_h d_h| of ``samples`` fields d_h = curl F_h: each
+    F_h drawn on its own from one stream, its L^3 norm by
+    ``lp_norm_on_all_cells`` and |curl_h d_h|_0 = (c . R d)^(1/2) from
+    one solve M_E c = R d with a 1-D right-hand side."""
+    rng = np.random.default_rng(seed)
+    ess = "essential_zero" if bc_family == "normal_B" else "none"
+    out = []
+    for n in levels:
+        mesh = unit_cube_mesh(n)
+        topo = build_topology(mesh)
+        ned = derham.make_space("nedelec1_lowest", ess, mesh, topo)
+        rt = derham.make_space("rt_lowest", ess, mesh, topo)
+        dcurl = operators.DiscreteCurl(ned, rt)
+        lu = linalg.Factorization(dcurl.mass)
+        ratios = np.empty(samples)
+        for k in range(samples):
+            F = np.zeros(ned.ndof)
+            F[ned.free] = rng.standard_normal(ned.num_free)
+            F /= np.linalg.norm(F[ned.free])
+            d = FieldFunction(rt, (topo.curl_incidence @ F).astype(float))
+            load = dcurl.pairing @ d.coeffs[rt.free]
+            ratios[k] = lp_norm_on_all_cells(d, 3, 6) / np.sqrt(lu.solve(load) @ load)
+        out.append(ratios)
+    return out
 
 
 def dense_rank(M) -> int:

@@ -342,6 +342,27 @@ def test_assembly_is_the_coo_scatter_to_rounding(
     assert_summed_to_rounding(A, want, abs_sum, addends)
 
 
+@pytest.mark.parametrize(
+    "form_id, kind",
+    [
+        ("lorentz_cross", "lagrange_p2_vector"),  # blocks computed per call
+        ("vec_mass", "lagrange_p2_vector"),  # one block broadcast read-only
+    ],
+)
+def test_the_det_scaling_is_the_product_bit_for_bit(plan_meshes, form_id, kind):
+    # |det J| scales each cell's block exactly once, as local * scale
+    mesh, topo = plan_meshes["cube4"]
+    trial, test = _spaces(mesh, topo, kind, kind, "essential_zero")
+    coefficient = _coefficient(form_id, mesh, topo)
+    local = scaled_local_matrices(form_id, trial, test, coefficient)
+    want = assembly._scatter(local, trial, test, per_component=_per_component(form_id, kind))
+    # twice: the first call scales nothing that the second one reads
+    for _ in range(2):
+        A = assemble_bilinear(form_id, trial, test, coefficient=coefficient)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(A, name), getattr(want, name)), name
+
+
 @pytest.mark.parametrize("block", [1, 7, 1 << 30])
 def test_the_scatter_plan_does_not_depend_on_the_block_size(plan_meshes, monkeypatch, block):
     # a row cut across two blocks would store one (row, col) twice

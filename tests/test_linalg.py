@@ -216,6 +216,77 @@ def test_block_elimination_matches_dense_oracle():
         assert x == pytest.approx(np.linalg.solve(M.toarray(), b), rel=1e-10, abs=1e-12)
 
 
+def _factorization(path):
+    """A sparse LU of a random matrix, or the block elimination of one
+    whose leading block is a scalar block on three components."""
+    if path == "superlu":
+        return Factorization(sp.csr_matrix(RNG.standard_normal((30, 30)) + 8.0 * np.eye(30)))
+    k = sp.csr_matrix(RNG.standard_normal((6, 6)) + 8.0 * np.eye(6))
+    tail = (
+        sp.random(18, 4, density=0.4, random_state=7),
+        sp.random(4, 18, density=0.4, random_state=8),
+        sp.csr_matrix(RNG.standard_normal((4, 4)) + 4.0 * np.eye(4)),
+    )
+    return Factorization.by_blocks(2.0 * _interleaved(k, 3, tail), Factorization(k), 3, 2.0)
+
+
+PATHS = ["superlu", "by_blocks"]
+
+
+@pytest.mark.parametrize("trans", [False, True], ids=["plain", "transposed"])
+@pytest.mark.parametrize("path", PATHS)
+def test_a_block_of_right_hand_sides_is_solved_column_by_column(path, trans):
+    lu = _factorization(path)
+    A = lu.A.T if trans else lu.A
+    b = RNG.standard_normal((A.shape[0], 4))
+    b[:, 1] *= 1e-9
+    b[:, 2] = 0.0
+    x = lu.solve(b, trans=trans)
+    assert x.shape == b.shape
+    assert np.all(x[:, 2] == 0.0)
+    for j in (0, 1, 3):
+        bnorm = np.linalg.norm(b[:, j])
+        assert np.linalg.norm(b[:, j] - A @ x[:, j]) <= linalg.RESIDUAL_TOL * bnorm
+        one = lu.solve(b[:, j], trans=trans)
+        assert np.linalg.norm(x[:, j] - one) <= 1e-12 * np.linalg.norm(one)
+    assert np.all(lu.solve(np.zeros((A.shape[0], 3)), trans=trans) == 0.0)
+
+
+class _DropsLargeColumns:
+    """An LU whose solves return zero in every column of b larger than
+    1e6, so that only those columns miss the contract."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b, trans="N"):
+        x = self._lu.solve(b, trans=trans)
+        x[:, np.abs(b).max(axis=0) > 1e6] = 0.0
+        return x
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_a_column_that_misses_the_contract_raises(path):
+    lu = _factorization(path)
+    lu._lu = _DropsLargeColumns(lu._lu)
+    b = RNG.standard_normal((lu.A.shape[0], 4))
+    assert lu.solve(b).shape == b.shape
+    b[:, 2] *= 1e8
+    for trans in (False, True):
+        with pytest.raises(LinAlgError, match=r"residual 1\.000e\+00 in column 2 exceeds"):
+            lu.solve(b, trans=trans)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_gmres_takes_one_right_hand_side(path):
+    lu = _factorization(path)
+    near = lu.A + sp.identity(lu.A.shape[0], format="csr") * 0.01
+    with pytest.raises(LinAlgError, match="one right-hand side"):
+        lu.solve(RNG.standard_normal((lu.A.shape[0], 2)), A=near)
+    with pytest.raises(LinAlgError, match="shape"):
+        lu.solve(np.ones((lu.A.shape[0], 2, 1)))
+
+
 def test_singular_schur_complement_reports_its_pivot():
     # the last trailing unknown is decoupled with a zero diagonal
     k = sp.csr_matrix(np.diag([2.0, 3.0, 4.0]))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mhdfem import derham, linalg
+from mhdfem import derham, linalg, operators
 from mhdfem.assembly import quadrature_rule, quadrature_weights
 from mhdfem.derham import (
     FieldFunction,
@@ -23,6 +23,7 @@ from oracles import (
     divfree_saddle,
     h1_seminorm,
     l2_project_edge,
+    lp_norm_on_all_cells,
     w_norm_parts,
 )
 
@@ -322,6 +323,56 @@ def test_lp_norm_oracles(mesh2, topo2):
     assert lp_norm(FieldFunction.zeros(ned), 2) == 0.0
     with pytest.raises(OperatorError):
         lp_norm(const, 4)
+
+
+KINDS = ("lagrange_p1", "dg0", "nedelec1_lowest", "rt_lowest", "lagrange_p2_vector")
+
+
+@pytest.mark.parametrize("block_values", [1, 1000, operators.LP_BLOCK_VALUES])
+@pytest.mark.parametrize("kind", KINDS)
+def test_lp_norms_of_a_block_match_each_field_on_all_cells(
+    mesh2, topo2, monkeypatch, kind, block_values
+):
+    # from one cell per block, through blocks that cut the last one
+    # short, to all of mesh2's 48 cells in one block
+    monkeypatch.setattr(operators, "LP_BLOCK_VALUES", block_values)
+    space = make_space(kind, "none", mesh2, topo2)
+    coeffs = RNG.standard_normal((space.ndof, 5))
+    coeffs[:, 3] = 0.0
+    for p, degree in ((2, 4), (3, 6)):
+        got = operators.lp_norms(space, coeffs, p, quad_degree=degree)
+        want = [
+            lp_norm_on_all_cells(FieldFunction(space, c), p, degree) for c in coeffs.T
+        ]
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert got[3] == 0.0
+        one = lp_norm(FieldFunction(space, coeffs[:, 0]), p, quad_degree=degree)
+        assert one == pytest.approx(got[0], rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("bc", ["essential_zero", "none"])
+def test_curl_norms_of_a_block_match_each_field(mesh2, topo2, bc):
+    ned = make_space("nedelec1_lowest", bc, mesh2, topo2)
+    rt = make_space("rt_lowest", bc, mesh2, topo2)
+    dcurl = DiscreteCurl(ned, rt)
+    coeffs = RNG.standard_normal((rt.ndof, 4))
+    coeffs[:, 1] = 0.0
+    got = dcurl.norms(coeffs)
+    want = [lp_norm(discrete_curl(dcurl, FieldFunction(rt, c)), 2, quad_degree=4) for c in coeffs.T]
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    assert got[1] == 0.0
+    assert dcurl.norm(FieldFunction(rt, coeffs[:, 0])) == pytest.approx(got[0], rel=1e-12)
+
+
+def test_block_kernels_reject_a_block_of_another_space(mesh2, topo2):
+    ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
+    rt = make_space("rt_lowest", "none", mesh2, topo2)
+    dcurl = DiscreteCurl(ned, rt)
+    for coeffs in (np.ones((ned.ndof, 2)), np.ones(rt.ndof)):
+        with pytest.raises(OperatorError, match="coefficients of shape"):
+            dcurl.norms(coeffs)
+        with pytest.raises(OperatorError, match="coefficients of shape"):
+            operators.lp_norms(rt, coeffs, 3)
 
 
 @pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"])

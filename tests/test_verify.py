@@ -1,5 +1,6 @@
 """Manufactured cases, error norms, and the verification studies."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,6 +24,7 @@ from mhdfem.verify import (
     picard_contract,
     quadrature_self_check,
 )
+import oracles
 from oracles import dense_rank, sympy_case
 
 RNG = np.random.default_rng(7)
@@ -513,7 +515,14 @@ def test_l3_ratios_bounded_under_refinement(bc_family):
     assert res["max_ratios"][1] <= 1.10 * res["max_ratios"][0]
 
 
-def test_l3_study_validation():
+def test_l3_study_validation(monkeypatch):
+    def no_mesh(n):
+        raise AssertionError("a mesh was built before the arguments were checked")
+
+    monkeypatch.setattr(verify, "unit_cube_mesh", no_mesh)
+    for samples in (True, 2.5, "3", None):
+        with pytest.raises(VerifyError, match="samples must be an integer"):
+            l3_study([1, 2], samples=samples)
     with pytest.raises(VerifyError, match="at least one sample"):
         l3_study([1, 2], samples=0)
     with pytest.raises(VerifyError, match="unknown bc_family"):
@@ -524,6 +533,29 @@ def test_l3_study_validation():
     for levels in ([4, 2], [0, 1]):
         with pytest.raises(VerifyError, match="strictly increasing and positive"):
             l3_study(levels)
+
+
+@pytest.mark.parametrize("seed", [3, 1234])
+@pytest.mark.parametrize("bc_family", FAMILIES)
+def test_l3_study_matches_the_per_sample_oracle(bc_family, seed):
+    # one block of fields per level against one field at a time
+    levels = [1, 2, 4]
+    got = l3_study(levels, samples=12, bc_family=bc_family, seed=seed)["max_ratios"]
+    want = [r.max() for r in oracles.l3_ratios(levels, 12, bc_family, seed)]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_l3_study_peak_memory():
+    # the cells are walked in blocks and the curl is one block solve: at
+    # n = 8 a few (ndof, samples) arrays are held at once, and no table
+    # over every cell, point and sample
+    tracemalloc.start()
+    try:
+        l3_study([2, 4, 8], samples=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40e6
 
 
 def test_l3_study_is_deterministic():
