@@ -5,8 +5,11 @@ requested degree the weights are strictly positive and polynomial
 exactness is guaranteed by construction (the degree-1 rule degenerates
 to the centroid rule with weight 1/6).
 
-Every basis comes from ``derham.basis_values``; only the velocity forms
-that act on each component alike ask which kind a space is.
+Every basis comes from ``derham``: the forms take it from
+``derham.basis_values``, and the loads integrate against it through
+``derham.integrate_against_basis`` and ``integrate_against_gradients``.
+Only the velocity forms that act on each component alike ask which kind
+a space is.
 
 Bilinear forms are assembled cellwise with numpy tensor contractions and
 scattered into sparse matrices over the free (unconstrained) degrees of
@@ -39,7 +42,13 @@ the barycentric coefficients X_k of B (its values at the reference
 vertices), those of the edge basis and of grad phi_b, and w at the ten
 P2 nodes.  They use (phi e_i x B) . F = phi (B x F)_i and
 (phi_a e_i x B) . (phi_b e_j x B) = phi_a phi_b (|B|^2 delta_ij - B_i B_j).
-Load vectors against analytic sources default to degree 6.
+Load vectors against analytic sources default to degree 6.  The source
+is evaluated at the rule's points of every cell, which is the one place
+quadrature meets an analytic function, and checked against the value
+shape of the space.  Its weighted values are then summed against the
+basis without tabulating it: the edge, face and P2-gradient bases by one
+matmul with the barycentric coordinates over the points and one with
+the cell's coefficient table, the adjoint of field evaluation.
 """
 
 from __future__ import annotations
@@ -142,7 +151,6 @@ FORM_TABLE = {
     "ohm_cross": (("lagrange_p2_vector",), ("nedelec1_lowest",), 4),
     "lorentz_cross": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 6),
     "divdiv": (("rt_lowest",), ("rt_lowest",), 3),
-    "curl_curl": (("nedelec1_lowest",), ("nedelec1_lowest",), 1),
 }
 # form_id -> the kinds of frozen field it takes: the moments are exact
 # for a quadratic w and a linear B
@@ -209,18 +217,8 @@ def assemble_linear(
     vectors, matching the space kind.
     """
     rule = quadrature_rule(quad_degree)
-    mesh = space.mesh
-    xq = derham.physical_points(mesh, rule.points)
-    nc, nq = xq.shape[:2]
-    fvals = np.asarray(func(xq.reshape(-1, 3)), dtype=float).reshape(nc, nq, -1)
-    fw = fvals * quadrature_weights(mesh, rule)[:, :, None]  # (nc, nq, 1 or 3)
-    basis = derham.basis_values(space, rule.points)
-    if basis.ndim == 2:  # scalar, the same on every cell
-        cellvec = fw[:, :, 0] @ basis
-    elif basis.ndim == 3:  # vector, the same on every cell: (nq, nloc, 3)
-        cellvec = fw.reshape(nc, -1) @ basis.transpose(0, 2, 1).reshape(-1, basis.shape[1])
-    else:  # vector, per cell: (nc, nq, nloc, 3)
-        cellvec = np.einsum("cqd,cqad->ca", fw, basis)
+    fw = _weighted_source(space.mesh, rule, func, space.value_shape)
+    cellvec = derham.integrate_against_basis(space, fw, rule.points)
     vec = np.bincount(space.dofmap.ravel(), weights=cellvec.ravel(), minlength=space.ndof)
     return vec[space.free]
 
@@ -228,16 +226,24 @@ def assemble_linear(
 def _grad_load(space: FeSpace, grad_func, quad_degree: int) -> np.ndarray:
     """Load vector int G : grad v for the velocity space."""
     rule = quadrature_rule(quad_degree)
-    mesh = space.mesh
-    xq = derham.physical_points(mesh, rule.points)
-    G = np.asarray(grad_func(xq.reshape(-1, 3)), dtype=float).reshape(
-        xq.shape[0], xq.shape[1], 3, 3
-    )
-    sg = derham.p2_scalar_gradients(mesh, rule.points)
-    wdet = quadrature_weights(mesh, rule)
-    comp = np.einsum("cq,cqij,cqaj->cai", wdet, G, sg)
-    vec = np.bincount(space.dofmap.ravel(), weights=comp.ravel(), minlength=space.ndof)
+    Gw = _weighted_source(space.mesh, rule, grad_func, (3, 3))
+    cellvec = derham.integrate_against_gradients(space, Gw, rule.points)
+    vec = np.bincount(space.dofmap.ravel(), weights=cellvec.ravel(), minlength=space.ndof)
     return vec[space.free]
+
+
+def _weighted_source(mesh, rule: QuadratureRule, func, value_shape: tuple) -> np.ndarray:
+    """An analytic source at the rule's points in every cell, times the
+    weights w_q |det J_c|, (nc, nq) + value_shape; a source whose values
+    have another shape is refused."""
+    xq = derham.physical_points(mesh, rule.points)
+    nc, nq = xq.shape[:2]
+    vals = np.asarray(func(xq.reshape(-1, 3)), dtype=float)
+    expected = (nc * nq,) + value_shape
+    if vals.shape != expected:
+        raise FormError(f"source values have shape {vals.shape}, expected {expected}")
+    weights = quadrature_weights(mesh, rule).reshape((nc, nq) + (1,) * len(value_shape))
+    return vals.reshape((nc, nq) + value_shape) * weights
 
 
 def domain_integral_vector(space: FeSpace) -> np.ndarray:
@@ -290,9 +296,6 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
     if form_id == "divdiv":
         divs = derham.rt_divergences(mesh)
         return np.einsum("ca,cb->cab", divs, divs) / 6.0
-    if form_id == "curl_curl":
-        curls = derham.nedelec_curls(mesh)
-        return np.einsum("cad,cbd->cab", curls, curls) / 6.0
     # B = sum_k lambda_k X_k and N_e = sum_l lambda_l T_el on each cell
     if form_id == "ohm_cross":
         # (phi_a e_i x B) . N_e = phi_a (B x N_e)_i = sum_kl phi_a lambda_k lambda_l (X_k x T_el)_i

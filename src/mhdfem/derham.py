@@ -10,9 +10,10 @@ Five space kinds are provided:
 * ``lagrange_p2_vector``     vector quadratic Lagrange (velocity)
 
 Each kind is described here and nowhere else: ``make_space`` reads its
-dofs (cell-to-dof map, boundary flag per dof) from one table, and
-``basis_values`` gives its basis at reference points to every load and
-form of ``assembly``.
+dofs (cell-to-dof map, boundary flag per dof) from one table,
+``basis_values`` gives its basis at reference points to every form of
+``assembly``, and ``integrate_against_basis`` integrates weighted point
+values against it for every load.
 
 Edge and face degrees of freedom are oriented by ascending global vertex
 index, which makes tangential/normal traces match across cells without
@@ -27,8 +28,11 @@ T[c, a, k], so each is defined once, by its per-cell coefficient table T
 mesh and cached on it.  Evaluation goes through these tables: a field's
 coefficients are contracted with T first, to (nc, 4, 3) per field, and
 then evaluated by one matmul with lambda at the points, so no
-(nc, nq, nloc, 3) basis table is built to evaluate a field.  Curls and
-divergences follow from the same tables.
+(nc, nq, nloc, 3) basis table is built to evaluate a field.  Loads go
+the other way through the same tables (``integrate_against_basis``,
+``integrate_against_gradients``): weighted point values are summed by
+one matmul with lambda transposed, to (nc, 4, 3), and then contracted
+with T over (k, d).  Curls and divergences follow from the same tables.
 
 ``bc="essential_zero"`` constrains the boundary trace to zero (vertex
 values, edge circulations, face fluxes, or full velocity trace);
@@ -51,6 +55,7 @@ class SpaceError(Exception):
 
 
 BC_KINDS = ("essential_zero", "none")
+_SCALAR_KINDS = ("lagrange_p1", "dg0")
 
 # degree-5-exact Gauss rule on [0, 1] for edge circulations
 _GAUSS3_X = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
@@ -95,6 +100,12 @@ class FeSpace:
     @property
     def nloc(self) -> int:
         return self.dofmap.shape[1]
+
+    @property
+    def value_shape(self) -> tuple:
+        """Shape of a field's value at one point: () for the scalar
+        kinds, (3,) for the vector kinds."""
+        return () if self.kind in _SCALAR_KINDS else (3,)
 
 
 @dataclass
@@ -308,18 +319,15 @@ _TABLES = {"nedelec1_lowest": edge_table, "rt_lowest": face_table}
 
 
 def basis_values(space: FeSpace, points: np.ndarray) -> np.ndarray:
-    """A space's basis at reference points.  A basis that is the same on
-    every cell has no cell axis: (nq, nloc) for the scalar kinds, and
-    (nq, 30, 3) for the velocity, phi_a e_i at local dof 3a + i.  The
-    edge and face bases are (nc, nq, nloc, 3)."""
+    """A space's basis at reference points: (nq, nloc) for the scalar
+    kinds, the same on every cell, and (nc, nq, nloc, 3) for the edge
+    and face kinds.  The velocity basis, phi_a e_i at local dof 3a + i,
+    is the scalar P2 basis (``p2_scalar_values``) on each component."""
     kind = space.kind
     if kind == "lagrange_p1":
         return reference_barycentric(points)
     if kind == "dg0":
         return np.ones((len(np.atleast_2d(points)), 1))
-    if kind == "lagrange_p2_vector":
-        s = p2_scalar_values(points)
-        return (s[:, :, None, None] * np.eye(3)).reshape(len(s), 30, 3)
     if kind in _TABLES:
         return _at_points(_TABLES[kind](space.mesh), points)
     raise SpaceError(f"no basis for space kind {kind!r}")
@@ -340,6 +348,21 @@ def _contract_at_points(local: np.ndarray, table: np.ndarray, points) -> np.ndar
     X = by_field.reshape(nc, -1, 4, 3).transpose(0, 2, 1, 3).reshape(nc, 4, -1)
     vals = reference_barycentric(points) @ X
     return vals.reshape((nc, -1) + extra + (3,))
+
+
+def _integrate_at_points(weighted: np.ndarray, table: np.ndarray, points) -> np.ndarray:
+    """The adjoint of ``_contract_at_points``: sum_q weighted[c, q, ...] .
+    phi_a(x_q), (nc, nloc, ...), for weighted point values (nc, nq, ..., 3)
+    and a basis with barycentric coefficient table (nc, nloc, 4, 3).  One
+    matmul with the barycentric coordinates sums over the points, to
+    (nc, 4, ..., 3), and one with the table over (k, d), so no
+    (nc, nq, nloc, 3) basis table is built."""
+    nc, nq = weighted.shape[:2]
+    extra = weighted.shape[2:-1]
+    by_vertex = reference_barycentric(points).T @ weighted.reshape(nc, nq, -1)
+    Y = by_vertex.reshape(nc, 4, -1, 3).transpose(0, 1, 3, 2).reshape(nc, 12, -1)
+    out = table.reshape(nc, table.shape[1], 12) @ Y
+    return out.reshape((nc, table.shape[1]) + extra)
 
 
 def evaluate_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
@@ -374,6 +397,31 @@ def evaluate_grad_on_cells(f: FieldFunction, points: np.ndarray) -> np.ndarray:
         raise SpaceError("gradient evaluation is for the velocity space")
     comps = f.coeffs[space.dofmap].reshape(space.mesh.num_cells, 10, 3)
     return _contract_at_points(comps, p2_gradient_table(space.mesh), points)
+
+
+def integrate_against_basis(space: FeSpace, weighted: np.ndarray, points) -> np.ndarray:
+    """The adjoint of ``evaluate_coefficients``: local load vectors
+    sum_q weighted[c, q] . phi_a(x_q), (nc, nloc), for weighted values
+    at reference points, (nc, nq) for scalar kinds and (nc, nq, 3) for
+    vector kinds."""
+    nc = len(weighted)
+    if space.kind in _TABLES:
+        return _integrate_at_points(weighted, _TABLES[space.kind](space.mesh), points)
+    if space.kind == "lagrange_p2_vector":
+        # (c, a, i) is the component-interleaved local dof 3 a + i
+        return (p2_scalar_values(points).T @ weighted).reshape(nc, 30)
+    return weighted @ basis_values(space, points)
+
+
+def integrate_against_gradients(space: FeSpace, weighted: np.ndarray, points) -> np.ndarray:
+    """The adjoint of ``evaluate_grad_on_cells``: local load vectors
+    sum_q weighted[c, q] : grad(phi_a e_i)(x_q), (nc, 30), for weighted
+    tensors (nc, nq, 3, 3) at reference points, [c, q, i, j] paired with
+    d_j of component i."""
+    if space.kind != "lagrange_p2_vector":
+        raise SpaceError("gradient integration is for the velocity space")
+    local = _integrate_at_points(weighted, p2_gradient_table(space.mesh), points)
+    return local.reshape(len(weighted), 30)
 
 
 def evaluate_curl_on_cells(f: FieldFunction) -> np.ndarray:
@@ -447,4 +495,4 @@ def physical_points(mesh: Mesh, ref_points: np.ndarray) -> np.ndarray:
     """Map reference points into every cell, (nc, nq, 3)."""
     ref_points = np.atleast_2d(np.asarray(ref_points, dtype=float))
     X0 = mesh.cell_coords[:, 0, :]
-    return X0[:, None, :] + np.einsum("qi,cid->cqd", ref_points, mesh.jacobians)
+    return X0[:, None, :] + ref_points @ mesh.jacobians

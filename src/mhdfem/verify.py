@@ -176,20 +176,21 @@ class ManufacturedCase:
     @_blockwise(3)
     def f(self, points):
         """(grad u) u - lap u / Re - s j x B + grad p, with j = E + u x B."""
-        u, B = self.u(points), self.B(points)
+        d = self.w_u(points)
+        u, B = self.lam * _gradient(d) @ _PERP.T, self.B(points)
         j = self.E(points) + np.cross(u, B)
-        lap_u = self.lam * _grad_laplacian(self.w_u(points)) @ _PERP.T
+        lap_u = self.lam * _grad_laplacian(d) @ _PERP.T
         grad_p = np.zeros_like(u)
         grad_p[:, 0] = self.lam * np.pi * np.cos(np.pi * points[:, 0])
-        conv = np.einsum("nij,nj->ni", self.grad_u(points), u)
+        conv = np.einsum("nij,nj->ni", self.lam * _PERP @ _hessian(d), u)
         return conv - lap_u / self.Re - self.s * np.cross(j, B) + grad_p
 
     @_blockwise(3)
     def g(self, points):
         """s (j - curl B / Rm), with j = E + u x B."""
-        u, B = self.u(points), self.B(points)
-        j = self.E(points) + np.cross(u, B)
         d = self.w_B(points)  # curl curl(z w) = (w_xz, w_yz, -(w_xx + w_yy))
+        u, B = self.u(points), self.lam * _gradient(d) @ _PERP.T
+        j = self.E(points) + np.cross(u, B)
         curl_B = self.lam * np.stack([d(1, 0, 1), d(0, 1, 1), -(d(2, 0, 0) + d(0, 2, 0))], axis=-1)
         return self.s * (j - curl_B / self.Rm)
 
@@ -254,8 +255,8 @@ def error_norms(driver: MhdDriver, state, case: ManufacturedCase, *, quad_degree
     nc, nq = mesh.num_cells, len(rule.weights)
 
     def sq(diff):
-        flat = diff.reshape(diff.shape[0], diff.shape[1], -1)
-        return float(np.einsum("cq,cqk,cqk->", wdet, flat, flat))
+        flat = diff.reshape(nc, nq, -1)
+        return float(np.vdot(wdet, np.einsum("cqk,cqk->cq", flat, flat)))
 
     G_h = derham.evaluate_grad_on_cells(state.u, rule.points)
     G_ex = case.grad_u(xq).reshape(nc, nq, 3, 3)

@@ -84,6 +84,14 @@ def convection_skew(u_space, w, rule):
     return _dense(0.5 * (A - A.transpose(0, 2, 1)), u_space, u_space)
 
 
+def curl_curl(space) -> sp.csr_matrix:
+    """The edge-space form (curl u, curl v) over free dofs: the curls are
+    constant per cell, so each local matrix is |T| curl phi_a . curl phi_b."""
+    curls = derham.nedelec_curls(space.mesh)
+    local = np.einsum("cad,cbd->cab", curls, curls) * space.mesh.volumes[:, None, None]
+    return coo_scatter(local, space, space)
+
+
 def _dense(local, trial, test):
     A = np.zeros((test.ndof, trial.ndof))
     np.add.at(A, (test.dofmap[:, :, None], trial.dofmap[:, None, :]), local)
@@ -350,7 +358,7 @@ def stability_weight_matrix(driver, state, formulation) -> sp.csr_matrix:
     W_uu = driver.W_u
     if O is not None:
         W_uu = W_uu + Luu
-    C_EE = assembly.assemble_bilinear("curl_curl", driver.E_space, driver.E_space)
+    C_EE = curl_curl(driver.E_space)
     blocks = {
         ("u", "u"): W_uu,
         ("E", "E"): driver.M_E + C_EE,
@@ -502,6 +510,23 @@ def load_vector(space, func, rule):
     vec = np.zeros(space.ndof)
     for a in range(space.nloc):
         np.add.at(vec, space.dofmap[:, a], np.einsum("cq,cqd,cqd->c", wdet, f, basis[:, :, a]))
+    return vec[space.free]
+
+
+def grad_load(space, grad_func, quad_degree):
+    """``assembly._grad_load`` with the P2 gradients tabulated at every
+    point of every cell: int G : grad(phi_a e_i) as one einsum over
+    (nc, nq, 10, 3) gradients, over free dofs."""
+    rule = assembly.quadrature_rule(quad_degree)
+    mesh = space.mesh
+    xq = derham.physical_points(mesh, rule.points)
+    G = np.asarray(grad_func(xq.reshape(-1, 3)), dtype=float).reshape(
+        xq.shape[0], xq.shape[1], 3, 3
+    )
+    sg = derham.p2_scalar_gradients(mesh, rule.points)
+    wdet = assembly.quadrature_weights(mesh, rule)
+    comp = np.einsum("cq,cqij,cqaj->cai", wdet, G, sg)
+    vec = np.bincount(space.dofmap.ravel(), weights=comp.ravel(), minlength=space.ndof)
     return vec[space.free]
 
 

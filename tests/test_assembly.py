@@ -33,6 +33,8 @@ from oracles import (
     convection_skew,
     coo_scatter,
     cross_forms,
+    curl_curl,
+    grad_load,
     interleaved_scatter,
     load_vector,
     monolithic_system,
@@ -199,7 +201,7 @@ def test_div_pressure_value(mesh2, topo2):
 
 def test_curl_curl_is_curl_norm(mesh2, topo2):
     ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
-    K = assemble_bilinear("curl_curl", ned, ned)
+    K = curl_curl(ned)
     f = FieldFunction(ned, RNG.standard_normal(ned.ndof))
     lhs = f.coeffs @ (K @ f.coeffs)
     curl = evaluate_curl_on_cells(f)
@@ -638,6 +640,85 @@ def test_every_load_is_the_per_dof_quadrature_sum(mesh2, topo2, kind):
     want = load_vector(space, func, quadrature_rule(6))
     got = assemble_linear(space, func)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["nedelec1_lowest", "rt_lowest"])
+def test_edge_and_face_loads_on_a_jittered_mesh(jittered_mesh, kind):
+    # every cell has its own table, and no two are alike
+    space = make_space(kind, "essential_zero", jittered_mesh)
+    want = load_vector(space, _vector_source, quadrature_rule(6))
+    got = assemble_linear(space, _vector_source)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def _tensor_source(x):
+    # no symmetry between the rows i and the columns j
+    return np.stack([_vector_source(x), _vector_source(x[:, ::-1]) ** 2, np.exp(x)], axis=1)
+
+
+@pytest.mark.parametrize("degree", [2, 4, 6, 8])
+@pytest.mark.parametrize("mesh_name", ["mesh2", "jittered_mesh", "single_tet"])
+def test_grad_load_is_the_per_point_einsum(request, mesh_name, degree):
+    space = make_space("lagrange_p2_vector", "none", request.getfixturevalue(mesh_name))
+    want = grad_load(space, _tensor_source, degree)
+    got = assembly._grad_load(space, _tensor_source, degree)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_loads_never_tabulate_a_basis(mesh2, topo2, monkeypatch):
+    # loads are integrated against the barycentric tables: no
+    # (nc, nq, nloc, 3) basis or gradient table is built
+    def refuse(*args):
+        raise AssertionError("a basis was tabulated at every point")
+
+    monkeypatch.setattr(derham, "_at_points", refuse)
+    monkeypatch.setattr(derham, "p2_scalar_gradients", refuse)
+    for kind in ("lagrange_p1", "dg0", "nedelec1_lowest", "rt_lowest", "lagrange_p2_vector"):
+        space = make_space(kind, "none", mesh2, topo2)
+        assemble_linear(space, _scalar_source if space.value_shape == () else _vector_source)
+    u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
+    assembly._grad_load(u, _tensor_source, 6)
+
+
+@pytest.mark.parametrize(
+    "kind, values, expected",
+    [
+        # a vector source on a scalar space used to give its x component
+        ("lagrange_p1", (3,), "(N,)"),
+        ("dg0", (3,), "(N,)"),
+        ("lagrange_p1", (5, 7), "(N,)"),
+        ("dg0", (1,), "(N,)"),
+        # a scalar source on a vector space used to be broadcast (s, s, s)
+        ("nedelec1_lowest", (), "(N, 3)"),
+        ("rt_lowest", (), "(N, 3)"),
+        ("lagrange_p2_vector", (), "(N, 3)"),
+        ("nedelec1_lowest", (2,), "(N, 3)"),
+        ("lagrange_p2_vector", (3, 3), "(N, 3)"),
+    ],
+)
+def test_a_source_of_the_wrong_shape_is_refused(mesh1, topo1, kind, values, expected):
+    space = make_space(kind, "none", mesh1, topo1)
+    rule = quadrature_rule(6)
+    n = mesh1.num_cells * len(rule.weights)
+    with pytest.raises(FormError) as err:
+        assemble_linear(space, lambda x: np.ones((len(x),) + values))
+    got = str((n,) + values)
+    assert expected.replace("N", str(n)) in str(err.value) and got in str(err.value)
+
+
+def test_a_source_at_too_few_points_is_refused(mesh1, topo1):
+    p1 = make_space("lagrange_p1", "none", mesh1, topo1)
+    with pytest.raises(FormError, match="expected"):
+        assemble_linear(p1, lambda x: np.ones(len(x) - 1))
+
+
+@pytest.mark.parametrize("values", [(3,), (9,), (3, 1), (1, 3, 3), ()])
+def test_a_gradient_source_of_the_wrong_shape_is_refused(mesh1, topo1, values):
+    u = make_space("lagrange_p2_vector", "none", mesh1, topo1)
+    n = mesh1.num_cells * len(quadrature_rule(4).weights)
+    with pytest.raises(FormError) as err:
+        assembly._grad_load(u, lambda x: np.ones((len(x),) + values), 4)
+    assert str((n, 3, 3)) in str(err.value) and str((n,) + values) in str(err.value)
 
 
 def test_magnetic_source_load_closes_ohm_identity(mesh2, topo2):

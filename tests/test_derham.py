@@ -278,6 +278,35 @@ def test_field_evaluation_matches_the_brute_force_tabulation(jittered_mesh, kind
     assert _close(evaluate_on_cells(f, points), want)
 
 
+@pytest.mark.parametrize(
+    "kind", ["lagrange_p1", "dg0", "nedelec1_lowest", "rt_lowest", "lagrange_p2_vector"]
+)
+def test_integration_is_the_adjoint_of_evaluation(jittered_mesh, kind):
+    # <W, E c> = <E^T W, c> for coefficients c and weighted values W
+    space = make_space(kind, "none", jittered_mesh)
+    points = quadrature_rule(6).points
+    coeffs = RNG.standard_normal(space.ndof)
+    vals = derham.evaluate_coefficients(space, coeffs, points)
+    W = RNG.standard_normal(vals.shape)
+    local = derham.integrate_against_basis(space, W, points)
+    assert local.shape == space.dofmap.shape
+    assert np.sum(local * coeffs[space.dofmap]) == pytest.approx(np.sum(W * vals), rel=1e-13)
+
+
+def test_gradient_integration_is_the_adjoint_of_evaluation(jittered_mesh):
+    space = make_space("lagrange_p2_vector", "none", jittered_mesh)
+    points = quadrature_rule(6).points
+    f = FieldFunction(space, RNG.standard_normal(space.ndof))
+    vals = evaluate_grad_on_cells(f, points)
+    W = RNG.standard_normal(vals.shape)
+    local = derham.integrate_against_gradients(space, W, points)
+    assert local.shape == space.dofmap.shape
+    assert np.sum(local * f.coeffs[space.dofmap]) == pytest.approx(np.sum(W * vals), rel=1e-13)
+    ned = make_space("nedelec1_lowest", "none", jittered_mesh)
+    with pytest.raises(SpaceError, match="velocity space"):
+        derham.integrate_against_gradients(ned, W, points)
+
+
 # ----------------------------------------------------------------------
 # commuting diagram for the canonical interpolants, cubic test fields
 

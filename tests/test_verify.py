@@ -558,6 +558,20 @@ def test_l3_study_peak_memory():
     assert peak <= 40e6
 
 
+def test_quadrature_self_check_peak_memory(solved_case_n4):
+    # the loads of the two projections are integrated against the
+    # barycentric tables: no (nc, nq, nloc, 3) basis table at degree 8
+    case, driver, state, _ = solved_case_n4
+    base = error_norms(driver, state, case)
+    tracemalloc.start()
+    try:
+        quadrature_self_check(driver, state, case, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28e6
+
+
 def test_l3_study_is_deterministic():
     a = l3_study([1, 2], samples=5, seed=9)
     b = l3_study([1, 2], samples=5, seed=9)
