@@ -151,8 +151,8 @@ def unit_cube_mesh(n: int) -> Mesh:
     All six tetrahedra of a subcube share its main diagonal, so the mesh
     is conforming and every cell has diameter sqrt(3)/n.
     """
-    if n < 1:
-        raise MeshError("n must be >= 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise MeshError(f"n must be an integer >= 1, not {n!r}")
     m = n + 1
     grid = np.linspace(0.0, 1.0, m)
     xx, yy, zz = np.meshgrid(grid, grid, grid, indexing="ij")

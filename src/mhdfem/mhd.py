@@ -31,13 +31,14 @@ gradient and curl incidences on the free dofs.  Ohm's law tested with gradients 
 because R_EB = C^T M_B and C G = 0, so the map is lifted to the
 potentials (u, phi, p, p_mean), with E = G0 phi and B, r and r_mean
 dropped, and only that Galerkin system is flattened and solved.
-B = C a then follows from the Ohm rows, with a gauged by a spanning
-tree (the tree-cotree construction of Gross & Kotiuga, Electromagnetic
-Theory and Computation, 2004) and the constant cotree matrix C^T M_B C
-factored once per driver; r is measured, and each monolithic residual
-is taken block by block.  Every Picard iterate therefore has cellwise
-div B = 0, curl E = 0 and r at roundoff by the integer identities
-div curl = 0 and curl grad = 0, and satisfies the energy identity
+B = C_ct a then follows from the Ohm rows, with a gauged by a spanning
+tree (G0, the cotree edges ct and C_ct come from the family's complex
+``operators.DiscreteCurl``) and the constant cotree matrix C_ct^T M_B
+C_ct factored once per driver; r is measured, and each monolithic
+residual is taken block by block.  Every Picard iterate therefore has
+cellwise div B = 0, curl E = 0 and r at roundoff by the integer
+identities div curl = 0 and curl grad = 0, and satisfies the energy
+identity
 
     Re^-1 |grad u|^2 + s |j|^2 = <f, u> + <g, E>
 
@@ -77,14 +78,12 @@ import scipy.sparse as sp
 
 from . import assembly, derham, linalg, operators
 from .derham import FieldFunction, make_space
-from .mesh import Mesh, betti_numbers, build_topology, cotree_edges
+from .mesh import Mesh, betti_numbers, build_topology
 
 
 class MhdError(Exception):
     """Raised for invalid parameters or driver misuse."""
 
-
-BC_FAMILIES = ("normal_B", "tangential_B")
 
 _log = logging.getLogger(__name__)
 
@@ -106,7 +105,7 @@ class MhdParams:
         for name in ("Re", "Rm", "s"):
             if not 0 < getattr(self, name) < np.inf:
                 raise MhdError(f"parameter {name} must be positive and finite")
-        if self.bc_family not in BC_FAMILIES:
+        if self.bc_family not in operators.BC_FAMILIES:
             raise MhdError(f"unknown bc_family {self.bc_family!r}")
 
     @property
@@ -207,9 +206,9 @@ def _nonzero(f: FieldFunction | None) -> bool:
 
 
 class MhdDriver:
-    """Owns the spaces, the constant matrices (each assembled once, also
-    for the discrete curl), the potential operators, the saddle systems
-    and the Picard loop."""
+    """Owns the family's complex ``dcurl``, the other spaces, the
+    constant matrices (each assembled once), the cotree LU, the saddle
+    systems and the Picard loop."""
 
     def __init__(self, mesh: Mesh, params: MhdParams, sources: SourceData | None = None):
         self.mesh = mesh
@@ -225,19 +224,16 @@ class MhdDriver:
                 "connected domain without holes or cavities: b0, b1, b2 = %d, %d, %d"
                 % betti
             )
-        normal = params.bc_family == "normal_B"
-        ess = "essential_zero" if normal else "none"
-
+        self.dcurl = operators.DiscreteCurl(mesh, topo, params.bc_family)
         self.spaces = {
             "u": make_space("lagrange_p2_vector", "essential_zero", mesh, topo),
-            "E": make_space("nedelec1_lowest", ess, mesh, topo),
-            "B": make_space("rt_lowest", ess, mesh, topo),
+            "E": self.dcurl.curl_space,
+            "B": self.dcurl.div_space,
             "p": make_space("lagrange_p1", "none", mesh, topo),
             "r": make_space("dg0", "none", mesh, topo),
         }
         self.u_space, self.E_space, self.B_space, self.p_space, self.r_space = self.spaces.values()
 
-        self.dcurl = operators.DiscreteCurl(self.E_space, self.B_space)
         self.K_u = assembly.assemble_bilinear("grad_grad", self.u_space, self.u_space)
         self.M_E, self.R_EB = self.dcurl.mass, self.dcurl.pairing
         self.M_B = assembly.assemble_bilinear("vec_mass", self.B_space, self.B_space)
@@ -255,7 +251,7 @@ class MhdDriver:
         # blocks of its row and column f + "_mean" in a step map
         self.mean_rows = {
             f: sp.csr_matrix(assembly.domain_integral_vector(self.spaces[f]))
-            for f in (("p", "r") if normal else ("p",))
+            for f in (("p", "r") if params.bc_family == "normal_B" else ("p",))
         }
         self._borders = {}
         for f, row in self.mean_rows.items():
@@ -272,7 +268,8 @@ class MhdDriver:
         r_names = ("r", "r_mean") if "r" in self.mean_rows else ("r",)
         r_blocks = {("r", "r"): self.D_r @ self.D_r.T, **self._borders}
         self._r_normal = linalg.Factorization(linalg.flatten(r_names, r_blocks, {})[0])
-        self._build_potentials(topo)
+        # the cotree matrix of B = C_ct a, factored here: Picard factors nothing
+        self._cotree = linalg.Factorization(self.dcurl.C_ct.T @ self.M_B @ self.dcurl.C_ct)
 
         self.load_f = (
             assembly.assemble_linear(self.u_space, self.sources.f)
@@ -318,30 +315,6 @@ class MhdDriver:
                 raise MhdError("K_u differs between velocity components")
             self._k = linalg.Factorization(k)
         return self._k
-
-    def _build_potentials(self, topo) -> None:
-        """The constant operators of the potential solve.
-
-        ``G0`` is the gradient incidence on the free edges and the
-        potential's vertices: the interior ones (normal_B), or all but
-        vertex 0, where phi is pinned (tangential_B); E = G0 phi.  A
-        spanning tree of the graph of G0, in which the other vertices
-        are merged into one ground node, gauges the vector potential:
-        B = C_ct a, with C the curl incidence on the free faces and edges
-        and ``ct`` the free edges off the tree, and ``_cotree`` factors
-        K = C_ct^T M_B C_ct.
-        """
-        E_free, B_free = self.E_space.free, self.B_space.free
-        if self.params.bc_family == "normal_B":
-            phi_vertices = np.flatnonzero(~topo.boundary_vertices)
-        else:
-            phi_vertices = np.arange(1, self.mesh.num_vertices)
-        self.G0 = topo.grad_incidence[E_free][:, phi_vertices].astype(float).tocsr()
-        ct = cotree_edges(self.G0)
-
-        self.C_ct = topo.curl_incidence[B_free][:, E_free[ct]].astype(float).tocsr()
-        self._ct = ct
-        self._cotree = linalg.Factorization(self.C_ct.T @ self.M_B @ self.C_ct)
 
     # ------------------------------------------------------------------
     # the Picard step: one block map, and the two systems flattened from it
@@ -402,7 +375,7 @@ class MhdDriver:
         potentials (u, phi, p, p_mean): E = G0 phi, the E rows are tested
         with gradients, and B, r and r_mean drop out."""
         lift = {"u": "u", "phi": "E", "p": "p", "p_mean": "p_mean"}
-        G0 = self.G0
+        G0 = self.dcurl.G0
         reduced = {}
         for t, t_step in lift.items():
             for f, f_step in lift.items():
@@ -465,8 +438,8 @@ class MhdDriver:
         factorization, and div B = 0 holds by the integer identity
         div curl = 0."""
         load = assembly.assemble_linear(self.B_space, func, quad_degree=quad_degree)
-        a = self._cotree.solve(self.C_ct.T @ load)
-        return FieldFunction.from_free(self.B_space, self.C_ct @ a)
+        a = self._cotree.solve(self.dcurl.C_ct.T @ load)
+        return FieldFunction.from_free(self.B_space, self.dcurl.C_ct @ a)
 
     # ------------------------------------------------------------------
     # Picard loop
@@ -518,9 +491,9 @@ class MhdDriver:
             y = linalg.Factorization(A).solve(b)
             how = "factored"
         u, phi, p, p_mean = np.split(y, offsets)
-        x = {"u": u, "E": self.G0 @ phi, "p": p, "p_mean": p_mean}
+        x = {"u": u, "E": self.dcurl.G0 @ phi, "p": p, "p_mean": p_mean}
         ohm = rhs["E"] - _row(blocks, "E", x)
-        x["B"] = self.C_ct @ self._cotree.solve(-ohm[self._ct] / self.params.alpha)
+        x["B"] = self.dcurl.C_ct @ self._cotree.solve(-ohm[self.dcurl.ct] / self.params.alpha)
         # the B rows carry no load: D_r times their residual at r = 0
         load = -(self.D_r @ _row(blocks, "B", x))
         border = np.zeros(self._r_normal.A.shape[0] - len(load))

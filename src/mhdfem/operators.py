@@ -1,43 +1,38 @@
-"""The discrete curl and the quadrature norms.
+"""The discrete complex of a boundary-condition family, and quadrature norms.
 
-The weak curl maps the face (div-conforming) space into the edge
-(curl-conforming) space through a pre-factorized mass solve:
+``DiscreteCurl`` turns a family into its complex grad -> curl -> div on
+a mesh: essential-zero edge and face spaces for normal_B, unconstrained
+ones for tangential_B.  Its weak curl maps the face space into the edge
+space through a pre-factorized mass solve:
 
     (curl_h C, F) = (C, curl F)   for all F in the edge space.
 
-The boundary-condition family is carried by the spaces themselves: with
-essential-zero spaces this is the operator of the homogeneous complex,
-with unconstrained spaces its natural-boundary variant.  The package
-reads only |curl_h B|_0 from that solve.  The quadrature norms measure
-what the driver's matrices do not: L^3 norms, the L^2 norms of r, E and
-p, and the cellwise curl of an edge field.  The curl norm and the L^p
-norms each take a block of fields, one per column of coefficients; a
-single field is the one-column case.  The W-norm of (u, B) is
-``MhdDriver.w_norm``, and the driver solves the error projections.
+The package reads only |curl_h B|_0 from that solve.  The potentials
+E = G0 phi and B = C_ct a, gauged by a spanning tree (Gross & Kotiuga,
+Electromagnetic Theory and Computation, 2004), are built on first read.
+The quadrature norms measure what the driver's matrices do not: L^3
+norms, the L^2 norms of r, E and p, and the cellwise curl of an edge
+field.  The curl norm and the L^p norms each take a block of fields, one
+per column of coefficients; a single field is the one-column case.  The
+W-norm of (u, B) is ``MhdDriver.w_norm``, and the driver solves the
+error projections.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from . import assembly, derham, linalg
-from .derham import FeSpace, FieldFunction
+from .derham import FeSpace, FieldFunction, make_space
+from .mesh import Mesh, MeshTopology, cotree_edges
+
+BC_FAMILIES = ("normal_B", "tangential_B")
 
 
 class OperatorError(Exception):
     """Raised for incompatible spaces or broken operator contracts."""
-
-
-def _check_pair(space_a, kind_a, space_b, kind_b):
-    if space_a.kind != kind_a or space_b.kind != kind_b:
-        raise OperatorError(
-            f"expected ({kind_a}, {kind_b}) spaces, got "
-            f"({space_a.kind}, {space_b.kind})"
-        )
-    if space_a.mesh is not space_b.mesh:
-        raise OperatorError("spaces live on different meshes")
-    if (space_a.bc == "essential_zero") != (space_b.bc == "essential_zero"):
-        raise OperatorError("spaces mix boundary-condition families")
 
 
 def _check_block(space, coeffs):
@@ -48,17 +43,48 @@ def _check_block(space, coeffs):
 
 
 class DiscreteCurl:
-    """Weak curl from the face space into the edge space (mass solve)."""
+    """The complex of one boundary-condition family on a mesh: its edge
+    and face spaces, the weak curl from the face space into the edge
+    space (mass solve) and the potentials ``G0``, ``ct`` and ``C_ct``."""
 
-    def __init__(self, curl_space: FeSpace, div_space: FeSpace):
-        _check_pair(curl_space, "nedelec1_lowest", div_space, "rt_lowest")
-        self.curl_space = curl_space
-        self.div_space = div_space
-        self.mass = assembly.assemble_bilinear("vec_mass", curl_space, curl_space)
+    def __init__(self, mesh: Mesh, topo: MeshTopology, bc_family: str):
+        if bc_family not in BC_FAMILIES:
+            raise OperatorError(f"unknown bc_family {bc_family!r}")
+        self._normal = bc_family == "normal_B"
+        bc = "essential_zero" if self._normal else "none"
+        self.curl_space = make_space("nedelec1_lowest", bc, mesh, topo)
+        self.div_space = make_space("rt_lowest", bc, mesh, topo)
+        self.mass = assembly.assemble_bilinear("vec_mass", self.curl_space, self.curl_space)
         self.pairing = assembly.assemble_bilinear(
-            "curl_mass_pairing", div_space, curl_space
+            "curl_mass_pairing", self.div_space, self.curl_space
         )
         self._lu = linalg.Factorization(self.mass)
+
+    @cached_property
+    def G0(self):
+        """The gradient incidence on the free edges and the potential's
+        vertices: the interior ones (normal_B), or all but vertex 0,
+        where phi is pinned (tangential_B); E = G0 phi."""
+        topo = self.curl_space.topology
+        if self._normal:
+            phi_vertices = np.flatnonzero(~topo.boundary_vertices)
+        else:
+            phi_vertices = np.arange(1, self.curl_space.mesh.num_vertices)
+        return topo.grad_incidence[self.curl_space.free][:, phi_vertices].astype(float).tocsr()
+
+    @cached_property
+    def ct(self) -> np.ndarray:
+        """The free edges off a spanning tree of the graph of G0, in
+        which the other vertices are merged into one ground node: the
+        gauge of the vector potential."""
+        return cotree_edges(self.G0)
+
+    @cached_property
+    def C_ct(self):
+        """The curl incidence on the free faces and the edges ``ct``:
+        every divergence-free face field is B = C_ct a (b1 = b2 = 0)."""
+        K = self.curl_space.topology.curl_incidence
+        return K[self.div_space.free][:, self.curl_space.free[self.ct]].astype(float).tocsr()
 
     def norm(self, B: FieldFunction) -> float:
         """|curl_h B|_0 = (c . R_EB B)^(1/2), where M_E c = R_EB B."""

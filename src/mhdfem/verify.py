@@ -24,7 +24,7 @@ from scipy.sparse import csgraph
 from . import assembly, derham, linalg, operators
 from .derham import FieldFunction, make_space
 from .mesh import Mesh, MeshError, build_topology, cotree_edges, mesh_metrics, unit_cube_mesh
-from .mhd import BC_FAMILIES, MhdDriver, MhdParams, PicardReport, SourceData
+from .mhd import MhdDriver, MhdParams, PicardReport, SourceData
 
 
 class VerifyError(Exception):
@@ -208,7 +208,7 @@ def builtin_case(
     """
     if not 0 <= lam < np.inf:
         raise VerifyError("field scaling lam must be finite and nonnegative")
-    if bc_family not in BC_FAMILIES:
+    if bc_family not in operators.BC_FAMILIES:
         raise VerifyError(f"unknown bc_family {bc_family!r}")
     w_u = _product(_BUBBLE, _BUBBLE, _BUBBLE)
     if bc_family == "normal_B":
@@ -637,7 +637,7 @@ def l3_study(
         raise VerifyError(f"samples must be an integer, not {samples!r}")
     if samples < 1:
         raise VerifyError("need at least one sample per level")
-    if bc_family not in BC_FAMILIES:
+    if bc_family not in operators.BC_FAMILIES:
         raise VerifyError(f"unknown bc_family {bc_family!r}")
     levels = list(levels)
     if len(levels) < 2:
@@ -645,14 +645,12 @@ def l3_study(
     if levels[0] < 1 or any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1)):
         raise VerifyError("levels must be strictly increasing and positive")
     rng = np.random.default_rng(seed)
-    ess = "essential_zero" if bc_family == "normal_B" else "none"
     max_ratios = []
     for n in levels:
         mesh = unit_cube_mesh(n)
         topo = build_topology(mesh)
-        ned = make_space("nedelec1_lowest", ess, mesh, topo)
-        rt = make_space("rt_lowest", ess, mesh, topo)
-        dcurl = operators.DiscreteCurl(ned, rt)
+        dcurl = operators.DiscreteCurl(mesh, topo, bc_family)
+        ned, rt = dcurl.curl_space, dcurl.div_space
         # unit free-dof vectors F_h, one row per sample: the stream of
         # per-sample draws; d_h = curl F_h, one column per sample
         draws = rng.standard_normal((samples, ned.num_free))

@@ -209,14 +209,12 @@ def l3_ratios(levels, samples, bc_family, seed) -> list:
     ``lp_norm_on_all_cells`` and |curl_h d_h|_0 = (c . R d)^(1/2) from
     one solve M_E c = R d with a 1-D right-hand side."""
     rng = np.random.default_rng(seed)
-    ess = "essential_zero" if bc_family == "normal_B" else "none"
     out = []
     for n in levels:
         mesh = unit_cube_mesh(n)
         topo = build_topology(mesh)
-        ned = derham.make_space("nedelec1_lowest", ess, mesh, topo)
-        rt = derham.make_space("rt_lowest", ess, mesh, topo)
-        dcurl = operators.DiscreteCurl(ned, rt)
+        dcurl = operators.DiscreteCurl(mesh, topo, bc_family)
+        ned, rt = dcurl.curl_space, dcurl.div_space
         lu = linalg.Factorization(dcurl.mass)
         ratios = np.empty(samples)
         for k in range(samples):

@@ -19,6 +19,7 @@ from mhdfem.linalg import (
 )
 from mhdfem.mesh import unit_cube_mesh
 from mhdfem.mhd import MhdDriver, MhdError
+from mhdfem.operators import BC_FAMILIES
 from mhdfem.verify import builtin_case
 import oracles
 from oracles import smallest_singular_value
@@ -519,10 +520,73 @@ def test_one_saddle_system_path():
 
 def test_one_gauge_tree_builder():
     # a gauge tree's graph is read from an incidence in mesh.cotree_edges
-    # alone: by the driver's gauge and by complex_check's cotree
+    # alone: by the complex's gauge and by complex_check's cotree
     assert _call_sites("cotree_edges") == [
-        ("mhd.py", "_build_potentials"),
+        ("operators.py", "ct"),
         ("verify.py", "_cotree"),
+    ]
+
+
+def _qualified_sites(match) -> list:
+    """(module, enclosing class and function names joined by dots) of
+    every node of the package that ``match`` accepts."""
+    sites = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, module, f"{where}.{child.name}" if where else child.name)
+                continue
+            if match(child):
+                sites.append((module, where))
+            visit(child, module, where)
+
+    for name, tree in _package_trees():
+        visit(tree, name, None)
+    return sites
+
+
+def test_edge_and_face_spaces_come_from_the_complex():
+    # a family's curl pair is built by DiscreteCurl; complex_check builds
+    # the unconstrained spaces of its commuting diagrams.  Every kind is
+    # a literal, so no other call can build one
+    def make_space(node):
+        fn = node.func if isinstance(node, ast.Call) else None
+        return (fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)) == "make_space"
+
+    def kind(node):
+        arg = node.args[0] if node.args else None
+        return arg.value if isinstance(arg, ast.Constant) else None
+
+    assert _qualified_sites(lambda n: make_space(n) and kind(n) is None) == []
+    assert _qualified_sites(
+        lambda n: make_space(n) and kind(n) in ("nedelec1_lowest", "rt_lowest")
+    ) == [
+        ("operators.py", "DiscreteCurl.__init__"),
+        ("operators.py", "DiscreteCurl.__init__"),
+        ("verify.py", "complex_check"),
+        ("verify.py", "complex_check"),
+    ]
+
+
+def test_families_are_told_apart_in_three_places():
+    # the complex decides a family's spaces and potentials; the driver
+    # only which multipliers have zero mean, and builtin_case the
+    # manufactured potentials
+    def names_a_family(node):
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        return any(
+            isinstance(c, ast.Constant) and c.value in BC_FAMILIES
+            for o in operands
+            for c in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])
+        )
+
+    assert _qualified_sites(names_a_family) == [
+        ("mhd.py", "MhdDriver.__init__"),
+        ("operators.py", "DiscreteCurl.__init__"),
+        ("verify.py", "builtin_case"),
     ]
 
 

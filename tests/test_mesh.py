@@ -58,8 +58,10 @@ def test_unit_cube_cells_follow_the_kuhn_loop(n):
 
 
 def test_unit_cube_rejects_bad_n():
-    with pytest.raises(MeshError):
-        unit_cube_mesh(0)
+    # a bool is an int, but no number of cells
+    for n in (0, True, 1.5):
+        with pytest.raises(MeshError, match="n must be an integer >= 1"):
+            unit_cube_mesh(n)
 
 
 def test_orientation_repair_is_idempotent():
@@ -283,7 +285,7 @@ def _interior_incidence():
 
 
 def _driver_incidence(bc_family, n):
-    return MhdDriver(unit_cube_mesh(n), builtin_case(bc_family).params()).G0
+    return MhdDriver(unit_cube_mesh(n), builtin_case(bc_family).params()).dcurl.G0
 
 
 @pytest.mark.parametrize(

@@ -52,18 +52,15 @@ def _field_as_callable(field, quad_degree=6):
 
 
 def test_discrete_curl_of_zero(mesh2, topo2):
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
-    out = discrete_curl(dcurl, FieldFunction.zeros(rt))
+    dcurl = DiscreteCurl(mesh2, topo2, "normal_B")
+    out = discrete_curl(dcurl, FieldFunction.zeros(dcurl.div_space))
     assert np.abs(out.coeffs).max() == 0.0
 
 
-@pytest.mark.parametrize("bc", ["none", "essential_zero"])
-def test_discrete_curl_adjointness(mesh2, topo2, bc):
-    ned = make_space("nedelec1_lowest", bc, mesh2, topo2)
-    rt = make_space("rt_lowest", bc, mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
+@pytest.mark.parametrize("bc_family", ["tangential_B", "normal_B"], ids=["none", "essential_zero"])
+def test_discrete_curl_adjointness(mesh2, topo2, bc_family):
+    dcurl = DiscreteCurl(mesh2, topo2, bc_family)
+    ned, rt = dcurl.curl_space, dcurl.div_space
     for _ in range(5):
         B = FieldFunction.zeros(rt)
         B.coeffs[rt.free] = RNG.standard_normal(rt.num_free)
@@ -77,9 +74,8 @@ def test_discrete_curl_adjointness(mesh2, topo2, bc):
 
 
 def test_discrete_curl_matches_dense_oracle(mesh1, topo1):
-    ned = make_space("nedelec1_lowest", "none", mesh1, topo1)
-    rt = make_space("rt_lowest", "none", mesh1, topo1)
-    dcurl = DiscreteCurl(ned, rt)
+    dcurl = DiscreteCurl(mesh1, topo1, "tangential_B")
+    ned, rt = dcurl.curl_space, dcurl.div_space
     # B = curl F0 for an edge field F0 lies in the face space exactly
     F0 = RNG.standard_normal(ned.ndof)
     B = FieldFunction(rt, topo1.curl_incidence @ F0)
@@ -89,29 +85,36 @@ def test_discrete_curl_matches_dense_oracle(mesh1, topo1):
 
 
 def test_discrete_curl_raises_when_contract_is_missed(mesh2, topo2, monkeypatch):
-    ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
-    rt = make_space("rt_lowest", "none", mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
-    B = FieldFunction(rt, RNG.standard_normal(rt.ndof))
+    dcurl = DiscreteCurl(mesh2, topo2, "tangential_B")
+    B = FieldFunction(dcurl.div_space, RNG.standard_normal(dcurl.div_space.ndof))
     monkeypatch.setattr(linalg, "RESIDUAL_TOL", 1e-30)
     with pytest.raises(linalg.LinAlgError, match="residual"):
         dcurl.norm(B)
 
 
-def test_discrete_curl_space_guards(mesh1, mesh2, topo1, topo2):
-    ned1 = make_space("nedelec1_lowest", "none", mesh1, topo1)
-    rt1 = make_space("rt_lowest", "none", mesh1, topo1)
-    rt2 = make_space("rt_lowest", "none", mesh2, topo2)
+def test_discrete_curl_space_guards(mesh1, topo1):
+    with pytest.raises(OperatorError, match="unknown bc_family"):
+        DiscreteCurl(mesh1, topo1, "mixed")
+    dcurl = DiscreteCurl(mesh1, topo1, "tangential_B")
     rt1e = make_space("rt_lowest", "essential_zero", mesh1, topo1)
-    with pytest.raises(OperatorError, match="expected"):
-        DiscreteCurl(rt1, ned1)
-    with pytest.raises(OperatorError, match="meshes"):
-        DiscreteCurl(ned1, rt2)
-    with pytest.raises(OperatorError, match="families"):
-        DiscreteCurl(ned1, rt1e)
-    dcurl = DiscreteCurl(ned1, rt1)
     with pytest.raises(OperatorError, match="face space"):
         dcurl.norm(FieldFunction.zeros(rt1e))
+
+
+@pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"])
+@pytest.mark.parametrize("mesh_name", ["mesh2", "jittered_mesh"])
+def test_driver_complex_is_the_standalone_complex(request, mesh_name, bc_family):
+    # the driver takes its curl pair and potentials from DiscreteCurl
+    # and changes none of them
+    mesh = request.getfixturevalue(mesh_name)
+    drv = MhdDriver(mesh, MhdParams(bc_family=bc_family))
+    alone = DiscreteCurl(mesh, build_topology(mesh), bc_family)
+    for name in ("mass", "pairing", "G0", "C_ct"):
+        a, b = getattr(drv.dcurl, name), getattr(alone, name)
+        assert a.shape == b.shape, name
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, part), getattr(b, part)), (name, part)
+    assert np.array_equal(drv.dcurl.ct, alone.ct)
 
 
 # ----------------------------------------------------------------------
@@ -125,20 +128,17 @@ def _sample(func, mesh, rule):
 
 
 def test_l2_project_reproduces_member(mesh2, topo2):
-    ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
-    rt = make_space("rt_lowest", "none", mesh2, topo2)
+    dcurl = DiscreteCurl(mesh2, topo2, "tangential_B")
     a, b = np.array([0.2, -0.5, 1.0]), np.array([0.3, 0.8, -0.1])
     func = lambda x: a + np.cross(b, x)
     rule = quadrature_rule(6)
-    proj = l2_project_edge(DiscreteCurl(ned, rt), _sample(func, mesh2, rule), rule)
-    member = canonical_interpolate(ned, func)
+    proj = l2_project_edge(dcurl, _sample(func, mesh2, rule), rule)
+    member = canonical_interpolate(dcurl.curl_space, func)
     assert proj.coeffs == pytest.approx(member.coeffs, rel=1e-12, abs=1e-12)
 
 
 def test_l2_project_annihilates_deflated_field(mesh2, topo2):
-    ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
-    rt = make_space("rt_lowest", "none", mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
+    dcurl = DiscreteCurl(mesh2, topo2, "tangential_B")
     func = lambda x: np.stack(
         [np.sin(3 * x[:, 1]), np.cos(2 * x[:, 2]), x[:, 0] ** 3], axis=1
     )
@@ -151,14 +151,13 @@ def test_l2_project_annihilates_deflated_field(mesh2, topo2):
 
 def test_l2_project_pythagoras_split(mesh2, topo2):
     # phi = u_h x B_h for discrete fields; the projection splits the norm
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
+    dcurl = DiscreteCurl(mesh2, topo2, "normal_B")
+    rt = dcurl.div_space
     u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
     uh = FieldFunction.zeros(u)
     uh.coeffs[u.free] = RNG.standard_normal(u.num_free)
     Bh = FieldFunction.zeros(rt)
     Bh.coeffs[rt.free] = RNG.standard_normal(rt.num_free)
-    dcurl = DiscreteCurl(ned, rt)
     rule = quadrature_rule(6)
     phi = np.cross(
         evaluate_on_cells(uh, rule.points), evaluate_on_cells(Bh, rule.points)
@@ -350,11 +349,10 @@ def test_lp_norms_of_a_block_match_each_field_on_all_cells(
         assert one == pytest.approx(got[0], rel=1e-13, abs=0.0)
 
 
-@pytest.mark.parametrize("bc", ["essential_zero", "none"])
-def test_curl_norms_of_a_block_match_each_field(mesh2, topo2, bc):
-    ned = make_space("nedelec1_lowest", bc, mesh2, topo2)
-    rt = make_space("rt_lowest", bc, mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
+@pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"], ids=["essential_zero", "none"])
+def test_curl_norms_of_a_block_match_each_field(mesh2, topo2, bc_family):
+    dcurl = DiscreteCurl(mesh2, topo2, bc_family)
+    rt = dcurl.div_space
     coeffs = RNG.standard_normal((rt.ndof, 4))
     coeffs[:, 1] = 0.0
     got = dcurl.norms(coeffs)
@@ -365,9 +363,8 @@ def test_curl_norms_of_a_block_match_each_field(mesh2, topo2, bc):
 
 
 def test_block_kernels_reject_a_block_of_another_space(mesh2, topo2):
-    ned = make_space("nedelec1_lowest", "none", mesh2, topo2)
-    rt = make_space("rt_lowest", "none", mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
+    dcurl = DiscreteCurl(mesh2, topo2, "tangential_B")
+    ned, rt = dcurl.curl_space, dcurl.div_space
     for coeffs in (np.ones((ned.ndof, 2)), np.ones(rt.ndof)):
         with pytest.raises(OperatorError, match="coefficients of shape"):
             dcurl.norms(coeffs)
@@ -397,10 +394,11 @@ def test_norms_never_tabulate_a_basis(mesh2, topo2, monkeypatch):
     # fields are evaluated through the per-mesh coefficient tables, never
     # through an (nc, nq, nloc, 3) basis table built on every call
     u = make_space("lagrange_p2_vector", "essential_zero", mesh2, topo2)
-    ned = make_space("nedelec1_lowest", "essential_zero", mesh2, topo2)
-    rt = make_space("rt_lowest", "essential_zero", mesh2, topo2)
-    dcurl = DiscreteCurl(ned, rt)
-    uh, E, B = (FieldFunction(s, RNG.standard_normal(s.ndof)) for s in (u, ned, rt))
+    dcurl = DiscreteCurl(mesh2, topo2, "normal_B")
+    uh, E, B = (
+        FieldFunction(s, RNG.standard_normal(s.ndof))
+        for s in (u, dcurl.curl_space, dcurl.div_space)
+    )
     calls = []
     for name in ("basis_values", "p2_scalar_gradients"):
 
@@ -437,8 +435,8 @@ def test_velocity_dual_norm_raises_when_contract_is_missed(mesh2, monkeypatch):
 # sampled stability ratios of the discretely divergence-free family
 
 
-@pytest.mark.parametrize("bc", ["essential_zero", "none"])
-def test_poincare_and_l3_ratios_bounded(bc):
+@pytest.mark.parametrize("bc_family", ["normal_B", "tangential_B"], ids=["essential_zero", "none"])
+def test_poincare_and_l3_ratios_bounded(bc_family):
     # curls of edge fields are discretely div-free; their L2 and L3 norms
     # stay controlled by the weak curl, with the bound improving under
     # refinement (checked with 10% slack)
@@ -446,9 +444,8 @@ def test_poincare_and_l3_ratios_bounded(bc):
     for n in (1, 2):
         mesh = unit_cube_mesh(n)
         topo = build_topology(mesh)
-        ned = make_space("nedelec1_lowest", bc, mesh, topo)
-        rt = make_space("rt_lowest", bc, mesh, topo)
-        dcurl = DiscreteCurl(ned, rt)
+        dcurl = DiscreteCurl(mesh, topo, bc_family)
+        ned, rt = dcurl.curl_space, dcurl.div_space
         mx_l2 = mx_l3 = 0.0
         for _ in range(50):
             F = np.zeros(ned.ndof)

@@ -8,9 +8,9 @@ import pytest
 import scipy.sparse as sp
 import sympy
 
-from mhdfem import assembly, derham, linalg, verify
+from mhdfem import assembly, derham, linalg, operators, verify
 from mhdfem.derham import canonical_interpolate
-from mhdfem.mesh import build_topology, unit_cube_mesh
+from mhdfem.mesh import MeshError, build_topology, unit_cube_mesh
 from mhdfem.mhd import MhdDriver, PicardReport, SourceData
 from mhdfem.verify import (
     ERROR_COLUMNS,
@@ -533,6 +533,32 @@ def test_l3_study_validation(monkeypatch):
     for levels in ([4, 2], [0, 1]):
         with pytest.raises(VerifyError, match="strictly increasing and positive"):
             l3_study(levels)
+
+
+def test_l3_study_builds_only_the_curl(monkeypatch):
+    # the study reads |curl_h d_h|_0 alone: no face mass M_B and no gauge
+    # tree, so no cotree matrix either
+    forms = []
+    assemble = assembly.assemble_bilinear
+
+    def spy(form_id, trial, test, **kwargs):
+        forms.append((form_id, trial.kind))
+        return assemble(form_id, trial, test, **kwargs)
+
+    def no_tree(G):
+        raise AssertionError("the L3 study built a gauge tree")
+
+    monkeypatch.setattr(assembly, "assemble_bilinear", spy)
+    monkeypatch.setattr(operators, "cotree_edges", no_tree)
+    l3_study([1, 2], samples=2, bc_family="tangential_B")
+    assert forms == [("vec_mass", "nedelec1_lowest"), ("curl_mass_pairing", "rt_lowest")] * 2
+
+
+def test_l3_study_refuses_a_level_that_is_no_integer():
+    # a bool is an int, but no level: True would run as n = 1
+    for levels in ([True, 2], [1, 1.5]):
+        with pytest.raises(MeshError, match="n must be an integer >= 1"):
+            l3_study(levels, samples=2)
 
 
 @pytest.mark.parametrize("seed", [3, 1234])
