@@ -3,11 +3,22 @@
 Tetrahedral quadrature uses conical-product Gauss-Jacobi rules: for any
 requested degree the weights are strictly positive and polynomial
 exactness is guaranteed by construction (the degree-1 rule degenerates
-to the centroid rule with weight 1/6).
+to the centroid rule with weight 1/6).  Rules serve only where an
+analytic function enters: a load evaluates its source at the rule's
+points of every cell (degree 6 by default), refuses values of the wrong
+shape, and sums them against the basis through the tables of ``derham``
+(``integrate_against_basis``, ``integrate_against_gradients``).
 
-Every basis comes from ``derham``: the forms take it from
-``derham.basis_values``, and the loads integrate against it through
-``derham.integrate_against_basis`` and ``integrate_against_gradients``.
+No bilinear form is summed point by point.  Every basis is a polynomial
+in the barycentric coordinates lambda, linear with a per-cell table
+(``derham.basis_table``, ``p2_gradient_table``) or, for P2, a
+homogeneous quadratic (``derham.P2_QUADRATICS``), and curls and
+divergences are constant on affine cells.  So each local matrix is an
+exact reference tensor, a sum of the moments
+int lambda^alpha = alpha! / (|alpha| + 3)! (``lambda_moments``),
+contracted with a small tensor of cell values (Kirby & Logg, ACM TOMS
+32(3), 2006).  A frozen field enters by its own coefficients: the X_k of
+B (its values at the reference vertices) and w at the ten P2 nodes.
 Only the velocity forms that act on each component alike ask which kind
 a space is.
 
@@ -27,33 +38,13 @@ zero-mean fields, and each enters the Picard step's block map as one
 more block row and column holding the domain integrals of the basis
 functions (``domain_integral_vector``); ``linalg.flatten`` lays the
 map out as one matrix.
-
-The quadrature degree of each bilinear form makes its integrand exact
-on affine cells: 4 for the fluid blocks, 3 for curl/divergence
-pairings, and for the three forms of a frozen coefficient 5 for
-convection (P2 x P2 x grad P2), 4 for the Ohm cross block
-(P2 x RT x Nedelec) and 6 for the Lorentz block (P2 x RT x RT x P2).
-Those three are not summed point by point.  Their integrands are
-polynomials whose per-cell factors are linear (B in RT, the Nedelec
-basis, grad phi_b) or quadratic (w in P2), so each local matrix is a
-reference moment table, built once by the form's rule
-(``reference_moments``), contracted with a small tensor of cell values:
-the barycentric coefficients X_k of B (its values at the reference
-vertices), those of the edge basis and of grad phi_b, and w at the ten
-P2 nodes.  They use (phi e_i x B) . F = phi (B x F)_i and
-(phi_a e_i x B) . (phi_b e_j x B) = phi_a phi_b (|B|^2 delta_ij - B_i B_j).
-Load vectors against analytic sources default to degree 6.  The source
-is evaluated at the rule's points of every cell, which is the one place
-quadrature meets an analytic function, and checked against the value
-shape of the space.  Its weighted values are then summed against the
-basis without tabulating it: the edge, face and P2-gradient bases by one
-matmul with the barycentric coordinates over the points and one with
-the cell's coefficient table, the adjoint of field evaluation.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +70,6 @@ class QuadratureRule:
     """Points (nq, 3) in reference-tet coordinates and weights summing
     to the reference volume 1/6."""
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -114,43 +104,49 @@ def quadrature_rule(degree: int) -> QuadratureRule:
     z = (W * (1.0 - U) * (1.0 - V)).ravel()
     points = np.stack([x, y, z], axis=1)
     weights = (WU * WV * WW).ravel()
-    rule = QuadratureRule(degree, points, weights)
+    rule = QuadratureRule(points, weights)
     _rule_cache[degree] = rule
     return rule
 
 
-_moment_cache: dict = {}
+@functools.cache
+def lambda_moments(order: int) -> np.ndarray:
+    """int lambda_k1 ... lambda_kn over the reference cell, (4,) * n for
+    n = ``order``: alpha! / (|alpha| + 3)! for the multi-index alpha that
+    counts the k's, the correctly rounded quotient of two integers."""
+    table = np.empty((4,) * order)
+    for index in np.ndindex(table.shape):
+        alpha = [index.count(k) for k in range(4)]
+        table[index] = math.prod(map(math.factorial, alpha)) / math.factorial(order + 3)
+    table.setflags(write=False)  # shared by every call
+    return table
 
 
-def reference_moments(rule: QuadratureRule) -> np.ndarray:
-    """M[a, b, k, l], the integral over the reference cell of
-    phi_a phi_b lambda_k lambda_l by a rule: exact at degree 6.  Its sums
-    are the tables of the other coefficient forms, exact when the rule
-    covers their integrands: sum_b phi_b = 1 gives the Ohm moments
-    int phi_a lambda_k lambda_l (degree 4), and sum_l lambda_l = 1 the
-    convection moments int phi_a phi_m lambda_k (degree 5)."""
-    if rule.degree not in _moment_cache:
-        s = derham.p2_scalar_values(rule.points)
-        lam = derham.reference_barycentric(rule.points)
-        table = np.einsum("q,qa,qb,qk,ql->abkl", rule.weights, s, s, lam, lam)
-        table.setflags(write=False)  # shared by every call
-        _moment_cache[rule.degree] = table
-    return _moment_cache[rule.degree]
+@functools.cache
+def reference_moments() -> np.ndarray:
+    """M[a, b, k, l] = int phi_a phi_b lambda_k lambda_l over the reference
+    cell, from ``derham.P2_QUADRATICS`` and the sixth moments.  By
+    sum_k lambda_k = sum_b phi_b = 1 its sums are the P2 mass (over k
+    and l), the Ohm moments (over b) and the convection moments (over l)."""
+    Q = derham.P2_QUADRATICS
+    table = np.einsum("aij,bmn,ijmnkl->abkl", Q, Q, lambda_moments(6))
+    table.setflags(write=False)
+    return table
 
 
-# form_id -> (trial kinds, test kinds, quadrature degree)
+# form_id -> (trial kinds, test kinds)
 _VEC = ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
 FORM_TABLE = {
-    "grad_grad": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 4),
-    "vec_mass": (_VEC, _VEC, 4),
-    "scalar_mass": (("lagrange_p1", "dg0"), ("lagrange_p1", "dg0"), 2),
-    "curl_mass_pairing": (("rt_lowest",), ("nedelec1_lowest",), 3),
-    "div_scalar": (("rt_lowest",), ("dg0",), 3),
-    "div_pressure": (("lagrange_p2_vector",), ("lagrange_p1",), 4),
-    "convection_skew": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 5),
-    "ohm_cross": (("lagrange_p2_vector",), ("nedelec1_lowest",), 4),
-    "lorentz_cross": (("lagrange_p2_vector",), ("lagrange_p2_vector",), 6),
-    "divdiv": (("rt_lowest",), ("rt_lowest",), 3),
+    "grad_grad": (("lagrange_p2_vector",), ("lagrange_p2_vector",)),
+    "vec_mass": (_VEC, _VEC),
+    "scalar_mass": (("lagrange_p1", "dg0"), ("lagrange_p1", "dg0")),
+    "curl_mass_pairing": (("rt_lowest",), ("nedelec1_lowest",)),
+    "div_scalar": (("rt_lowest",), ("dg0",)),
+    "div_pressure": (("lagrange_p2_vector",), ("lagrange_p1",)),
+    "convection_skew": (("lagrange_p2_vector",), ("lagrange_p2_vector",)),
+    "ohm_cross": (("lagrange_p2_vector",), ("nedelec1_lowest",)),
+    "lorentz_cross": (("lagrange_p2_vector",), ("lagrange_p2_vector",)),
+    "divdiv": (("rt_lowest",), ("rt_lowest",)),
 }
 # form_id -> the kinds of frozen field it takes: the moments are exact
 # for a quadratic w and a linear B
@@ -165,7 +161,7 @@ _PER_COMPONENT = ("grad_grad", "vec_mass", "convection_skew")
 def _check_form(form_id, trial, test, coefficient):
     if form_id not in FORM_TABLE:
         raise FormError(f"unknown form {form_id!r}")
-    trial_kinds, test_kinds, degree = FORM_TABLE[form_id]
+    trial_kinds, test_kinds = FORM_TABLE[form_id]
     if trial.kind not in trial_kinds:
         raise FormError(f"form {form_id!r} does not accept trial space {trial.kind!r}")
     if test.kind not in test_kinds:
@@ -183,7 +179,8 @@ def _check_form(form_id, trial, test, coefficient):
             raise FormError(
                 f"form {form_id!r} does not accept a coefficient in {coefficient.space.kind!r}"
             )
-    return degree
+        if coefficient.space.mesh is not trial.mesh:
+            raise FormError("the coefficient lives on another mesh than the spaces")
 
 
 def assemble_bilinear(
@@ -199,11 +196,10 @@ def assemble_bilinear(
     free dofs.  ``coefficient`` is the frozen field of the Picard
     linearization (advecting velocity or previous magnetic iterate).
     """
-    rule = quadrature_rule(_check_form(form_id, trial, test, coefficient))
+    _check_form(form_id, trial, test, coefficient)
     mesh = trial.mesh
-    scale = np.abs(mesh.det_jacobians)  # reference weights sum to 1/6 = ref volume
-    local = _local_matrices(form_id, trial, test, coefficient, rule, mesh)
-    local = local * scale[:, None, None]
+    local = _local_matrices(form_id, trial, test, coefficient, mesh)
+    local = local * np.abs(mesh.det_jacobians)[:, None, None]  # moments on the reference cell
     per_component = form_id in _PER_COMPONENT and trial.kind == "lagrange_p2_vector"
     return _scatter(local, trial, test, per_component=per_component)
 
@@ -256,41 +252,43 @@ def domain_integral_vector(space: FeSpace) -> np.ndarray:
 # local element matrices
 
 
-def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
-    pts, w = rule.points, rule.weights
+def _pair(S, T):
+    """sum_kl int(lambda_k lambda_l) S[c, a, k] . T[c, b, l], (nc, na, nb):
+    the mass of two linear bases with barycentric tables (nc, n, 4, d)."""
+    d = S.shape[-1]
+    TM = T.reshape(-1, 4 * d) @ np.kron(lambda_moments(2), np.eye(d))
+    return S.reshape(len(S), -1, 4 * d) @ TM.reshape(len(T), -1, 4 * d).transpose(0, 2, 1)
+
+
+def _local_matrices(form_id, trial, test, coefficient, mesh):
+    nc = mesh.num_cells
     if form_id == "grad_grad":
-        g = derham.p2_scalar_gradients(mesh, pts)
-        return np.einsum("q,cqad,cqbd->cab", w, g, g)
+        G = derham.p2_gradient_table(mesh)
+        return _pair(G, G)
     if form_id in ("vec_mass", "scalar_mass"):
         if trial.kind == "lagrange_p2_vector":
-            s = derham.p2_scalar_values(pts)  # the block of each component
+            k = reference_moments().sum(axis=(2, 3))  # the block of each component
         else:
-            s = derham.basis_values(trial, pts)
-        if s.ndim == 2:  # scalar, the same on every cell
-            k = np.einsum("q,qa,qb->ab", w, s, s)
-            return np.broadcast_to(k, (mesh.num_cells,) + k.shape)
-        return np.einsum("q,cqad,cqbd->cab", w, s, s)
+            k = _pair(derham.basis_table(trial), derham.basis_table(trial))
+        return np.broadcast_to(k, (nc,) + k.shape[-2:])  # P2 and scalar kinds: one block, read-only
     if form_id == "curl_mass_pairing":
-        rt = derham.basis_values(trial, pts)
-        curls = derham.nedelec_curls(mesh)
-        return np.einsum("q,cqfd,ced->cef", w, rt, curls)  # rows edge-test, cols face-trial
+        # the curls are constant: int RT_f . curl N_e = sum_k int(lambda_k) T[c, f, k] . curl N_e
+        means = np.einsum("k,cfkd->cdf", lambda_moments(1), derham.face_table(mesh))
+        return derham.nedelec_curls(mesh) @ means  # rows edge-test, cols face-trial
     if form_id == "div_scalar":
         divs = derham.rt_divergences(mesh)  # constant per cell
-        return (divs / 6.0)[:, None, :]  # (nc, 1, 4), weight sum 1/6
+        return (divs / 6.0)[:, None, :]  # (nc, 1, 4), the reference volume 1/6
     if form_id == "div_pressure":
-        g = derham.p2_scalar_gradients(mesh, pts)
-        s = derham.basis_values(test, pts)
-        k = np.einsum("q,qa,cqbj->cabj", w, s, g)  # test a, trial scalar b, comp j
-        nc = mesh.num_cells
-        return k.reshape(nc, k.shape[1], 30)
+        # q_a = lambda_a: int q_a d_j phi_b = sum_k int(lambda_a lambda_k) G[c, b, k, j]
+        G = derham.p2_gradient_table(mesh).transpose(0, 2, 1, 3).reshape(nc, 4, 30)
+        return lambda_moments(2) @ G  # test a, trial 3 b + j
     if form_id == "convection_skew":
         # w = sum_m phi_m W_m and grad phi_b = sum_k lambda_k G_bk, so
         # (w . grad phi_b, phi_a) = sum_mk R[a, m, k] (W_m . G_bk)
         W = derham.evaluate_on_cells(coefficient, derham.P2_NODES)  # [c, m, d]
         G = derham.p2_gradient_table(mesh)  # [c, b, k, d]
-        nc = mesh.num_cells
         Q = G.reshape(nc, 40, 3) @ W.transpose(0, 2, 1)  # [c, bk, m]
-        R = reference_moments(rule).sum(axis=3).transpose(0, 2, 1)  # [a, k, m]
+        R = reference_moments().sum(axis=3).transpose(0, 2, 1)  # [a, k, m]
         a = (Q.reshape(-1, 40) @ R.reshape(10, 40).T).reshape(nc, 10, 10)  # [c, b, a]
         return 0.5 * (np.transpose(a, (0, 2, 1)) - a)
     if form_id == "divdiv":
@@ -306,7 +304,7 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             P[:, :, i] = X[..., j] * T[..., k] - X[..., k] * T[..., j]
-        m = reference_moments(rule).sum(axis=1)  # [a, k, l]
+        m = reference_moments().sum(axis=1)  # [a, k, l]
         ohm = (P.reshape(-1, 16) @ m.reshape(10, 16).T).reshape(-1, 6, 3, 10)
         return ohm.transpose(0, 1, 3, 2).reshape(-1, 6, 30)  # rows edge-test, cols u-trial
     if form_id == "lorentz_cross":
@@ -316,7 +314,7 @@ def _local_matrices(form_id, trial, test, coefficient, rule, mesh):
         Xt = X.transpose(0, 2, 1)  # [c, i, k]
         C = -Xt[:, :, None, :, None] * Xt[:, None, :, None, :]  # [c, i, j, k, l]
         C[:, range(3), range(3)] += (X @ Xt)[:, None]
-        M = reference_moments(rule)
+        M = reference_moments()
         lor = (C.reshape(-1, 16) @ M.reshape(100, 16).T).reshape(-1, 3, 3, 10, 10)
         return lor.transpose(0, 3, 1, 4, 2).reshape(-1, 30, 30)
     raise FormError(f"unknown form {form_id!r}")

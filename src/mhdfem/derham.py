@@ -11,9 +11,10 @@ Five space kinds are provided:
 
 Each kind is described here and nowhere else: ``make_space`` reads its
 dofs (cell-to-dof map, boundary flag per dof) from one table,
-``basis_values`` gives its basis at reference points to every form of
-``assembly``, and ``integrate_against_basis`` integrates weighted point
-values against it for every load.
+``basis_table`` gives the barycentric table of its basis to the forms of
+``assembly`` (the velocity forms take ``P2_QUADRATICS`` and
+``p2_gradient_table``), and ``integrate_against_basis`` integrates
+weighted point values against it for every load.
 
 Edge and face degrees of freedom are oriented by ascending global vertex
 index, which makes tangential/normal traces match across cells without
@@ -25,14 +26,11 @@ The Whitney edge and face bases and the gradients of the scalar P2
 basis are linear in the barycentric coordinates, phi_a = sum_k lambda_k
 T[c, a, k], so each is defined once, by its per-cell coefficient table T
 (``edge_table``, ``face_table``, ``p2_gradient_table``), built once per
-mesh and cached on it.  Evaluation goes through these tables: a field's
-coefficients are contracted with T first, to (nc, 4, 3) per field, and
-then evaluated by one matmul with lambda at the points, so no
-(nc, nq, nloc, 3) basis table is built to evaluate a field.  Loads go
-the other way through the same tables (``integrate_against_basis``,
-``integrate_against_gradients``): weighted point values are summed by
-one matmul with lambda transposed, to (nc, 4, 3), and then contracted
-with T over (k, d).  Curls and divergences follow from the same tables.
+mesh and cached on it.  A field is evaluated by contracting its
+coefficients with T, to (nc, 4, 3) per field, and then one matmul with
+lambda at the points; loads go the other way (``integrate_against_basis``,
+``integrate_against_gradients``), so no (nc, nq, nloc, 3) basis table is
+ever built.  Curls and divergences follow from the same tables.
 
 ``bc="essential_zero"`` constrains the boundary trace to zero (vertex
 values, edge circulations, face fluxes, or full velocity trace);
@@ -55,7 +53,6 @@ class SpaceError(Exception):
 
 
 BC_KINDS = ("essential_zero", "none")
-_SCALAR_KINDS = ("lagrange_p1", "dg0")
 
 # degree-5-exact Gauss rule on [0, 1] for edge circulations
 _GAUSS3_X = np.array([0.5 - np.sqrt(15.0) / 10.0, 0.5, 0.5 + np.sqrt(15.0) / 10.0])
@@ -105,7 +102,7 @@ class FeSpace:
     def value_shape(self) -> tuple:
         """Shape of a field's value at one point: () for the scalar
         kinds, (3,) for the vector kinds."""
-        return () if self.kind in _SCALAR_KINDS else (3,)
+        return () if self.kind in _SCALAR_TABLES else (3,)
 
 
 @dataclass
@@ -282,22 +279,15 @@ def reference_barycentric(points: np.ndarray) -> np.ndarray:
 def p2_scalar_values(points: np.ndarray) -> np.ndarray:
     """Scalar P2 basis values, (nq, 10): 4 vertex + 6 edge functions."""
     lam = reference_barycentric(points)
-    vert = lam * (2.0 * lam - 1.0)
-    edge = np.stack([4.0 * lam[:, a] * lam[:, b] for a, b in LOCAL_EDGES], axis=1)
-    return np.concatenate([vert, edge], axis=1)
+    return np.einsum("qk,akl,ql->qa", lam, P2_QUADRATICS, lam)
 
 
-def _at_points(table: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """A barycentric coefficient table (nc, nloc, 4, 3) evaluated at
-    reference points, (nc, nq, nloc, 3).  The result is a view of
-    (nc, nloc, nq, 3) memory, which the assembly contractions over
-    points read fastest."""
-    return (reference_barycentric(points) @ table).transpose(0, 2, 1, 3)
-
-
-def p2_scalar_gradients(mesh: Mesh, points: np.ndarray) -> np.ndarray:
-    """Scalar P2 basis gradients on every cell, (nc, nq, 10, 3)."""
-    return _at_points(p2_gradient_table(mesh), points)
+# the scalar P2 basis as homogeneous quadratics, phi_a = sum_kl lambda_k lambda_l Q[a, k, l]:
+# lambda_a (2 lambda_a - 1) = 2 lambda_a^2 - sum_l lambda_a lambda_l, and 4 lambda_a lambda_b
+P2_QUADRATICS = np.zeros((10, 4, 4))
+P2_QUADRATICS[range(4), range(4)] = -1.0
+P2_QUADRATICS[range(4), range(4), range(4)] = 1.0
+P2_QUADRATICS[range(4, 10), [a for a, _ in LOCAL_EDGES], [b for _, b in LOCAL_EDGES]] = 4.0
 
 
 def nedelec_curls(mesh: Mesh) -> np.ndarray:
@@ -316,21 +306,30 @@ def rt_divergences(mesh: Mesh) -> np.ndarray:
 # kind -> barycentric coefficient table of its basis, for the kinds whose
 # basis differs from cell to cell
 _TABLES = {"nedelec1_lowest": edge_table, "rt_lowest": face_table}
+# and of the scalar kinds, one for every cell: lambda_a, and 1 = sum_k lambda_k
+_SCALAR_TABLES = {"lagrange_p1": np.eye(4)[None, :, :, None], "dg0": np.ones((1, 1, 4, 1))}
+
+
+def basis_table(space: FeSpace) -> np.ndarray:
+    """The barycentric coefficient table of a space's basis, phi_a =
+    sum_k lambda_k T[c, a, k]: (nc, nloc, 4, 3) for the edge and face
+    kinds, (1, nloc, 4, 1) for the scalar kinds.  The velocity basis is
+    quadratic: the scalar P2 basis (``P2_QUADRATICS``) on each component."""
+    if space.kind in _SCALAR_TABLES:
+        return _SCALAR_TABLES[space.kind]
+    if space.kind not in _TABLES:
+        raise SpaceError(f"no barycentric table for space kind {space.kind!r}")
+    return _TABLES[space.kind](space.mesh)
 
 
 def basis_values(space: FeSpace, points: np.ndarray) -> np.ndarray:
-    """A space's basis at reference points: (nq, nloc) for the scalar
-    kinds, the same on every cell, and (nc, nq, nloc, 3) for the edge
-    and face kinds.  The velocity basis, phi_a e_i at local dof 3a + i,
-    is the scalar P2 basis (``p2_scalar_values``) on each component."""
-    kind = space.kind
-    if kind == "lagrange_p1":
+    """A scalar space's basis at reference points, (nq, nloc), the same
+    on every cell; the other kinds are evaluated through their tables."""
+    if space.kind == "lagrange_p1":
         return reference_barycentric(points)
-    if kind == "dg0":
+    if space.kind == "dg0":
         return np.ones((len(np.atleast_2d(points)), 1))
-    if kind in _TABLES:
-        return _at_points(_TABLES[kind](space.mesh), points)
-    raise SpaceError(f"no basis for space kind {kind!r}")
+    raise SpaceError(f"no basis values for space kind {space.kind!r}")
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,8 @@ def lp_norms(
         raise OperatorError(f"unsupported exponent p={p}")
     _check_block(space, coeffs)
     rule = assembly.quadrature_rule(quad_degree)
+    if not coeffs.shape[1]:
+        return np.zeros(0)
     wdet = assembly.quadrature_weights(space.mesh, rule)
     nc, nq = wdet.shape
     step = max(1, LP_BLOCK_VALUES // (nq * coeffs.shape[1]))

@@ -55,7 +55,7 @@ def cross_forms(u_space, E_space, B, rule):
     for i in range(3):
         basis[:, :, :, i, i] = s
     cross = np.cross(basis.reshape(bvals.shape[:2] + (30, 3)), bvals[:, :, None, :])
-    ned = derham.basis_values(E_space, rule.points)
+    ned = nedelec_values(mesh, rule.points)
     O = np.einsum("cq,cqed,cqbd->ceb", wdet, ned, cross)
     L = np.einsum("cq,cqad,cqbd->cab", wdet, cross, cross)
     return _dense(O, u_space, E_space), _dense(L, u_space, u_space)
@@ -266,9 +266,8 @@ def coo_scatter(local, trial, test, *, per_component=False):
 
 def scaled_local_matrices(form_id, trial, test, coefficient=None):
     """The local matrices that ``assemble_bilinear`` scatters."""
-    rule = assembly.quadrature_rule(assembly.FORM_TABLE[form_id][2])
     mesh = trial.mesh
-    local = assembly._local_matrices(form_id, trial, test, coefficient, rule, mesh)
+    local = assembly._local_matrices(form_id, trial, test, coefficient, mesh)
     return local * np.abs(mesh.det_jacobians)[:, None, None]
 
 
@@ -293,7 +292,7 @@ def l2_project_edge(dcurl, values, rule) -> FieldFunction:
     tabulated at the rule's quadrature points, shape (nc, nq, 3),
     through the edge mass factorization of the discrete curl."""
     space = dcurl.curl_space
-    basis = derham.basis_values(space, rule.points)
+    basis = nedelec_values(space.mesh, rule.points)
     wdet = assembly.quadrature_weights(space.mesh, rule)
     cellvec = np.einsum("cq,cqd,cqad->ca", wdet, values, basis)
     rhs = np.zeros(space.ndof)
@@ -481,6 +480,66 @@ def rt_divergences(mesh):
     return 6.0 * np.einsum("ced,ced->ce", Ga, np.cross(Gb, Gc))
 
 
+def _by_component(s):
+    """The velocity basis phi_a e_i at local dof 3a + i from a scalar P2
+    tabulation s (..., 10, m): (..., 30, 3 m), [..., 3a + i, (i, :)] = s[..., a, :]."""
+    out = np.zeros(s.shape[:-2] + (10, 3, 3) + s.shape[-1:])
+    for i in range(3):
+        out[..., :, i, i, :] = s
+    return out.reshape(s.shape[:-2] + (30, 3 * s.shape[-1]))
+
+
+def tabulated_form(form_id, trial, test, rule):
+    """A form without a frozen field as a dense matrix over free dofs:
+    the bases above, or their gradients, curls or divergences, tabulated
+    at every point of every cell, (nc, nq, nloc, m), and paired point by
+    point."""
+    mesh = trial.mesh
+    nc, nq = mesh.num_cells, len(rule.points)
+    lam = derham.reference_barycentric(rule.points)
+
+    def at_points(x):  # (nc, nloc, m), constant on each cell
+        return np.broadcast_to(x[:, None], (nc, nq) + x.shape[1:])
+
+    def values(space):
+        if space.kind == "lagrange_p1":
+            return np.broadcast_to(lam[None, :, :, None], (nc, nq, 4, 1))
+        if space.kind == "dg0":
+            return np.ones((nc, nq, 1, 1))
+        if space.kind == "nedelec1_lowest":
+            return nedelec_values(mesh, rule.points)
+        if space.kind == "rt_lowest":
+            return rt_values(mesh, rule.points)
+        s = p2_scalar_values(rule.points)[..., None]
+        return np.broadcast_to(_by_component(s), (nc, nq, 30, 3))
+
+    def gradients(space):  # [c, q, 3a + i, (i, j)], d_j of component i
+        return _by_component(p2_scalar_gradients(mesh, rule.points))
+
+    def curls(space):
+        return at_points(nedelec_curls(mesh))
+
+    def divergences(space):
+        if space.kind == "rt_lowest":
+            return at_points(rt_divergences(mesh)[:, :, None])
+        return np.trace(gradients(space).reshape(nc, nq, 30, 3, 3), axis1=3, axis2=4)[..., None]
+
+    # form_id -> the operands of the trial and the test functions
+    operands = {
+        "grad_grad": (gradients, gradients),
+        "vec_mass": (values, values),
+        "scalar_mass": (values, values),
+        "curl_mass_pairing": (values, curls),
+        "div_scalar": (divergences, values),
+        "div_pressure": (divergences, values),
+        "divdiv": (divergences, divergences),
+    }
+    of_trial, of_test = operands[form_id]
+    wdet = rule.weights[None, :] * np.abs(mesh.det_jacobians)[:, None]
+    local = np.einsum("cq,cqad,cqbd->cab", wdet, of_test(test), of_trial(trial))
+    return _dense(local, trial, test)
+
+
 def load_vector(space, func, rule):
     """``assemble_linear`` as a quadrature sum per local dof over the
     bases above: the integral of f . phi_a on every cell, added into the
@@ -521,7 +580,7 @@ def grad_load(space, grad_func, quad_degree):
     G = np.asarray(grad_func(xq.reshape(-1, 3)), dtype=float).reshape(
         xq.shape[0], xq.shape[1], 3, 3
     )
-    sg = derham.p2_scalar_gradients(mesh, rule.points)
+    sg = p2_scalar_gradients(mesh, rule.points)
     wdet = assembly.quadrature_weights(mesh, rule)
     comp = np.einsum("cq,cqij,cqaj->cai", wdet, G, sg)
     vec = np.bincount(space.dofmap.ravel(), weights=comp.ravel(), minlength=space.ndof)

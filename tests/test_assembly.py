@@ -1,7 +1,9 @@
 """Quadrature rules and sparse assembly of the coupled-system blocks."""
 
+import itertools
 import logging
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from oracles import (
     load_vector,
     monolithic_system,
     scaled_local_matrices,
+    tabulated_form,
     vertex_volume_weights,
 )
 
@@ -80,7 +83,7 @@ def test_rule_weights(degree):
     assert rule.weights.sum() == pytest.approx(1.0 / 6.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5, 6, 8])
+@pytest.mark.parametrize("degree", range(1, MAX_QUAD_DEGREE + 1))
 def test_rule_monomial_exactness(degree):
     # exact reference-tet integral of x^a y^b z^c is a! b! c! / (a+b+c+3)!
     rule = quadrature_rule(degree)
@@ -243,11 +246,12 @@ def test_convection_is_skew(mesh2, topo2):
 
 
 @pytest.mark.parametrize(
-    "form_id, cancelled", [("grad_grad", 448), ("vec_mass", 0), ("convection_skew", 343)]
+    "form_id, cancelled", [("grad_grad", 988), ("vec_mass", 0), ("convection_skew", 343)]
 )
 def test_velocity_forms_store_only_the_component_blocks(form_id, cancelled):
     # grad_grad here is a driver's K_u on unit_cube_mesh(4); dual_f
-    # factors its block on the first component
+    # factors its block on the first component.  Its exact moments
+    # cancel each of the 988 sums within 1e-13 of zero to 0.0
     mesh = unit_cube_mesh(4)
     u = make_space("lagrange_p2_vector", "essential_zero", mesh, build_topology(mesh))
     w = None
@@ -282,7 +286,7 @@ def test_velocity_forms_store_only_the_component_blocks(form_id, cancelled):
 # conditions (dg0 takes none)
 FORM_CASES = [
     (form_id, trial, test, bc)
-    for form_id, (trials, tests, _) in FORM_TABLE.items()
+    for form_id, (trials, tests) in FORM_TABLE.items()
     for trial in trials
     for test in tests
     for bc in ("none", "essential_zero")
@@ -342,6 +346,39 @@ def test_assembly_is_the_coo_scatter_to_rounding(
     )
     assert A.shape == want.shape
     assert_summed_to_rounding(A, want, abs_sum, addends)
+
+
+# the forms without a frozen field, which the cross and convection
+# oracles below do not cover
+CONSTANT_CASES = [case for case in FORM_CASES if case[0] not in assembly._COEFFICIENT_KINDS]
+
+
+@pytest.mark.parametrize("mesh_name", ["mesh2", "jittered_mesh", "single_tet"])
+@pytest.mark.parametrize("form_id, trial_kind, test_kind, bc", CONSTANT_CASES)
+def test_constant_forms_match_the_tabulated_form(
+    request, mesh_name, form_id, trial_kind, test_kind, bc
+):
+    mesh = request.getfixturevalue(mesh_name)
+    trial, test = _spaces(mesh, build_topology(mesh), trial_kind, test_kind, bc)
+    got = assemble_bilinear(form_id, trial, test).toarray()
+    want = tabulated_form(form_id, trial, test, quadrature_rule(6))
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+
+
+def test_bilinear_forms_build_no_quadrature_rule(plan_meshes, monkeypatch):
+    mesh, topo = plan_meshes["cube2"]
+    cases = [
+        (form_id, *_spaces(mesh, topo, trial, test, bc), _coefficient(form_id, mesh, topo))
+        for form_id, trial, test, bc in FORM_CASES
+    ]
+
+    def refuse(degree):
+        raise AssertionError(f"a bilinear form built a degree-{degree} rule")
+
+    monkeypatch.setattr(assembly, "quadrature_rule", refuse)
+    for form_id, trial, test, coefficient in cases:
+        assemble_bilinear(form_id, trial, test, coefficient=coefficient)
 
 
 @pytest.mark.parametrize(
@@ -526,23 +563,75 @@ def test_convection_matches_the_tabulated_form_at_a_varying_field(request, mesh_
     assert_close(C, convection_skew(u, w, quadrature_rule(6)))
 
 
+def _exact_moment(alpha) -> Fraction:
+    """int lambda^alpha over the reference cell, exactly: lambda_0 =
+    1 - x - y - z expanded by the multinomial theorem, and each monomial
+    x^a y^b z^c integrated as a! b! c! / (a + b + c + 3)!."""
+    f = math.factorial
+    a0, a1, a2, a3 = alpha
+    total = Fraction(0)
+    for i, j, k in itertools.product(range(a0 + 1), repeat=3):
+        if i + j + k <= a0:
+            multinomial = f(a0) // (f(a0 - i - j - k) * f(i) * f(j) * f(k))
+            x, y, z = a1 + i, a2 + j, a3 + k
+            sign = (-1) ** (i + j + k)
+            total += sign * multinomial * Fraction(f(x) * f(y) * f(z), f(x + y + z + 3))
+    return total
+
+
+def _alpha(*ks) -> tuple:
+    """The multi-index of lambda_k1 ... lambda_kn."""
+    return tuple(ks.count(k) for k in range(4))
+
+
+@pytest.mark.parametrize("order", range(7))
+def test_the_lambda_moments_are_exact_bit_for_bit(order):
+    got = assembly.lambda_moments(order)
+    assert got.shape == (4,) * order
+    for index in np.ndindex(got.shape):
+        assert got[index] == float(_exact_moment(_alpha(*index))), index
+
+
+def _product(*polys) -> dict:
+    """The product of polynomials in lambda, each {alpha: coefficient}."""
+    out = {(0, 0, 0, 0): 1}
+    for poly in polys:
+        prod = {}
+        for (a, ca), (b, cb) in itertools.product(out.items(), poly.items()):
+            key = tuple(x + y for x, y in zip(a, b))
+            prod[key] = prod.get(key, 0) + ca * cb
+        out = prod
+    return out
+
+
+def _exact_reference_moments() -> np.ndarray:
+    """int phi_a phi_b lambda_k lambda_l as Fractions, with the P2 basis
+    written as lambda_a (2 lambda_a - 1) and 4 lambda_a lambda_b."""
+    p2 = [{_alpha(a, a): 2, _alpha(a): -1} for a in range(4)]
+    p2 += [{_alpha(a, b): 4} for a, b in derham.LOCAL_EDGES]
+    M = np.empty((10, 10, 4, 4), dtype=object)
+    for a, b, k, l in np.ndindex(M.shape):
+        poly = _product(p2[a], p2[b], {_alpha(k, l): 1})
+        M[a, b, k, l] = sum(c * _exact_moment(alpha) for alpha, c in poly.items())
+    return M
+
+
 # form_id -> the moment table it contracts, from the Lorentz table M
 MOMENT_TABLES = {
     "lorentz_cross": lambda M: M,
     "ohm_cross": lambda M: M.sum(axis=1),
     "convection_skew": lambda M: M.sum(axis=3),
+    "vec_mass": lambda M: M.sum(axis=(2, 3)),
 }
 
 
 @pytest.mark.parametrize("form_id", MOMENT_TABLES)
 def test_the_moment_tables_are_exact(form_id):
-    # each form's rule covers its table; a rule too low for the integrand
-    # is off by several percent, and the rules' own nodes and weights
-    # leave up to 16 ulp of the largest entry between two exact ones
+    # within a few ulp of the largest entry of the exact table
     table = MOMENT_TABLES[form_id]
-    got = table(assembly.reference_moments(quadrature_rule(FORM_TABLE[form_id][2])))
-    want = table(assembly.reference_moments(quadrature_rule(MAX_QUAD_DEGREE)))
-    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    got = table(assembly.reference_moments())
+    want = table(_exact_reference_moments()).astype(float)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
 def test_the_reference_nodes_are_those_of_the_bases():
@@ -667,12 +756,16 @@ def test_grad_load_is_the_per_point_einsum(request, mesh_name, degree):
 
 def test_loads_never_tabulate_a_basis(mesh2, topo2, monkeypatch):
     # loads are integrated against the barycentric tables: no
-    # (nc, nq, nloc, 3) basis or gradient table is built
-    def refuse(*args):
-        raise AssertionError("a basis was tabulated at every point")
+    # (nc, nq, nloc, 3) basis or gradient table is built; only a scalar
+    # basis, the same on every cell, is taken at the points
+    real = derham.basis_values
 
-    monkeypatch.setattr(derham, "_at_points", refuse)
-    monkeypatch.setattr(derham, "p2_scalar_gradients", refuse)
+    def refuse(space, points):
+        if space.value_shape != ():
+            raise AssertionError("a basis was tabulated at every point")
+        return real(space, points)
+
+    monkeypatch.setattr(derham, "basis_values", refuse)
     for kind in ("lagrange_p1", "dg0", "nedelec1_lowest", "rt_lowest", "lagrange_p2_vector"):
         space = make_space(kind, "none", mesh2, topo2)
         assemble_linear(space, _scalar_source if space.value_shape == () else _vector_source)
@@ -789,3 +882,16 @@ def test_form_errors(mesh1, mesh2, topo1, topo2):
     dg1 = make_space("dg0", "none", mesh1, topo1)
     with pytest.raises(FormError, match="coefficient in 'dg0'"):
         assemble_bilinear("convection_skew", u1, u1, coefficient=FieldFunction.zeros(dg1))
+
+
+@pytest.mark.parametrize("form_id", ["convection_skew", "ohm_cross", "lorentz_cross"])
+def test_a_coefficient_on_another_mesh_is_refused(mesh2, topo2, jittered_mesh, form_id):
+    # the jittered copy of unit_cube_mesh(2) has as many cells as mesh2
+    u = make_space("lagrange_p2_vector", "none", jittered_mesh)
+    test = u
+    if form_id == "ohm_cross":
+        test = make_space("nedelec1_lowest", "none", jittered_mesh, u.topology)
+    coefficient = _coefficient(form_id, mesh2, topo2)
+    assert coefficient.space.mesh.num_cells == jittered_mesh.num_cells
+    with pytest.raises(FormError, match="another mesh"):
+        assemble_bilinear(form_id, u, test, coefficient=coefficient)

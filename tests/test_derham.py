@@ -214,8 +214,9 @@ def test_interior_trace_continuity(mesh2, topo2, kind):
         n = np.cross(pb - pa, pc - pa)
         n = n / np.linalg.norm(n)
         traces = []
+        basis = oracles.nedelec_values if kind == "nedelec1_lowest" else oracles.rt_values
         for c in (c1, c2):
-            vals = basis_values(space, _ref_coords(mesh2, c, x))[c]
+            vals = basis(mesh2, _ref_coords(mesh2, c, x))[c]
             v = np.einsum("qad,a->qd", vals, f.coeffs[space.dofmap[c]])
             if kind == "nedelec1_lowest":
                 traces.append(v - np.outer(v @ n, n))  # tangential part
@@ -234,24 +235,43 @@ def _close(got, want):
     return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-# brute-force tabulation -> the space kind whose basis_values it checks
-_TABULATED_KINDS = {"nedelec_values": "nedelec1_lowest", "rt_values": "rt_lowest"}
+# brute-force tabulation -> the barycentric table it checks
+_TABULATED = {
+    "nedelec_values": derham.edge_table,
+    "rt_values": derham.face_table,
+    "p2_scalar_gradients": derham.p2_gradient_table,
+}
 
 
 @pytest.mark.parametrize("name", ["nedelec_values", "rt_values", "p2_scalar_gradients"])
 def test_basis_tables_match_the_brute_force_tabulation(jittered_mesh, name):
     points = quadrature_rule(6).points
-    if name in _TABULATED_KINDS:
-        got = basis_values(make_space(_TABULATED_KINDS[name], "none", jittered_mesh), points)
-    else:
-        got = derham.p2_scalar_gradients(jittered_mesh, points)
+    lam = derham.reference_barycentric(points)
+    got = np.einsum("qk,cakd->cqad", lam, _TABULATED[name](jittered_mesh))
     assert _close(got, getattr(oracles, name)(jittered_mesh, points))
+
+
+@pytest.mark.parametrize("kind", ["lagrange_p1", "dg0"])
+def test_the_scalar_tables_are_the_scalar_bases(mesh1, topo1, kind):
+    space = make_space(kind, "none", mesh1, topo1)
+    table = derham.basis_table(space)
+    assert table.shape == (1, space.nloc, 4, 1)
+    vals = derham.reference_barycentric(REF_POINTS) @ table[0, :, :, 0].T
+    assert vals == pytest.approx(basis_values(space, REF_POINTS), abs=1e-15)
+
+
+def test_the_p2_quadratics_are_the_p2_basis():
+    # p2_scalar_values evaluates P2_QUADRATICS
+    got = derham.p2_scalar_values(REF_POINTS)
+    assert got == pytest.approx(oracles.p2_scalar_values(REF_POINTS), abs=1e-15)
 
 
 def test_basis_values_rejects_an_unknown_kind(mesh1, topo1):
     space = dataclasses.replace(make_space("dg0", "none", mesh1, topo1), kind="lagrange_p3")
     with pytest.raises(SpaceError, match="lagrange_p3"):
         basis_values(space, REF_POINTS)
+    with pytest.raises(SpaceError, match="lagrange_p3"):
+        derham.basis_table(space)
 
 
 @pytest.mark.parametrize("name", ["nedelec_curls", "rt_divergences"])

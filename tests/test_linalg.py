@@ -527,6 +527,19 @@ def test_one_gauge_tree_builder():
     ]
 
 
+def test_quadrature_is_only_where_an_analytic_function_enters():
+    # the bilinear forms contract exact moment tables; a rule is built
+    # only for the loads, the error norms, the L^p norms and the dg0
+    # cell means of an interpolant
+    assert _call_sites("quadrature_rule") == [
+        ("assembly.py", "assemble_linear"),
+        ("assembly.py", "_grad_load"),
+        ("derham.py", "canonical_interpolate"),
+        ("operators.py", "lp_norms"),
+        ("verify.py", "error_norms"),
+    ]
+
+
 def _qualified_sites(match) -> list:
     """(module, enclosing class and function names joined by dots) of
     every node of the package that ``match`` accepts."""
