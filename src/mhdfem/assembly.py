@@ -4,10 +4,12 @@ Tetrahedral quadrature uses conical-product Gauss-Jacobi rules: for any
 requested degree the weights are strictly positive and polynomial
 exactness is guaranteed by construction (the degree-1 rule degenerates
 to the centroid rule with weight 1/6).  Rules serve only where an
-analytic function enters: a load evaluates its source at the rule's
-points of every cell (degree 6 by default), refuses values of the wrong
-shape, and sums them against the basis through the tables of ``derham``
-(``integrate_against_basis``, ``integrate_against_gradients``).
+analytic function enters: ``assemble_linear`` evaluates its source at
+the rule's points of every cell (degree 6 by default), refuses values of
+the wrong shape, and sums them against the basis through the tables of
+``derham`` (``integrate_against_basis``).  ``scatter_load`` sums local
+load vectors into the free dofs, those of ``assemble_linear`` and those
+a caller integrates from values it has tabulated itself.
 
 No bilinear form is summed point by point.  Every basis is a polynomial
 in the barycentric coordinates lambda, linear with a per-cell table
@@ -204,42 +206,30 @@ def assemble_bilinear(
     return _scatter(local, trial, test, per_component=per_component)
 
 
-def assemble_linear(
-    space: FeSpace, func, *, quad_degree: int = 6
-) -> np.ndarray:
+def assemble_linear(space: FeSpace, func, *, quad_degree: int = 6) -> np.ndarray:
     """Assemble a load vector over free dofs for an analytic source.
 
     ``func`` maps physical points (N, 3) to (N,) scalars or (N, 3)
-    vectors, matching the space kind.
+    vectors, matching the space kind; values of another shape are refused.
+    Its values at the rule's points of every cell are weighted by
+    w_q |det J_c| and integrated against the basis.
     """
     rule = quadrature_rule(quad_degree)
-    fw = _weighted_source(space.mesh, rule, func, space.value_shape)
-    cellvec = derham.integrate_against_basis(space, fw, rule.points)
-    vec = np.bincount(space.dofmap.ravel(), weights=cellvec.ravel(), minlength=space.ndof)
-    return vec[space.free]
-
-
-def _grad_load(space: FeSpace, grad_func, quad_degree: int) -> np.ndarray:
-    """Load vector int G : grad v for the velocity space."""
-    rule = quadrature_rule(quad_degree)
-    Gw = _weighted_source(space.mesh, rule, grad_func, (3, 3))
-    cellvec = derham.integrate_against_gradients(space, Gw, rule.points)
-    vec = np.bincount(space.dofmap.ravel(), weights=cellvec.ravel(), minlength=space.ndof)
-    return vec[space.free]
-
-
-def _weighted_source(mesh, rule: QuadratureRule, func, value_shape: tuple) -> np.ndarray:
-    """An analytic source at the rule's points in every cell, times the
-    weights w_q |det J_c|, (nc, nq) + value_shape; a source whose values
-    have another shape is refused."""
-    xq = derham.physical_points(mesh, rule.points)
-    nc, nq = xq.shape[:2]
+    xq = derham.physical_points(space.mesh, rule.points)
+    (nc, nq), shape = xq.shape[:2], space.value_shape
     vals = np.asarray(func(xq.reshape(-1, 3)), dtype=float)
-    expected = (nc * nq,) + value_shape
-    if vals.shape != expected:
-        raise FormError(f"source values have shape {vals.shape}, expected {expected}")
-    weights = quadrature_weights(mesh, rule).reshape((nc, nq) + (1,) * len(value_shape))
-    return vals.reshape((nc, nq) + value_shape) * weights
+    if vals.shape != (nc * nq,) + shape:
+        raise FormError(f"source values have shape {vals.shape}, expected {(nc * nq,) + shape}")
+    weights = quadrature_weights(space.mesh, rule).reshape((nc, nq) + (1,) * len(shape))
+    fw = vals.reshape((nc, nq) + shape) * weights
+    return scatter_load(space, derham.integrate_against_basis(space, fw, rule.points))
+
+
+def scatter_load(space: FeSpace, local: np.ndarray) -> np.ndarray:
+    """Sum local load vectors (nc, nloc) into the global dofs of a
+    space, restricted to its free dofs."""
+    vec = np.bincount(space.dofmap.ravel(), weights=local.ravel(), minlength=space.ndof)
+    return vec[space.free]
 
 
 def domain_integral_vector(space: FeSpace) -> np.ndarray:
@@ -355,10 +345,7 @@ def _scatter(local, trial, test, *, per_component=False):
 def _scatter_plan(trial, test, per_component) -> ScatterPlan:
     """The cached scatter plan of a space pair on its mesh."""
     key = ("scatter_plan", test.kind, test.bc, trial.kind, trial.bc, per_component)
-    cache = trial.mesh._cache
-    if key not in cache:
-        cache[key] = _build_scatter_plan(trial, test, per_component)
-    return cache[key]
+    return trial.mesh.cached(key, lambda: _build_scatter_plan(trial, test, per_component))
 
 
 def _build_scatter_plan(trial, test, per_component) -> ScatterPlan:

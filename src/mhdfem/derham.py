@@ -25,12 +25,14 @@ the covariant/contravariant Piola-mapped reference basis.
 The Whitney edge and face bases and the gradients of the scalar P2
 basis are linear in the barycentric coordinates, phi_a = sum_k lambda_k
 T[c, a, k], so each is defined once, by its per-cell coefficient table T
-(``edge_table``, ``face_table``, ``p2_gradient_table``), built once per
-mesh and cached on it.  A field is evaluated by contracting its
-coefficients with T, to (nc, 4, 3) per field, and then one matmul with
-lambda at the points; loads go the other way (``integrate_against_basis``,
-``integrate_against_gradients``), so no (nc, nq, nloc, 3) basis table is
-ever built.  Curls and divergences follow from the same tables.
+(``edge_table``, ``face_table``, ``p2_gradient_table``).  A field is
+evaluated by contracting its coefficients with T, to (nc, 4, 3) per
+field, and then one matmul with lambda at the points; loads go the other
+way (``integrate_against_basis``, ``integrate_against_gradients``), so no
+(nc, nq, nloc, 3) basis table is ever built.  The constant curls and
+divergences follow from the same tables (``nedelec_curls``,
+``rt_divergences``), and every such table is built once per mesh and
+kept on it (``Mesh.cached``).
 
 ``bc="essential_zero"`` constrains the boundary trace to zero (vertex
 values, edge circulations, face fluxes, or full velocity trace);
@@ -41,6 +43,7 @@ property of a space.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,74 +193,73 @@ def make_space(
 # basis tabulation
 
 
+def _per_mesh(build):
+    """A table of the mesh, kept on it under the function's name."""
+
+    @functools.wraps(build)
+    def table(mesh: Mesh):
+        return mesh.cached(build.__name__, lambda: build(mesh))
+
+    return table
+
+
+@_per_mesh
 def cell_orientations(mesh: Mesh):
     """Per-cell local edge pairs and face triples reordered so global
     vertex indices ascend (the intrinsic orientation of each entity)."""
-    if "orientations" not in mesh._cache:
-        cells = mesh.cells
-        le = np.array(LOCAL_EDGES, dtype=np.int64)
-        ge = cells[:, le]
-        order = np.argsort(ge, axis=2)
-        edge_pairs = np.take_along_axis(
-            np.broadcast_to(le, ge.shape).copy(), order, axis=2
-        )
-        lf = np.array(LOCAL_FACES, dtype=np.int64)
-        gf = cells[:, lf]
-        order = np.argsort(gf, axis=2)
-        face_triples = np.take_along_axis(
-            np.broadcast_to(lf, gf.shape).copy(), order, axis=2
-        )
-        mesh._cache["orientations"] = (edge_pairs, face_triples)
-    return mesh._cache["orientations"]
+
+    def ascending(local):
+        local = np.array(local, dtype=np.int64)
+        order = np.argsort(mesh.cells[:, local], axis=2)
+        return np.take_along_axis(np.broadcast_to(local, order.shape), order, axis=2)
+
+    return ascending(LOCAL_EDGES), ascending(LOCAL_FACES)
 
 
+@_per_mesh
 def edge_table(mesh: Mesh) -> np.ndarray:
     """Barycentric coefficients of the Whitney edge basis, (nc, 6, 4, 3):
     lambda_a grad lambda_b - lambda_b grad lambda_a = sum_k lambda_k T[c, e, k]."""
-    if "edge_table" not in mesh._cache:
-        ep, _ = cell_orientations(mesh)
-        G = mesh.grad_lambda
-        c = np.arange(mesh.num_cells)[:, None]
-        e = np.arange(6)[None, :]
-        a, b = ep[..., 0], ep[..., 1]
-        T = np.zeros((mesh.num_cells, 6, 4, 3))
-        T[c, e, a] = G[c, b]
-        T[c, e, b] = -G[c, a]
-        mesh._cache["edge_table"] = T
-    return mesh._cache["edge_table"]
+    ep, _ = cell_orientations(mesh)
+    G = mesh.grad_lambda
+    c = np.arange(mesh.num_cells)[:, None]
+    e = np.arange(6)[None, :]
+    a, b = ep[..., 0], ep[..., 1]
+    T = np.zeros((mesh.num_cells, 6, 4, 3))
+    T[c, e, a] = G[c, b]
+    T[c, e, b] = -G[c, a]
+    return T
 
 
+@_per_mesh
 def face_table(mesh: Mesh) -> np.ndarray:
     """Barycentric coefficients of the Whitney face basis, (nc, 4, 4, 3):
     2 (lambda_a grad lambda_b x grad lambda_c + cyclic) = sum_k lambda_k T[c, f, k]."""
-    if "face_table" not in mesh._cache:
-        _, ft = cell_orientations(mesh)
-        G = mesh.grad_lambda
-        c = np.arange(mesh.num_cells)[:, None]
-        f = np.arange(4)[None, :]
-        T = np.zeros((mesh.num_cells, 4, 4, 3))
-        for r in range(3):
-            a, b, d = (ft[..., (r + s) % 3] for s in range(3))
-            T[c, f, a] = 2.0 * np.cross(G[c, b], G[c, d])
-        mesh._cache["face_table"] = T
-    return mesh._cache["face_table"]
+    _, ft = cell_orientations(mesh)
+    G = mesh.grad_lambda
+    c = np.arange(mesh.num_cells)[:, None]
+    f = np.arange(4)[None, :]
+    T = np.zeros((mesh.num_cells, 4, 4, 3))
+    for r in range(3):
+        a, b, d = (ft[..., (r + s) % 3] for s in range(3))
+        T[c, f, a] = 2.0 * np.cross(G[c, b], G[c, d])
+    return T
 
 
+@_per_mesh
 def p2_gradient_table(mesh: Mesh) -> np.ndarray:
     """Barycentric coefficients of the scalar P2 basis gradients,
     (nc, 10, 4, 3): (4 lambda_a - 1) grad lambda_a for a vertex and
     4 (lambda_a grad lambda_b + lambda_b grad lambda_a) for an edge (a, b),
     with 1 = sum_k lambda_k."""
-    if "p2_gradient_table" not in mesh._cache:
-        G = mesh.grad_lambda
-        T = np.zeros((mesh.num_cells, 10, 4, 3))
-        T[:, :4] = -G[:, :, None, :]
-        T[:, range(4), range(4)] += 4.0 * G
-        for e, (a, b) in enumerate(LOCAL_EDGES):
-            T[:, 4 + e, a] = 4.0 * G[:, b]
-            T[:, 4 + e, b] = 4.0 * G[:, a]
-        mesh._cache["p2_gradient_table"] = T
-    return mesh._cache["p2_gradient_table"]
+    G = mesh.grad_lambda
+    T = np.zeros((mesh.num_cells, 10, 4, 3))
+    T[:, :4] = -G[:, :, None, :]
+    T[:, range(4), range(4)] += 4.0 * G
+    for e, (a, b) in enumerate(LOCAL_EDGES):
+        T[:, 4 + e, a] = 4.0 * G[:, b]
+        T[:, 4 + e, b] = 4.0 * G[:, a]
+    return T
 
 
 # the vertices of the reference cell, where the barycentric coordinates
@@ -290,6 +292,7 @@ P2_QUADRATICS[range(4), range(4), range(4)] = 1.0
 P2_QUADRATICS[range(4, 10), [a for a, _ in LOCAL_EDGES], [b for _, b in LOCAL_EDGES]] = 4.0
 
 
+@_per_mesh
 def nedelec_curls(mesh: Mesh) -> np.ndarray:
     """Curls of the Whitney edge basis (constant per cell), (nc, 6, 3):
     curl(lambda_k T_k) = grad lambda_k x T_k."""
@@ -297,6 +300,7 @@ def nedelec_curls(mesh: Mesh) -> np.ndarray:
     return np.cross(G, edge_table(mesh)).sum(axis=2)
 
 
+@_per_mesh
 def rt_divergences(mesh: Mesh) -> np.ndarray:
     """Divergences of the face basis (constant per cell), (nc, 4):
     div(lambda_k T_k) = grad lambda_k . T_k."""

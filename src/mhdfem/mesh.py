@@ -84,6 +84,12 @@ class Mesh:
             raise MeshError("cell_tags must have one entry per cell")
         self._cache: dict = {}
 
+    def cached(self, key, build):
+        """``build()`` on the first read of ``key``, then that object."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     @property
     def num_vertices(self) -> int:
         return len(self.vertices)

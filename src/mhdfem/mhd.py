@@ -62,8 +62,9 @@ stiffness k on each component, solved on the one LU of k per driver
 that also gives the dual norm of f, and the trailing (phi, p, p_mean)
 block is its dense Schur complement, factored by one dense LU.  A step
 that GMRES cannot bring under the residual contract within its budget
-is factored on its own.  The Stokes projection of the error analysis is
-the Stokes part of S, so it reuses the same elimination.  Increments
+is factored on its own.  The projections of the error analysis take
+load vectors: the Stokes projection is the Stokes part of S, so it
+reuses the same elimination.  Increments
 and iterates are measured in the W-norm of the Picard theory (``w_norm``):
 |(u, B)|_W^2 = u.(M_u + K_u)u + B.(M_B + G_dd)B + |curl_h B|_0^2.
 """
@@ -160,7 +161,7 @@ class WNorm:
 @dataclass
 class Diagnostics:
     """Solution diagnostics; the exact identities evaluate the same
-    assembled matrices and quadrature as the linear system.  ``norm``, the
+    assembled matrices and loads as the linear system.  ``norm``, the
     iterate's W-norm, is read by picard_solve and the CLI, not reported."""
 
     divB_max: float
@@ -408,22 +409,18 @@ class MhdDriver:
     # ------------------------------------------------------------------
     # projections of the error analysis
 
-    def stokes_project(self, grad_u_func, *, quad_degree: int = 6):
-        """Stokes projection of a velocity field given its gradient tensor.
-
-        Solves (grad Pu, grad v) + (q_aux, div v) = (grad u, grad v),
-        (div Pu, q) = 0 with zero-mean auxiliary pressure, over the
-        driver's velocity and pressure spaces, with the Stokes-Poisson
-        elimination of the Picard steps.  ``grad_u_func`` maps (N, 3) points to
-        (N, 3, 3) tensors G_ij = d_j u_i.  Returns (projected velocity,
-        auxiliary pressure).
-        """
+    def stokes_project(self, load: np.ndarray):
+        """(Pu, q_aux), the Stokes projection of u from its load, the
+        vector (grad u, grad v) over the free velocity dofs: it solves
+        (grad Pu, grad v) + (q_aux, div v) = (grad u, grad v), (div Pu, q) = 0
+        with zero-mean q_aux on the Stokes-Poisson elimination of the steps."""
+        _check_load(self.u_space, load)
         S, offsets = self._stokes_poisson()
         # the system divided by Re is the Stokes part of S, whose u rows
         # carry K_u / Re and whose pressure is -q / Re; phi solves
         # s G0^T M_E G0 phi = 0
         b = np.zeros(S.A.shape[0])
-        b[: offsets[0]] = assembly._grad_load(self.u_space, grad_u_func, quad_degree)
+        b[: offsets[0]] = load
         b /= self.params.Re
         u, _, p, _ = np.split(S.solve(b), offsets)
         return (
@@ -431,13 +428,12 @@ class MhdDriver:
             FieldFunction.from_free(self.p_space, -self.params.Re * p),
         )
 
-    def divfree_project(self, func, *, quad_degree: int = 6) -> FieldFunction:
-        """L^2 projection onto the divergence-free subspace of the face
-        space.  That subspace is curl of the edge space (b1 = b2 = 0), so
-        the projection is B = C_ct K^-1 C_ct^T load on the cotree
-        factorization, and div B = 0 holds by the integer identity
-        div curl = 0."""
-        load = assembly.assemble_linear(self.B_space, func, quad_degree=quad_degree)
+    def divfree_project(self, load: np.ndarray) -> FieldFunction:
+        """L^2 projection of f onto the divergence-free face fields from
+        its load, the vector (f, C) over the free face dofs.  They are the
+        curls of edge fields (b1 = b2 = 0), so it is B = C_ct K^-1 C_ct^T load
+        on the cotree factorization, and div B = 0 holds by div curl = 0."""
+        _check_load(self.B_space, load)
         a = self._cotree.solve(self.dcurl.C_ct.T @ load)
         return FieldFunction.from_free(self.B_space, self.dcurl.C_ct @ a)
 
@@ -593,7 +589,7 @@ class MhdDriver:
         div = derham.evaluate_div_on_cells(state.B)
         divB_max = float(np.max(np.abs(div))) if len(div) else 0.0
         divB_scale = max(1.0, norm.B_div)
-        r_norm = operators.lp_norm(state.r, 2, quad_degree=2)
+        r_norm = operators.norm_cellwise_constant(state.r)
         curlE_norm = operators.norm_curl_part(state.E)
 
         # energy identity from the assembled operators of the step
@@ -645,6 +641,11 @@ class MhdDriver:
             energy5_ratio=energy5_ratio,
             norm=norm,
         )
+
+
+def _check_load(space, load):
+    if np.shape(load) != (space.num_free,):
+        raise MhdError(f"a load of shape {np.shape(load)} for {space.num_free} free dofs")
 
 
 def _row(blocks: dict, t: str, x: dict):

@@ -143,6 +143,12 @@ def lp_norms(
     return total ** (1.0 / p)
 
 
+def norm_cellwise_constant(r: FieldFunction) -> float:
+    """L^2 norm of a piecewise-constant field, by the degree-2 rule,
+    which integrates r^2 exactly."""
+    return lp_norm(r, 2, quad_degree=2)
+
+
 def norm_curl_part(F: FieldFunction) -> float:
     """L^2 norm of the (cellwise constant) curl of an edge field."""
     curl = derham.evaluate_curl_on_cells(F)

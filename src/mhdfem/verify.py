@@ -39,6 +39,11 @@ class StudyError(VerifyError):
         self.report = report
 
 
+def _is_int(value) -> bool:
+    # a bool is an int, but no level, count or degree
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 # ----------------------------------------------------------------------
 # manufactured case
 #
@@ -246,7 +251,7 @@ def error_norms(driver: MhdDriver, state, case: ManufacturedCase, *, quad_degree
     The magnetic graph-norm quantities compare against the constrained
     projection of the exact field (the quantity the error analysis
     controls); plain L2 errors compare against the exact fields.  The
-    driver solves both projections.
+    driver solves both projections, from loads of the same exact values.
     """
     rule = assembly.quadrature_rule(quad_degree)
     mesh = driver.mesh
@@ -269,9 +274,12 @@ def error_norms(driver: MhdDriver, state, case: ManufacturedCase, *, quad_degree
     p_h = derham.evaluate_on_cells(state.p, rule.points)
     p_ex = case.p(xq).reshape(nc, nq)
 
-    PB = driver.divfree_project(case.B, quad_degree=quad_degree)
+    B_load = derham.integrate_against_basis(driver.B_space, B_ex * wdet[..., None], rule.points)
+    PB = driver.divfree_project(assembly.scatter_load(driver.B_space, B_load))
     dPi = FieldFunction(driver.B_space, PB.coeffs - state.B.coeffs)
-    Pu, _ = driver.stokes_project(case.grad_u, quad_degree=quad_degree)
+    Gw = G_ex * wdet[..., None, None]
+    G_load = derham.integrate_against_gradients(driver.u_space, Gw, rule.points)
+    Pu, _ = driver.stokes_project(assembly.scatter_load(driver.u_space, G_load))
     dPu = (Pu.coeffs - state.u.coeffs)[driver.u_space.free]
 
     return {
@@ -349,9 +357,7 @@ class ErrorTable:
     quadrature_check: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        headers = ["n", "h"] + list(ERROR_COLUMNS) + [
-            "rate_" + c[4:] for c in ERROR_COLUMNS
-        ]
+        headers = ["n", "h", *ERROR_COLUMNS] + ["rate_" + c[4:] for c in ERROR_COLUMNS]
         lines = [",".join(headers)]
         for i, n in enumerate(self.ns):
             row = [str(n), repr(self.hs[i])]
@@ -374,6 +380,8 @@ def convergence_study(
     """Solve the case on a sequence of uniform refinements and tabulate
     error norms with observed rates log(e_coarse/e_fine)/log(h_c/h_f)."""
     levels = list(levels)
+    if not all(map(_is_int, levels)):
+        raise VerifyError(f"levels must be integers, not {levels!r}")
     if len(levels) < 3:
         raise VerifyError("a rate study needs at least 3 levels")
     if any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1)):
@@ -381,9 +389,14 @@ def convergence_study(
     if min(levels) < 2:
         # n = 1 leaves the velocity space too small for the pressure constraint
         raise VerifyError("a rate study needs levels n >= 2, at least 2 cells per edge")
+    # the quadrature self-check measures two degrees above quad_degree
+    max_quad = assembly.MAX_QUAD_DEGREE - 2
+    if not _is_int(quad_degree) or not 1 <= quad_degree <= max_quad:
+        raise VerifyError(f"quad_degree must be an integer in [1, {max_quad}], not {quad_degree!r}")
+    if not tol > 0 or not _is_int(maxit) or maxit < 1:
+        raise VerifyError(f"need tol > 0 and an integer maxit >= 1, not {tol!r} and {maxit!r}")
 
-    ns, hs, rows, reports = [], [], [], []
-    check = {}
+    ns, hs, rows, reports, check = [], [], [], [], {}
     for idx, n in enumerate(levels):
         mesh = unit_cube_mesh(n)
         driver = MhdDriver(mesh, case.params(), case.sources())
@@ -401,58 +414,36 @@ def convergence_study(
         reports.append(report)
 
     errors = {k: [row[k] for row in rows] for k in rows[0]}
-    rates = {}
-    for key, vals in errors.items():
-        rs = []
-        for i in range(1, len(vals)):
-            num = np.log(max(vals[i - 1], 1e-300) / max(vals[i], 1e-300))
-            den = np.log(hs[i - 1] / hs[i])
-            rs.append(float(num / den))
-        rates[key] = rs
-    return ErrorTable(
-        ns=ns, hs=hs, errors=errors, rates=rates, reports=reports, quadrature_check=check
-    )
+    rates = {
+        key: [
+            float(np.log(max(coarse, 1e-300) / max(fine, 1e-300)) / np.log(hc / hf))
+            for coarse, fine, hc, hf in zip(vals, vals[1:], hs, hs[1:])
+        ]
+        for key, vals in errors.items()
+    }
+    return ErrorTable(ns, hs, errors, rates, reports=reports, quadrature_check=check)
 
 
 # ----------------------------------------------------------------------
 # de Rham complex property report
 
 def _affine_fields(rng):
-    """A generic affine scalar and two generic linear vector fields."""
+    """A generic affine scalar and two generic linear vector fields, each
+    followed by its derivative: (s, grad s, F, curl F, B, div B)."""
     a = rng.standard_normal(4)
     Mf = rng.standard_normal((3, 4))
     Mb = rng.standard_normal((3, 4))
-
-    def scalar(pts):
-        return a[0] + pts @ a[1:]
-
-    def vec(M):
-        def call(pts):
-            return M[:, 0] + pts @ M[:, 1:].T
-
-        return call
-
-    def grad_scalar(pts):
-        return np.broadcast_to(a[1:], (len(pts), 3)).copy()
-
-    def curl_of(M):
-        A = M[:, 1:]
-        c = np.array([A[2, 1] - A[1, 2], A[0, 2] - A[2, 0], A[1, 0] - A[0, 1]])
-
-        def call(pts):
-            return np.broadcast_to(c, (len(pts), 3)).copy()
-
-        return call
-
-    def div_of(M):
-        d = M[0, 1] + M[1, 2] + M[2, 3]
-
-        def call(pts):
-            return np.full(len(pts), d)
-
-        return call
-
-    return scalar, grad_scalar, vec(Mf), curl_of(Mf), vec(Mb), div_of(Mb)
+    A = Mf[:, 1:]
+    curl = np.array([A[2, 1] - A[1, 2], A[0, 2] - A[2, 0], A[1, 0] - A[0, 1]])
+    div = Mb[0, 1] + Mb[1, 2] + Mb[2, 3]
+    return (
+        lambda pts: a[0] + pts @ a[1:],
+        lambda pts: np.tile(a[1:], (len(pts), 1)),
+        lambda pts: Mf[:, 0] + pts @ Mf[:, 1:].T,
+        lambda pts: np.tile(curl, (len(pts), 1)),
+        lambda pts: Mb[:, 0] + pts @ Mb[:, 1:].T,
+        lambda pts: np.full(len(pts), div),
+    )
 
 
 def _rank(M) -> int:
@@ -632,14 +623,15 @@ def l3_study(
     depending only on the domain; the study asserts the per-level max
     grows at most 10 percent under refinement.
     """
-    # a bool is an int, but no sample count
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+    if not _is_int(samples):
         raise VerifyError(f"samples must be an integer, not {samples!r}")
     if samples < 1:
         raise VerifyError("need at least one sample per level")
     if bc_family not in operators.BC_FAMILIES:
         raise VerifyError(f"unknown bc_family {bc_family!r}")
     levels = list(levels)
+    if not all(map(_is_int, levels)):
+        raise VerifyError(f"levels must be integers, not {levels!r}")
     if len(levels) < 2:
         raise VerifyError("an L3 study needs at least 2 levels to compare growth")
     if levels[0] < 1 or any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1)):

@@ -571,9 +571,10 @@ def load_vector(space, func, rule):
 
 
 def grad_load(space, grad_func, quad_degree):
-    """``assembly._grad_load`` with the P2 gradients tabulated at every
-    point of every cell: int G : grad(phi_a e_i) as one einsum over
-    (nc, nq, 10, 3) gradients, over free dofs."""
+    """The load int G : grad(phi_a e_i) over free dofs, with the P2
+    gradients tabulated at every point of every cell: one einsum over
+    (nc, nq, 10, 3) gradients, where the package sums
+    ``derham.integrate_against_gradients`` by ``assembly.scatter_load``."""
     rule = assembly.quadrature_rule(quad_degree)
     mesh = space.mesh
     xq = derham.physical_points(mesh, rule.points)

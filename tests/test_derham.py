@@ -23,6 +23,7 @@ from mhdfem.derham import (
     make_space,
     physical_points,
 )
+from mhdfem.mesh import unit_cube_mesh
 from oracles import vertex_volume_weights
 
 RNG = np.random.default_rng(7)
@@ -278,6 +279,25 @@ def test_basis_values_rejects_an_unknown_kind(mesh1, topo1):
 def test_basis_derivatives_match_the_brute_force_tabulation(jittered_mesh, name):
     got = getattr(derham, name)(jittered_mesh)
     assert _close(got, getattr(oracles, name)(jittered_mesh))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "cell_orientations",
+        "edge_table",
+        "face_table",
+        "p2_gradient_table",
+        "nedelec_curls",
+        "rt_divergences",
+    ],
+)
+def test_per_mesh_tables_are_built_once(name):
+    # a Picard iterate reads the curls and divergences again: the second
+    # read returns the object the first one built and kept on the mesh
+    mesh = unit_cube_mesh(2)
+    table = getattr(derham, name)
+    assert table(mesh) is table(mesh)
 
 
 @pytest.mark.parametrize("kind", ["nedelec1_lowest", "rt_lowest", "lagrange_p2_vector"])

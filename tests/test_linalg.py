@@ -529,15 +529,22 @@ def test_one_gauge_tree_builder():
 
 def test_quadrature_is_only_where_an_analytic_function_enters():
     # the bilinear forms contract exact moment tables; a rule is built
-    # only for the loads, the error norms, the L^p norms and the dg0
+    # only for the analytic loads, the error norms (which also integrate
+    # the loads of the error projections), the L^p norms and the dg0
     # cell means of an interpolant
     assert _call_sites("quadrature_rule") == [
         ("assembly.py", "assemble_linear"),
-        ("assembly.py", "_grad_load"),
         ("derham.py", "canonical_interpolate"),
         ("operators.py", "lp_norms"),
         ("verify.py", "error_norms"),
     ]
+
+
+def test_the_driver_names_no_quadrature():
+    # the projections take load vectors, and the driver's norms come
+    # from operators, which choose their own rules
+    source = (Path(mhdfem.__file__).parent / "mhd.py").read_text()
+    assert "quad_degree" not in source
 
 
 def _qualified_sites(match) -> list:
@@ -622,6 +629,28 @@ def test_no_private_linalg_names_outside_linalg():
                     for a in node.names
                     if a.name.startswith("_")
                 ]
+    assert leaks == []
+
+
+def test_no_private_names_of_a_sibling_module():
+    # a module bound by ``from . import ...`` is read through its public
+    # names, and only mesh.py reads the per-mesh cache behind Mesh.cached
+    leaks = []
+    for name, tree in _package_trees():
+        siblings = {
+            a.asname or a.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for a in node.names
+        }
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.value, ast.Name) and node.value.id in siblings:
+                if node.attr.startswith("_"):
+                    leaks.append(f"{name}:{node.lineno} {node.value.id}.{node.attr}")
+            elif node.attr == "_cache" and name != "mesh.py":
+                leaks.append(f"{name}:{node.lineno} ._cache")
     assert leaks == []
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mhdfem import derham, linalg, operators
-from mhdfem.assembly import quadrature_rule, quadrature_weights
+from mhdfem.assembly import assemble_linear, quadrature_rule, quadrature_weights
 from mhdfem.derham import (
     FieldFunction,
     canonical_interpolate,
@@ -21,6 +21,7 @@ from mhdfem.verify import builtin_case
 from oracles import (
     discrete_curl,
     divfree_saddle,
+    grad_load,
     h1_seminorm,
     l2_project_edge,
     lp_norm_on_all_cells,
@@ -34,8 +35,8 @@ def _field_as_callable(field, quad_degree=6):
     """Wrap a finite element field as an analytic-style callable.
 
     Valid only for consumers that evaluate at the physical quadrature
-    points of the same rule, in cell-major order (the projection and
-    load-assembly entry points with matching quad_degree).
+    points of the same rule, in cell-major order (``assemble_linear``
+    with matching quad_degree).
     """
     rule = quadrature_rule(quad_degree)
     vals = evaluate_on_cells(field, rule.points).reshape(-1, 3)
@@ -178,7 +179,7 @@ def test_l2_project_pythagoras_split(mesh2, topo2):
 
 def test_stokes_project_zero(mesh2):
     drv = MhdDriver(mesh2, MhdParams())
-    pu, pp = drv.stokes_project(lambda x: np.zeros((len(x), 3, 3)))
+    pu, pp = drv.stokes_project(np.zeros(drv.u_space.num_free))
     assert np.abs(pu.coeffs).max() <= 1e-12
     assert np.abs(pp.coeffs).max() <= 1e-12
 
@@ -186,7 +187,7 @@ def test_stokes_project_zero(mesh2):
 def test_stokes_project_output_is_discretely_divfree(mesh2):
     case = builtin_case("normal_B")
     drv = MhdDriver(mesh2, case.params())
-    pu, _ = drv.stokes_project(case.grad_u)
+    pu, _ = drv.stokes_project(grad_load(drv.u_space, case.grad_u, 6))
     weak_div = drv.D_p @ pu.coeffs[drv.u_space.free]
     scale = max(np.abs(pu.coeffs).max(), 1e-30)
     assert np.abs(weak_div).max() <= 1e-12 * scale
@@ -195,7 +196,7 @@ def test_stokes_project_output_is_discretely_divfree(mesh2):
 def test_stokes_project_reproduces_member(mesh2):
     case = builtin_case("normal_B")
     drv = MhdDriver(mesh2, case.params())
-    pu1, _ = drv.stokes_project(case.grad_u)
+    pu1, _ = drv.stokes_project(grad_load(drv.u_space, case.grad_u, 6))
     rule = quadrature_rule(6)
     G = evaluate_grad_on_cells(pu1, rule.points).reshape(-1, 3, 3)
 
@@ -203,7 +204,7 @@ def test_stokes_project_reproduces_member(mesh2):
         assert len(x) == len(G)
         return G
 
-    pu2, _ = drv.stokes_project(grad_func)
+    pu2, _ = drv.stokes_project(grad_load(drv.u_space, grad_func, 6))
     scale = max(np.abs(pu1.coeffs).max(), 1e-30)
     assert np.abs(pu2.coeffs - pu1.coeffs).max() <= 1e-10 * scale
 
@@ -215,7 +216,8 @@ def test_stokes_project_convergence_rate():
     errs = []
     for n in (4, 8, 10):
         mesh = unit_cube_mesh(n)
-        pu, _ = MhdDriver(mesh, case.params()).stokes_project(case.grad_u, quad_degree=8)
+        drv = MhdDriver(mesh, case.params())
+        pu, _ = drv.stokes_project(grad_load(drv.u_space, case.grad_u, 8))
         rule = quadrature_rule(8)
         wdet = quadrature_weights(mesh, rule)
         x = physical_points(mesh, rule.points).reshape(-1, 3)
@@ -241,7 +243,16 @@ def test_stokes_project_singular_system_is_a_driver_error(mesh1):
     # CLI reports a driver error as a failed run, not a traceback
     drv = MhdDriver(mesh1, MhdParams())
     with pytest.raises(MhdError, match="Stokes system singular"):
-        drv.stokes_project(lambda x: np.zeros((len(x), 3, 3)))
+        drv.stokes_project(np.zeros(drv.u_space.num_free))
+
+
+def test_a_projection_refuses_a_load_of_the_wrong_shape(mesh2):
+    # a one-entry load would broadcast over the velocity rows of S
+    drv = MhdDriver(mesh2, MhdParams())
+    for project, space in ((drv.stokes_project, drv.u_space), (drv.divfree_project, drv.B_space)):
+        for load in (np.zeros(1), np.zeros(space.num_free + 1), np.zeros((space.num_free, 1))):
+            with pytest.raises(MhdError, match="a load of shape"):
+                project(load)
 
 
 # ----------------------------------------------------------------------
@@ -259,7 +270,7 @@ def test_divfree_project_divergence_vanishes(mesh2, monkeypatch, bc_family):
     monkeypatch.setattr(
         linalg.Factorization, "__init__", lambda lu, A: shapes.append(A.shape) or init(lu, A)
     )
-    out = drv.divfree_project(case.B)
+    out = drv.divfree_project(assemble_linear(drv.B_space, case.B))
     assert shapes == []
     scale = max(np.abs(out.coeffs).max(), 1e-30)
     assert np.abs(evaluate_div_on_cells(out)).max() <= 1e-12 * scale
@@ -269,7 +280,7 @@ def test_divfree_project_divergence_vanishes(mesh2, monkeypatch, bc_family):
 def test_divfree_project_matches_the_bordered_saddle(mesh2, bc_family):
     case = builtin_case(bc_family)
     drv = MhdDriver(mesh2, case.params())
-    out = drv.divfree_project(case.B)
+    out = drv.divfree_project(assemble_linear(drv.B_space, case.B))
     ref = divfree_saddle(drv.B_space, case.B)
     assert np.abs(out.coeffs[drv.B_space.free] - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -280,7 +291,7 @@ def test_divfree_project_reproduces_member(mesh2, topo2):
     F0 = np.zeros(ned.ndof)
     F0[ned.free] = RNG.standard_normal(ned.num_free)
     member = FieldFunction(drv.B_space, topo2.curl_incidence @ F0)
-    out = drv.divfree_project(_field_as_callable(member))
+    out = drv.divfree_project(assemble_linear(drv.B_space, _field_as_callable(member)))
     scale = max(np.abs(member.coeffs).max(), 1e-30)
     assert np.abs(out.coeffs - member.coeffs).max() <= 1e-10 * scale
 
@@ -290,7 +301,7 @@ def test_divfree_project_optimality(mesh2):
     # divergence-free exact field in the L^2 distance
     case = builtin_case("normal_B")
     drv = MhdDriver(mesh2, case.params())
-    proj = drv.divfree_project(case.B)
+    proj = drv.divfree_project(assemble_linear(drv.B_space, case.B))
     interp = canonical_interpolate(drv.B_space, case.B)
     rule = quadrature_rule(8)
     wdet = quadrature_weights(mesh2, rule)

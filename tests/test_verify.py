@@ -10,7 +10,7 @@ import sympy
 
 from mhdfem import assembly, derham, linalg, operators, verify
 from mhdfem.derham import canonical_interpolate
-from mhdfem.mesh import MeshError, build_topology, unit_cube_mesh
+from mhdfem.mesh import build_topology, unit_cube_mesh
 from mhdfem.mhd import MhdDriver, PicardReport, SourceData
 from mhdfem.verify import (
     ERROR_COLUMNS,
@@ -166,8 +166,13 @@ def test_zero_state_errors_equal_field_norms(mesh2):
 def test_injected_projections_zero_their_norms(mesh2):
     case = builtin_case("normal_B")
     driver = MhdDriver(mesh2, case.params("multiplier"), case.sources())
-    PB = driver.divfree_project(case.B)
-    Pu, _ = driver.stokes_project(case.grad_u)
+    rule = assembly.quadrature_rule(6)
+    wdet = assembly.quadrature_weights(mesh2, rule)
+    xq = derham.physical_points(mesh2, rule.points).reshape(-1, 3)
+    PB = driver.divfree_project(assembly.assemble_linear(driver.B_space, case.B))
+    Gw = case.grad_u(xq).reshape(mesh2.num_cells, -1, 3, 3) * wdet[..., None, None]
+    G_local = derham.integrate_against_gradients(driver.u_space, Gw, rule.points)
+    Pu, _ = driver.stokes_project(assembly.scatter_load(driver.u_space, G_local))
     state = driver.zero_state()
     state.B.coeffs[:] = PB.coeffs
     state.u.coeffs[:] = Pu.coeffs
@@ -178,14 +183,33 @@ def test_injected_projections_zero_their_norms(mesh2):
     assert row["err_B_l3"] == 0.0
     assert row["err_u_proj_h1"] == 0.0
 
-    rule = assembly.quadrature_rule(6)
-    wdet = assembly.quadrature_weights(mesh2, rule)
-    xq = derham.physical_points(mesh2, rule.points).reshape(-1, 3)
     Ev = derham.evaluate_on_cells(state.E, rule.points)
     Eex = case.E(xq).reshape(mesh2.num_cells, len(rule.weights), 3)
     diff = Eex - Ev
     indep = np.sqrt(float(np.einsum("cq,cqd,cqd->", wdet, diff, diff)))
     assert row["err_E_l2"] == pytest.approx(indep, rel=1e-12)
+
+
+def test_error_norms_evaluate_each_exact_field_once(mesh2):
+    # the loads of both projections are integrated from the values that
+    # the L2 errors tabulate, so grad u and B are evaluated once each
+    case = builtin_case("normal_B")
+    driver = MhdDriver(mesh2, case.params(), case.sources())
+    calls = {"grad_u": 0, "B": 0}
+
+    def counting(name):
+        method = getattr(case, name)
+
+        def call(points):
+            calls[name] += 1
+            return method(points)
+
+        return call
+
+    for name in calls:
+        setattr(case, name, counting(name))
+    error_norms(driver, driver.zero_state(), case)
+    assert calls == {"grad_u": 1, "B": 1}
 
 
 def test_solved_errors_finite_and_refinement_helps(mesh2, solved_case_n4):
@@ -267,6 +291,16 @@ def test_study_validates_levels(monkeypatch):
     for levels in ([0, 1, 2], [1, 2, 3]):
         with pytest.raises(VerifyError, match="at least 2"):
             convergence_study(case, levels)
+    for levels in ([2, 3, 3.5], [2, 3.0, 4], [True, 2, 3], [2, 3, "4"]):
+        with pytest.raises(VerifyError, match="levels must be integers"):
+            convergence_study(case, levels)
+    # the self-check measures at quad_degree + 2
+    for degree in (13, 6.0, 0, True, None):
+        with pytest.raises(VerifyError, match="quad_degree must be an integer"):
+            convergence_study(case, [2, 3, 4], quad_degree=degree)
+    for kwargs in ({"tol": 0.0}, {"tol": np.nan}, {"maxit": 0}, {"maxit": 2.5}):
+        with pytest.raises(VerifyError, match="need tol > 0"):
+            convergence_study(case, [2, 3, 4], **kwargs)
 
 
 def test_study_attaches_failure_report():
@@ -533,6 +567,9 @@ def test_l3_study_validation(monkeypatch):
     for levels in ([4, 2], [0, 1]):
         with pytest.raises(VerifyError, match="strictly increasing and positive"):
             l3_study(levels)
+    for levels in ([2, 2.5], [1.0, 2], [True, 2], [1, None]):
+        with pytest.raises(VerifyError, match="levels must be integers"):
+            l3_study(levels)
 
 
 def test_l3_study_builds_only_the_curl(monkeypatch):
@@ -555,9 +592,10 @@ def test_l3_study_builds_only_the_curl(monkeypatch):
 
 
 def test_l3_study_refuses_a_level_that_is_no_integer():
-    # a bool is an int, but no level: True would run as n = 1
+    # a bool is an int, but no level: True would run as n = 1; both are
+    # refused by the study, before the first level is built
     for levels in ([True, 2], [1, 1.5]):
-        with pytest.raises(MeshError, match="n must be an integer >= 1"):
+        with pytest.raises(VerifyError, match="levels must be integers"):
             l3_study(levels, samples=2)
 
 
