@@ -55,6 +55,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from . import derham
 from .derham import FeSpace, FieldFunction
+from .mesh import is_integer
 
 MAX_QUAD_DEGREE = 14
 # local entries per block of rows while a scatter plan is built
@@ -82,12 +83,7 @@ _rule_cache: dict = {}
 def quadrature_rule(degree: int) -> QuadratureRule:
     """Positive-weight tetrahedral rule exact for polynomials of the
     given total degree (conical product construction)."""
-    # a bool is an int, but no degree
-    if (
-        isinstance(degree, bool)
-        or not isinstance(degree, (int, np.integer))
-        or not 1 <= degree <= MAX_QUAD_DEGREE
-    ):
+    if not is_integer(degree) or not 1 <= degree <= MAX_QUAD_DEGREE:
         raise FormError(f"unsupported quadrature degree {degree!r}")
     degree = int(degree)
     if degree in _rule_cache:

@@ -29,7 +29,7 @@ import numpy as np
 from . import verify
 from .assembly import MAX_QUAD_DEGREE
 from .linalg import LinAlgError
-from .mesh import Mesh, MeshError, mesh_metrics, read_gmsh_msh2, unit_cube_mesh
+from .mesh import Mesh, MeshError, is_integer, mesh_metrics, read_gmsh_msh2, unit_cube_mesh
 from .mhd import MhdDriver, MhdError, MhdParams, SourceData
 from .operators import lp_norm
 from .verify import StudyError, VerifyError
@@ -74,14 +74,9 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(extra)} in {where}")
 
 
-def _is_int(val) -> bool:
-    """A JSON integer; ``true`` and ``false`` are not."""
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
 def _is_number(val) -> bool:
     """A finite JSON number; booleans, ``Infinity`` and ``NaN`` are not."""
-    return _is_int(val) or (isinstance(val, float) and math.isfinite(val))
+    return is_integer(val) or (isinstance(val, float) and math.isfinite(val))
 
 
 def load_config(path: str) -> dict:
@@ -107,7 +102,7 @@ def load_config(path: str) -> dict:
         raise ConfigError('mesh must be exactly one of {"builtin": n} or {"msh2": path}')
     if "builtin" in mesh:
         n = mesh["builtin"]
-        if not _is_int(n) or n < 1:
+        if not is_integer(n) or n < 1:
             raise ConfigError("mesh.builtin must be a positive integer")
         cfg["mesh"] = ("builtin", n)
     else:
@@ -134,7 +129,7 @@ def load_config(path: str) -> dict:
     if not _is_number(tol) or not 0 < tol < 1:
         raise ConfigError("picard.tol must lie in (0, 1)")
     maxit = picard.get("maxit", 100)
-    if not _is_int(maxit) or maxit < 1:
+    if not is_integer(maxit) or maxit < 1:
         raise ConfigError("picard.maxit must be a positive integer")
     cfg["tol"], cfg["maxit"] = float(tol), maxit
 
@@ -161,26 +156,26 @@ def load_config(path: str) -> dict:
     if (
         not isinstance(levels, list)
         or not levels
-        or not all(_is_int(n) and n >= 1 for n in levels)
+        or not all(is_integer(n) and n >= 1 for n in levels)
         or any(levels[i] >= levels[i + 1] for i in range(len(levels) - 1))
     ):
         raise ConfigError("levels must be a strictly increasing list of positive integers")
     cfg["levels"] = levels
 
     samples = raw.get("samples", 50)
-    if not _is_int(samples) or samples < 1:
+    if not is_integer(samples) or samples < 1:
         raise ConfigError("samples must be a positive integer")
     cfg["samples"] = samples
 
     # the quadrature self-check measures two degrees above quad_degree
     max_quad = MAX_QUAD_DEGREE - 2
     quad = raw.get("quad_degree", 6)
-    if not _is_int(quad) or not 6 <= quad <= max_quad:
+    if not is_integer(quad) or not 6 <= quad <= max_quad:
         raise ConfigError(f"quad_degree must be an integer in [6, {max_quad}]")
     cfg["quad_degree"] = quad
 
     seed = raw.get("seed", 42)
-    if not _is_int(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     cfg["seed"] = seed
 

@@ -3,16 +3,19 @@
 CSR storage, the direct factorizations and the Krylov iteration are
 delegated to scipy (``scipy.sparse`` / SuperLU / LAPACK / GMRES); this
 module owns the contracts around them.  `Factorization` is the one place
-a matrix is factored, by one sparse LU or, for a matrix whose leading
-block is a scaled scalar block on interleaved components, by exact block
-elimination on that block's LU (``Factorization.by_blocks``).  Either
-way it reports singularity with the pivot index, and every solve, with
-the matrix, with its transpose, or with a nearby matrix by GMRES
-preconditioned with the factorization, either meets a hard
-relative-residual bound after iterative refinement, or raises.  Around
-it lives ``flatten``, which turns a map (test, trial) -> block over a
-list of unknowns into one matrix; a zero-mean constraint is one more
-unknown with its border row and column.
+a matrix is factored: by one sparse LU; for a symmetric positive
+definite matrix by SuperLU in symmetric mode, P A P^T = L D L^T, which
+also solves with L alone (``Factorization.spd``); or, for a symmetric
+saddle matrix whose leading block is a scaled scalar block on
+interleaved components, by exact block elimination on that block's
+L D L^T (``Factorization.by_blocks``).  Each way reports singularity
+with the pivot index, and every solve, with the matrix, with its
+transpose, or with a nearby matrix by GMRES preconditioned with the
+factorization, either meets a hard relative-residual bound after
+iterative refinement, or raises.  Around it lives ``flatten``, which
+turns a map (test, trial) -> block over a list of unknowns into one
+matrix; a zero-mean constraint is one more unknown with its border row
+and column.
 """
 
 from __future__ import annotations
@@ -36,9 +39,13 @@ BACKWARD_ULPS = 4
 # aims at, and its iteration budget (one cycle, no restart)
 GMRES_RTOL = 1e-12
 GMRES_MAXIT = 50
-# block elimination: the most entries of the dense block A11^-1 A12 that
-# are held at once while its Schur complement is formed
-SCHUR_CHUNK_ENTRIES = 1 << 21
+# block elimination: the forward solves with L that form the Schur
+# complement take this many right-hand sides at a time, into one dense
+# block per component (wider blocks ran slower per column)
+FORWARD_SOLVE_COLUMNS = 128
+# SuperLU in symmetric mode: a fill-reducing ordering of A + A^T and
+# every pivot on the diagonal, so that P A P^T = L U with U = D L^T
+_SYMMETRIC = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
 
 
 class LinAlgError(Exception):
@@ -80,6 +87,14 @@ def _backward_error(absA, b: np.ndarray, x: np.ndarray, r: np.ndarray) -> np.nda
     return np.max(np.divide(np.abs(r), scale, out=scale), axis=0, initial=0.0)
 
 
+def _superlu(A: sp.spmatrix, **options):
+    """SuperLU of A; a failed factorization raises with the pivot."""
+    try:
+        return spla.splu(A.tocsc(), **options)
+    except RuntimeError as exc:
+        raise SingularMatrixError(f"sparse factorization failed: {exc}", _locate_pivot(A))
+
+
 def _square(A: sp.spmatrix) -> sp.csr_matrix:
     """A as CSR, which must be square."""
     A = A.tocsr()
@@ -89,8 +104,9 @@ def _square(A: sp.spmatrix) -> sp.csr_matrix:
 
 
 class Factorization:
-    """One factorization of a square matrix, a sparse LU or an exact
-    block elimination (``by_blocks``); every solve against it meets the
+    """One factorization of a square matrix, a sparse LU, the L D L^T of
+    a symmetric positive definite matrix (``spd``) or an exact block
+    elimination (``by_blocks``); every solve against it meets the
     residual contract.
 
     Factoring reports singularity with the pivot index.  A solve is with
@@ -107,13 +123,13 @@ class Factorization:
     iterations (0 on the LU alone) and ``sweeps`` its refinement sweeps.
     """
 
+    # (P, d, solver of L) of an ``spd`` factorization P A P^T = L D L^T,
+    # with P as the index array perm_c of SuperLU; None otherwise
+    _ldl = None
+
     def __init__(self, A: sp.spmatrix):
         self.A = _square(A)
-        try:
-            self._lu = spla.splu(self.A.tocsc())
-        except RuntimeError as exc:
-            pivot = _locate_pivot(self.A)
-            raise SingularMatrixError(f"sparse factorization failed: {exc}", pivot)
+        self._lu = _superlu(self.A)
         udiag = self._lu.U.diagonal()
         if np.any(_vanishing(udiag)):
             raise SingularMatrixError(
@@ -123,21 +139,58 @@ class Factorization:
         self.sweeps = 0
 
     @classmethod
+    def spd(cls, A: sp.spmatrix) -> Factorization:
+        """The L D L^T of a symmetric positive definite A, by SuperLU in
+        symmetric mode: P A P^T = L U with every pivot on the diagonal,
+        so that U = D L^T with D = diag(U).
+
+        Solves run on the SuperLU factors, under the same contract as a
+        plain LU.  The unit lower factor L gets a solver of its own, for
+        the forward solves of a Schur complement (``by_blocks``).  A pivot
+        taken off the diagonal raises a LinAlgError; a pivot that is not
+        positive, or vanishes beside the largest, raises a
+        SingularMatrixError with its row in A.
+        """
+        self = cls.__new__(cls)
+        self.A = _square(A)
+        self._lu = _superlu(self.A, permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
+        perm = self._lu.perm_c
+        if not np.array_equal(self._lu.perm_r, perm):
+            raise LinAlgError("a pivot left the diagonal: the matrix is not positive definite")
+        d = self._lu.U.diagonal()
+        bad = np.flatnonzero(~(d > 0) | _vanishing(d))
+        if len(bad):
+            raise SingularMatrixError(
+                "matrix is not positive definite", int(np.flatnonzero(perm == bad[0])[0])
+            )
+        # L is triangular in its own order, so this LU is L times I
+        L = _superlu(self._lu.L, permc_spec="NATURAL", **_SYMMETRIC)
+        self._ldl = perm, d, L
+        self.iterations = 0
+        self.sweeps = 0
+        return self
+
+    @classmethod
     def by_blocks(
         cls, A: sp.spmatrix, lead: Factorization, copies: int, scale: float
     ) -> Factorization:
-        """Exact block elimination of A = [[A11, A12], [A21, A22]] whose
-        leading block is ``scale`` times the matrix k of ``lead`` on each
+        """Exact block elimination of a symmetric-bordered
+        A = [[A11, A12], [A12^T, A22]] whose leading block is ``scale``
+        times the matrix k of the ``spd`` factorization ``lead`` on each
         of ``copies`` interleaved components, A11 = scale (k kron I): row
         ``copies * i + c`` is row i of k on component c.
 
-        A11 is solved on the LU of k with one column per component, and
-        the trailing block by one dense LU of its Schur complement
-        A22 - A21 A11^-1 A12.  A singular Schur complement raises with
-        its pivot index in A, at least the size of A11.  k and its LU
-        are shared, not copied.  The factors are exact only when A11 is
-        ``scale (k kron I)``; the residual contract of every solve
-        catches a mismatch.
+        A11 is solved on the factors of k with one column per component,
+        and the trailing block by one dense LU of its Schur complement
+        A22 - A12^T A11^-1 A12.  With P k P^T = L D L^T that is
+        A22 - sum_c W_c^T W_c / scale over the components c, with
+        W_c = D^-1/2 L^-1 P A12_c and A12_c the rows of A12 on c: one
+        forward solve per component, and one symmetric product.  A lead
+        that is not ``spd``, or A21 != A12^T, raises a LinAlgError.  A
+        singular Schur complement raises with its pivot index in A, at
+        least the size of A11.  k and its factors are shared, not copied.
+        The factors are exact only when A11 is ``scale (k kron I)``; the
+        residual contract of every solve catches a mismatch.
         """
         self = cls.__new__(cls)
         self.A = _square(A)
@@ -239,14 +292,17 @@ class _BlockElimination:
     SuperLU object: x with A x = b, or A^T x = b for ``trans="T"``."""
 
     def __init__(self, A: sp.csr_matrix, lead: Factorization, copies: int, scale: float):
+        if lead._ldl is None:
+            raise LinAlgError("block elimination needs the spd factorization of its lead")
         self._k, self._copies, self._scale = lead._lu, copies, scale
         n = copies * lead.A.shape[0]
         if n >= A.shape[0]:
             raise LinAlgError(f"leading block of {n} leaves no trailing block of {A.shape}")
         self._n = n
         self._A12 = A[:n, n:].tocsc()
-        self._A21 = A[n:, :n].tocsr()
-        schur = self._schur_complement(A[n:, n:])
+        if (A[n:, :n] != self._A12.T).nnz:
+            raise LinAlgError("the trailing row block is not the transpose of A12")
+        schur = self._schur_complement(A[n:, n:], *lead._ldl)
         # getrf, not lu_factor, so that an exactly zero pivot is reported
         # here, with its index, and not as a warning
         (getrf,) = la.get_lapack_funcs(("getrf",), (schur,))
@@ -259,15 +315,30 @@ class _BlockElimination:
             )
         self._schur = lu, piv
 
-    def _schur_complement(self, A22: sp.csr_matrix) -> np.ndarray:
-        """A22 - A21 A11^-1 A12, dense, with A11^-1 A12 formed on the
-        nonzero columns of A12 only, a few at a time."""
+    def _schur_complement(self, A22: sp.csr_matrix, perm, d, L) -> np.ndarray:
+        """A22 - A12^T A11^-1 A12, dense, from P k P^T = L D L^T: the sum
+        of W_c^T W_c / scale over the components, on the nonzero columns
+        of A12 only."""
         schur = A22.toarray(order="F")
         cols = np.flatnonzero(np.diff(self._A12.indptr))
-        step = max(1, SCHUR_CHUNK_ENTRIES // max(self._n, 1))
-        for start in range(0, len(cols), step):
-            chunk = cols[start : start + step]
-            schur[:, chunk] -= self._A21 @ self._lead_solve(self._A12[:, chunk].toarray(), "N")
+        nk = len(perm)
+        # row i of k on component c is row copies * i + c of A12, and P
+        # moves it to row perm[i]; each component is one block of rows
+        source = np.empty_like(perm)
+        source[perm] = np.arange(nk)
+        rows = (self._copies * source + np.arange(self._copies)[:, None]).ravel()
+        P_A12 = self._A12[:, cols].tocsr()[rows]
+        W = np.empty((nk, len(cols)), order="F")
+        gram = np.zeros((len(cols), len(cols)))
+        for c in range(self._copies):
+            block = P_A12[c * nk : (c + 1) * nk].tocsc()
+            for j in range(0, len(cols), FORWARD_SOLVE_COLUMNS):
+                part = slice(j, j + FORWARD_SOLVE_COLUMNS)
+                W[:, part] = L.solve(block[:, part].toarray(order="F"))
+            W /= np.sqrt(d)[:, None]
+            # W^T W is one symmetric rank-k update (syrk)
+            gram += W.T @ W
+        schur[np.ix_(cols, cols)] -= gram / self._scale
         return schur
 
     def _lead_solve(self, B: np.ndarray, trans: str) -> np.ndarray:
@@ -280,18 +351,15 @@ class _BlockElimination:
         return X.reshape(B.shape) / self._scale
 
     def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
-        """x of the shape of b, (n,) or a block (n, m)."""
+        """x of the shape of b, (n,) or a block (n, m); A21 = A12^T, so
+        both orientations eliminate with the same off-diagonal blocks."""
         B = b.reshape(len(b), -1)
         n = self._n
-        if trans == "N":
-            upper, lower = self._A12, self._A21
-        else:
-            upper, lower = self._A21.T, self._A12.T
         y = self._lead_solve(B[:n], trans)
         x2 = la.lu_solve(
-            self._schur, B[n:] - lower @ y, trans=int(trans != "N"), check_finite=False
+            self._schur, B[n:] - self._A12.T @ y, trans=int(trans != "N"), check_finite=False
         )
-        x1 = y - self._lead_solve(upper @ x2, trans)
+        x1 = y - self._lead_solve(self._A12 @ x2, trans)
         return np.concatenate([x1, x2]).reshape(b.shape)
 
 

@@ -151,13 +151,19 @@ def _repair_orientation(vertices, cells):
     return cells
 
 
+def is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is an int, but no level, count
+    or degree."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def unit_cube_mesh(n: int) -> Mesh:
     """Kuhn triangulation of the unit cube: n^3 subcubes, 6 tets each.
 
     All six tetrahedra of a subcube share its main diagonal, so the mesh
     is conforming and every cell has diameter sqrt(3)/n.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not is_integer(n) or n < 1:
         raise MeshError(f"n must be an integer >= 1, not {n!r}")
     m = n + 1
     grid = np.linspace(0.0, 1.0, m)

@@ -58,14 +58,16 @@ driver, on first use, and each step is solved by GMRES preconditioned
 with that elimination (Elman, Silvester & Wathen, Finite Elements and
 Fast Iterative Solvers, 2014, whose block preconditioners approximate
 the same elimination): the velocity block K_u / Re is the scalar P2
-stiffness k on each component, solved on the one LU of k per driver
-that also gives the dual norm of f, and the trailing (phi, p, p_mean)
-block is its dense Schur complement, factored by one dense LU.  A step
-that GMRES cannot bring under the residual contract within its budget
-is factored on its own.  The projections of the error analysis take
-load vectors: the Stokes projection is the Stokes part of S, so it
-reuses the same elimination.  Increments
-and iterates are measured in the W-norm of the Picard theory (``w_norm``):
+stiffness k on each component, solved on the one symmetric factorization
+P k P^T = L D L^T per driver that also gives the dual norm of f, and the
+trailing (phi, p, p_mean) block is its dense Schur complement, formed by
+one forward solve with L per component and one symmetric product, and
+factored by one dense LU.  A step that GMRES cannot bring under the
+residual contract within its budget is factored on its own.  The
+projections of the error analysis take load vectors: the Stokes
+projection is the Stokes part of S, so it reuses the same elimination.
+Increments and iterates are measured in the W-norm of the Picard
+theory (``w_norm``):
 |(u, B)|_W^2 = u.(M_u + K_u)u + B.(M_B + G_dd)B + |curl_h B|_0^2.
 """
 
@@ -79,7 +81,7 @@ import scipy.sparse as sp
 
 from . import assembly, derham, linalg, operators
 from .derham import FieldFunction, make_space
-from .mesh import Mesh, betti_numbers, build_topology
+from .mesh import Mesh, betti_numbers, build_topology, is_integer
 
 
 class MhdError(Exception):
@@ -215,7 +217,7 @@ class MhdDriver:
         self.mesh = mesh
         self.params = params
         self._S = None  # the Stokes-Poisson elimination, built on first use
-        self._k = None  # the LU of the scalar velocity stiffness k
+        self._k = None  # the L D L^T of the scalar velocity stiffness k
         self.sources = sources if sources is not None else SourceData()
         topo = build_topology(mesh)
         betti = betti_numbers(mesh, topo)
@@ -285,7 +287,7 @@ class MhdDriver:
 
         # discrete dual norm sup <f, v> / |grad v| over the velocity space;
         # K_u is the scalar stiffness k on each interleaved component, so
-        # f K_u^-1 f sums f_c k^-1 f_c over the components on one LU of k
+        # f K_u^-1 f sums f_c k^-1 f_c over the components on one factorization of k
         self.dual_f = 0.0
         if np.any(self.load_f):
             k = self._stiffness()
@@ -293,9 +295,9 @@ class MhdDriver:
             self.dual_f = float(np.sqrt(max(work, 0.0)))
 
     def _stiffness(self) -> linalg.Factorization:
-        """LU of the scalar P2 stiffness k, the block of K_u on one
-        velocity component; factored on first use, by ``dual_f`` or with
-        S, then kept.
+        """L D L^T of the scalar P2 stiffness k, the block of K_u on one
+        velocity component (``linalg.Factorization.spd``); factored on
+        first use, by ``dual_f`` or with S, then kept.
 
         The free velocity coefficients must be component-interleaved
         (dof 3 node + c, with every component of a free node free), and
@@ -314,7 +316,7 @@ class MhdDriver:
             k = self.K_u[comp == 0][:, comp == 0]
             if any((self.K_u[comp == c][:, comp == c] - k).count_nonzero() for c in (1, 2)):
                 raise MhdError("K_u differs between velocity components")
-            self._k = linalg.Factorization(k)
+            self._k = linalg.Factorization.spd(k)
         return self._k
 
     # ------------------------------------------------------------------
@@ -444,8 +446,8 @@ class MhdDriver:
         """Factorization of the Stokes-Poisson operator S, the potential
         step matrix at u- = 0, B- = 0, and its block offsets; built on
         first use, then kept.  S is eliminated by blocks: its u block
-        K_u / Re is k / Re on each component, on the LU of k, and the
-        (phi, p, p_mean) block is its dense Schur complement.  A singular
+        K_u / Re is k / Re on each component, on the L D L^T of k, and
+        the (phi, p, p_mean) block is its dense Schur complement.  A singular
         S is a driver error."""
         if self._S is None:
             step = self._step_map(self.zero_state().u, (None, None))
@@ -528,8 +530,8 @@ class MhdDriver:
         iterate (including the initial guess) in report.states for
         iterate-level checks; leave it off for large runs.
         """
-        if not tol > 0 or maxit < 1:
-            raise MhdError("need tol > 0 and maxit >= 1")
+        if not tol > 0 or not is_integer(maxit) or maxit < 1:
+            raise MhdError(f"need tol > 0 and an integer maxit >= 1, not {tol!r} and {maxit!r}")
         state = init if init is not None else self.zero_state()
         report = PicardReport(converged=False, iterations=0)
         if keep_states:

@@ -23,7 +23,15 @@ from scipy.sparse import csgraph
 
 from . import assembly, derham, linalg, operators
 from .derham import FieldFunction, make_space
-from .mesh import Mesh, MeshError, build_topology, cotree_edges, mesh_metrics, unit_cube_mesh
+from .mesh import (
+    Mesh,
+    MeshError,
+    build_topology,
+    cotree_edges,
+    is_integer,
+    mesh_metrics,
+    unit_cube_mesh,
+)
 from .mhd import MhdDriver, MhdParams, PicardReport, SourceData
 
 
@@ -37,11 +45,6 @@ class StudyError(VerifyError):
     def __init__(self, message: str, report: PicardReport | None = None):
         super().__init__(message)
         self.report = report
-
-
-def _is_int(value) -> bool:
-    # a bool is an int, but no level, count or degree
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +383,7 @@ def convergence_study(
     """Solve the case on a sequence of uniform refinements and tabulate
     error norms with observed rates log(e_coarse/e_fine)/log(h_c/h_f)."""
     levels = list(levels)
-    if not all(map(_is_int, levels)):
+    if not all(map(is_integer, levels)):
         raise VerifyError(f"levels must be integers, not {levels!r}")
     if len(levels) < 3:
         raise VerifyError("a rate study needs at least 3 levels")
@@ -391,9 +394,9 @@ def convergence_study(
         raise VerifyError("a rate study needs levels n >= 2, at least 2 cells per edge")
     # the quadrature self-check measures two degrees above quad_degree
     max_quad = assembly.MAX_QUAD_DEGREE - 2
-    if not _is_int(quad_degree) or not 1 <= quad_degree <= max_quad:
+    if not is_integer(quad_degree) or not 1 <= quad_degree <= max_quad:
         raise VerifyError(f"quad_degree must be an integer in [1, {max_quad}], not {quad_degree!r}")
-    if not tol > 0 or not _is_int(maxit) or maxit < 1:
+    if not tol > 0 or not is_integer(maxit) or maxit < 1:
         raise VerifyError(f"need tol > 0 and an integer maxit >= 1, not {tol!r} and {maxit!r}")
 
     ns, hs, rows, reports, check = [], [], [], [], {}
@@ -623,14 +626,14 @@ def l3_study(
     depending only on the domain; the study asserts the per-level max
     grows at most 10 percent under refinement.
     """
-    if not _is_int(samples):
+    if not is_integer(samples):
         raise VerifyError(f"samples must be an integer, not {samples!r}")
     if samples < 1:
         raise VerifyError("need at least one sample per level")
     if bc_family not in operators.BC_FAMILIES:
         raise VerifyError(f"unknown bc_family {bc_family!r}")
     levels = list(levels)
-    if not all(map(_is_int, levels)):
+    if not all(map(is_integer, levels)):
         raise VerifyError(f"levels must be integers, not {levels!r}")
     if len(levels) < 2:
         raise VerifyError("an L3 study needs at least 2 levels to compare growth")

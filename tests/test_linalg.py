@@ -52,6 +52,33 @@ def test_solve_spd_50_matches_dense_oracle():
     assert x == pytest.approx(np.linalg.solve(A.toarray(), b), rel=1e-10, abs=1e-12)
 
 
+def test_spd_factorization_solves_within_the_contract():
+    A = _spd(50)
+    lu = Factorization.spd(A)
+    b = RNG.standard_normal((50, 3))
+    for trans in (False, True):
+        x = lu.solve(b, trans=trans)
+        assert np.all(np.linalg.norm(A @ x - b, axis=0) <= 1e-10 * np.linalg.norm(b, axis=0))
+        assert x == pytest.approx(np.linalg.solve(A.toarray(), b), rel=1e-10, abs=1e-12)
+    # W = D^-1/2 L^-1 P B gives B^T A^-1 B = W^T W from one forward solve
+    perm, d, L = lu._ldl
+    PB = np.empty_like(b)
+    PB[perm] = b
+    W = L.solve(PB) / np.sqrt(d)[:, None]
+    ref = b.T @ np.linalg.solve(A.toarray(), b)
+    assert np.abs(W.T @ W - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_spd_factorization_refuses_an_indefinite_matrix_with_its_pivot():
+    A = sp.csr_matrix(np.diag([2.0, 3.0, -1.0, 4.0]))
+    with pytest.raises(SingularMatrixError, match="not positive definite") as err:
+        Factorization.spd(A)
+    assert err.value.pivot == 2
+    # a zero diagonal takes a pivot off it
+    with pytest.raises(LinAlgError, match="left the diagonal"):
+        Factorization.spd(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+
+
 def test_solve_zero_rhs():
     A = sp.identity(4, format="csr")
     assert np.abs(Factorization(A).solve(np.zeros(4))).max() == 0.0
@@ -202,19 +229,38 @@ def _interleaved(k, copies, tail_blocks):
     return sp.bmat([[sp.kron(k, sp.identity(copies)), A12], [A21, A22]], format="csr")
 
 
+def _spd(n):
+    """A random symmetric positive definite matrix."""
+    M = RNG.standard_normal((n, n))
+    return sp.csr_matrix(M @ M.T + n * np.eye(n))
+
+
+def _bordered():
+    """(A, k): A = [[k kron I, A12], [A12^T, A22]] on three components,
+    with k symmetric positive definite and A22 unsymmetric."""
+    k = _spd(6)
+    A12 = sp.random(18, 4, density=0.4, random_state=7)
+    A22 = sp.csr_matrix(RNG.standard_normal((4, 4)) + 4.0 * np.eye(4))
+    return _interleaved(k, 3, (A12, A12.T, A22)), k
+
+
 def test_block_elimination_matches_dense_oracle():
-    k = sp.csr_matrix(RNG.standard_normal((6, 6)) + 8.0 * np.eye(6))
-    tail = (
-        sp.random(18, 4, density=0.4, random_state=7),
-        sp.random(4, 18, density=0.4, random_state=8),
-        sp.csr_matrix(RNG.standard_normal((4, 4)) + 4.0 * np.eye(4)),
-    )
-    A = _interleaved(k, 3, tail)
-    lu = Factorization.by_blocks(2.0 * A, Factorization(k), 3, 2.0)
+    A, k = _bordered()
+    lu = Factorization.by_blocks(2.0 * A, Factorization.spd(k), 3, 2.0)
     b = RNG.standard_normal(22)
     for trans, M in ((False, 2.0 * A), (True, 2.0 * A.T)):
         x = lu.solve(b, trans=trans)
         assert x == pytest.approx(np.linalg.solve(M.toarray(), b), rel=1e-10, abs=1e-12)
+
+
+def test_block_elimination_needs_an_spd_lead_and_a_symmetric_border():
+    A, k = _bordered()
+    with pytest.raises(LinAlgError, match="spd factorization of its lead"):
+        Factorization.by_blocks(A, Factorization(k), 3, 1.0)
+    A = A.tolil()
+    A[20, 0] += 1.0
+    with pytest.raises(LinAlgError, match="not the transpose of A12"):
+        Factorization.by_blocks(A.tocsr(), Factorization.spd(k), 3, 1.0)
 
 
 def _factorization(path):
@@ -222,13 +268,8 @@ def _factorization(path):
     whose leading block is a scalar block on three components."""
     if path == "superlu":
         return Factorization(sp.csr_matrix(RNG.standard_normal((30, 30)) + 8.0 * np.eye(30)))
-    k = sp.csr_matrix(RNG.standard_normal((6, 6)) + 8.0 * np.eye(6))
-    tail = (
-        sp.random(18, 4, density=0.4, random_state=7),
-        sp.random(4, 18, density=0.4, random_state=8),
-        sp.csr_matrix(RNG.standard_normal((4, 4)) + 4.0 * np.eye(4)),
-    )
-    return Factorization.by_blocks(2.0 * _interleaved(k, 3, tail), Factorization(k), 3, 2.0)
+    A, k = _bordered()
+    return Factorization.by_blocks(2.0 * A, Factorization.spd(k), 3, 2.0)
 
 
 PATHS = ["superlu", "by_blocks"]
@@ -295,14 +336,14 @@ def test_singular_schur_complement_reports_its_pivot():
     A22 = sp.csr_matrix(np.diag([1.0, 1.0, 0.0]))
     A = _interleaved(k, 3, (A12, A12.T, A22))
     with pytest.raises(SingularMatrixError) as err:
-        Factorization.by_blocks(A, Factorization(k), 3, 1.0)
+        Factorization.by_blocks(A, Factorization.spd(k), 3, 1.0)
     assert err.value.pivot == 9 + 2
 
 
 def test_block_elimination_needs_a_trailing_block():
     k = sp.identity(2, format="csr")
     with pytest.raises(LinAlgError, match="no trailing block"):
-        Factorization.by_blocks(sp.identity(6, format="csr"), Factorization(k), 3, 1.0)
+        Factorization.by_blocks(sp.identity(6, format="csr"), Factorization.spd(k), 3, 1.0)
 
 
 @pytest.mark.parametrize("family", ["normal_B", "tangential_B"])
@@ -630,6 +671,20 @@ def test_no_private_linalg_names_outside_linalg():
                     if a.name.startswith("_")
                 ]
     assert leaks == []
+
+
+def test_the_integer_rule_is_stated_once():
+    # a bool is an int, but no level, count or degree: only
+    # mesh.is_integer tells the two apart
+    sites = [
+        (name, node.lineno)
+        for name, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and "bool" in {getattr(n, "id", None) for n in ast.walk(node.args[1])}
+    ]
+    assert [name for name, _ in sites] == ["mesh.py"]
 
 
 def test_no_private_names_of_a_sibling_module():

@@ -127,6 +127,9 @@ def test_picard_argument_validation(mesh2):
         drv.picard_solve(tol=0.0)
     with pytest.raises(MhdError, match="need tol > 0"):
         drv.picard_solve(maxit=0)
+    for maxit in (2.5, True, np.float64(3.0)):
+        with pytest.raises(MhdError, match="an integer maxit"):
+            drv.picard_solve(maxit=maxit)
 
 
 # ----------------------------------------------------------------------
@@ -254,16 +257,17 @@ def test_zero_sources_converge_immediately(mesh2):
         assert not np.any(field.coeffs)
 
 
-@pytest.mark.parametrize("with_sources, factorizations", [(False, 3), (True, 4)])
+@pytest.mark.parametrize("with_sources, factorizations", [(False, 3), (True, 5)])
 def test_velocity_dual_norm_factors_only_a_nonzero_load(
     mesh2, monkeypatch, with_sources, factorizations
 ):
     """The Nedelec mass of the discrete curl, the cotree matrix and the
-    normal matrix of r are always factored; the velocity stiffness only
-    when the load f has a nonzero entry."""
+    normal matrix of r are always factored; the velocity stiffness, and
+    with it the solver of its unit factor L, only when the load f has a
+    nonzero entry."""
     calls = []
     splu = linalg.spla.splu
-    monkeypatch.setattr(linalg.spla, "splu", lambda A: calls.append(A) or splu(A))
+    monkeypatch.setattr(linalg.spla, "splu", lambda A, **kw: calls.append(A) or splu(A, **kw))
     sources = builtin_case("normal_B").sources() if with_sources else None
     drv = MhdDriver(mesh2, MhdParams(), sources)
     assert len(calls) == factorizations
@@ -288,7 +292,7 @@ def test_potential_step_matches_the_monolithic_solve(bc_family, formulation):
 
 def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
     # the Stokes-Poisson operator S on the potentials is eliminated by
-    # blocks on the LU of the velocity stiffness k, built with the driver
+    # blocks on the L D L^T of the velocity stiffness k, built with the driver
     # (for dual_f): every Picard step and every Stokes projection runs on
     # it, and SuperLU factors no step matrix and no S
     case = builtin_case("normal_B")
@@ -305,6 +309,48 @@ def test_picard_never_factors_the_step_matrix(mesh2, monkeypatch):
     assert rows == []
     S, _ = drv._stokes_poisson()
     assert S._lu._k is k._lu and drv._stiffness() is k
+
+
+@pytest.mark.parametrize("family", ["normal_B", "tangential_B"])
+@pytest.mark.parametrize("mesh_name", ["mesh2", "jittered_mesh"])
+def test_schur_complement_of_S_matches_a_dense_oracle(request, monkeypatch, mesh_name, family):
+    case = builtin_case(family)
+    drv = MhdDriver(request.getfixturevalue(mesh_name), case.params(), case.sources())
+    S, _ = drv._stokes_poisson()
+    k = drv._stiffness()
+    n = 3 * k.A.shape[0]
+    A = S.A.toarray()
+    ref = A[n:, n:] - A[n:, :n] @ np.linalg.solve(A[:n, :n], A[:n, n:])
+    # all columns in one forward solve per component, then a few at a time
+    for columns in (linalg.FORWARD_SOLVE_COLUMNS, 5):
+        monkeypatch.setattr(linalg, "FORWARD_SOLVE_COLUMNS", columns)
+        got = S._lu._schur_complement(S.A[n:, n:].tocsr(), *k._ldl)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+class _CountingSolves:
+    """A solver that records its name on every solve."""
+
+    def __init__(self, solver, name, calls):
+        self._solver, self._name, self._calls = solver, name, calls
+
+    def solve(self, b, trans="N"):
+        self._calls.append(self._name)
+        return self._solver.solve(b, trans=trans)
+
+
+def test_schur_complement_takes_one_forward_solve_per_component(mesh2):
+    # forming the Schur complement of S solves with L alone, once per
+    # velocity component, and never with k
+    case = builtin_case("tangential_B")
+    drv = MhdDriver(mesh2, case.params(), case.sources())
+    k = drv._stiffness()
+    perm, d, L = k._ldl
+    calls = []
+    k._ldl = perm, d, _CountingSolves(L, "L", calls)
+    k._lu = _CountingSolves(k._lu, "k", calls)
+    drv._stokes_poisson()
+    assert calls == ["L"] * 3
 
 
 def test_picard_flattens_only_the_potential_system(mesh2, monkeypatch):
