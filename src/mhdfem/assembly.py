@@ -150,9 +150,9 @@ FORM_TABLE = {
 # for a quadratic w and a linear B
 _LINEAR = ("nedelec1_lowest", "rt_lowest")
 _COEFFICIENT_KINDS = {"convection_skew": _VEC, "ohm_cross": _LINEAR, "lorentz_cross": _LINEAR}
-# forms that act on the velocity space as one scalar P2 block on each
-# component: their local matrices are that (nc, 10, 10) block, and the
-# couplings between components are zero and not stored
+# forms that act on the velocity space as one scalar P2 matrix on each
+# component: they are assembled on ``derham.component_space`` and
+# expanded by ``derham.expand_components``
 _PER_COMPONENT = ("grad_grad", "vec_mass", "convection_skew")
 
 
@@ -195,11 +195,30 @@ def assemble_bilinear(
     linearization (advecting velocity or previous magnetic iterate).
     """
     _check_form(form_id, trial, test, coefficient)
+    local = _scaled_local_matrices(form_id, trial, test, coefficient)
+    scalar = derham.component_space(trial) if form_id in _PER_COMPONENT else None
+    if scalar is None:
+        return _scatter(local, trial, test)
+    return derham.expand_components(_scatter(local, scalar, scalar))
+
+
+def component_block(form_id: str, space: FeSpace, *, coefficient=None) -> sp.csr_matrix:
+    """The matrix k, over the free nodes of ``derham.component_space``,
+    of a velocity form that acts on each component alike:
+    ``assemble_bilinear(form_id, space, space)`` is
+    ``derham.expand_components(k)``."""
+    _check_form(form_id, space, space, coefficient)
+    scalar = derham.component_space(space) if form_id in _PER_COMPONENT else None
+    if scalar is None:
+        raise FormError(f"form {form_id!r} on {space.kind!r} has no per-component block")
+    return _scatter(_scaled_local_matrices(form_id, space, space, coefficient), scalar, scalar)
+
+
+def _scaled_local_matrices(form_id, trial, test, coefficient):
+    """A form's local matrices: its moments on the reference cell, times |det J|."""
     mesh = trial.mesh
     local = _local_matrices(form_id, trial, test, coefficient, mesh)
-    local = local * np.abs(mesh.det_jacobians)[:, None, None]  # moments on the reference cell
-    per_component = form_id in _PER_COMPONENT and trial.kind == "lagrange_p2_vector"
-    return _scatter(local, trial, test, per_component=per_component)
+    return local * np.abs(mesh.det_jacobians)[:, None, None]
 
 
 def assemble_linear(space: FeSpace, func, *, quad_degree: int = 6) -> np.ndarray:
@@ -322,14 +341,12 @@ class ScatterPlan:
         return sum(a.nbytes for a in (self.src, self.slot, self.indptr, self.indices))
 
 
-def _scatter(local, trial, test, *, per_component=False):
+def _scatter(local, trial, test):
     """Scatter local matrices (nc, n_test, n_trial) into a CSR matrix
     over free dofs, eliminating essential constraints symmetrically: the
     pattern of ``coo_matrix(...).tocsr()`` restricted to the free dofs,
-    and its values to rounding.  ``per_component`` takes the scalar
-    (nc, 10, 10) block of a velocity form and stores only the entries
-    between dofs of the same component (dof 3 node + c)."""
-    plan = _scatter_plan(trial, test, per_component)
+    and its values to rounding."""
+    plan = _scatter_plan(trial, test)
     data = np.bincount(plan.slot, weights=local.ravel()[plan.src], minlength=len(plan.indices))
     # each matrix owns its index arrays: an in-place edit of one (such as
     # eliminate_zeros) must not reach the cached plan; and np.bincount of
@@ -338,27 +355,20 @@ def _scatter(local, trial, test, *, per_component=False):
     return sp.csr_matrix((data, indices, indptr), shape=plan.shape, dtype=float)
 
 
-def _scatter_plan(trial, test, per_component) -> ScatterPlan:
+def _scatter_plan(trial, test) -> ScatterPlan:
     """The cached scatter plan of a space pair on its mesh."""
-    key = ("scatter_plan", test.kind, test.bc, trial.kind, trial.bc, per_component)
-    return trial.mesh.cached(key, lambda: _build_scatter_plan(trial, test, per_component))
+    key = ("scatter_plan", test.kind, test.bc, trial.kind, trial.bc)
+    return trial.mesh.cached(key, lambda: _build_scatter_plan(trial, test))
 
 
-def _build_scatter_plan(trial, test, per_component) -> ScatterPlan:
-    """Give each kept local entry the slot of its free-dof key
-    ``row * ncols + col`` among the sorted unique keys.  The (cell, test
-    dof) pairs are sorted by row and cut into blocks of about
+def _build_scatter_plan(trial, test) -> ScatterPlan:
+    """Give each local entry with a free row and column the slot of its
+    free-dof key ``row * ncols + col`` among the sorted unique keys.  The
+    (cell, test dof) pairs are sorted by row and cut into blocks of about
     ``_PLAN_BLOCK`` entries on row starts, so no row spans two blocks and
     the unique keys of the blocks, one after the other, are the pattern."""
     (nc, nt), nr = test.dofmap.shape, trial.nloc
     idx = np.int32 if nc * nt * nr < 2**31 else np.int64
-    # per test dof: the local trial dofs it couples to, and their
-    # positions in the (nc, ...) local array the plan gathers from
-    a, b = np.arange(nt)[:, None], np.arange(nr // 3 if per_component else nr)
-    if per_component:
-        cols_local, table, stride = 3 * b + a % 3, a // 3 * b.size + b, nt * nr // 9
-    else:
-        cols_local, table, stride = np.tile(b, (nt, 1)), a * nr + b, nt * nr
     trial_pos, test_pos = np.full(trial.ndof, -1), np.full(test.ndof, -1)
     trial_pos[trial.free] = np.arange(trial.num_free)
     test_pos[test.free] = np.arange(test.num_free)
@@ -369,15 +379,15 @@ def _build_scatter_plan(trial, test, per_component) -> ScatterPlan:
     rptr = np.concatenate([[0], np.cumsum(np.bincount(pair_row[pairs], minlength=nrows))])
     srcs, slots, counts, cols = ([np.zeros(0, dtype=idx)] for _ in range(4))
     nnz = 0
-    edges = np.arange(0, rptr[-1], max(1, _PLAN_BLOCK // b.size))
+    edges = np.arange(0, rptr[-1], max(1, _PLAN_BLOCK // nr))
     edges = np.unique(np.append(np.searchsorted(rptr, edges, side="right") - 1, nrows))
     for r0, r1 in zip(edges[:-1], edges[1:]):
         p = pairs[rptr[r0] : rptr[r1]]
-        cell, test_dof = np.divmod(p, nt)
-        col = trial_pos[trial.dofmap[cell[:, None], cols_local[test_dof]]]
+        col = trial_pos[trial.dofmap[p // nt]]
         keep = col >= 0
         keys, slot = np.unique((pair_row[p][:, None] * ncols + col)[keep], return_inverse=True)
-        srcs.append(((cell * stride)[:, None] + table[test_dof])[keep].astype(idx))
+        # (cell, test dof, trial dof) is local entry p nr + trial dof
+        srcs.append((p[:, None] * nr + np.arange(nr))[keep].astype(idx))
         slots.append((slot + nnz).astype(idx))
         counts.append(np.bincount(keys // ncols - r0, minlength=r1 - r0).astype(idx))
         cols.append((keys % ncols).astype(idx))
@@ -390,9 +400,8 @@ def _build_scatter_plan(trial, test, per_component) -> ScatterPlan:
         shape=(nrows, ncols),
     )
     _log.debug(
-        "scatter plan %s/%s x %s/%s%s on %d cells: %d local entries into %d stored, %.2f MB",
-        test.kind, test.bc, trial.kind, trial.bc, " per component" if per_component else "",
-        nc, len(plan.src), nnz, plan.nbytes / 1e6,
+        "scatter plan %s/%s x %s/%s on %d cells: %d local entries into %d stored, %.2f MB",
+        test.kind, test.bc, trial.kind, trial.bc, nc, len(plan.src), nnz, plan.nbytes / 1e6,
     )
     return plan
 

@@ -47,6 +47,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import LOCAL_EDGES, LOCAL_FACES, Mesh, MeshTopology, build_topology
 
@@ -105,7 +106,7 @@ class FeSpace:
     def value_shape(self) -> tuple:
         """Shape of a field's value at one point: () for the scalar
         kinds, (3,) for the vector kinds."""
-        return () if self.kind in _SCALAR_TABLES else (3,)
+        return (3,) if self.kind in _TABLES or self.kind == "lagrange_p2_vector" else ()
 
 
 @dataclass
@@ -138,11 +139,16 @@ class FieldFunction:
         return cls(space, coeffs)
 
 
-def _velocity_dofs(mesh: Mesh, topology: MeshTopology):
-    """P2 nodes (vertices, then edge midpoints) with component-interleaved
-    dofs 3 node + i, and the boundary flag of each."""
+def _p2_nodes(mesh: Mesh, topology: MeshTopology):
+    """P2 nodes of each cell (its vertices, then the midpoints of
+    LOCAL_EDGES) and the boundary flag of each node."""
     nodes = np.concatenate([mesh.cells, mesh.num_vertices + topology.cell_to_edge], axis=1)
-    boundary = np.concatenate([topology.boundary_vertices, topology.boundary_edges])
+    return nodes, np.concatenate([topology.boundary_vertices, topology.boundary_edges])
+
+
+def _velocity_dofs(mesh: Mesh, topology: MeshTopology):
+    """The P2 nodes on three components: the interleaved dof 3 node + c."""
+    nodes, boundary = _p2_nodes(mesh, topology)
     return (3 * nodes[:, :, None] + np.arange(3)).reshape(-1, 30), np.repeat(boundary, 3)
 
 
@@ -155,6 +161,7 @@ _DOFS = {
         np.arange(mesh.num_cells, dtype=np.int64)[:, None],
         np.zeros(mesh.num_cells, dtype=bool),
     ),
+    "lagrange_p2": _p2_nodes,
     "lagrange_p2_vector": _velocity_dofs,
 }
 
@@ -187,6 +194,21 @@ def make_space(
         dofmap=cell_dofs.copy(),
         constrained=constrained,
     )
+
+
+def component_space(space: FeSpace) -> FeSpace | None:
+    """The scalar P2 space of each component of a velocity space, with
+    its boundary condition; None for the other kinds.  Free velocity dof
+    3 i + c is free node i on component c."""
+    if space.kind != "lagrange_p2_vector":
+        return None
+    return make_space("lagrange_p2", space.bc, space.mesh, space.topology)
+
+
+def expand_components(k: sp.spmatrix) -> sp.csr_matrix:
+    """The velocity matrix k kron I_3 of a matrix k on the free nodes of
+    ``component_space``: k on each component, and nothing between them."""
+    return sp.kron(k, sp.identity(3), format="csr")
 
 
 # ----------------------------------------------------------------------

@@ -217,7 +217,7 @@ class MhdDriver:
         self.mesh = mesh
         self.params = params
         self._S = None  # the Stokes-Poisson elimination, built on first use
-        self._k = None  # the L D L^T of the scalar velocity stiffness k
+        self._k = None  # the L D L^T of k, built on first use
         self.sources = sources if sources is not None else SourceData()
         topo = build_topology(mesh)
         betti = betti_numbers(mesh, topo)
@@ -237,7 +237,9 @@ class MhdDriver:
         }
         self.u_space, self.E_space, self.B_space, self.p_space, self.r_space = self.spaces.values()
 
-        self.K_u = assembly.assemble_bilinear("grad_grad", self.u_space, self.u_space)
+        # the scalar P2 stiffness k, and K_u = k on each velocity component
+        self.k = assembly.component_block("grad_grad", self.u_space)
+        self.K_u = derham.expand_components(self.k)
         self.M_E, self.R_EB = self.dcurl.mass, self.dcurl.pairing
         self.M_B = assembly.assemble_bilinear("vec_mass", self.B_space, self.B_space)
         self.D_p = assembly.assemble_bilinear("div_pressure", self.u_space, self.p_space)
@@ -286,8 +288,8 @@ class MhdDriver:
         )
 
         # discrete dual norm sup <f, v> / |grad v| over the velocity space;
-        # K_u is the scalar stiffness k on each interleaved component, so
-        # f K_u^-1 f sums f_c k^-1 f_c over the components on one factorization of k
+        # K_u = k kron I_3, so f K_u^-1 f sums f_c k^-1 f_c over the
+        # components on one factorization of k
         self.dual_f = 0.0
         if np.any(self.load_f):
             k = self._stiffness()
@@ -295,28 +297,10 @@ class MhdDriver:
             self.dual_f = float(np.sqrt(max(work, 0.0)))
 
     def _stiffness(self) -> linalg.Factorization:
-        """L D L^T of the scalar P2 stiffness k, the block of K_u on one
-        velocity component (``linalg.Factorization.spd``); factored on
-        first use, by ``dual_f`` or with S, then kept.
-
-        The free velocity coefficients must be component-interleaved
-        (dof 3 node + c, with every component of a free node free), and
-        K_u must hold k on each component and nothing between them.  That
-        is checked here, once, and a failed property raises.
-        """
+        """L D L^T of the scalar P2 stiffness k (``linalg.Factorization.spd``);
+        factored on first use, by ``dual_f`` or with S, then kept."""
         if self._k is None:
-            free = self.u_space.free
-            nodes = np.unique(free // 3)
-            if not np.array_equal(free, (3 * nodes[:, None] + np.arange(3)).ravel()):
-                raise MhdError("a free velocity node has a component that is not free")
-            K = self.K_u.tocoo()
-            if np.any((K.row % 3 != K.col % 3) & (K.data != 0)):
-                raise MhdError("K_u has entries between velocity components")
-            comp = free % 3
-            k = self.K_u[comp == 0][:, comp == 0]
-            if any((self.K_u[comp == c][:, comp == c] - k).count_nonzero() for c in (1, 2)):
-                raise MhdError("K_u differs between velocity components")
-            self._k = linalg.Factorization.spd(k)
+            self._k = linalg.Factorization.spd(self.k)
         return self._k
 
     # ------------------------------------------------------------------

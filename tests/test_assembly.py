@@ -315,6 +315,20 @@ def _per_component(form_id, trial_kind):
     return form_id in assembly._PER_COMPONENT and trial_kind == "lagrange_p2_vector"
 
 
+def _plan_spaces(form_id, trial, test):
+    """The space pair whose scatter plan a form on (trial, test) uses:
+    the scalar P2 space of each component for the per-component forms."""
+    if _per_component(form_id, trial.kind):
+        return (derham.component_space(trial),) * 2
+    return trial, test
+
+
+def _scattered(form_id, local, trial, test):
+    """Local matrices of a form scattered as ``assemble_bilinear`` does."""
+    A = assembly._scatter(local, *_plan_spaces(form_id, trial, test))
+    return derham.expand_components(A) if _per_component(form_id, trial.kind) else A
+
+
 def _coefficient(form_id, mesh, topo):
     """A nonzero frozen field for the forms that take one."""
     if form_id == "convection_skew":
@@ -395,7 +409,7 @@ def test_the_det_scaling_is_the_product_bit_for_bit(plan_meshes, form_id, kind):
     trial, test = _spaces(mesh, topo, kind, kind, "essential_zero")
     coefficient = _coefficient(form_id, mesh, topo)
     local = scaled_local_matrices(form_id, trial, test, coefficient)
-    want = assembly._scatter(local, trial, test, per_component=_per_component(form_id, kind))
+    want = _scattered(form_id, local, trial, test)
     # twice: the first call scales nothing that the second one reads
     for _ in range(2):
         A = assemble_bilinear(form_id, trial, test, coefficient=coefficient)
@@ -412,7 +426,7 @@ def test_the_scatter_plan_does_not_depend_on_the_block_size(plan_meshes, monkeyp
         for form_id, trial_kind, test_kind, bc in FORM_CASES:
             mesh._cache.clear()
             trial, test = _spaces(mesh, topo, trial_kind, test_kind, bc)
-            yield assembly._scatter_plan(trial, test, _per_component(form_id, trial_kind))
+            yield assembly._scatter_plan(*_plan_spaces(form_id, trial, test))
 
     default = list(plans())
     monkeypatch.setattr(assembly, "_PLAN_BLOCK", block)
@@ -425,9 +439,9 @@ def test_scatter_plans_are_built_once_per_mesh_and_space_pair(monkeypatch):
     built = []
     build = assembly._build_scatter_plan
 
-    def counting_build(trial, test, per_component):
+    def counting_build(trial, test):
         built.append(trial.mesh)
-        return build(trial, test, per_component)
+        return build(trial, test)
 
     monkeypatch.setattr(assembly, "_build_scatter_plan", counting_build)
     case = builtin_case("tangential_B", 10.0, Re=10.0, Rm=10.0)
@@ -471,6 +485,28 @@ def test_a_plan_build_logs_one_debug_record(caplog):
     assert len(records) == 1
     assert "nedelec1_lowest/essential_zero x nedelec1_lowest/essential_zero" in records[0]
     assert "local entries" in records[0] and "MB" in records[0]
+
+
+def test_the_per_component_forms_share_one_scalar_plan(monkeypatch):
+    # grad_grad, the P2 mass and convection_skew are scattered on the
+    # scalar P2 space and expanded: one plan on n = 4, holding for each
+    # local entry of k, with a free row and column, one source and one
+    # slot, and the CSR pattern of k, all int32
+    mesh = unit_cube_mesh(4)
+    u = make_space("lagrange_p2_vector", "essential_zero", mesh, build_topology(mesh))
+    built = []
+    build = assembly._build_scatter_plan
+    monkeypatch.setattr(
+        assembly, "_build_scatter_plan", lambda trial, test: built.append(trial) or build(trial, test)
+    )
+    w = _coefficient("convection_skew", mesh, u.topology)
+    for form_id in assembly._PER_COMPONENT:
+        A = assemble_bilinear(form_id, u, u, coefficient=w if form_id == "convection_skew" else None)
+    assert [(s.kind, s.bc) for s in built] == [("lagrange_p2", "essential_zero")]
+    plan = assembly._scatter_plan(built[0], built[0])
+    nodes = built[0].num_free
+    assert (3 * nodes, 3 * len(plan.indices)) == (u.num_free, A.nnz)
+    assert plan.nbytes == 4 * (2 * len(plan.src) + nodes + 1 + len(plan.indices)) == 156_124
 
 
 # ----------------------------------------------------------------------

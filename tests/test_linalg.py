@@ -739,11 +739,11 @@ def _kind_comparisons() -> list:
 
 
 def test_only_derham_tells_space_kinds_apart():
-    # a kind's dofs and basis come from derham; the velocity forms that
-    # act on each component alike are the one exception
+    # a kind's dofs and basis come from derham, and so does the scalar
+    # space of each velocity component; the P2 mass block is the one
+    # exception
     sites = [site for site in _kind_comparisons() if site[0] != "derham.py"]
     assert [site for site in sites if site[2]] == [
-        ("assembly.py", "assemble_bilinear", ("lagrange_p2_vector",)),
         ("assembly.py", "_local_matrices", ("lagrange_p2_vector",)),
     ]
     assert not {where for _, where, _ in sites} & {"assemble_linear", "domain_integral_vector"}

@@ -2,7 +2,6 @@
 
 import logging
 import re
-import types
 
 import numpy as np
 import pytest
@@ -396,30 +395,17 @@ def test_velocity_dual_norm_matches_the_vector_solve(mesh2):
     assert drv.dual_f == pytest.approx(np.sqrt(drv.load_f @ x), rel=1e-12)
 
 
-def _component_blocks_broken(drv, how):
-    """The driver before k is factored, with one property of the
-    velocity stiffness broken."""
-    drv._k = None
-    free = drv.u_space.free
-    if how == "free":
-        drv.u_space = types.SimpleNamespace(free=free[1:])
-        return "a free velocity node has a component that is not free"
-    K = drv.K_u.tolil()
-    if how == "cross":
-        K[0, 1] = 1.0
-        drv.K_u = K.tocsr()
-        return "K_u has entries between velocity components"
-    K[2, 2] *= 2.0
-    drv.K_u = K.tocsr()
-    return "K_u differs between velocity components"
-
-
-@pytest.mark.parametrize("how", ["free", "cross", "differs"])
-def test_stiffness_structure_is_checked_where_k_is_factored(mesh2, how):
-    drv = MhdDriver(mesh2, MhdParams())
-    message = _component_blocks_broken(drv, how)
-    with pytest.raises(MhdError, match=message):
-        drv._stiffness()
+@pytest.mark.parametrize("family", FAMILIES)
+def test_K_u_is_k_on_each_component(mesh2, family):
+    # the driver assembles the scalar stiffness k once, and K_u is
+    # k kron I_3 bit for bit, as assemble_bilinear builds it
+    drv = MhdDriver(mesh2, builtin_case(family).params())
+    expanded = sp.kron(drv.k, sp.identity(3), format="csr")
+    assembled = assembly.assemble_bilinear("grad_grad", drv.u_space, drv.u_space)
+    for want in (expanded, assembled):
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(drv.K_u, name), getattr(want, name)), name
+    assert drv._stiffness().A is drv.k
 
 
 def test_each_step_logs_its_solve(mesh2, caplog):
