@@ -257,24 +257,31 @@ def domain_integral_vector(space: FeSpace) -> np.ndarray:
 # local element matrices
 
 
-def _pair(S, T):
-    """sum_kl int(lambda_k lambda_l) S[c, a, k] . T[c, b, l], (nc, na, nb):
-    the mass of two linear bases with barycentric tables (nc, n, 4, d)."""
-    d = S.shape[-1]
-    TM = T.reshape(-1, 4 * d) @ np.kron(lambda_moments(2), np.eye(d))
-    return S.reshape(len(S), -1, 4 * d) @ TM.reshape(len(T), -1, 4 * d).transpose(0, 2, 1)
+def _symmetric(A):
+    """(A + A^T) / 2 over the last two axes, exactly symmetric: floating
+    point addition commutes."""
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def _gram(T):
+    """sum_kl int(lambda_k lambda_l) T[c, a, k] . T[c, b, l], (nc, n, n):
+    the mass of a linear basis with barycentric table (nc, n, 4, d),
+    exactly symmetric, so that its scatter is too."""
+    d = T.shape[-1]
+    flat = T.reshape(len(T), -1, 4 * d)
+    TM = flat.reshape(-1, 4 * d) @ np.kron(lambda_moments(2), np.eye(d))
+    return _symmetric(flat @ TM.reshape(flat.shape).transpose(0, 2, 1))
 
 
 def _local_matrices(form_id, trial, test, coefficient, mesh):
     nc = mesh.num_cells
     if form_id == "grad_grad":
-        G = derham.p2_gradient_table(mesh)
-        return _pair(G, G)
+        return _gram(derham.p2_gradient_table(mesh))
     if form_id in ("vec_mass", "scalar_mass"):
         if trial.kind == "lagrange_p2_vector":
-            k = reference_moments().sum(axis=(2, 3))  # the block of each component
+            k = _symmetric(reference_moments().sum(axis=(2, 3)))  # the block of each component
         else:
-            k = _pair(derham.basis_table(trial), derham.basis_table(trial))
+            k = _gram(derham.basis_table(trial))
         return np.broadcast_to(k, (nc,) + k.shape[-2:])  # P2 and scalar kinds: one block, read-only
     if form_id == "curl_mass_pairing":
         # the curls are constant: int RT_f . curl N_e = sum_k int(lambda_k) T[c, f, k] . curl N_e

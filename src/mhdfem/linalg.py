@@ -146,13 +146,15 @@ class Factorization:
 
         Solves run on the SuperLU factors, under the same contract as a
         plain LU.  The unit lower factor L gets a solver of its own, for
-        the forward solves of a Schur complement (``by_blocks``).  A pivot
-        taken off the diagonal raises a LinAlgError; a pivot that is not
-        positive, or vanishes beside the largest, raises a
-        SingularMatrixError with its row in A.
+        the forward solves of a Schur complement (``by_blocks``).  An A
+        that is not exactly symmetric, or a pivot taken off the diagonal,
+        raises a LinAlgError; a pivot that is not positive, or vanishes
+        beside the largest, raises a SingularMatrixError with its row in A.
         """
         self = cls.__new__(cls)
         self.A = _square(A)
+        if (self.A != self.A.T).nnz:
+            raise LinAlgError("the matrix is not symmetric: U = D L^T would not hold")
         self._lu = _superlu(self.A, permc_spec="MMD_AT_PLUS_A", **_SYMMETRIC)
         perm = self._lu.perm_c
         if not np.array_equal(self._lu.perm_r, perm):

@@ -79,6 +79,14 @@ def test_spd_factorization_refuses_an_indefinite_matrix_with_its_pivot():
         Factorization.spd(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
+def test_spd_factorization_refuses_a_matrix_one_ulp_from_symmetric():
+    # U = D L^T holds only for A = A^T exactly
+    A = _spd(50).tolil()
+    A[3, 7] = np.nextafter(A[3, 7], np.inf)
+    with pytest.raises(LinAlgError, match="not symmetric"):
+        Factorization.spd(A.tocsr())
+
+
 def test_solve_zero_rhs():
     A = sp.identity(4, format="csr")
     assert np.abs(Factorization(A).solve(np.zeros(4))).max() == 0.0

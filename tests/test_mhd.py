@@ -408,6 +408,17 @@ def test_K_u_is_k_on_each_component(mesh2, family):
     assert drv._stiffness().A is drv.k
 
 
+@pytest.mark.parametrize("mesh_name", ["mesh2", "jittered_mesh"])
+def test_the_driver_factors_an_exactly_symmetric_k(request, mesh_name):
+    # the local matrices of grad_grad and the mass forms are symmetric,
+    # and the scatter sums (i, j) and (j, i) in one order
+    drv = MhdDriver(request.getfixturevalue(mesh_name), MhdParams())
+    for name in ("k", "M_E", "M_B", "W_u"):
+        A = getattr(drv, name)
+        assert (A != A.T).nnz == 0, name
+    assert drv._stiffness().A is drv.k
+
+
 def test_each_step_logs_its_solve(mesh2, caplog):
     case = builtin_case("normal_B")
     drv = MhdDriver(mesh2, case.params(), case.sources())
