@@ -21,8 +21,8 @@ int lambda^alpha = alpha! / (|alpha| + 3)! (``lambda_moments``),
 contracted with a small tensor of cell values (Kirby & Logg, ACM TOMS
 32(3), 2006).  A frozen field enters by its own coefficients: the X_k of
 B (its values at the reference vertices) and w at the ten P2 nodes.
-Only the velocity forms that act on each component alike ask which kind
-a space is.
+A velocity form that acts on each component alike is scattered on
+``derham.component_space`` and expanded (grad_grad also takes that space).
 
 Bilinear forms are assembled cellwise with numpy tensor contractions and
 scattered into sparse matrices over the free (unconstrained) degrees of
@@ -135,7 +135,7 @@ def reference_moments() -> np.ndarray:
 # form_id -> (trial kinds, test kinds)
 _VEC = ("lagrange_p2_vector", "nedelec1_lowest", "rt_lowest")
 FORM_TABLE = {
-    "grad_grad": (("lagrange_p2_vector",), ("lagrange_p2_vector",)),
+    "grad_grad": (("lagrange_p2_vector", "lagrange_p2"), ("lagrange_p2_vector", "lagrange_p2")),
     "vec_mass": (_VEC, _VEC),
     "scalar_mass": (("lagrange_p1", "dg0"), ("lagrange_p1", "dg0")),
     "curl_mass_pairing": (("rt_lowest",), ("nedelec1_lowest",)),
@@ -150,9 +150,7 @@ FORM_TABLE = {
 # for a quadratic w and a linear B
 _LINEAR = ("nedelec1_lowest", "rt_lowest")
 _COEFFICIENT_KINDS = {"convection_skew": _VEC, "ohm_cross": _LINEAR, "lorentz_cross": _LINEAR}
-# forms that act on the velocity space as one scalar P2 matrix on each
-# component: they are assembled on ``derham.component_space`` and
-# expanded by ``derham.expand_components``
+# forms that act on the velocity space as one scalar P2 matrix on each component
 _PER_COMPONENT = ("grad_grad", "vec_mass", "convection_skew")
 
 
@@ -164,7 +162,7 @@ def _check_form(form_id, trial, test, coefficient):
         raise FormError(f"form {form_id!r} does not accept trial space {trial.kind!r}")
     if test.kind not in test_kinds:
         raise FormError(f"form {form_id!r} does not accept test space {test.kind!r}")
-    if form_id in ("vec_mass", "scalar_mass") and trial.kind != test.kind:
+    if form_id in ("grad_grad", "vec_mass", "scalar_mass") and trial.kind != test.kind:
         raise FormError(
             f"form {form_id!r} pairs a space with itself, not {trial.kind!r} with {test.kind!r}"
         )
@@ -195,30 +193,13 @@ def assemble_bilinear(
     linearization (advecting velocity or previous magnetic iterate).
     """
     _check_form(form_id, trial, test, coefficient)
-    local = _scaled_local_matrices(form_id, trial, test, coefficient)
+    mesh = trial.mesh
+    local = _local_matrices(form_id, trial, test, coefficient, mesh)
+    local = local * np.abs(mesh.det_jacobians)[:, None, None]  # moments on the reference cell
     scalar = derham.component_space(trial) if form_id in _PER_COMPONENT else None
     if scalar is None:
         return _scatter(local, trial, test)
     return derham.expand_components(_scatter(local, scalar, scalar))
-
-
-def component_block(form_id: str, space: FeSpace, *, coefficient=None) -> sp.csr_matrix:
-    """The matrix k, over the free nodes of ``derham.component_space``,
-    of a velocity form that acts on each component alike:
-    ``assemble_bilinear(form_id, space, space)`` is
-    ``derham.expand_components(k)``."""
-    _check_form(form_id, space, space, coefficient)
-    scalar = derham.component_space(space) if form_id in _PER_COMPONENT else None
-    if scalar is None:
-        raise FormError(f"form {form_id!r} on {space.kind!r} has no per-component block")
-    return _scatter(_scaled_local_matrices(form_id, space, space, coefficient), scalar, scalar)
-
-
-def _scaled_local_matrices(form_id, trial, test, coefficient):
-    """A form's local matrices: its moments on the reference cell, times |det J|."""
-    mesh = trial.mesh
-    local = _local_matrices(form_id, trial, test, coefficient, mesh)
-    return local * np.abs(mesh.det_jacobians)[:, None, None]
 
 
 def assemble_linear(space: FeSpace, func, *, quad_degree: int = 6) -> np.ndarray:
@@ -257,20 +238,15 @@ def domain_integral_vector(space: FeSpace) -> np.ndarray:
 # local element matrices
 
 
-def _symmetric(A):
-    """(A + A^T) / 2 over the last two axes, exactly symmetric: floating
-    point addition commutes."""
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
 def _gram(T):
     """sum_kl int(lambda_k lambda_l) T[c, a, k] . T[c, b, l], (nc, n, n):
-    the mass of a linear basis with barycentric table (nc, n, 4, d),
-    exactly symmetric, so that its scatter is too."""
+    the mass of a linear basis with barycentric table (nc, n, 4, d), made
+    exactly symmetric (addition commutes), and so is its scatter."""
     d = T.shape[-1]
     flat = T.reshape(len(T), -1, 4 * d)
     TM = flat.reshape(-1, 4 * d) @ np.kron(lambda_moments(2), np.eye(d))
-    return _symmetric(flat @ TM.reshape(flat.shape).transpose(0, 2, 1))
+    P = flat @ TM.reshape(flat.shape).transpose(0, 2, 1)
+    return 0.5 * (P + P.transpose(0, 2, 1))
 
 
 def _local_matrices(form_id, trial, test, coefficient, mesh):
@@ -279,7 +255,8 @@ def _local_matrices(form_id, trial, test, coefficient, mesh):
         return _gram(derham.p2_gradient_table(mesh))
     if form_id in ("vec_mass", "scalar_mass"):
         if trial.kind == "lagrange_p2_vector":
-            k = _symmetric(reference_moments().sum(axis=(2, 3)))  # the block of each component
+            k = reference_moments().sum(axis=(2, 3))  # the block of each component
+            k = 0.5 * (k + k.T)
         else:
             k = _gram(derham.basis_table(trial))
         return np.broadcast_to(k, (nc,) + k.shape[-2:])  # P2 and scalar kinds: one block, read-only

@@ -1,6 +1,6 @@
 """Lowest-order discrete de Rham spaces on tetrahedral meshes.
 
-Five space kinds are provided:
+Six space kinds are provided:
 
 * ``lagrange_p1``            scalar vertex elements (H(grad) slot; also
                              the pressure)
@@ -8,6 +8,7 @@ Five space kinds are provided:
 * ``rt_lowest``              lowest Raviart-Thomas face elements (H(div) slot)
 * ``dg0``                    piecewise constants (L^2 slot)
 * ``lagrange_p2_vector``     vector quadratic Lagrange (velocity)
+* ``lagrange_p2``            scalar quadratic Lagrange (one velocity component)
 
 Each kind is described here and nowhere else: ``make_space`` reads its
 dofs (cell-to-dof map, boundary flag per dof) from one table,
@@ -15,6 +16,9 @@ dofs (cell-to-dof map, boundary flag per dof) from one table,
 ``assembly`` (the velocity forms take ``P2_QUADRATICS`` and
 ``p2_gradient_table``), and ``integrate_against_basis`` integrates
 weighted point values against it for every load.
+
+The velocity space is scalar P2 on three components (dof 3 node + c):
+``component_space`` and ``expand_components`` (k kron I_3) say so once.
 
 Edge and face degrees of freedom are oriented by ascending global vertex
 index, which makes tangential/normal traces match across cells without
@@ -139,17 +143,13 @@ class FieldFunction:
         return cls(space, coeffs)
 
 
-def _p2_nodes(mesh: Mesh, topology: MeshTopology):
-    """P2 nodes of each cell (its vertices, then the midpoints of
-    LOCAL_EDGES) and the boundary flag of each node."""
+def _p2_nodes(mesh: Mesh, topology: MeshTopology, copies: int = 1):
+    """P2 nodes (vertices, then edge midpoints) on ``copies`` interleaved
+    components, dof copies node + c, and the boundary flag of each dof."""
     nodes = np.concatenate([mesh.cells, mesh.num_vertices + topology.cell_to_edge], axis=1)
-    return nodes, np.concatenate([topology.boundary_vertices, topology.boundary_edges])
-
-
-def _velocity_dofs(mesh: Mesh, topology: MeshTopology):
-    """The P2 nodes on three components: the interleaved dof 3 node + c."""
-    nodes, boundary = _p2_nodes(mesh, topology)
-    return (3 * nodes[:, :, None] + np.arange(3)).reshape(-1, 30), np.repeat(boundary, 3)
+    boundary = np.concatenate([topology.boundary_vertices, topology.boundary_edges])
+    dofs = copies * nodes[:, :, None] + np.arange(copies)
+    return dofs.reshape(len(nodes), -1), np.repeat(boundary, copies)
 
 
 # kind -> (mesh, topology) -> (cell-to-dof map (nc, nloc), boundary flag per dof)
@@ -162,7 +162,7 @@ _DOFS = {
         np.zeros(mesh.num_cells, dtype=bool),
     ),
     "lagrange_p2": _p2_nodes,
-    "lagrange_p2_vector": _velocity_dofs,
+    "lagrange_p2_vector": functools.partial(_p2_nodes, copies=3),
 }
 
 
@@ -197,17 +197,16 @@ def make_space(
 
 
 def component_space(space: FeSpace) -> FeSpace | None:
-    """The scalar P2 space of each component of a velocity space, with
-    its boundary condition; None for the other kinds.  Free velocity dof
-    3 i + c is free node i on component c."""
+    """The scalar P2 space of each component of a velocity space, with its
+    bc: free dof 3 i + c is its free node i on component c.  None for the
+    other kinds."""
     if space.kind != "lagrange_p2_vector":
         return None
     return make_space("lagrange_p2", space.bc, space.mesh, space.topology)
 
 
 def expand_components(k: sp.spmatrix) -> sp.csr_matrix:
-    """The velocity matrix k kron I_3 of a matrix k on the free nodes of
-    ``component_space``: k on each component, and nothing between them."""
+    """k kron I_3, the velocity matrix of a matrix k on ``component_space``."""
     return sp.kron(k, sp.identity(3), format="csr")
 
 
@@ -492,10 +491,8 @@ def canonical_interpolate(space: FeSpace, func) -> FieldFunction:
         means = 6.0 * np.einsum("q,cq->c", rule.weights, vals)
         return FieldFunction(space, means)
     if kind == "lagrange_p2_vector":
-        mids = 0.5 * (mesh.vertices[topo.edges[:, 0]] + mesh.vertices[topo.edges[:, 1]])
-        nodes = np.concatenate([mesh.vertices, mids], axis=0)
-        vals = np.asarray(func(nodes), dtype=float)
-        return FieldFunction(space, vals.reshape(-1))
+        nodes = np.concatenate([mesh.vertices, mesh.vertices[topo.edges].mean(axis=1)])
+        return FieldFunction(space, np.asarray(func(nodes), dtype=float).reshape(-1))
     if kind == "nedelec1_lowest":
         pa = mesh.vertices[topo.edges[:, 0]]
         tang = mesh.vertices[topo.edges[:, 1]] - pa

@@ -179,8 +179,9 @@ class Factorization:
         """Exact block elimination of a symmetric-bordered
         A = [[A11, A12], [A12^T, A22]] whose leading block is ``scale``
         times the matrix k of the ``spd`` factorization ``lead`` on each
-        of ``copies`` interleaved components, A11 = scale (k kron I): row
-        ``copies * i + c`` is row i of k on component c.
+        of ``copies`` interleaved components, A11 = scale (k kron I)
+        (``derham.expand_components``): row ``copies * i + c`` is row i
+        of k on component c.
 
         A11 is solved on the factors of k with one column per component,
         and the trailing block by one dense LU of its Schur complement

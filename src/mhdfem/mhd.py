@@ -237,8 +237,8 @@ class MhdDriver:
         }
         self.u_space, self.E_space, self.B_space, self.p_space, self.r_space = self.spaces.values()
 
-        # the scalar P2 stiffness k, and K_u = k on each velocity component
-        self.k = assembly.component_block("grad_grad", self.u_space)
+        scalar = derham.component_space(self.u_space)
+        self.k = assembly.assemble_bilinear("grad_grad", scalar, scalar)  # the P2 stiffness
         self.K_u = derham.expand_components(self.k)
         self.M_E, self.R_EB = self.dcurl.mass, self.dcurl.pairing
         self.M_B = assembly.assemble_bilinear("vec_mass", self.B_space, self.B_space)

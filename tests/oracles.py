@@ -514,6 +514,8 @@ def tabulated_form(form_id, trial, test, rule):
         return np.broadcast_to(_by_component(s), (nc, nq, 30, 3))
 
     def gradients(space):  # [c, q, 3a + i, (i, j)], d_j of component i
+        if space.kind == "lagrange_p2":
+            return p2_scalar_gradients(mesh, rule.points)
         return _by_component(p2_scalar_gradients(mesh, rule.points))
 
     def curls(space):

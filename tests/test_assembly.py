@@ -86,7 +86,9 @@ def test_rule_weights(degree):
 
 @pytest.mark.parametrize("degree", range(1, MAX_QUAD_DEGREE + 1))
 def test_rule_monomial_exactness(degree):
-    # exact reference-tet integral of x^a y^b z^c is a! b! c! / (a+b+c+3)!
+    # exact reference-tet integral of x^a y^b z^c is a! b! c! / (a+b+c+3)!;
+    # degrees 10 and 11 read about 1e-14, the error of scipy's six-point
+    # Gauss-Jacobi(2, 0) weights, and every other degree at most 4.7e-15
     rule = quadrature_rule(degree)
     x, y, z = rule.points.T
     for a in range(degree + 1):
@@ -99,7 +101,7 @@ def test_rule_monomial_exactness(degree):
                     * math.factorial(c)
                     / math.factorial(a + b + c + 3)
                 )
-                assert quad == pytest.approx(exact, rel=1e-12), (a, b, c)
+                assert quad == pytest.approx(exact, rel=2e-14, abs=0.0), (a, b, c)
 
 
 @pytest.mark.parametrize("degree", [0, MAX_QUAD_DEGREE + 1, 2.5, "4", True])
@@ -291,7 +293,7 @@ FORM_CASES = [
     for trial in trials
     for test in tests
     for bc in ("none", "essential_zero")
-    if (form_id not in ("vec_mass", "scalar_mass") or trial == test)
+    if (form_id not in ("grad_grad", "vec_mass", "scalar_mass") or trial == test)
     and (bc == "none" or (trial, test) != ("dg0", "dg0"))
 ]
 
@@ -911,6 +913,8 @@ def test_form_errors(mesh1, mesh2, topo1, topo2):
         assemble_bilinear("vec_mass", rt1, rt2)
     with pytest.raises(FormError, match="pairs a space with itself"):
         assemble_bilinear("vec_mass", rt1, ned1)
+    with pytest.raises(FormError, match="pairs a space with itself"):
+        assemble_bilinear("grad_grad", derham.component_space(u1), u1)
     with pytest.raises(FormError, match="coefficient"):
         assemble_bilinear("convection_skew", u1, u1)
     # the moments hold B linear: a quadratic field is refused
