@@ -196,10 +196,9 @@ def assemble_bilinear(
     mesh = trial.mesh
     local = _local_matrices(form_id, trial, test, coefficient, mesh)
     local = local * np.abs(mesh.det_jacobians)[:, None, None]  # moments on the reference cell
-    scalar = derham.component_space(trial) if form_id in _PER_COMPONENT else None
-    if scalar is None:
-        return _scatter(local, trial, test)
-    return derham.expand_components(_scatter(local, scalar, scalar))
+    if form_id in _PER_COMPONENT and (scalar := derham.component_space(trial)):
+        return derham.expand_components(_scatter(local, scalar, scalar))
+    return _scatter(local, trial, test)
 
 
 def assemble_linear(space: FeSpace, func, *, quad_degree: int = 6) -> np.ndarray:
@@ -346,9 +345,9 @@ def _scatter_plan(trial, test) -> ScatterPlan:
 
 
 def _build_scatter_plan(trial, test) -> ScatterPlan:
-    """Give each local entry with a free row and column the slot of its
-    free-dof key ``row * ncols + col`` among the sorted unique keys.  The
-    (cell, test dof) pairs are sorted by row and cut into blocks of about
+    """Give each kept local entry the slot of its free-dof key
+    ``row * ncols + col`` among the sorted unique keys.  The (cell, test
+    dof) pairs are sorted by row and cut into blocks of about
     ``_PLAN_BLOCK`` entries on row starts, so no row spans two blocks and
     the unique keys of the blocks, one after the other, are the pattern."""
     (nc, nt), nr = test.dofmap.shape, trial.nloc

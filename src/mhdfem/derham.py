@@ -197,9 +197,8 @@ def make_space(
 
 
 def component_space(space: FeSpace) -> FeSpace | None:
-    """The scalar P2 space of each component of a velocity space, with its
-    bc: free dof 3 i + c is its free node i on component c.  None for the
-    other kinds."""
+    """The scalar P2 space of each component of a velocity space (free dof
+    3 i + c is its free node i on component c); None for other kinds."""
     if space.kind != "lagrange_p2_vector":
         return None
     return make_space("lagrange_p2", space.bc, space.mesh, space.topology)
@@ -491,8 +490,10 @@ def canonical_interpolate(space: FeSpace, func) -> FieldFunction:
         means = 6.0 * np.einsum("q,cq->c", rule.weights, vals)
         return FieldFunction(space, means)
     if kind == "lagrange_p2_vector":
-        nodes = np.concatenate([mesh.vertices, mesh.vertices[topo.edges].mean(axis=1)])
-        return FieldFunction(space, np.asarray(func(nodes), dtype=float).reshape(-1))
+        mids = 0.5 * (mesh.vertices[topo.edges[:, 0]] + mesh.vertices[topo.edges[:, 1]])
+        nodes = np.concatenate([mesh.vertices, mids], axis=0)
+        vals = np.asarray(func(nodes), dtype=float)
+        return FieldFunction(space, vals.reshape(-1))
     if kind == "nedelec1_lowest":
         pa = mesh.vertices[topo.edges[:, 0]]
         tang = mesh.vertices[topo.edges[:, 1]] - pa
